@@ -26,6 +26,7 @@ from .dynamics import (
 )
 from .enumeration import (
     DEFAULT_GUARD_N,
+    MAX_SCAN_N,
     census_to_dict,
     enumerate_limits,
 )
@@ -74,7 +75,12 @@ EXIT_INVARIANT = 4
 
 def _default_guard_n() -> int:
     env = os.environ.get("THRESHOLD_LAB_GUARD_N")
-    return int(env) if env else DEFAULT_GUARD_N
+    if not env:
+        return DEFAULT_GUARD_N
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"THRESHOLD_LAB_GUARD_N must be an integer, got {env!r}") from None
 
 
 def _emit(obj) -> None:
@@ -135,9 +141,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g, k = _primary_instance(args.input)
-    # default to available parallelism; the scan shards only past one chunk
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
-    census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False, workers=workers)
+    census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
     _emit(census_to_dict(census, g.n))
     return EXIT_OK
 
@@ -280,12 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--guard-n", type=int, default=_default_guard_n(),
-                       help="max node count for 2^n scans")
+        p.add_argument("--guard-n", type=int, default=None,
+                       help=f"max node count for 2^n scans (default: $THRESHOLD_LAB_GUARD_N "
+                            f"or {DEFAULT_GUARD_N}; never above {MAX_SCAN_N})")
         p.add_argument("--max-states", type=int, default=None,
                        help="trajectory guard override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for sharded scans")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     p = sub.add_parser("simulate", help="iterate an instance to its limit cycle")
@@ -337,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.guard_n is None:
+            args.guard_n = _default_guard_n()
         if args.guard_n <= 0:
             raise InputError(f"--guard-n must be positive, got {args.guard_n}")
         if args.max_states is not None and args.max_states < 1:
             raise InputError(f"--max-states must be >= 1, got {args.max_states}")
-        if args.workers is not None and args.workers < 1:
-            raise InputError(f"--workers must be >= 1, got {args.workers}")
         return args.fn(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

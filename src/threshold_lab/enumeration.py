@@ -1,19 +1,21 @@
 """Exhaustive and backtracking enumeration of the limit structure.
 
-The 2^n profile space is scanned in contiguous shards with numpy; each
-shard yields a partial census (fixed-point and 2-cycle counts plus
-capped witness lists) and the shards merge associatively, so results do
-not depend on the shard size or worker count. Fixed-point counting also
-has a depth-first backtracking path that scales past the scan limit on
-gadget-shaped graphs.
+Every 2^n scan runs one kernel: profiles are uint32 words, and node i's
+update over a chunk of consecutive profiles is
+``bitwise_count(a & neighbor_mask_i) >= k_i``, written into chunk
+buffers allocated once per scan. The census builds the full successor
+table once (4 bytes per profile) and derives fixed points, 2-cycles,
+witnesses and the period check from it; predecessor and reachability
+scans stream the kernel chunk by chunk and never hold the table.
+Fixed-point counting also has a depth-first backtracking path that
+scales past the scan limit on gadget-shaped graphs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +29,19 @@ from .errors import (
 from .graph_core import Graph, build_graph, two_partition, validate_profile, validate_thresholds
 
 DEFAULT_GUARD_N = 24
-_CHUNK = 1 << 18
+MAX_SCAN_N = 32  # the width of a uint32 profile word; no guard setting lifts it
+_CHUNK = 1 << 16
+
+
+def check_scan_size(n: int, guard_n: int) -> None:
+    """Refuse a 2^n scan past the uint32 profile width or past guard_n.
+
+    Called before anything is allocated.
+    """
+    if n > MAX_SCAN_N:
+        raise GuardExceededError(f"n = {n} exceeds {MAX_SCAN_N}, the widest 2^n scan supported")
+    if n > guard_n:
+        raise GuardExceededError(f"n = {n} exceeds the 2^n scan guard {guard_n}")
 
 
 @dataclass(frozen=True)
@@ -64,33 +78,62 @@ def census_to_dict(census: LimitCensus, n: int) -> dict:
     return d
 
 
-def _step_array(g: Graph, k: Sequence[int], states: np.ndarray) -> np.ndarray:
-    """Vectorized step map on an array of profile ints."""
-    out = np.zeros(states.shape, dtype=np.uint32)
-    for i in range(g.n):
-        cnt = np.zeros(states.shape, dtype=np.uint8)
-        for j in g.adjacency[i]:
-            cnt += ((states >> np.uint32(j)) & np.uint32(1)).astype(np.uint8)
-        np.bitwise_or(out, (cnt >= k[i]).astype(np.uint32) << np.uint32(i), out=out)
-    return out
+# ---------------------------------------------------------------------------
+# The 2^n kernel
 
 
-def _census_shard(args):
-    g, k, lo, hi, cap = args
-    vals = np.arange(lo, hi, dtype=np.uint32)
-    s1 = _step_array(g, k, vals)
-    fixed_mask = s1 == vals
-    s2 = _step_array(g, k, s1)
-    two_mask = (~fixed_mask) & (s2 == vals) & (vals < s1)
-    fixed = int(fixed_mask.sum())
-    two = int(two_mask.sum())
-    fw = vals[fixed_mask][:cap].tolist() if cap else []
-    tw = (
-        list(zip(vals[two_mask][:cap].tolist(), s1[two_mask][:cap].tolist()))
-        if cap
-        else []
-    )
-    return fixed, two, fw, tw
+def _chunks(total: int) -> Iterator[tuple[int, int]]:
+    for lo in range(0, total, _CHUNK):
+        yield lo, min(lo + _CHUNK, total)
+
+
+def _steps(
+    g: Graph, k: Sequence[int], table: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, succ) per chunk, with succ[j] = step(lo + j).
+
+    With ``table`` given, succ is the view table[lo:hi], so exhausting
+    the generator fills the table; otherwise succ is one buffer reused
+    for every chunk.
+    """
+    n = g.n
+    total = 1 << n
+    masks = [np.uint32(m) for m in g.neighbor_masks]
+    # a count never exceeds n, so clamping keeps the uint8 comparison exact
+    ks = [min(ki, n + 1) for ki in k]
+    size = min(_CHUNK, total)
+    offsets = np.arange(size, dtype=np.uint32)
+    vals = np.empty(size, dtype=np.uint32)
+    word = np.empty(size, dtype=np.uint32)
+    count = np.empty(size, dtype=np.uint8)
+    hit = np.empty(size, dtype=bool)
+    buf = np.empty(size, dtype=np.uint32) if table is None else None
+    for lo, hi in _chunks(total):
+        m = hi - lo
+        succ = buf[:m] if table is None else table[lo:hi]
+        v, w, c, h = vals[:m], word[:m], count[:m], hit[:m]
+        np.add(offsets[:m], np.uint32(lo), out=v)
+        succ.fill(0)
+        for i in range(n):
+            np.bitwise_and(v, masks[i], out=w)
+            np.bitwise_count(w, out=c)
+            np.greater_equal(c, ks[i], out=h)
+            np.left_shift(h, np.uint32(i), out=w, dtype=np.uint32)
+            np.bitwise_or(succ, w, out=succ)
+        yield lo, succ
+
+
+def _successor_table(g: Graph, k: Sequence[int]) -> np.ndarray:
+    table = np.empty(1 << g.n, dtype=np.uint32)
+    for _ in _steps(g, k, table):
+        pass
+    return table
+
+
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # mode="clip" writes straight into out; the default mode="raise"
+    # buffers the whole result first. Indices are profiles, always in range.
+    return np.take(table, index, out=out, mode="clip")
 
 
 def enumerate_limits(
@@ -100,7 +143,6 @@ def enumerate_limits(
     guard_n: int = DEFAULT_GUARD_N,
     witnesses: bool = True,
     witness_cap: int = 1024,
-    workers: int = 1,
     check_period: bool = True,
 ) -> LimitCensus:
     """Scan all 2^n profiles and classify the limit structure.
@@ -109,72 +151,96 @@ def enumerate_limits(
     {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. With
     check_period (default), additionally verifies that no profile sits
     on a longer cycle, re-establishing the length-2 bound on this instance
-    rather than assuming it.
+    rather than assuming it. Peak memory is the successor table plus, when
+    some transient is longer than one step, one more array of its size:
+    8 bytes per profile.
     """
     k = validate_thresholds(g, k)
-    n = g.n
-    if n > guard_n:
-        raise GuardExceededError(f"n = {n} exceeds enumeration guard {guard_n}")
-    total = 1 << n
+    check_scan_size(g.n, guard_n)
+    table = _successor_table(g, k)
+    total = table.size
     cap = witness_cap if witnesses else 0
-    bounds = list(range(0, total, _CHUNK)) + [total]
-    shards = [(g, k, lo, hi, cap) for lo, hi in zip(bounds, bounds[1:])]
-    if workers > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_census_shard, shards))
-    else:
-        parts = [_census_shard(s) for s in shards]
-    fixed = sum(p[0] for p in parts)
-    two = sum(p[1] for p in parts)
-    fw: tuple[int, ...] | None = None
-    tw: tuple[tuple[int, int], ...] | None = None
-    if witnesses:
-        fw = tuple([w for p in parts for w in p[2]][:witness_cap])
-        tw = tuple(tuple(pair) for p in parts for pair in p[3])[:witness_cap]
-    if check_period:
-        _assert_no_long_cycles(g, k, fixed, two)
+    fixed = two = periodic = 0
+    fw: list[int] = []
+    tw: list[tuple[int, int]] = []
+    settled = True  # f^2 fixes f(a) for every profile a scanned so far
+    size = min(_CHUNK, total)
+    offsets = np.arange(size, dtype=np.uint32)
+    vals = np.empty(size, dtype=np.uint32)
+    f2_buf = np.empty(size, dtype=np.uint32)
+    f3_buf = np.empty(size, dtype=np.uint32)
+    for lo, hi in _chunks(total):
+        m = hi - lo
+        a = np.add(offsets[:m], np.uint32(lo), out=vals[:m])
+        f1 = table[lo:hi]
+        f2 = _gather(table, f1, f2_buf[:m])
+        fixed_mask = f1 == a
+        periodic_mask = f2 == a
+        two_mask = periodic_mask & (a < f1)
+        fixed += int(np.count_nonzero(fixed_mask))
+        periodic += int(np.count_nonzero(periodic_mask))
+        two += int(np.count_nonzero(two_mask))
+        if len(fw) < cap:
+            fw.extend(a[fixed_mask][: cap - len(fw)].tolist())
+        if len(tw) < cap:
+            room = cap - len(tw)
+            tw.extend(zip(a[two_mask][:room].tolist(), f1[two_mask][:room].tolist()))
+        if check_period and settled:
+            settled = np.array_equal(_gather(table, f2, f3_buf[:m]), f1)
+    if check_period and not settled:
+        _assert_period_at_most_two(table)
+    if periodic != fixed + 2 * two:
+        raise InvariantViolationError("census does not account for every periodic profile")
     return LimitCensus(
         fixed_points=fixed,
         two_cycles=two,
         cycle_classes=fixed + two,
-        fixed_witnesses=fw,
-        two_cycle_witnesses=tw,
+        fixed_witnesses=tuple(fw) if witnesses else None,
+        two_cycle_witnesses=tuple(tw) if witnesses else None,
     )
 
 
-def _assert_no_long_cycles(g: Graph, k, fixed: int, two: int) -> None:
-    # f^(2^n) lands on the limit cycle from any start; every such state
-    # must have step-period 1 or 2.
-    total = 1 << g.n
-    table = np.empty(total, dtype=np.uint32)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        table[lo:hi] = _step_array(g, k, np.arange(lo, hi, dtype=np.uint32))
-    f2 = table[table]
-    limit = table
-    for _ in range(g.n):
-        limit = limit[limit]
-    if not np.array_equal(f2[limit], limit):
-        raise InvariantViolationError(
-            "a limit cycle longer than 2 exists; this contradicts the "
-            "length-2 cycle bound and indicates an implementation bug"
-        )
-    periodic = int((f2 == np.arange(total, dtype=np.uint32)).sum())
-    if periodic != fixed + 2 * two:
-        raise InvariantViolationError("census does not account for every periodic profile")
+def _assert_period_at_most_two(table: np.ndarray) -> None:
+    """Raise unless every limit cycle of the map ``table`` has length <= 2.
+
+    The census pass already found a profile a with f^2(f(a)) != f(a), so
+    this starts at round 1. ``limit`` starts as a copy of f and is
+    squared in place, limit[a] <- limit[limit[a]]; an entry read later in
+    the same round may already be squared, so after round j limit[a] is
+    f^t(a) with t >= 2^j. The check stops at the first round where f^2
+    fixes limit[a] for every a. That is sound: limit[a] lies on a's
+    forward orbit, so for a on a cycle longer than 2 it stays on that
+    cycle, where f^2 fixes no point. Every transient is shorter than
+    2^n, so without such a cycle round n passes.
+    """
+    total = table.size
+    n = total.bit_length() - 1
+    limit = table.copy()
+    size = min(_CHUNK, total)
+    buf = np.empty(size, dtype=np.uint32)
+    f2_buf = np.empty(size, dtype=np.uint32)
+    for _ in range(n):
+        settled = True
+        for lo, hi in _chunks(total):
+            m = hi - lo
+            cur = limit[lo:hi]
+            cur[...] = _gather(limit, cur, buf[:m])
+            if settled:
+                f2 = _gather(table, _gather(table, cur, buf[:m]), f2_buf[:m])
+                settled = np.array_equal(f2, cur)
+        if settled:
+            return
+    raise InvariantViolationError(
+        "a limit cycle longer than 2 exists; this contradicts the "
+        "length-2 cycle bound and indicates an implementation bug"
+    )
 
 
 def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N) -> np.ndarray:
     """Full successor table next[a] = step(a) for all 2^n profiles."""
     k = validate_thresholds(g, k)
-    if g.n > guard_n:
-        raise GuardExceededError(f"n = {g.n} exceeds enumeration guard {guard_n}")
-    total = 1 << g.n
-    table = np.empty(total, dtype=np.uint32)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        table[lo:hi] = _step_array(g, k, np.arange(lo, hi, dtype=np.uint32))
-    return table
+    check_scan_size(g.n, guard_n)
+    return _successor_table(g, k)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +367,10 @@ def predecessors(
     """All profiles b with step(b) == a, by scanning the 2^n space."""
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
-    if g.n > guard_n:
-        raise GuardExceededError(f"n = {g.n} exceeds enumeration guard {guard_n}")
-    total = 1 << g.n
+    check_scan_size(g.n, guard_n)
     found: list[int] = []
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        vals = np.arange(lo, hi, dtype=np.uint32)
-        hits = vals[_step_array(g, k, vals) == a]
-        found.extend(int(x) for x in hits)
+    for lo, succ in _steps(g, k):
+        found.extend((np.flatnonzero(succ == a) + lo).tolist())
     return tuple(found)
 
 
@@ -319,15 +380,8 @@ def is_reachable(
     """True iff a has at least one predecessor under step."""
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
-    if g.n > guard_n:
-        raise GuardExceededError(f"n = {g.n} exceeds enumeration guard {guard_n}")
-    total = 1 << g.n
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        vals = np.arange(lo, hi, dtype=np.uint32)
-        if bool((_step_array(g, k, vals) == a).any()):
-            return True
-    return False
+    check_scan_size(g.n, guard_n)
+    return any(bool((succ == a).any()) for _, succ in _steps(g, k))
 
 
 # ---------------------------------------------------------------------------

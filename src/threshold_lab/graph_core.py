@@ -317,15 +317,28 @@ def instance_from_dict(d: dict):
 
     Returns (Graph, thresholds) or (Graph, types) for the primary model;
     weighted instances are decoded by dynamics.weighted_graph_from_dict.
+    n, edge endpoints and thresholds must be JSON integers: floats,
+    booleans and strings are rejected, never coerced.
     """
     try:
-        n = int(d["n"])
+        n = d["n"]
         edges = d["edges"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed instance: {exc}") from exc
+    # exact type checks: JSON true/false decode to bool, an int subclass
+    if type(n) is not int:
+        raise BadParameterError(f"n must be an integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise BadParameterError(f"edges must be a list, got {edges!r}")
+    for e in edges:
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise BadParameterError(f"each edge must be a pair of integers, got {e!r}")
     g = build_graph(n, edges)
     if "thresholds" in d:
-        return g, validate_thresholds(g, d["thresholds"])
+        k = d["thresholds"]
+        if not (type(k) is list and all(type(x) is int for x in k)):
+            raise BadParameterError(f"thresholds must be a list of integers, got {k!r}")
+        return g, validate_thresholds(g, k)
     if "types" in d:
         return g, validate_types(g, d["types"])
     raise BadParameterError("instance has neither 'thresholds' nor 'types'")

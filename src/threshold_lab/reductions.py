@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .enumeration import DEFAULT_GUARD_N, predecessors
+from .enumeration import DEFAULT_GUARD_N, check_scan_size, predecessors
 from .errors import (
     BadParameterError,
-    GuardExceededError,
     InconsistentCountError,
     VariableMissingError,
 )
@@ -97,8 +96,7 @@ def formula_from_dict(d: dict) -> Formula:
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     """Exact model count by scanning all 2^n assignments."""
     n = f.num_vars
-    if n > guard_n:
-        raise GuardExceededError(f"{n} variables exceeds counting guard {guard_n}")
+    check_scan_size(n, guard_n)
     assigns = np.arange(1 << n, dtype=np.uint32)
     is_dnf = f.variant == MONOTONE_2DNF
 
@@ -328,7 +326,7 @@ def reachable_pred_reduction(
     g = build_graph(size, edges)
     k = (1,) * size
     target = (1 << size) - 1
-    claimed = count_sat(f)
+    claimed = count_sat(f, guard_n=guard_n)
     measured = None
     if measure:
         measured = len(predecessors(g, k, target, guard_n=guard_n))

@@ -23,7 +23,9 @@ from .graph_core import (
 Result = tuple[str, bool, str]
 
 
-def run_all(seed: int = 0, guard_n: int = 24) -> list[Result]:
+def run_all(seed: int = 0, guard_n: int = enumeration.DEFAULT_GUARD_N) -> list[Result]:
+    """Run every suite; guard_n bounds each suite's 2^n scans, so a
+    suite whose instances exceed it fails with the guard's message."""
     checks = [
         _check_type_threshold_equivalence,
         _check_two_step_table,
@@ -49,7 +51,7 @@ def run_all(seed: int = 0, guard_n: int = 24) -> list[Result]:
     for check in checks:
         name = check.__name__.strip("_").removeprefix("check_").replace("_", "-")
         try:
-            detail = check(random.Random(seed))
+            detail = check(random.Random(seed), guard_n)
             results.append((name, True, detail or ""))
         except ThresholdLabError as exc:
             results.append((name, False, str(exc)))
@@ -64,7 +66,7 @@ def _random_instances(rng, count, max_n):
         yield g, instances.random_thresholds(g, rng)
 
 
-def _check_type_threshold_equivalence(rng) -> str:
+def _check_type_threshold_equivalence(rng, guard_n) -> str:
     cases = 0
     for _ in range(40):
         g = instances.random_connected_graph(rng.randint(2, 5), rng)
@@ -79,7 +81,7 @@ def _check_type_threshold_equivalence(rng) -> str:
     return f"{cases} profile updates compared"
 
 
-def _check_two_step_table(rng) -> str:
+def _check_two_step_table(rng, guard_n) -> str:
     cases = 0
     for n in (4, 5, 6):
         g = instances.cycle_graph(n)
@@ -94,20 +96,20 @@ def _check_two_step_table(rng) -> str:
     return f"{cases} table entries checked"
 
 
-def _check_cycle_length_bound(rng) -> str:
+def _check_cycle_length_bound(rng, guard_n) -> str:
     total = 0
     for n in (1, 2, 3, 4):
         for g in instances.connected_graphs(n):
             for k in instances.all_threshold_vectors(g):
-                enumeration.enumerate_limits(g, k, witnesses=False)
+                enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
                 total += 1
     for g, k in _random_instances(rng, 25, 7):
-        enumeration.enumerate_limits(g, k, witnesses=False)
+        enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
         total += 1
     return f"{total} instances, every limit cycle has length <= 2"
 
 
-def _check_inverted_and_weighted_cycles(rng) -> str:
+def _check_inverted_and_weighted_cycles(rng, guard_n) -> str:
     for g, k in _random_instances(rng, 20, 6):
         step = dynamics.make_step_inverted(g, k)
         for a in range(1 << g.n):
@@ -131,7 +133,7 @@ def _bipartite_sample(rng, count, max_n):
     return out
 
 
-def _check_decoupling_identities(rng) -> str:
+def _check_decoupling_identities(rng, guard_n) -> str:
     cases = 0
     for g, k in _bipartite_sample(rng, 25, 7):
         part = two_partition(g)
@@ -158,7 +160,7 @@ def _symmetric_bipartite_sample(rng, count):
     return out
 
 
-def _check_conflict_potential(rng) -> str:
+def _check_conflict_potential(rng, guard_n) -> str:
     cases = 0
     for g, k in _symmetric_bipartite_sample(rng, 6):
         assert expansions.is_symmetric_model(g, k)
@@ -174,7 +176,7 @@ def _check_conflict_potential(rng) -> str:
     return f"{cases} sequential moves match the potential"
 
 
-def _check_fixed_point_coincidence(rng) -> str:
+def _check_fixed_point_coincidence(rng, guard_n) -> str:
     cases = 0
     for g, k in _bipartite_sample(rng, 15, 7):
         part = two_partition(g)
@@ -188,7 +190,7 @@ def _check_fixed_point_coincidence(rng) -> str:
     return f"{cases} fixed-point equivalences checked"
 
 
-def _check_expansion_commutation(rng) -> str:
+def _check_expansion_commutation(rng, guard_n) -> str:
     trials = 0
     for g, k in _random_instances(rng, 12, 5):
         profiles = range(1 << g.n)
@@ -229,7 +231,7 @@ def _check_expansion_commutation(rng) -> str:
     return f"{trials} expansion squares commute"
 
 
-def _check_combined_expansion_isomorphism(rng) -> str:
+def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
     checked = 0
     for _ in range(6):
         g = instances.random_connected_graph(rng.randint(3, 5), rng, extra_edge_prob=0.5)
@@ -247,32 +249,32 @@ def _check_combined_expansion_isomorphism(rng) -> str:
     return f"{checked} composition pairs isomorphic"
 
 
-def _check_census_backtracking_agreement(rng) -> str:
+def _check_census_backtracking_agreement(rng, guard_n) -> str:
     for g, k in _random_instances(rng, 30, 9):
-        census = enumeration.enumerate_limits(g, k, witnesses=False)
+        census = enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
         assert (
             enumeration.count_fixed_points_backtracking(g, k) == census.fixed_points
         ), f"backtracking disagrees with the scan on {g.edges} k={k}"
     return "30 instances agree"
 
 
-def _check_bipartite_cycle_identity(rng) -> str:
+def _check_bipartite_cycle_identity(rng, guard_n) -> str:
     for g, k in _bipartite_sample(rng, 20, 8):
-        enumeration.bipartite_cycle_identity(g, k)
+        enumeration.bipartite_cycle_identity(g, k, guard_n=guard_n)
     return "F(F-1)/2 + F matched on 20 bipartite instances"
 
 
-def _check_extremal_instances(rng) -> str:
+def _check_extremal_instances(rng, guard_n) -> str:
     g, k = enumeration.build_extremal_cycle_instance(5, "min")
-    census = enumeration.enumerate_limits(g, k)
+    census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
     assert census.fixed_points == 2 and census.two_cycles == 0
     g, k = enumeration.build_extremal_cycle_instance(6, "max")
-    census = enumeration.enumerate_limits(g, k)
+    census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
     assert census.fixed_points >= 4 and census.two_cycles >= 3
     return "min/max counting instances behave as constructed"
 
 
-def _check_fix_gadget(rng) -> str:
+def _check_fix_gadget(rng, guard_n) -> str:
     f = reductions.Formula(reductions.MONOTONE_2DNF, 2, ((1, 2),))
     gadget = reductions.fix_reduction(f)
     count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
@@ -284,7 +286,7 @@ def _check_fix_gadget(rng) -> str:
         assert is_bipartite(gadget.graph)
         count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
         sat, _nsat = reductions.recover_sat_count(count, f.num_vars)
-        assert sat == reductions.count_sat(f)
+        assert sat == reductions.count_sat(f, guard_n=guard_n)
     return "fixed-point counts invert to #sat"
 
 
@@ -300,7 +302,7 @@ def _random_2dnf(rng) -> reductions.Formula:
             return reductions.Formula(reductions.MONOTONE_2DNF, n, clauses)
 
 
-def _check_pred_gadget(rng) -> str:
+def _check_pred_gadget(rng, guard_n) -> str:
     for _ in range(15):
         n = rng.randint(1, 3)
         m = rng.randint(1, 2)
@@ -313,14 +315,18 @@ def _check_pred_gadget(rng) -> str:
             clauses.append(lits)
         f = reductions.Formula(reductions.THREE_CNF, n, tuple(clauses))
         gadget = reductions.pred_reduction(f)
-        reachable = enumeration.is_reachable(gadget.graph, gadget.thresholds, gadget.target)
-        assert reachable == (reductions.count_sat(f) > 0), f"PRED mismatch on {f.clauses}"
+        reachable = enumeration.is_reachable(
+            gadget.graph, gadget.thresholds, gadget.target, guard_n=guard_n
+        )
+        assert reachable == (reductions.count_sat(f, guard_n=guard_n) > 0), (
+            f"PRED mismatch on {f.clauses}"
+        )
     return "reachability matches satisfiability on 15 formulas"
 
 
-def _check_reachable_pred_gadget(rng) -> str:
+def _check_reachable_pred_gadget(rng, guard_n) -> str:
     f = reductions.Formula(reductions.MONOTONE_2CNF, 2, ((1, 2),))
-    gadget = reductions.reachable_pred_reduction(f)
+    gadget = reductions.reachable_pred_reduction(f, guard_n=guard_n)
     assert gadget.claimed_count == 3 and gadget.measured_count == 9, (
         f"expected the documented 9-vs-3 discrepancy, got "
         f"{gadget.measured_count} vs {gadget.claimed_count}"
@@ -328,7 +334,7 @@ def _check_reachable_pred_gadget(rng) -> str:
     return "documented 9-vs-3 discrepancy reproduced"
 
 
-def _check_convergence_time_bounds(rng) -> str:
+def _check_convergence_time_bounds(rng, guard_n) -> str:
     for n in (4, 6):
         g = instances.cycle_graph(n)
         for _ in range(60):
@@ -352,7 +358,7 @@ def _check_convergence_time_bounds(rng) -> str:
     return "linear and quadratic convergence-time bounds hold"
 
 
-def _check_resilience_closed_forms(rng) -> str:
+def _check_resilience_closed_forms(rng, guard_n) -> str:
     pairs = []
     for n in (3, 4, 5):
         pairs.append((instances.star_graph(n), "star", range(1, n + 1)))
@@ -368,7 +374,7 @@ def _check_resilience_closed_forms(rng) -> str:
     return "closed forms match brute force"
 
 
-def _probe_bipartite_linear_time(rng) -> str:
+def _probe_bipartite_linear_time(rng, guard_n) -> str:
     # Experimental probe only: a linear transient bound on general
     # bipartite graphs is conjectured, not established. The probe reports
     # the worst observed ratio and flags any violation as a finding
@@ -387,7 +393,7 @@ def _probe_bipartite_linear_time(rng) -> str:
     return note
 
 
-def _check_greedy_recovery(rng) -> str:
+def _check_greedy_recovery(rng, guard_n) -> str:
     for _ in range(15):
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
         q = resilience.greedy_upper_bound_q(g)

@@ -95,6 +95,38 @@ class TestEnumerate:
         monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "24")
         assert main(["enumerate", "--input", four_cycle_file]) == 0
 
+    def test_bad_guard_env_is_input_error(self, capsys, four_cycle_file, monkeypatch):
+        monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "abc")
+        assert main(["enumerate", "--input", four_cycle_file]) == 2
+        assert "THRESHOLD_LAB_GUARD_N" in capsys.readouterr().err
+
+    def test_hard_cap_beats_guard_env(self, capsys, tmp_path, monkeypatch):
+        import threshold_lab.enumeration as en
+
+        def unreachable(*args):
+            raise AssertionError("the scan started past the hard cap")
+
+        monkeypatch.setattr(en, "_successor_table", unreachable)
+        path = write(
+            tmp_path / "p33.json",
+            {"n": 33, "edges": [[i, i + 1] for i in range(32)], "thresholds": [1] * 33},
+        )
+        monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "40")
+        assert main(["enumerate", "--input", path]) == 3
+        assert main(["enumerate", "--input", path, "--guard-n", "40"]) == 3
+        assert "exceeds 32" in capsys.readouterr().err
+
+    def test_non_integer_instance_is_input_error(self, capsys, tmp_path):
+        for i, inst in enumerate(
+            [
+                {"n": 3.9, "edges": [[0, 1], [1, 2]], "thresholds": [1.7, True, "2"]},
+                {"n": 3, "edges": [[0, 1], [1, 2], [0, 1.5]], "thresholds": [1, 1, 1]},
+            ]
+        ):
+            path = write(tmp_path / f"bad{i}.json", inst)
+            assert main(["enumerate", "--input", path]) == 2
+            assert "must be" in capsys.readouterr().err
+
 
 class TestExpand:
     def test_bipartite(self, capsys, triangle_file):
@@ -232,6 +264,14 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 19
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_verify_honours_guard(self, capsys):
+        # the suites' 2^n scans run under --guard-n, so a tiny guard fails them
+        assert main(["verify", "--guard-n", "3"]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL  cycle-length-bound  (n = 4 exceeds the 2^n scan guard 3)" in out
+        assert "FAIL  pred-gadget" in out
+        assert "PASS  type-threshold-equivalence" in out
 
     def test_verify_failure_exits_4(self, capsys, monkeypatch):
         from threshold_lab import verify as verify_mod

@@ -3,6 +3,7 @@ import pytest
 from threshold_lab import (
     BadParameterError,
     GuardExceededError,
+    InvariantViolationError,
     NotBipartiteError,
     bipartite_cycle_identity,
     build_extremal_cycle_instance,
@@ -82,20 +83,88 @@ class TestEnumerateLimits:
         sharded = enumerate_limits(g, k)
         assert sharded == base
 
-    def test_worker_pool_matches_serial(self, rng, monkeypatch):
+    @pytest.mark.parametrize("chunk", [None, 16])
+    def test_matches_brute_force_step(self, rng, monkeypatch, chunk):
+        # counts, capped witnesses, the table and predecessor scans against
+        # dynamics.step on every profile, in one chunk and across many;
+        # the extremal cycle spreads many fixed points over the chunks
         import threshold_lab.enumeration as en
 
-        g = random_connected_graph(9, rng)
-        k = random_thresholds(g, rng)
-        base = enumerate_limits(g, k)
-        monkeypatch.setattr(en, "_CHUNK", 64)
-        pooled = enumerate_limits(g, k, workers=2)
-        assert pooled == base
+        if chunk is not None:
+            monkeypatch.setattr(en, "_CHUNK", chunk)
+        cases = [build_extremal_cycle_instance(9, "max")]
+        for _ in range(12):
+            g = random_connected_graph(rng.randint(2, 10), rng)
+            cases.append((g, random_thresholds(g, rng)))
+        for g, k in cases:
+            succ = [step(g, k, a) for a in range(1 << g.n)]
+            fixed = [a for a, b in enumerate(succ) if a == b]
+            pairs = [(a, b) for a, b in enumerate(succ) if a < b and succ[b] == a]
+            for cap in (1024, 3, 7):
+                census = enumerate_limits(g, k, witness_cap=cap)
+                assert census.fixed_points == len(fixed)
+                assert census.two_cycles == len(pairs)
+                assert census.fixed_witnesses == tuple(fixed[:cap])
+                assert census.two_cycle_witnesses == tuple(pairs[:cap])
+            assert transition_table(g, k).tolist() == succ
+            for target in (succ[0], rng.randrange(1 << g.n)):
+                preds = tuple(a for a, b in enumerate(succ) if b == target)
+                assert predecessors(g, k, target) == preds
+                assert is_reachable(g, k, target) == bool(preds)
+
+    def test_planted_three_cycle_is_caught(self, four_cycle, monkeypatch):
+        import threshold_lab.enumeration as en
+
+        real = en._successor_table
+
+        def planted(g, k):
+            table = real(g, k)
+            table[0b0001], table[0b0010], table[0b0100] = 0b0010, 0b0100, 0b0001
+            return table
+
+        monkeypatch.setattr(en, "_successor_table", planted)
+        with pytest.raises(InvariantViolationError, match="longer than 2"):
+            enumerate_limits(four_cycle, (1, 1, 1, 1))
+
+    def test_period_check_outlasts_longest_transient(self, four_cycle, monkeypatch):
+        # a -> a - 1 down to the fixed point 0: a transient of 2^n - 1 steps,
+        # the longest possible, still settles within the n doubling rounds
+        import numpy as np
+        import threshold_lab.enumeration as en
+
+        def chain(g, k):
+            return np.maximum(np.arange(1 << g.n, dtype=np.uint32), 1) - np.uint32(1)
+
+        monkeypatch.setattr(en, "_successor_table", chain)
+        census = enumerate_limits(four_cycle, (1, 1, 1, 1))
+        assert (census.fixed_points, census.two_cycles) == (1, 0)
+        assert census.fixed_witnesses == (0,)
 
     def test_guard(self, rng):
         g = random_connected_graph(6, rng)
         with pytest.raises(GuardExceededError):
             enumerate_limits(g, (1,) * 6, guard_n=5)
+
+    def test_hard_cap_ignores_guard(self, monkeypatch):
+        # 33 nodes do not fit a uint32 profile word; refused before the
+        # kernel allocates anything (a regression fails here, not in a 32 GiB table)
+        import threshold_lab.enumeration as en
+
+        def unreachable(*args):
+            raise AssertionError("the scan started past the hard cap")
+
+        monkeypatch.setattr(en, "_successor_table", unreachable)
+        monkeypatch.setattr(en, "_steps", unreachable)
+        g = build_graph(33, [(i, i + 1) for i in range(32)])
+        k = (1,) * 33
+        for scan in (
+            lambda: enumerate_limits(g, k, guard_n=40),
+            lambda: transition_table(g, k, guard_n=40),
+            lambda: predecessors(g, k, 0, guard_n=40),
+            lambda: is_reachable(g, k, 0, guard_n=40),
+        ):
+            with pytest.raises(GuardExceededError, match="exceeds 32"):
+                scan()
 
 
 class TestTransitionTable:

@@ -194,6 +194,30 @@ class TestInstanceJson:
         with pytest.raises(BadParameterError):
             instance_from_dict({"n": 2, "edges": [[0, 1]]})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 3.9),
+            ("n", 3.0),
+            ("n", True),
+            ("n", "3"),
+            ("edges", [[0, 1], [1, 1.5]]),
+            ("edges", [[0, 1], [1, True]]),
+            ("edges", [[0, 1], ["1", 2]]),
+            ("edges", [[0, 1], 2]),
+            ("edges", [[0, 1], [1, 2, 0]]),
+            ("thresholds", [1.7, 1, 2]),
+            ("thresholds", [1, True, 2]),
+            ("thresholds", [1, 1, "2"]),
+            ("thresholds", 2),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        d = {"n": 3, "edges": [[0, 1], [1, 2]], "thresholds": [1, 1, 2]}
+        d[field] = value
+        with pytest.raises(BadParameterError, match="must be"):
+            instance_from_dict(d)
+
     def test_load_instance_from_file(self, tmp_path, four_cycle):
         import json
 

@@ -3,6 +3,7 @@ import pytest
 from threshold_lab import (
     BadParameterError,
     Formula,
+    GuardExceededError,
     InconsistentCountError,
     MONOTONE_2CNF,
     MONOTONE_2DNF,
@@ -88,6 +89,17 @@ class TestCountSat:
 
     def test_three_cnf_clause(self):
         assert count_sat(Formula(THREE_CNF, 3, ((1, 2, -3),))) == 7
+
+    def test_hard_cap_ignores_guard(self, monkeypatch):
+        import threshold_lab.reductions as red
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the scan started past the hard cap")
+
+        monkeypatch.setattr(red.np, "arange", unreachable)
+        f = Formula(THREE_CNF, 33, ((1,),))
+        with pytest.raises(GuardExceededError, match="exceeds 32"):
+            count_sat(f, guard_n=40)
 
     def test_matches_independent_counter(self, rng):
         for _ in range(40):
