@@ -35,6 +35,9 @@ from .graph_core import (
     ACTION_W,
     Graph,
     as_types,
+    check_int_list,
+    check_int_rows,
+    types_to_thresholds,
     validate_profile,
     validate_thresholds,
     validate_types,
@@ -160,12 +163,21 @@ def weighted_graph_to_dict(w: WeightedGraph) -> dict:
 
 
 def weighted_graph_from_dict(d: dict) -> WeightedGraph:
+    """Decode a weighted instance; every number must be a JSON integer."""
     try:
-        n = int(d["n"])
+        n = d["n"]
         edges = d["weighted_edges"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed weighted instance: {exc}") from exc
-    return build_weighted_graph(n, edges, d.get("self_loops", ()), d.get("thresholds"))
+    if type(n) is not int:
+        raise BadParameterError(f"n must be an integer, got {n!r}")
+    loops = d.get("self_loops", [])
+    check_int_rows(edges, 3, "weighted_edges")
+    check_int_rows(loops, 2, "self_loops")
+    k = d.get("thresholds")
+    if k is not None:
+        check_int_list(k, "thresholds")
+    return build_weighted_graph(n, edges, loops, k)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +196,11 @@ def step(g: Graph, k: Sequence[int], a: int) -> int:
 
 
 def step_types(g: Graph, q: Sequence, a: int) -> int:
-    """Type rule: out_i = B iff strictly more than q_i * d_i neighbors play B."""
+    """Type rule: out_i = B iff strictly more than q_i * d_i neighbors play B.
+
+    Compares Fractions literally; it is the reference that the threshold
+    form used by make_step_types is checked against.
+    """
     q = validate_types(g, q)
     a = validate_profile(a, g.n)
     out = 0
@@ -273,18 +289,8 @@ def make_step(g: Graph, k: Sequence[int]) -> StepMap:
 
 
 def make_step_types(g: Graph, q: Sequence) -> StepMap:
-    q = validate_types(g, q)
-    masks, n, deg = g.neighbor_masks, g.n, g.degrees
-    bars = tuple(q[i] * deg[i] for i in range(n))
-
-    def fn(a: int) -> int:
-        out = 0
-        for i in range(n):
-            if (a & masks[i]).bit_count() > bars[i]:
-                out |= 1 << i
-        return out
-
-    return fn
+    """The type rule as the threshold rule with k = types_to_thresholds(g, q)."""
+    return make_step(g, types_to_thresholds(g, q))
 
 
 def make_step_inverted(g: Graph, k: Sequence[int]) -> StepMap:

@@ -13,6 +13,7 @@ scales past the scan limit on gadget-shaped graphs.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -334,7 +335,15 @@ def count_fixed_points_backtracking(
             undo(trail)
         return total
 
-    return search()
+    # Each branching node adds a Python frame, so an instance needing more
+    # branching levels than the interpreter's recursion limit cannot run.
+    try:
+        return search()
+    except RecursionError:
+        raise GuardExceededError(
+            f"backtracking on {n} nodes needs a search depth beyond Python's "
+            f"recursion limit of {sys.getrecursionlimit()} frames"
+        ) from None
 
 
 def _bfs_order(g: Graph) -> list[int]:

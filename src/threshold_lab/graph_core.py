@@ -149,8 +149,9 @@ def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
 def as_types(values: Iterable) -> tuple[Fraction, ...]:
     """Coerce an iterable of rationals into exact Fractions in [0, 1].
 
-    Accepts Fraction, int, or (numerator, denominator) pairs. Floats are
-    rejected: they cannot represent type boundaries exactly.
+    Accepts Fraction, int, or (numerator, denominator) pairs of ints.
+    Floats are rejected: they cannot represent type boundaries exactly.
+    Bools, strings and other non-int parts are rejected, never coerced.
     """
     out = []
     for v in values:
@@ -158,11 +159,21 @@ def as_types(values: Iterable) -> tuple[Fraction, ...]:
             raise BadParameterError(f"type value {v!r} is a float; pass an exact rational")
         if isinstance(v, Fraction):
             f = v
-        elif isinstance(v, int):
+        elif type(v) is int:
             f = Fraction(v)
+        elif (
+            isinstance(v, (list, tuple))
+            and len(v) == 2
+            and type(v[0]) is int
+            and type(v[1]) is int
+            and v[1] != 0
+        ):
+            f = Fraction(v[0], v[1])
         else:
-            num, den = v
-            f = Fraction(int(num), int(den))
+            raise BadParameterError(
+                f"type value {v!r} must be a Fraction, an int, or an integer pair "
+                "(numerator, nonzero denominator)"
+            )
         if not (0 <= f <= 1):
             raise BadParameterError(f"type value {f} outside [0, 1]")
         out.append(f)
@@ -312,6 +323,27 @@ def instance_to_dict(g: Graph, k: Sequence[int] | None = None, q: Sequence | Non
     return d
 
 
+# Loaders use exact type checks: JSON true/false decode to bool, an int
+# subclass, and a float or numeric string must not be truncated into range.
+
+
+def check_int_list(values, what: str) -> None:
+    """Reject anything but a list of JSON integers."""
+    if not (type(values) is list and all(type(x) is int for x in values)):
+        raise BadParameterError(f"{what} must be a list of integers, got {values!r}")
+
+
+def check_int_rows(rows, width: int, what: str) -> None:
+    """Reject anything but a list of length-``width`` lists of JSON integers."""
+    if type(rows) is not list:
+        raise BadParameterError(f"{what} must be a list, got {rows!r}")
+    for r in rows:
+        if not (type(r) is list and len(r) == width and all(type(x) is int for x in r)):
+            raise BadParameterError(
+                f"each entry of {what} must be a list of {width} integers, got {r!r}"
+            )
+
+
 def instance_from_dict(d: dict):
     """Decode an instance dict.
 
@@ -325,19 +357,13 @@ def instance_from_dict(d: dict):
         edges = d["edges"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed instance: {exc}") from exc
-    # exact type checks: JSON true/false decode to bool, an int subclass
     if type(n) is not int:
         raise BadParameterError(f"n must be an integer, got {n!r}")
-    if not isinstance(edges, list):
-        raise BadParameterError(f"edges must be a list, got {edges!r}")
-    for e in edges:
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            raise BadParameterError(f"each edge must be a pair of integers, got {e!r}")
+    check_int_rows(edges, 2, "edges")
     g = build_graph(n, edges)
     if "thresholds" in d:
         k = d["thresholds"]
-        if not (type(k) is list and all(type(x) is int for x in k)):
-            raise BadParameterError(f"thresholds must be a list of integers, got {k!r}")
+        check_int_list(k, "thresholds")
         return g, validate_thresholds(g, k)
     if "types" in d:
         return g, validate_types(g, d["types"])

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .enumeration import DEFAULT_GUARD_N, check_scan_size, predecessors
+from .enumeration import DEFAULT_GUARD_N, _chunks, check_scan_size, predecessors
 from .errors import (
     BadParameterError,
     InconsistentCountError,
     VariableMissingError,
 )
-from .graph_core import Graph, build_graph
+from .graph_core import Graph, build_graph, check_int_list
 
 MONOTONE_2DNF = "monotone-2dnf"
 THREE_CNF = "3cnf"
@@ -83,24 +83,32 @@ class Formula:
 
 
 def formula_from_dict(d: dict) -> Formula:
+    """Decode a formula; n and every literal must be JSON integers."""
     try:
-        return Formula(
-            variant=str(d["variant"]).lower(),
-            num_vars=int(d["n"]),
-            clauses=tuple(tuple(int(x) for x in c) for c in d["clauses"]),
-        )
+        variant, n, clauses = d["variant"], d["n"], d["clauses"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed formula: {exc}") from exc
+    if type(n) is not int:
+        raise BadParameterError(f"n must be an integer, got {n!r}")
+    if type(clauses) is not list:
+        raise BadParameterError(f"clauses must be a list, got {clauses!r}")
+    for c in clauses:
+        check_int_list(c, "each clause")
+    return Formula(
+        variant=str(variant).lower(),
+        num_vars=n,
+        clauses=tuple(tuple(c) for c in clauses),
+    )
 
 
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
-    """Exact model count by scanning all 2^n assignments."""
+    """Exact model count by scanning all 2^n assignments, one chunk of
+    consecutive assignments at a time."""
     n = f.num_vars
     check_scan_size(n, guard_n)
-    assigns = np.arange(1 << n, dtype=np.uint32)
     is_dnf = f.variant == MONOTONE_2DNF
 
-    def clause_value(clause):
+    def clause_value(assigns, clause):
         lits = []
         for lit in clause:
             bit = ((assigns >> np.uint32(abs(lit) - 1)) & 1).astype(bool)
@@ -110,11 +118,15 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
             acc = (acc & other) if is_dnf else (acc | other)
         return acc
 
-    total = clause_value(f.clauses[0])
-    for clause in f.clauses[1:]:
-        cv = clause_value(clause)
-        total = (total | cv) if is_dnf else (total & cv)
-    return int(total.sum())
+    count = 0
+    for lo, hi in _chunks(1 << n):
+        assigns = np.arange(lo, hi, dtype=np.uint32)
+        total = clause_value(assigns, f.clauses[0])
+        for clause in f.clauses[1:]:
+            cv = clause_value(assigns, clause)
+            total = (total | cv) if is_dnf else (total & cv)
+        count += int(np.count_nonzero(total))
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from math import comb, lcm
+from typing import Sequence
 
-from .dynamics import make_step_types
+from .dynamics import make_step
 from .errors import (
     BadParameterError,
     GuardExceededError,
     InvariantViolationError,
     OutOfFormulaRangeError,
 )
-from .graph_core import Graph, validate_types
+from .graph_core import Graph, types_to_thresholds
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,23 @@ def recovery_problem(g: Graph, K: int) -> RecoveryProblem:
     return RecoveryProblem(graph=g, budget=K, grid=grid)
 
 
-def _seed_profiles(n: int, K: int) -> Iterator[int]:
-    # Weight-ascending, then lexicographic by node set: deterministic, so
-    # "first failing seed" is well defined.
-    yield 0
-    for size in range(1, K + 1):
-        for nodes in combinations(range(n), size):
-            yield sum(1 << i for i in nodes)
+def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
+    """Every profile with at most K B-nodes, after the seed-count guard.
+
+    Weight-ascending, then lexicographic by node set: deterministic, so
+    "first failing seed" is well defined.
+    """
+    K = min(K, n)
+    if K < 1:
+        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    seed_count = sum(comb(n, j) for j in range(K + 1))
+    if seed_count > max_seeds:
+        raise GuardExceededError(f"{seed_count} seed profiles exceed guard {max_seeds}")
+    return [
+        sum(1 << i for i in nodes)
+        for size in range(K + 1)
+        for nodes in combinations(range(n), size)
+    ]
 
 
 def check_recovery(
@@ -65,24 +76,20 @@ def check_recovery(
     its trajectory reaches exactly the all-W limit set. Returns the
     first failing seed, if any, in weight-then-value order.
     """
-    ok, failing, _ = _check_recovery_counted(g, q, K, max_seeds=max_seeds)
+    k = types_to_thresholds(g, q)
+    ok, failing, _ = _check_recovery_counted(g, k, _seed_list(g.n, K, max_seeds))
     return ok, failing
 
 
 def _check_recovery_counted(
-    g: Graph, q: Sequence, K: int, *, max_seeds: int
+    g: Graph, k: Sequence[int], seeds: Sequence[int]
 ) -> tuple[bool, int | None, int]:
-    q = validate_types(g, q)
-    K = min(K, g.n)
-    if K < 1:
-        raise BadParameterError(f"budget K must be >= 1, got {K}")
-    seed_count = _count_seeds(g.n, K)
-    if seed_count > max_seeds:
-        raise GuardExceededError(f"{seed_count} seed profiles exceed guard {max_seeds}")
-    step = make_step_types(g, q)
+    """Recovery under integer thresholds k, all >= 1 so that all-W is a
+    fixed point; also returns how many seeds were checked."""
+    step = make_step(g, k)
     verdict: dict[int, bool] = {0: True}
     checked = 0
-    for seed in _seed_profiles(g.n, K):
+    for seed in seeds:
         checked += 1
         if seed not in verdict:
             path: list[int] = []
@@ -100,12 +107,6 @@ def _check_recovery_counted(
         if not verdict[seed]:
             return False, seed, checked
     return True, None, checked
-
-
-def _count_seeds(n: int, K: int) -> int:
-    import math
-
-    return sum(math.comb(n, j) for j in range(K + 1))
 
 
 @dataclass(frozen=True)
@@ -133,39 +134,49 @@ def resilience_bruteforce(
     bound up front. Monotonicity of recovery in q is never assumed.
     """
     prob = recovery_problem(g, K)
-    K = prob.budget
     grid_size = 1
     for choices in prob.grid:
         grid_size *= len(choices)
         if grid_size > max_grid:
             raise GuardExceededError(f"type grid exceeds guard {max_grid}")
+    seeds = _seed_list(g.n, prob.budget, max_seeds)
+    # The search runs on integers. Candidate q_i = m_i / d_i is the digit
+    # m_i; its strict type rule is the threshold rule with k_i = m_i + 1.
+    # Scaled by L = lcm of the degrees, ||q||_1 is the integer key
+    # sum of m_i * (L / d_i), so (key, digits) orders candidates exactly
+    # as (||q||_1, digits) does.
+    L = lcm(*(d for d in g.degrees if d))
+    weights = [L // d if d else 0 for d in g.degrees]
     evaluations = 0
 
-    bound = Fraction(g.n)  # q == 1 everywhere always recovers
+    bound = g.n * L  # q == 1 everywhere always recovers
     greedy = greedy_upper_bound_q(g)
-    ok, _, n_checked = _check_recovery_counted(g, greedy, K, max_seeds=max_seeds)
+    ok, _, n_checked = _check_recovery_counted(g, types_to_thresholds(g, greedy), seeds)
     evaluations += n_checked
     if ok:
-        bound = min(bound, sum(greedy, Fraction(0)))
+        # every greedy q_i is a multiple of 1/d_i, so the scaled sum is integral
+        bound = min(bound, int(sum(greedy) * L))
 
-    # Best-first over partial digit vectors; extending never lowers the sum.
-    heap: list[tuple[Fraction, tuple[int, ...]]] = [(Fraction(0), ())]
+    # Best-first over partial digit vectors; extending never lowers the key.
+    heap: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while heap:
-        total, digits = heapq.heappop(heap)
-        if total > bound:
+        key, digits = heapq.heappop(heap)
+        if key > bound:
             continue
         i = len(digits)
         if i == g.n:
-            q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
-            ok, _, n_checked = _check_recovery_counted(g, q, K, max_seeds=max_seeds)
+            ok, _, n_checked = _check_recovery_counted(g, [m + 1 for m in digits], seeds)
             evaluations += n_checked
             if ok:
-                return ResilienceResult(mu=total, witness_q=q, evaluations=evaluations)
+                q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
+                return ResilienceResult(mu=Fraction(key, L), witness_q=q, evaluations=evaluations)
             continue
-        for m, val in enumerate(prob.grid[i]):
-            s = total + val
-            if s <= bound:
-                heapq.heappush(heap, (s, digits + (m,)))
+        w = weights[i]
+        for m in range(len(prob.grid[i])):
+            s = key + m * w
+            if s > bound:
+                break
+            heapq.heappush(heap, (s, digits + (m,)))
     raise InvariantViolationError("no recovering type distribution found on the grid")
 
 

@@ -68,6 +68,14 @@ class TestSimulate:
         assert code == 0
         assert out["transient"] == 0 and out["cycle"] == ["BW"]
 
+    def test_non_integer_weighted_instance_exit(self, capsys, tmp_path):
+        path = write(
+            tmp_path / "w.json",
+            {"n": 2.5, "weighted_edges": [[0, 1, 1.5]], "thresholds": [0.5, True]},
+        )
+        assert main(["simulate", "--input", path, "--initial", "BW"]) == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_bad_profile_is_input_error(self, capsys, triangle_file):
         assert main(["simulate", "--input", triangle_file, "--initial", "BXW"]) == 2
 
@@ -223,6 +231,11 @@ class TestReduce:
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
 
+    def test_non_integer_formula_exit(self, capsys, tmp_path):
+        path = write(tmp_path / "bad.json", {"variant": "3cnf", "n": 2.9, "clauses": [[1.7, True]]})
+        assert main(["reduce", "--formula", path, "--kind", "pred"]) == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestResilience:
     def test_brute_star(self, capsys, tmp_path):
@@ -247,6 +260,15 @@ class TestResilience:
         code, out = run(capsys, ["resilience", "--input", four_cycle_file, "--mode", "greedy", "--K", "4"])
         assert code == 0
         assert out["l1"] == [2, 1]
+
+    def test_non_integer_type_pairs_exit(self, capsys, tmp_path):
+        for i, pair in enumerate([["1", 2], [True, 2], [1, 0]]):
+            path = write(
+                tmp_path / f"types{i}.json",
+                {"n": 3, "edges": [[0, 1], [1, 2]], "types": [pair, [1, 2], [1, 1]]},
+            )
+            assert main(["resilience", "--input", path, "--K", "1", "--mode", "brute"]) == 2
+            assert "must be" in capsys.readouterr().err
 
     def test_closed_form_rejects_odd_graph(self, capsys, tmp_path):
         path = write(

@@ -17,6 +17,7 @@ from threshold_lab import (
     limit_cycle,
     make_step,
     make_step_inverted,
+    make_step_types,
     make_step_weighted,
     parse_profile,
     ring_two_step,
@@ -26,6 +27,7 @@ from threshold_lab import (
     step_types,
     step_weighted,
     strong_assignments,
+    weighted_graph_from_dict,
     weighted_types_to_thresholds,
 )
 from threshold_lab.instances import (
@@ -83,6 +85,15 @@ class TestStepTypes:
     def test_triangle_types_example(self, triangle):
         q = [Fraction(2, 5), Fraction(2, 5), Fraction(9, 10)]
         assert step_types(triangle, q, parse_profile("BBW")) == parse_profile("BBB")
+
+    def test_make_step_types_matches_literal_rule(self, rng):
+        # off-grid types too, so floor(q_i * d_i) + 1 is checked between grid points
+        for _ in range(25):
+            g = random_connected_graph(rng.randint(2, 7), rng)
+            q = [Fraction(rng.randint(0, 12), 12) for _ in range(g.n)]
+            fn = make_step_types(g, q)
+            for a in range(1 << g.n):
+                assert fn(a) == step_types(g, q, a)
 
 
 class TestStepRestricted:
@@ -142,6 +153,35 @@ class TestStepWeighted:
         w2 = build_weighted_graph(3, [(0, 1, 2), (0, 2, -1)], (), (0, 0, 0))
         # theta_0 = 1/2, least integer threshold is 1
         assert weighted_types_to_thresholds(w2, [(1, 2), 0, 0])[0] == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.5),
+            ("n", 3.0),
+            ("n", True),
+            ("n", "3"),
+            ("weighted_edges", [[0, 1, 1.5], [1, 2, 1]]),
+            ("weighted_edges", [[0, 1, True], [1, 2, 1]]),
+            ("weighted_edges", [[0, "1", 1], [1, 2, 1]]),
+            ("weighted_edges", [[0, 1], [1, 2, 1]]),
+            ("weighted_edges", {"0": [1, 1]}),
+            ("self_loops", [[0, 1.0]]),
+            ("self_loops", [[True, 1]]),
+            ("self_loops", [[0, 1, 1]]),
+            ("thresholds", [0.5, 1, 1]),
+            ("thresholds", [True, 1, 1]),
+            ("thresholds", ["1", 1, 1]),
+            ("thresholds", 2),
+        ],
+    )
+    def test_loader_rejects_non_integers(self, field, value):
+        d = {"n": 3, "weighted_edges": [[0, 1, 2], [1, 2, -1]], "self_loops": [[1, 1]],
+             "thresholds": [1, 0, 1]}
+        assert weighted_graph_from_dict(dict(d)).thresholds == (1, 0, 1)
+        d[field] = value
+        with pytest.raises(BadParameterError, match="must be"):
+            weighted_graph_from_dict(d)
 
 
 class TestLimitCycle:

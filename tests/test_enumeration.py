@@ -18,6 +18,7 @@ from threshold_lab import (
 )
 from threshold_lab.instances import (
     cycle_graph,
+    path_graph,
     random_connected_graph,
     random_thresholds,
     star_graph,
@@ -205,6 +206,11 @@ class TestBacktrackingCounter:
         k = (1,) * nid
         count = count_fixed_points_backtracking(g, k)
         assert count == 2  # all-W and all-B only, by hand analysis
+
+    def test_recursion_limit_is_guard_error(self):
+        g = path_graph(1200)
+        with pytest.raises(GuardExceededError, match="recursion limit of [0-9]+ frames"):
+            count_fixed_points_backtracking(g, (1,) * g.n)
 
 
 class TestPredecessors:

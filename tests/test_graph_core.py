@@ -218,6 +218,15 @@ class TestInstanceJson:
         with pytest.raises(BadParameterError, match="must be"):
             instance_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [["1", 2], [True, 2], [1, True], [1, 2.0], [1, 0], [1, 2, 3], [1], "1/2", True, None],
+    )
+    def test_non_integer_type_pairs_rejected(self, pair):
+        d = {"n": 3, "edges": [[0, 1], [1, 2]], "types": [[1, 2], pair, [0, 1]]}
+        with pytest.raises(BadParameterError, match="must be"):
+            instance_from_dict(d)
+
     def test_load_instance_from_file(self, tmp_path, four_cycle):
         import json
 

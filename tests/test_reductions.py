@@ -79,6 +79,27 @@ class TestFormula:
         f = Formula(THREE_CNF, 3, ((1, -2, 3), (-1,)))
         assert formula_from_dict(f.to_dict()) == f
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.9),
+            ("n", 3.0),
+            ("n", True),
+            ("n", "3"),
+            ("clauses", [[1.7, True]]),
+            ("clauses", [[1, 2], [1.0]]),
+            ("clauses", [[1, True]]),
+            ("clauses", [[1, "-2"]]),
+            ("clauses", [[1, 2], 3]),
+            ("clauses", "1 2"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        d = {"variant": "3cnf", "n": 3, "clauses": [[1, -2, 3]]}
+        d[field] = value
+        with pytest.raises(BadParameterError, match="must be"):
+            formula_from_dict(d)
+
 
 class TestCountSat:
     def test_conjunction(self):
@@ -108,6 +129,26 @@ class TestCountSat:
         for _ in range(40):
             f = random_2dnf(rng)
             assert count_sat(f) == brute_sat_count(f)
+
+    def test_chunked_scan_matches_independent_counter(self, rng, monkeypatch):
+        # 16-assignment chunks: every formula with n >= 5 spans several
+        import threshold_lab.enumeration as en
+
+        monkeypatch.setattr(en, "_CHUNK", 16)
+        for _ in range(30):
+            f = random_3cnf(rng, max_vars=8, max_clauses=6)
+            assert count_sat(f) == brute_sat_count(f), f
+        for _ in range(30):
+            f = random_2dnf(rng, max_clauses=5, max_vars=8)
+            assert count_sat(f) == brute_sat_count(f), f
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            clauses = tuple(
+                tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, min(2, n)))))
+                for _ in range(rng.randint(1, 5))
+            )
+            f = Formula(MONOTONE_2CNF, n, clauses)
+            assert count_sat(f) == brute_sat_count(f), f
 
 
 class TestFixReduction:

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from threshold_lab import (
     BadParameterError,
+    GuardExceededError,
     OutOfFormulaRangeError,
     check_recovery,
     greedy_upper_bound_q,
     recovery_problem,
     resilience_bruteforce,
     resilience_closed_form,
+    step_types,
     verify_bounds,
 )
 from threshold_lab.instances import (
@@ -21,6 +24,32 @@ from threshold_lab.instances import (
 )
 
 H = Fraction(1, 2)
+
+
+def reference_recovers(g, q, K):
+    """Test-local recovery check on the literal Fraction type rule."""
+    for size in range(K + 1):
+        for nodes in combinations(range(g.n), size):
+            cur, seen = sum(1 << i for i in nodes), set()
+            while cur not in seen:
+                seen.add(cur)
+                cur = step_types(g, q, cur)
+            if cur != 0:  # the walk closed a cycle without reaching all-W
+                return False
+    return True
+
+
+def reference_resilience(g, K):
+    """Least (||q||_1, digits) over every grid point that recovers."""
+    prob = recovery_problem(g, K)
+    points = []
+    for digits in product(*(range(len(c)) for c in prob.grid)):
+        q = tuple(prob.grid[i][m] for i, m in enumerate(digits))
+        points.append((sum(q, Fraction(0)), digits, q))
+    for total, _, q in sorted(points):
+        if reference_recovers(g, q, prob.budget):
+            return total, q
+    raise AssertionError("q == 1 everywhere always recovers")
 
 
 class TestCheckRecovery:
@@ -39,6 +68,12 @@ class TestCheckRecovery:
         ok, failing = check_recovery(four_cycle, (0, 0, 0, 0), 1)
         assert not ok
         assert failing == 0b0001  # first single-B seed already persists
+
+    def test_zero_budget_and_seed_guard(self, four_cycle):
+        with pytest.raises(BadParameterError):
+            check_recovery(four_cycle, (0, 0, 0, 0), 0)
+        with pytest.raises(GuardExceededError):
+            check_recovery(four_cycle, (0, 0, 0, 0), 2, max_seeds=10)
 
     def test_grid_problem_shape(self, four_cycle):
         prob = recovery_problem(four_cycle, 9)
@@ -107,6 +142,32 @@ class TestBruteForce:
         ]
         for g, family, K in cases:
             assert resilience_bruteforce(g, K).mu == resilience_closed_form(family, g.n, K)
+
+    @pytest.mark.parametrize(
+        "g, K, mu, evaluations",
+        [
+            (cycle_graph(7), 1, Fraction(5, 2), 807),
+            (cycle_graph(7), 2, Fraction(3), 1711),
+            (path_graph(8), 2, Fraction(3), 1908),
+        ],
+    )
+    def test_pinned_value_and_search_order(self, g, K, mu, evaluations):
+        # evaluations pins the order in which candidates are checked
+        res = resilience_bruteforce(g, K)
+        assert (res.mu, res.evaluations) == (mu, evaluations)
+        assert sum(res.witness_q, Fraction(0)) == mu
+        assert check_recovery(g, res.witness_q, K) == (True, None)
+
+    def test_matches_exhaustive_reference(self, rng):
+        for _ in range(12):
+            g = random_connected_graph(rng.randint(2, 6), rng)
+            for K in (1, 2):
+                res = resilience_bruteforce(g, K)
+                assert (res.mu, res.witness_q) == reference_resilience(g, K), g.edges
+
+    def test_seed_guard_applies_to_search(self):
+        with pytest.raises(GuardExceededError):
+            resilience_bruteforce(cycle_graph(6), 2, max_seeds=21)
 
     def test_no_smaller_grid_point_recovers(self, rng):
         # exhaustively confirm optimality of the reported mu on a small case
