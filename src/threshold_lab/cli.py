@@ -4,7 +4,8 @@ Subcommands: simulate, enumerate, expand, reduce, resilience, verify.
 All output is canonical JSON (sorted keys, exact rationals as
 [numerator, denominator]), so identical inputs and seeds produce
 byte-identical results. Exit codes: 0 success, 2 invalid input, 3 guard
-or timeout exceeded, 4 invariant violation (verify only).
+or timeout exceeded, 4 invariant violation (a failed verify suite, or a
+failed energy certificate in simulate).
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .dynamics import (
+    Rule,
     default_guard,
     limit_cycle,
-    make_step,
-    make_step_types,
-    make_step_weighted,
     weighted_graph_from_dict,
 )
 from .enumeration import (
@@ -117,21 +116,19 @@ def _primary_instance(path: str):
 
 
 def _cmd_simulate(args) -> int:
+    if args.max_states is not None and args.max_states < 1:
+        raise InputError(f"--max-states must be >= 1, got {args.max_states}")
     kind, g, vec = _load_any_instance(args.input)
     if kind == "weighted":
-        step, n, guard = make_step_weighted(g), g.n, default_guard(g)
-    elif kind == "types":
-        step, n, guard = make_step_types(g, vec), g.n, default_guard(g)
+        rule = Rule.from_weighted(g)
     else:
-        step, n, guard = make_step(g, vec), g.n, default_guard(g)
-    if args.max_states:
-        guard = args.max_states
-    a = parse_profile(args.initial, n)
-    report = limit_cycle(step, a, guard)
+        rule = Rule.from_graph(g, types_to_thresholds(g, vec) if kind == "types" else vec)
+    a = parse_profile(args.initial, g.n)
+    report = limit_cycle(rule, a, args.max_states or default_guard(g))
     _emit(
         {
             "transient": report.transient,
-            "cycle": [format_profile(s, n) for s in report.cycle],
+            "cycle": [format_profile(s, g.n) for s in report.cycle],
             "cycle_length": len(report.cycle),
             "trajectory_length": report.trajectory_length,
         }
@@ -283,23 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_guard_n(p):
         p.add_argument("--guard-n", type=int, default=None,
                        help=f"max node count for 2^n scans (default: $THRESHOLD_LAB_GUARD_N "
                             f"or {DEFAULT_GUARD_N}; never above {MAX_SCAN_N})")
-        p.add_argument("--max-states", type=int, default=None,
-                       help="trajectory guard override")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     p = sub.add_parser("simulate", help="iterate an instance to its limit cycle")
     p.add_argument("--input", required=True, help="instance JSON path")
     p.add_argument("--initial", required=True, help="initial profile as a B/W string")
-    add_common(p)
+    p.add_argument("--max-states", type=int, default=None,
+                   help="trajectory guard override")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("enumerate", help="census of fixed points and 2-cycles")
     p.add_argument("--input", required=True)
-    add_common(p)
+    add_guard_n(p)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("expand", help="apply a structure-preserving transform")
@@ -312,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, default=None, help="node to remove (remove-node)")
     p.add_argument("--pin", choices=["B", "W"], default=None,
                    help="action the removed node is pinned to (remove-node)")
-    add_common(p)
     p.set_defaults(fn=_cmd_expand)
 
     p = sub.add_parser("reduce", help="build a formula gadget instance")
@@ -320,18 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["fix", "pred", "reachable-pred"])
     p.add_argument("--verify", action="store_true",
                    help="cross-check the gadget against brute-force oracles")
-    add_common(p)
+    add_guard_n(p)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("resilience", help="resilience measure of an instance")
     p.add_argument("--input", required=True)
     p.add_argument("--K", type=int, default=None, help="perturbation budget")
     p.add_argument("--mode", default="brute", choices=["brute", "greedy", "closed-form"])
-    add_common(p)
     p.set_defaults(fn=_cmd_resilience)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    add_guard_n(p)
     p.set_defaults(fn=_cmd_verify)
 
     return parser
@@ -340,12 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.guard_n is None:
-            args.guard_n = _default_guard_n()
-        if args.guard_n <= 0:
-            raise InputError(f"--guard-n must be positive, got {args.guard_n}")
-        if args.max_states is not None and args.max_states < 1:
-            raise InputError(f"--max-states must be >= 1, got {args.max_states}")
+        if "guard_n" in args:
+            if args.guard_n is None:
+                args.guard_n = _default_guard_n()
+            if args.guard_n <= 0:
+                raise InputError(f"--guard-n must be positive, got {args.guard_n}")
         return args.fn(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

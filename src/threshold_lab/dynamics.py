@@ -12,18 +12,24 @@ Rules implemented:
   step_inverted  the pointwise complement of step (B iff at most k_i-1)
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
+
+``Rule`` holds any of these (restricted updates aside) as one weighted
+threshold rule in numpy CSR arrays; ``limit_cycle`` runs it on a
+vectorized engine that certifies period <= 2 with the Lyapunov energy.
+The per-rule step maps stay as the plain-Python reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     BadParameterError,
     DisconnectedError,
     GuardExceededError,
+    InvariantViolationError,
     LengthMismatchError,
     NodeOutOfRangeError,
     SelfLoopError,
@@ -34,6 +40,7 @@ from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
+    as_int,
     as_types,
     check_int_list,
     check_int_rows,
@@ -42,6 +49,9 @@ from .graph_core import (
     validate_thresholds,
     validate_types,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 StepMap = Callable[[int], int]
 
@@ -82,12 +92,13 @@ def build_weighted_graph(
     *,
     require_connected: bool = True,
 ) -> WeightedGraph:
+    n = as_int(n, "node count")
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
     seen = set()
     canon = []
     for item in weighted_edges:
-        i, j, w = item
+        i, j, w = (as_int(v, "weighted edge entry") for v in item)
         if not (0 <= i < n) or not (0 <= j < n):
             raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         if i == j:
@@ -98,17 +109,18 @@ def build_weighted_graph(
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
         seen.add(e)
-        canon.append((e[0], e[1], int(w)))
+        canon.append((e[0], e[1], w))
     canon.sort()
     loops = [0] * n
-    for i, w in self_loops:
+    for item in self_loops:
+        i, w = (as_int(v, "self-loop entry") for v in item)
         if not 0 <= i < n:
             raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
         if w == 0:
             raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
         if loops[i] != 0:
             raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
-        loops[i] = int(w)
+        loops[i] = w
     adj = [[] for _ in range(n)]
     for i, j, w in canon:
         adj[i].append((j, w))
@@ -128,7 +140,7 @@ def build_weighted_graph(
             raise DisconnectedError(f"weighted graph is not connected: node {missing} unreachable")
     if thresholds is None:
         thresholds = (0,) * n
-    thresholds = tuple(int(x) for x in thresholds)
+    thresholds = tuple(as_int(x, "threshold") for x in thresholds)
     if len(thresholds) != n:
         raise LengthMismatchError(f"threshold vector has length {len(thresholds)}, expected {n}")
     return WeightedGraph(
@@ -141,7 +153,7 @@ def build_weighted_graph(
 
 
 def with_thresholds(w: WeightedGraph, thresholds: Sequence[int]) -> WeightedGraph:
-    thresholds = tuple(int(x) for x in thresholds)
+    thresholds = tuple(as_int(x, "threshold") for x in thresholds)
     if len(thresholds) != w.n:
         raise LengthMismatchError(f"threshold vector has length {len(thresholds)}, expected {w.n}")
     return WeightedGraph(
@@ -304,6 +316,66 @@ def make_step_weighted(w: WeightedGraph) -> StepMap:
 
 
 # ---------------------------------------------------------------------------
+# The weighted threshold rule as CSR arrays
+
+
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """out_i = [sum_j w_ij x_j + l_i x_i >= k_i] as numpy arrays.
+
+    Row i of the CSR triple (``indptr``, ``indices``, ``weights``) lists
+    node i's neighbors j with their weights w_ij; ``loops`` holds the
+    self-loop weights l_i and ``thresholds`` the k_i. Every rule of this
+    module is one of these: threshold rules have unit weights, type rules
+    go through ``types_to_thresholds``, and the inverted rule has weights
+    -1 and thresholds 1 - k_i.
+
+    The integer arrays are int64 when sum|w_ij| + sum|l_i| + 4 sum|k_i|
+    + 2n < 2^62, a bound under which no prefix sum, field or energy term
+    of ``limit_cycle`` can overflow; otherwise they hold Python ints
+    (dtype object) and the same code runs exactly on them. Build one
+    with ``from_graph`` or ``from_weighted``.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    loops: np.ndarray
+    thresholds: np.ndarray
+
+    @classmethod
+    def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:
+        """The threshold rule on g: unit weights, no self-loops."""
+        k = validate_thresholds(g, k)
+        rows = [[(j, 1) for j in nbrs] for nbrs in g.adjacency]
+        return cls._build(g.n, rows, (0,) * g.n, k)
+
+    @classmethod
+    def from_weighted(cls, w: WeightedGraph) -> Rule:
+        """The rule of a weighted instance, self-loops included."""
+        return cls._build(w.n, w.adjacency, w.loop_weights, w.thresholds)
+
+    @classmethod
+    def _build(cls, n, rows, loops, k) -> Rule:
+        import numpy as np
+
+        weights = [wt for row in rows for _, wt in row]
+        bound = sum(map(abs, weights)) + sum(map(abs, loops)) + 4 * sum(map(abs, k)) + 2 * n
+        dtype = np.int64 if bound < 1 << 62 else object
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        return cls(
+            n=n,
+            indptr=indptr,
+            indices=np.array([j for row in rows for j, _ in row], dtype=np.int64),
+            weights=np.array(weights, dtype=dtype),
+            loops=np.array(loops, dtype=dtype),
+            thresholds=np.array(k, dtype=dtype),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Trajectories
 
 
@@ -332,13 +404,22 @@ def default_guard(g: Graph | WeightedGraph) -> int:
     return 10 * convergence_time_bound(g) + 4
 
 
-def limit_cycle(step_map: StepMap, a: int, guard: int) -> LimitReport:
-    """Iterate step_map from a, hashing every state with its first-visit
-    time, until a state repeats. Exact transients; does not assume the
-    length-2 bound (callers assert it downstream).
+def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:
+    """The limit cycle reached from a, with its exact transient.
+
+    Succeeds iff the trajectory visits at most guard + 1 distinct
+    states; otherwise raises GuardExceededError. A ``Rule`` runs the
+    vectorized engine, which stops at the first x(t+2) = x(t) and
+    certifies period <= 2 at every step (see ``_rule_limit_cycle``). Any
+    other step map is iterated by hashing every state with its
+    first-visit time until a state repeats; that loop assumes nothing
+    about cycle lengths and is the reference the engine is tested
+    against.
     """
     if guard < 1:
         raise BadParameterError(f"guard must be >= 1, got {guard}")
+    if isinstance(step_map, Rule):
+        return _rule_limit_cycle(step_map, a, guard)
     seen = {a: 0}
     seq = [a]
     cur = a
@@ -353,10 +434,79 @@ def limit_cycle(step_map: StepMap, a: int, guard: int) -> LimitReport:
         seq.append(cur)
 
 
+def _rule_limit_cycle(rule: Rule, a: int, guard: int) -> LimitReport:
+    """Iterate a Rule on numpy arrays until x(t+2) = x(t).
+
+    The field is h = W x + l x with W the CSR weights, taken as
+    differences of one prefix sum per step, and x' = (h >= k). The first
+    t with x(t+2) = x(t) is the exact transient, and the cycle is x(t),
+    or x(t) and x(t+1); only those states are converted back to ints, so
+    memory stays constant along the trajectory.
+
+    Certificate (Goles & Olivos 1981; Goles, Fogelman-Soulie & Pellegrin
+    1985): with h(t-1) the field that produced x(t),
+        2E(t) = -2 x(t).h(t-1) + (2k - 1).(x(t) + x(t-1)).
+    For symmetric weights, 2E(t) - 2E(t+1) equals the sum over the nodes
+    with x_i(t+1) != x_i(t-1) of |2 h_i(t) - 2 k_i + 1| >= 1, so 2E drops
+    by at least the number of such nodes. Since 2E is bounded, a cycle
+    longer than 2 would break this; each step checks it and raises
+    InvariantViolationError if it fails.
+    """
+    import numpy as np
+
+    n = rule.n
+    a = validate_profile(a, n)
+    idx, w, loops, k = rule.indices, rule.weights, rule.loops, rule.thresholds
+    lo, hi = rule.indptr[:-1], rule.indptr[1:]
+    c = 2 * k - 1
+    prefix = np.zeros(len(idx) + 1, dtype=w.dtype)
+
+    def field(x):
+        np.cumsum(w * x[idx], out=prefix[1:])
+        return prefix[hi] - prefix[lo] + loops * x
+
+    nbytes = (n + 7) // 8
+    x_prev = np.unpackbits(
+        np.frombuffer(a.to_bytes(nbytes, "little"), dtype=np.uint8), count=n, bitorder="little"
+    ).view(bool)
+    h = field(x_prev)
+    x = h >= k
+    cx = int(c @ x)
+    energy = -2 * int(x @ h) + cx + int(c @ x_prev)
+    t = 0
+    while True:
+        # x_prev = x(t), x = x(t+1), energy = 2E(t+1)
+        h = field(x)
+        x_next = h >= k
+        cx_next = int(c @ x_next)
+        energy_next = -2 * int(x_next @ h) + cx_next + cx
+        flips = int(np.count_nonzero(x_next != x_prev))
+        if energy - energy_next < flips:
+            raise InvariantViolationError(
+                f"energy certificate failed at step {t + 2}: 2E went from {energy} to "
+                f"{energy_next} while {flips} nodes differ from two steps before "
+                "(the weights are not symmetric, or a cycle is longer than 2)"
+            )
+        if flips == 0:
+            cycle = (x_prev,) if np.array_equal(x, x_prev) else (x_prev, x)
+            if t + len(cycle) > guard + 1:
+                raise GuardExceededError(f"trajectory exceeded guard of {guard} states")
+            states = tuple(
+                int.from_bytes(np.packbits(s, bitorder="little").tobytes(), "little")
+                for s in cycle
+            )
+            return LimitReport(transient=t, cycle=states, trajectory_length=t + len(cycle))
+        # x(t) lies before the cycle, so the trajectory has >= t + 2 states
+        t += 1
+        if t > guard:
+            raise GuardExceededError(f"trajectory exceeded guard of {guard} states")
+        x_prev, x, energy, cx = x, x_next, energy_next, cx_next
+
+
 def convergence_time(g: Graph, k: Sequence[int], a: int, guard: int | None = None) -> int:
     if guard is None:
         guard = default_guard(g)
-    return limit_cycle(make_step(g, k), a, guard).transient
+    return limit_cycle(Rule.from_graph(g, k), a, guard).transient
 
 
 def conflict_links(g: Graph, a: int) -> int:

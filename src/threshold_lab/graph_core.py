@@ -13,6 +13,7 @@ deciding ``q_i * d_i`` equalities exactly.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,13 +132,27 @@ def is_connected(g: Graph) -> bool:
     return _first_unreached(g.n, g.adjacency) is None
 
 
+def as_int(x, what: str) -> int:
+    """x as an int, never coerced: bools, floats and strings are rejected,
+    and any other value with ``__index__`` (a numpy integer, say) is
+    accepted."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise BadParameterError(f"{what} must be an integer, got {x!r}")
+
+
 def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
-    """Return k as a tuple, checking length and non-negativity.
+    """Return k as a tuple of ints, checking length and non-negativity.
 
     Values 0 and > d_i are allowed; they mark non-valid nodes pinned to
     one action.
     """
-    k = tuple(int(x) for x in k)
+    k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
         raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
     for i, ki in enumerate(k):

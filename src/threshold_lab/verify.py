@@ -110,18 +110,33 @@ def _check_cycle_length_bound(rng, guard_n) -> str:
 
 
 def _check_inverted_and_weighted_cycles(rng, guard_n) -> str:
+    """The Rule engine, with its energy certificate, returns the dict
+    loop's report from every start profile; every cycle has length <= 2."""
+    runs = 0
     for g, k in _random_instances(rng, 20, 6):
         step = dynamics.make_step_inverted(g, k)
-        for a in range(1 << g.n):
-            report = dynamics.limit_cycle(step, a, dynamics.default_guard(g))
-            assert len(report.cycle) <= 2, f"inverted cycle of length {len(report.cycle)}"
+        rule = dynamics.Rule.from_weighted(
+            dynamics.build_weighted_graph(
+                g.n, [(i, j, -1) for i, j in g.edges], (), [1 - x for x in k]
+            )
+        )
+        runs += _compare_engines(step, rule, g, "inverted")
     for _ in range(20):
         w = instances.random_weighted_instance(rng.randint(2, 6), rng)
-        step = dynamics.make_step_weighted(w)
-        for a in range(1 << w.n):
-            report = dynamics.limit_cycle(step, a, dynamics.default_guard(w))
-            assert len(report.cycle) <= 2, f"weighted cycle of length {len(report.cycle)}"
-    return "inverted and weighted limit cycles all have length <= 2"
+        rule = dynamics.Rule.from_weighted(w)
+        runs += _compare_engines(dynamics.make_step_weighted(w), rule, w, "weighted")
+    return f"{runs} inverted and weighted trajectories agree, every limit cycle has length <= 2"
+
+
+def _compare_engines(step, rule, g, what) -> int:
+    guard = dynamics.default_guard(g)
+    for a in range(1 << g.n):
+        report = dynamics.limit_cycle(step, a, guard)
+        assert len(report.cycle) <= 2, f"{what} cycle of length {len(report.cycle)}"
+        assert dynamics.limit_cycle(rule, a, guard) == report, (
+            f"{what} Rule engine disagrees with the reference from profile {a}"
+        )
+    return 1 << g.n
 
 
 def _bipartite_sample(rng, count, max_n):

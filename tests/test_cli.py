@@ -87,6 +87,59 @@ class TestSimulate:
         code = main(["simulate", "--input", path, "--initial", "BWW", "--max-states", "1"])
         assert code == 3
 
+    def test_guard_boundary_on_a_long_caterpillar(self, capsys, tmp_path):
+        # a 700-node spine with 1,300 leaves; contagion from one end of
+        # the spine gives a trajectory of length L in the hundreds, and
+        # the guard lets through exactly L <= guard + 1 states
+        from threshold_lab import build_graph, limit_cycle, make_step
+
+        n, spine = 2000, 700
+        edges = [[i, i + 1] for i in range(spine - 1)]
+        edges += [[(v * 7) % spine, v] for v in range(spine, n)]
+        path = write(tmp_path / "cat.json", {"n": n, "edges": edges, "thresholds": [1] * n})
+        initial = "B" + "W" * (n - 1)
+        length = limit_cycle(make_step(build_graph(n, edges), [1] * n), 1, 10**6).trajectory_length
+        assert length > 500
+        codes = []
+        for guard in (length - 2, length - 1, length):
+            codes.append(main(["simulate", "--input", path, "--initial", initial,
+                               "--max-states", str(guard)]))
+            out = capsys.readouterr().out
+        assert codes == [3, 0, 0]
+        assert json.loads(out)["trajectory_length"] == length
+
+    def test_huge_weights_run_exactly(self, capsys, tmp_path):
+        # 10^24 does not fit in int64: the engine runs on Python ints
+        from threshold_lab import (
+            Rule, format_profile, limit_cycle, make_step_weighted, parse_profile,
+            weighted_graph_from_dict,
+        )
+
+        big = 10**24
+        inst = {
+            "n": 4,
+            "weighted_edges": [[0, 1, big], [1, 2, big], [2, 3, -1]],
+            "self_loops": [[3, big]],
+            "thresholds": [big, big, 1 - big, big - 1],
+        }
+        path = write(tmp_path / "big.json", inst)
+        w = weighted_graph_from_dict(inst)
+        assert Rule.from_weighted(w).weights.dtype == object
+        for start in ("BWWW", "WBWB", "WWBW"):
+            ref = limit_cycle(make_step_weighted(w), parse_profile(start), 100)
+            code = main(["simulate", "--input", path, "--initial", start])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "transient": ref.transient,
+                "cycle": [format_profile(a, 4) for a in ref.cycle],
+                "cycle_length": len(ref.cycle),
+                "trajectory_length": ref.trajectory_length,
+            }
+
+    def test_ignores_the_scan_guard_variable(self, capsys, triangle_file, monkeypatch):
+        monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "abc")
+        assert main(["simulate", "--input", triangle_file, "--initial", "BWW"]) == 0
+
 
 class TestEnumerate:
     def test_four_cycle_counts(self, capsys, four_cycle_file):
@@ -303,6 +356,29 @@ class TestVerify:
         )
         assert main(["verify"]) == 4
         assert "FAIL  stub" in capsys.readouterr().out
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--input", "x.json", "--initial", "B", "--seed", "1"],
+            ["simulate", "--input", "x.json", "--initial", "B", "--guard-n", "3"],
+            ["enumerate", "--input", "x.json", "--max-states", "5"],
+            ["enumerate", "--input", "x.json", "--seed", "1"],
+            ["expand", "--input", "x.json", "--kind", "bipartite", "--guard-n", "3"],
+            ["reduce", "--formula", "f.json", "--kind", "fix", "--seed", "1"],
+            ["reduce", "--formula", "f.json", "--kind", "fix", "--max-states", "5"],
+            ["resilience", "--input", "x.json", "--K", "1", "--guard-n", "3"],
+            ["resilience", "--input", "x.json", "--K", "1", "--seed", "1"],
+            ["verify", "--max-states", "5"],
+        ],
+    )
+    def test_flag_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

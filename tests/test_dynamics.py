@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from threshold_lab import (
     BadParameterError,
     GuardExceededError,
+    InvariantViolationError,
     LengthMismatchError,
+    Rule,
     build_graph,
     build_weighted_graph,
     conflict_links,
@@ -27,13 +29,17 @@ from threshold_lab import (
     step_types,
     step_weighted,
     strong_assignments,
+    types_to_thresholds,
     weighted_graph_from_dict,
     weighted_types_to_thresholds,
+    with_thresholds,
 )
+from threshold_lab.enumeration import enumerate_limits
 from threshold_lab.instances import (
     cycle_graph,
     random_connected_graph,
     random_thresholds,
+    random_types,
     random_weighted_instance,
     star_graph,
 )
@@ -332,3 +338,164 @@ def test_weighted_cycles_never_exceed_two(rng):
         fn = make_step_weighted(w)
         for a in range(1 << w.n):
             assert len(limit_cycle(fn, a, default_guard(w)).cycle) in (1, 2)
+
+
+class TestStrictIntegers:
+    """Library entry points reject bools, floats and strings instead of
+    truncating them with int()."""
+
+    @pytest.mark.parametrize("k", [(1.9, True), ("1", 1.5), (1, 1.0), (1, False)])
+    def test_thresholds(self, k):
+        g = build_graph(2, [(0, 1)])
+        for call in (lambda: make_step(g, k), lambda: step(g, k, 0),
+                     lambda: enumerate_limits(g, k), lambda: Rule.from_graph(g, k)):
+            with pytest.raises(BadParameterError, match="must be an integer"):
+                call()
+
+    @pytest.mark.parametrize(
+        "edges, loops, k",
+        [
+            ([(0, 1, 1.5)], (), (0, 0)),
+            ([(0, 1, True)], (), (0, 0)),
+            ([(0, 1.0, 1)], (), (0, 0)),
+            ([(0, 1, 1)], [(0, 2.5)], (0, 0)),
+            ([(0, 1, 1)], [(False, 2)], (0, 0)),
+            ([(0, 1, 1)], (), (0.5, True)),
+            ([(0, 1, 1)], (), ("0", 0)),
+        ],
+    )
+    def test_weighted_builder(self, edges, loops, k):
+        with pytest.raises(BadParameterError, match="must be an integer"):
+            build_weighted_graph(2, edges, loops, k)
+
+    def test_weighted_node_count(self):
+        for n in (2.0, True, "2"):
+            with pytest.raises(BadParameterError, match="must be an integer"):
+                build_weighted_graph(n, [(0, 1, 1)], (), (0, 0))
+
+    def test_with_thresholds(self):
+        w = build_weighted_graph(2, [(0, 1, -1)], (), (0, 0))
+        with pytest.raises(BadParameterError, match="must be an integer"):
+            with_thresholds(w, (2.7, False))
+
+    def test_numpy_integers_accepted(self):
+        import numpy as np
+
+        g = build_graph(2, [(0, 1)])
+        fn = make_step(g, np.array([1, 1]))
+        assert fn(0b01) == 0b10
+        w = build_weighted_graph(
+            np.int64(2), [(np.int32(0), 1, np.int64(-3))], [(1, np.int8(2))], np.array([0, 1])
+        )
+        assert w.edges == ((0, 1, -3),) and w.loop_weights == (0, 2) and w.thresholds == (0, 1)
+        assert all(type(x) is int for x in w.thresholds + w.edges[0] + w.loop_weights)
+        with pytest.raises(BadParameterError):
+            make_step(g, np.array([True, False]))
+
+
+# ---------------------------------------------------------------------------
+# The Rule engine against the dict-loop reference
+
+
+def _report_or_guard(step_map, a, guard):
+    try:
+        return limit_cycle(step_map, a, guard)
+    except GuardExceededError:
+        return "guard"
+
+
+_SCALES = (1, 1 << 20, 1 << 58, 10**24)
+
+
+@st.composite
+def rule_case(draw):
+    """(reference step map, Rule, n) for one of the four rules."""
+    import random as _random
+
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = _random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    kind = draw(st.sampled_from(["threshold", "types", "inverted", "weighted"]))
+    if kind == "weighted":
+        scale = draw(st.sampled_from(_SCALES))
+        w = random_weighted_instance(n, rng, weight_choices=(-2, -1, 1, 2))
+        w = build_weighted_graph(
+            n,
+            [(i, j, wt * scale) for i, j, wt in w.edges],
+            [(i, wt * scale) for i, wt in w.self_loops],
+            [x * scale + rng.randint(-1, 1) for x in w.thresholds],
+        )
+        return make_step_weighted(w), Rule.from_weighted(w), n
+    g = random_connected_graph(n, rng)
+    if kind == "types":
+        q = random_types(g, rng)
+        return make_step_types(g, q), Rule.from_graph(g, types_to_thresholds(g, q)), n
+    k = random_thresholds(g, rng)
+    if kind == "threshold":
+        return make_step(g, k), Rule.from_graph(g, k), n
+    inverted = build_weighted_graph(n, [(i, j, -1) for i, j in g.edges], (), [1 - x for x in k])
+    return make_step_inverted(g, k), Rule.from_weighted(inverted), n
+
+
+@given(rule_case(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rule_engine_matches_reference(case, data):
+    ref, rule, n = case
+    a = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    report = limit_cycle(ref, a, 1 << (n + 1))
+    assert limit_cycle(rule, a, 1 << (n + 1)) == report
+    # the guard boundary: success iff trajectory_length <= guard + 1
+    for guard in range(max(1, report.trajectory_length - 3), report.trajectory_length + 2):
+        assert _report_or_guard(rule, a, guard) == _report_or_guard(ref, a, guard)
+
+
+class TestRuleEngine:
+    def test_dtype_rule(self):
+        g = build_graph(1, [])
+        # bound = 4 sum|k| + 2n, int64 iff below 2^62
+        assert Rule.from_graph(g, [(1 << 60) - 1]).weights.dtype.kind == "i"
+        assert Rule.from_graph(g, [1 << 60]).weights.dtype == object
+        w = build_weighted_graph(2, [(0, 1, (1 << 60) - 2)], (), (0, 0))
+        assert Rule.from_weighted(w).weights.dtype.kind == "i"  # 2(2^60 - 2) + 4 < 2^62
+        w = build_weighted_graph(2, [(0, 1, 1 << 61)], (), (0, 0))
+        assert Rule.from_weighted(w).weights.dtype == object
+
+    def test_int64_path_near_the_bound(self):
+        # sum|w_ij| = 2^61 - 32 over both directions, 4 sum|k| = 2^60 - 4
+        big = (1 << 59) - 8
+        w = build_weighted_graph(
+            3, [(0, 1, big), (1, 2, -big)], [(2, -3)], ((1 << 57) - 2, -(1 << 57) + 2, -3)
+        )
+        rule = Rule.from_weighted(w)
+        assert rule.weights.dtype.kind == "i"
+        for a in range(8):
+            assert limit_cycle(rule, a, 100) == limit_cycle(make_step_weighted(w), a, 100)
+
+    def test_planted_directed_three_cycle_is_caught(self):
+        import numpy as np
+
+        # node i copies node i - 1: x(t+1) is x(t) rotated, a 3-cycle
+        rule = Rule(
+            n=3,
+            indptr=np.array([0, 1, 2, 3]),
+            indices=np.array([2, 0, 1]),
+            weights=np.ones(3, dtype=np.int64),
+            loops=np.zeros(3, dtype=np.int64),
+            thresholds=np.ones(3, dtype=np.int64),
+        )
+        rotate = lambda a: ((a << 1) | (a >> 2)) & 0b111
+        assert len(limit_cycle(rotate, 0b001, 10).cycle) == 3
+        with pytest.raises(InvariantViolationError, match="energy certificate failed at step 2"):
+            limit_cycle(rule, 0b001, 10)
+
+    def test_convergence_time_runs_the_rule(self, triangle, monkeypatch):
+        import threshold_lab.dynamics as dyn
+
+        seen = []
+        real = dyn._rule_limit_cycle
+        monkeypatch.setattr(dyn, "_rule_limit_cycle", lambda *a: seen.append(a) or real(*a))
+        assert dyn.convergence_time(triangle, (1, 1, 1), parse_profile("BWW")) == 2
+        assert len(seen) == 1
+
+    def test_profile_out_of_range(self, triangle):
+        with pytest.raises(LengthMismatchError):
+            limit_cycle(Rule.from_graph(triangle, (1, 1, 1)), 8, 10)
