@@ -4,7 +4,7 @@ Subcommands: simulate, enumerate, expand, reduce, resilience, verify.
 All output is canonical JSON (sorted keys, exact rationals as
 [numerator, denominator]), so identical inputs and seeds produce
 byte-identical results. Exit codes: 0 success, 2 invalid input, 3 guard
-or timeout exceeded, 4 invariant violation (a failed verify suite, or a
+exceeded, 4 invariant violation (a failed verify suite, or a
 failed energy certificate in simulate).
 """
 
@@ -17,12 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .dynamics import (
-    Rule,
-    default_guard,
-    limit_cycle,
-    weighted_graph_from_dict,
-)
+from .dynamics import Rule, default_guard, limit_cycle
 from .enumeration import (
     DEFAULT_GUARD_N,
     MAX_SCAN_N,
@@ -90,23 +85,13 @@ def _frac(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _load_any_instance(path: str):
-    """Returns ('weighted', WeightedGraph) or ('types'|'thresholds', g, vec)."""
+def _load_instance(path: str):
+    """(Graph, thresholds) from an instance file of either format, with
+    types converted to thresholds."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    if "weighted_edges" in d:
-        return ("weighted", weighted_graph_from_dict(d), None)
     g, vec = instance_from_dict(d)
-    kind = "types" if "types" in d else "thresholds"
-    return (kind, g, vec)
-
-
-def _primary_instance(path: str):
-    """Instance as (Graph, thresholds), converting types when present."""
-    kind, g, vec = _load_any_instance(path)
-    if kind == "weighted":
-        raise InputError("this subcommand needs an unweighted instance")
-    if kind == "types":
+    if g.weights is None and "thresholds" not in d:
         return g, types_to_thresholds(g, vec)
     return g, vec
 
@@ -118,11 +103,8 @@ def _primary_instance(path: str):
 def _cmd_simulate(args) -> int:
     if args.max_states is not None and args.max_states < 1:
         raise InputError(f"--max-states must be >= 1, got {args.max_states}")
-    kind, g, vec = _load_any_instance(args.input)
-    if kind == "weighted":
-        rule = Rule.from_weighted(g)
-    else:
-        rule = Rule.from_graph(g, types_to_thresholds(g, vec) if kind == "types" else vec)
+    g, k = _load_instance(args.input)
+    rule = Rule.from_graph(g, k)
     a = parse_profile(args.initial, g.n)
     report = limit_cycle(rule, a, args.max_states or default_guard(g))
     _emit(
@@ -137,42 +119,37 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    g, k = _primary_instance(args.input)
+    g, k = _load_instance(args.input)
     census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
     _emit(census_to_dict(census, g.n))
     return EXIT_OK
 
 
 def _cmd_expand(args) -> int:
-    if args.kind in ("bipartite", "symmetric", "remove-node"):
-        g, k = _primary_instance(args.input)
-        if args.kind == "bipartite":
-            res = bipartite_expansion(g, k)
-        elif args.kind == "symmetric":
-            res = symmetric_expansion(g, k)
-        else:
-            if args.node is None or args.pin is None:
-                raise InputError("--kind remove-node needs --node and --pin")
-            comps = remove_constant_node(g, k, args.node, args.pin)
-            _emit(
-                {
-                    "components": [
-                        dict(instance_to_dict(c.graph, c.thresholds), nodes=list(c.nodes))
-                        for c in comps
-                    ]
-                }
-            )
-            return EXIT_OK
+    g, k = _load_instance(args.input)
+    if args.kind == "bipartite":
+        res = bipartite_expansion(g, k)
+    elif args.kind == "symmetric":
+        res = symmetric_expansion(g, k)
+    elif args.kind == "unit-weights":
+        res = integer_weights_to_unit(g, k)
+    elif args.kind == "drop-self-loops":
+        res = remove_self_loops(g, k)
+    elif args.kind == "remove-node":
+        if args.node is None or args.pin is None:
+            raise InputError("--kind remove-node needs --node and --pin")
+        comps = remove_constant_node(g, k, args.node, args.pin)
+        _emit(
+            {
+                "components": [
+                    dict(instance_to_dict(c.graph, c.thresholds), nodes=list(c.nodes))
+                    for c in comps
+                ]
+            }
+        )
+        return EXIT_OK
     else:
-        kind, w, _ = _load_any_instance(args.input)
-        if kind != "weighted":
-            raise InputError(f"--kind {args.kind} needs a weighted instance")
-        if args.kind == "unit-weights":
-            res = integer_weights_to_unit(w)
-        elif args.kind == "drop-self-loops":
-            res = remove_self_loops(w)
-        else:
-            raise InputError(f"unknown expansion kind {args.kind!r}")
+        raise InputError(f"unknown expansion kind {args.kind!r}")
     _emit(res.to_dict())
     return EXIT_OK
 
@@ -224,7 +201,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_resilience(args) -> int:
-    g, _k = _primary_instance(args.input)
+    g, _k = _load_instance(args.input)
     if args.K is None:
         raise InputError("resilience needs --K")
     if args.mode == "brute":

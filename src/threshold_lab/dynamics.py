@@ -5,46 +5,39 @@ profile; repeated calls agree bit for bit. A single trajectory is
 inherently sequential, but distinct instances may be iterated
 concurrently without coordination.
 
-Rules implemented:
+Every rule is one weighted threshold rule on a ``Graph`` with
+thresholds k beside it: types become thresholds through
+``types_to_thresholds``, and the inverted rule (B iff at most k_i - 1
+neighbors played B) is weights -1 with thresholds 1 - k_i. The
+plain-Python references:
   step           node i plays B iff at least k_i neighbors played B
   step_types     node i plays B iff strictly more than q_i*d_i did
   step_restricted  apply the rule only on a node subset, freeze the rest
-  step_inverted  the pointwise complement of step (B iff at most k_i-1)
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
 
-``Rule`` holds any of these (restricted updates aside) as one weighted
-threshold rule in numpy CSR arrays; ``limit_cycle`` runs it on a
+``make_step`` is the unit-weight bit-count kernel. ``Rule`` holds any
+weighted rule in numpy CSR arrays; ``limit_cycle`` runs it on a
 vectorized engine that certifies period <= 2 with the Lyapunov energy.
-The per-rule step maps stay as the plain-Python reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     BadParameterError,
-    DisconnectedError,
     GuardExceededError,
     InvariantViolationError,
-    LengthMismatchError,
     NodeOutOfRangeError,
-    SelfLoopError,
-    DuplicateEdgeError,
-    WeightOutOfRangeError,
 )
 from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
-    as_int,
-    as_types,
-    check_int_list,
-    check_int_rows,
-    types_to_thresholds,
+    as_thresholds,
+    instance_from_dict,
     validate_profile,
     validate_thresholds,
     validate_types,
@@ -56,140 +49,9 @@ if TYPE_CHECKING:
 StepMap = Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Connected graph with nonzero symmetric integer edge weights.
-
-    Self-loops carry their own integer weights; thresholds are integers
-    and may be negative. ``adjacency[i]`` lists (neighbor, weight) pairs
-    sorted by neighbor, excluding any self-loop, which lives in
-    ``loop_weights[i]`` (0 when absent).
-    """
-
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
-    loop_weights: tuple[int, ...]
-    thresholds: tuple[int, ...]
-    adjacency: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def self_loops(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, w) for i, w in enumerate(self.loop_weights) if w != 0)
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-
-def build_weighted_graph(
-    n: int,
-    weighted_edges: Iterable[Sequence[int]],
-    self_loops: Iterable[Sequence[int]] = (),
-    thresholds: Sequence[int] | None = None,
-    *,
-    require_connected: bool = True,
-) -> WeightedGraph:
-    n = as_int(n, "node count")
-    if n < 1:
-        raise BadParameterError(f"node count must be positive, got {n}")
-    seen = set()
-    canon = []
-    for item in weighted_edges:
-        i, j, w = (as_int(v, "weighted edge entry") for v in item)
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
-        if i == j:
-            raise SelfLoopError(f"weighted edge ({i},{i}): self-loops go in the self_loops argument")
-        if w == 0:
-            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
-        e = (i, j) if i < j else (j, i)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
-        canon.append((e[0], e[1], w))
-    canon.sort()
-    loops = [0] * n
-    for item in self_loops:
-        i, w = (as_int(v, "self-loop entry") for v in item)
-        if not 0 <= i < n:
-            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
-        if w == 0:
-            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
-        if loops[i] != 0:
-            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
-        loops[i] = w
-    adj = [[] for _ in range(n)]
-    for i, j, w in canon:
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    if require_connected:
-        seen_nodes = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v, _ in adjacency[u]:
-                if v not in seen_nodes:
-                    seen_nodes.add(v)
-                    stack.append(v)
-        if len(seen_nodes) != n:
-            missing = min(set(range(n)) - seen_nodes)
-            raise DisconnectedError(f"weighted graph is not connected: node {missing} unreachable")
-    if thresholds is None:
-        thresholds = (0,) * n
-    thresholds = tuple(as_int(x, "threshold") for x in thresholds)
-    if len(thresholds) != n:
-        raise LengthMismatchError(f"threshold vector has length {len(thresholds)}, expected {n}")
-    return WeightedGraph(
-        n=n,
-        edges=tuple(canon),
-        loop_weights=tuple(loops),
-        thresholds=thresholds,
-        adjacency=adjacency,
-    )
-
-
-def with_thresholds(w: WeightedGraph, thresholds: Sequence[int]) -> WeightedGraph:
-    thresholds = tuple(as_int(x, "threshold") for x in thresholds)
-    if len(thresholds) != w.n:
-        raise LengthMismatchError(f"threshold vector has length {len(thresholds)}, expected {w.n}")
-    return WeightedGraph(
-        n=w.n,
-        edges=w.edges,
-        loop_weights=w.loop_weights,
-        thresholds=thresholds,
-        adjacency=w.adjacency,
-    )
-
-
-def weighted_graph_to_dict(w: WeightedGraph) -> dict:
-    return {
-        "n": w.n,
-        "weighted_edges": [list(e) for e in w.edges],
-        "self_loops": [list(s) for s in w.self_loops],
-        "thresholds": list(w.thresholds),
-    }
-
-
-def weighted_graph_from_dict(d: dict) -> WeightedGraph:
-    """Decode a weighted instance; every number must be a JSON integer."""
-    try:
-        n = d["n"]
-        edges = d["weighted_edges"]
-    except (KeyError, TypeError) as exc:
-        raise BadParameterError(f"malformed weighted instance: {exc}") from exc
-    if type(n) is not int:
-        raise BadParameterError(f"n must be an integer, got {n!r}")
-    loops = d.get("self_loops", [])
-    check_int_rows(edges, 3, "weighted_edges")
-    check_int_rows(loops, 2, "self_loops")
-    k = d.get("thresholds")
-    if k is not None:
-        check_int_list(k, "thresholds")
-    return build_weighted_graph(n, edges, loops, k)
+# perfbench/load_inputs.py imports the loader under this name for weighted
+# files; instance_from_dict reads both formats.
+weighted_graph_from_dict = instance_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +73,7 @@ def step_types(g: Graph, q: Sequence, a: int) -> int:
     """Type rule: out_i = B iff strictly more than q_i * d_i neighbors play B.
 
     Compares Fractions literally; it is the reference that the threshold
-    form used by make_step_types is checked against.
+    form k = types_to_thresholds(g, q) is checked against.
     """
     q = validate_types(g, q)
     a = validate_profile(a, g.n)
@@ -237,53 +99,31 @@ def step_restricted(g: Graph, k: Sequence[int], a: int, p: Iterable[int]) -> int
     return out
 
 
-def step_inverted(g: Graph, k: Sequence[int], a: int) -> int:
-    """Inverted rule: out_i = B iff at most k_i - 1 neighbors play B.
-
-    Pointwise complement of step(g, k, a) by construction.
-    """
-    k = validate_thresholds(g, k)
+def step_weighted(g: Graph, k: Sequence[int], a: int) -> int:
+    """Weighted rule: out_i = B iff the weights w_ij of the B-playing
+    neighbors j, plus the self-loop weight of i when i plays B, sum to at
+    least k_i. Unit weights on an unweighted graph."""
+    k = _rule_thresholds(g, k)
     a = validate_profile(a, g.n)
-    return step(g, k, a) ^ ((1 << g.n) - 1)
-
-
-def step_weighted(w: WeightedGraph, a: int) -> int:
-    """Weighted rule: out_i = B iff sum of w_ij over B-playing j in N_i
-    (self included when a self-loop exists) is >= the threshold of i."""
-    a = validate_profile(a, w.n)
+    field = [0] * g.n
+    for i, j, w in g.weighted_edges():
+        if (a >> j) & 1:
+            field[i] += w
+        if (a >> i) & 1:
+            field[j] += w
+    for i, w in g.loops:
+        if (a >> i) & 1:
+            field[i] += w
     out = 0
-    for i in range(w.n):
-        s = 0
-        for j, wt in w.adjacency[i]:
-            if (a >> j) & 1:
-                s += wt
-        if w.loop_weights[i] and (a >> i) & 1:
-            s += w.loop_weights[i]
-        if s >= w.thresholds[i]:
+    for i in range(g.n):
+        if field[i] >= k[i]:
             out |= 1 << i
     return out
 
 
-def weighted_types_to_thresholds(w: WeightedGraph, q: Sequence) -> tuple[int, ...]:
-    """Integer thresholds equivalent to fractional types on a weighted graph.
-
-    theta_i = q_i * sum of w_ij over N_i (self-loop included); the least
-    integer with (sum >= k_i) <=> (sum > theta_i) is floor(theta_i) + 1.
-    The input's own thresholds are ignored.
-    """
-    q = as_types(q)
-    if len(q) != w.n:
-        raise LengthMismatchError(f"type vector has length {len(q)}, expected {w.n}")
-    out = []
-    for i, qi in enumerate(q):
-        total = sum(wt for _, wt in w.adjacency[i]) + w.loop_weights[i]
-        theta = qi * total
-        out.append(_floor_fraction(theta) + 1)
-    return tuple(out)
-
-
-def _floor_fraction(f: Fraction) -> int:
-    return f.numerator // f.denominator
+def _rule_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
+    # the weighted rule allows thresholds of any sign
+    return validate_thresholds(g, k) if g.weights is None else as_thresholds(g, k)
 
 
 def make_step(g: Graph, k: Sequence[int]) -> StepMap:
@@ -298,21 +138,6 @@ def make_step(g: Graph, k: Sequence[int]) -> StepMap:
         return out
 
     return fn
-
-
-def make_step_types(g: Graph, q: Sequence) -> StepMap:
-    """The type rule as the threshold rule with k = types_to_thresholds(g, q)."""
-    return make_step(g, types_to_thresholds(g, q))
-
-
-def make_step_inverted(g: Graph, k: Sequence[int]) -> StepMap:
-    base = make_step(g, k)
-    full = (1 << g.n) - 1
-    return lambda a: base(a) ^ full
-
-
-def make_step_weighted(w: WeightedGraph) -> StepMap:
-    return lambda a: step_weighted(w, a)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +159,7 @@ class Rule:
     + 2n < 2^62, a bound under which no prefix sum, field or energy term
     of ``limit_cycle`` can overflow; otherwise they hold Python ints
     (dtype object) and the same code runs exactly on them. Build one
-    with ``from_graph`` or ``from_weighted``.
+    with ``from_graph``.
     """
 
     n: int
@@ -346,29 +171,26 @@ class Rule:
 
     @classmethod
     def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:
-        """The threshold rule on g: unit weights, no self-loops."""
-        k = validate_thresholds(g, k)
-        rows = [[(j, 1) for j in nbrs] for nbrs in g.adjacency]
-        return cls._build(g.n, rows, (0,) * g.n, k)
-
-    @classmethod
-    def from_weighted(cls, w: WeightedGraph) -> Rule:
-        """The rule of a weighted instance, self-loops included."""
-        return cls._build(w.n, w.adjacency, w.loop_weights, w.thresholds)
-
-    @classmethod
-    def _build(cls, n, rows, loops, k) -> Rule:
+        """The rule of g under thresholds k: unit weights and no self-loops
+        on an unweighted graph, the edge and self-loop weights otherwise."""
         import numpy as np
 
-        weights = [wt for row in rows for _, wt in row]
-        bound = sum(map(abs, weights)) + sum(map(abs, loops)) + 4 * sum(map(abs, k)) + 2 * n
+        k = _rule_thresholds(g, k)
+        weight = {}
+        for i, j, w in g.weighted_edges():
+            weight[i, j] = weight[j, i] = w
+        weights = [weight[i, j] for i, nbrs in enumerate(g.adjacency) for j in nbrs]
+        loops = [0] * g.n
+        for i, w in g.loops:
+            loops[i] = w
+        bound = sum(map(abs, weights)) + sum(map(abs, loops)) + 4 * sum(map(abs, k)) + 2 * g.n
         dtype = np.int64 if bound < 1 << 62 else object
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(g.degrees, out=indptr[1:])
         return cls(
-            n=n,
+            n=g.n,
             indptr=indptr,
-            indices=np.array([j for row in rows for j, _ in row], dtype=np.int64),
+            indices=np.array([j for nbrs in g.adjacency for j in nbrs], dtype=np.int64),
             weights=np.array(weights, dtype=dtype),
             loops=np.array(loops, dtype=dtype),
             thresholds=np.array(k, dtype=dtype),
@@ -394,13 +216,13 @@ class LimitReport:
     trajectory_length: int
 
 
-def convergence_time_bound(g: Graph | WeightedGraph) -> int:
+def convergence_time_bound(g: Graph) -> int:
     """Upper envelope 14|E| + 6n on the convergence time, from chaining
     the expansion edge counts (|E''| <= 2|E'| <= 2[|E| + 3(2|E| + n)])."""
     return 14 * g.num_edges + 6 * g.n
 
 
-def default_guard(g: Graph | WeightedGraph) -> int:
+def default_guard(g: Graph) -> int:
     return 10 * convergence_time_bound(g) + 4
 
 

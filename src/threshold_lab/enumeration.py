@@ -14,7 +14,6 @@ scales past the scan limit on gadget-shaped graphs.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -25,7 +24,6 @@ from .errors import (
     GuardExceededError,
     IdentityViolatedError,
     InvariantViolationError,
-    TimeoutExceededError,
 )
 from .graph_core import Graph, build_graph, two_partition, validate_profile, validate_thresholds
 
@@ -144,15 +142,14 @@ def enumerate_limits(
     guard_n: int = DEFAULT_GUARD_N,
     witnesses: bool = True,
     witness_cap: int = 1024,
-    check_period: bool = True,
 ) -> LimitCensus:
     """Scan all 2^n profiles and classify the limit structure.
 
     A profile a is a fixed point iff step(a) == a; an unordered pair
-    {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. With
-    check_period (default), additionally verifies that no profile sits
-    on a longer cycle, re-establishing the length-2 bound on this instance
-    rather than assuming it. Peak memory is the successor table plus, when
+    {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. The scan
+    also verifies that no profile sits on a longer cycle,
+    re-establishing the length-2 bound on this instance rather than
+    assuming it. Peak memory is the successor table plus, when
     some transient is longer than one step, one more array of its size:
     8 bytes per profile.
     """
@@ -186,9 +183,9 @@ def enumerate_limits(
         if len(tw) < cap:
             room = cap - len(tw)
             tw.extend(zip(a[two_mask][:room].tolist(), f1[two_mask][:room].tolist()))
-        if check_period and settled:
+        if settled:
             settled = np.array_equal(_gather(table, f2, f3_buf[:m]), f1)
-    if check_period and not settled:
+    if not settled:
         _assert_period_at_most_two(table)
     if periodic != fixed + 2 * two:
         raise InvariantViolationError("census does not account for every periodic profile")
@@ -248,9 +245,7 @@ def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD
 # Backtracking fixed-point counter
 
 
-def count_fixed_points_backtracking(
-    g: Graph, k: Sequence[int], *, timeout: float | None = None
-) -> int:
+def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
     """Exact fixed-point count by depth-first assignment with pruning.
 
     Fixed points are profiles where every node i satisfies
@@ -263,10 +258,6 @@ def count_fixed_points_backtracking(
     k = validate_thresholds(g, k)
     n = g.n
     order = _bfs_order(g)
-    pos = [0] * n
-    for idx, v in enumerate(order):
-        pos[v] = idx
-    deadline = time.monotonic() + timeout if timeout is not None else None
 
     value = [-1] * n  # -1 unassigned
     cnt_b = [0] * n  # assigned B neighbors
@@ -322,8 +313,6 @@ def count_fixed_points_backtracking(
         return -1
 
     def search() -> int:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceededError("backtracking fixed-point count timed out")
         u = first_unassigned()
         if u == -1:
             return 1

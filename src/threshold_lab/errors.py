@@ -1,7 +1,7 @@
 """Exception hierarchy for threshold_lab.
 
 Every library error derives from ThresholdLabError. Input-validation
-errors and guard/timeout errors are kept in separate branches so callers
+errors and guard errors are kept in separate branches so callers
 (notably the CLI) can map them to distinct exit codes.
 """
 
@@ -71,14 +71,10 @@ class OutOfFormulaRangeError(InputError):
 
 
 class ResourceLimitError(ThresholdLabError):
-    """A guard or timeout stopped the computation."""
+    """A guard stopped the computation."""
 
 
 class GuardExceededError(ResourceLimitError):
-    pass
-
-
-class TimeoutExceededError(ResourceLimitError):
     pass
 
 

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dynamics import (
-    StepMap,
-    WeightedGraph,
-    build_weighted_graph,
-    make_step,
-    make_step_weighted,
-    weighted_graph_to_dict,
-)
+from .dynamics import StepMap, make_step, step_weighted
 from .errors import (
     AlreadySymmetricError,
     BadParameterError,
@@ -33,6 +26,7 @@ from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
+    as_thresholds,
     build_graph,
     instance_to_dict,
     validate_profile,
@@ -102,31 +96,23 @@ def compose_lifts(outer: ProfileLift, inner: ProfileLift) -> ProfileLift:
 class ExpansionResult:
     """Produced instance, profile lift, and per-node provenance.
 
-    Exactly one of (graph, thresholds) or weighted is set. node_map has
-    one dict per target node describing where it came from (original,
-    mirror, gadget role, or copy block).
+    The instance is (graph, thresholds); a weighted graph is stepped by
+    the weighted rule. node_map has one dict per target node describing
+    where it came from (original, mirror, gadget role, or copy block).
     """
 
-    graph: Graph | None
-    thresholds: tuple[int, ...] | None
-    weighted: WeightedGraph | None
+    graph: Graph
+    thresholds: tuple[int, ...]
     lift: ProfileLift
     node_map: tuple[dict, ...]
 
-    @property
-    def target_n(self) -> int:
-        return self.weighted.n if self.weighted is not None else self.graph.n
-
     def target_step(self) -> StepMap:
-        if self.weighted is not None:
-            return make_step_weighted(self.weighted)
-        return make_step(self.graph, self.thresholds)
+        if self.graph.weights is None:
+            return make_step(self.graph, self.thresholds)
+        return lambda a: step_weighted(self.graph, self.thresholds, a)
 
     def to_dict(self) -> dict:
-        if self.weighted is not None:
-            d = weighted_graph_to_dict(self.weighted)
-        else:
-            d = instance_to_dict(self.graph, self.thresholds)
+        d = instance_to_dict(self.graph, self.thresholds)
         d["node_map"] = list(self.node_map)
         return d
 
@@ -171,7 +157,7 @@ def bipartite_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
         [{"role": "original", "source": i} for i in range(n)]
         + [{"role": "mirror", "source": i} for i in range(n)]
     )
-    return ExpansionResult(graph=g2, thresholds=k2, weighted=None, lift=lift, node_map=node_map)
+    return ExpansionResult(graph=g2, thresholds=k2, lift=lift, node_map=node_map)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +217,7 @@ def one_step_symmetric_expansion(
     g2 = build_graph(n + 3 * blocks, edges)
     lift = ProfileLift(n, g2.n, tuple(ops))
     return ExpansionResult(
-        graph=g2, thresholds=tuple(k2), weighted=None, lift=lift, node_map=tuple(node_map)
+        graph=g2, thresholds=tuple(k2), lift=lift, node_map=tuple(node_map)
     )
 
 
@@ -262,7 +248,7 @@ def symmetric_expansion(
         ]
         cur_g, cur_k = step_res.graph, step_res.thresholds
     return ExpansionResult(
-        graph=cur_g, thresholds=cur_k, weighted=None, lift=lift, node_map=tuple(node_map)
+        graph=cur_g, thresholds=cur_k, lift=lift, node_map=tuple(node_map)
     )
 
 
@@ -287,7 +273,6 @@ def inverted_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
     return ExpansionResult(
         graph=base.graph,
         thresholds=k2,
-        weighted=None,
         lift=ProfileLift(n, 2 * n, ops),
         node_map=base.node_map,
     )
@@ -297,7 +282,7 @@ def inverted_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
 # Signed weights to the primary model
 
 
-def signed_to_primary(w: WeightedGraph) -> ExpansionResult:
+def signed_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """Simulate a +-1-weighted loop-free instance with an unweighted one.
 
     Positive edges are duplicated on both sides; negative edges become
@@ -305,16 +290,18 @@ def signed_to_primary(w: WeightedGraph) -> ExpansionResult:
     d_i^+ - k_i + 1; the lift copies originals and negates mirrors.
     Requires every node valid: -d_i^- <= k_i <= d_i^+.
     """
-    if any(lw != 0 for lw in w.loop_weights):
+    k = as_thresholds(g, k)
+    if g.loops:
         raise BadParameterError("signed simulation requires a loop-free instance")
-    for i, j, wt in w.edges:
+    rows = g.weighted_edges()
+    for i, j, wt in rows:
         if wt not in (-1, 1):
             raise WeightOutOfRangeError(f"edge ({i},{j}) has weight {wt}, expected -1 or +1")
-    n = w.n
+    n = g.n
     d_plus = [0] * n
     d_minus = [0] * n
     edges = []
-    for i, j, wt in w.edges:
+    for i, j, wt in rows:
         if wt > 0:
             d_plus[i] += 1
             d_plus[j] += 1
@@ -324,14 +311,14 @@ def signed_to_primary(w: WeightedGraph) -> ExpansionResult:
             d_minus[j] += 1
             edges += [(i, n + j), (j, n + i)]
     for i in range(n):
-        if not (-d_minus[i] <= w.thresholds[i] <= d_plus[i]):
+        if not (-d_minus[i] <= k[i] <= d_plus[i]):
             raise ValidityViolatedError(
-                f"node {i}: threshold {w.thresholds[i]} outside [-d^-, d^+] = "
+                f"node {i}: threshold {k[i]} outside [-d^-, d^+] = "
                 f"[{-d_minus[i]}, {d_plus[i]}]"
             )
     g2 = build_graph(2 * n, edges, require_connected=False)
-    k2 = tuple(w.thresholds[i] + d_minus[i] for i in range(n)) + tuple(
-        d_plus[i] - w.thresholds[i] + 1 for i in range(n)
+    k2 = tuple(k[i] + d_minus[i] for i in range(n)) + tuple(
+        d_plus[i] - k[i] + 1 for i in range(n)
     )
     ops = tuple((_COPY, i) for i in range(n)) + tuple((_NEGATE, i) for i in range(n))
     node_map = tuple(
@@ -339,19 +326,23 @@ def signed_to_primary(w: WeightedGraph) -> ExpansionResult:
         + [{"role": "mirror", "source": i} for i in range(n)]
     )
     return ExpansionResult(
-        graph=g2,
-        thresholds=k2,
-        weighted=None,
-        lift=ProfileLift(n, 2 * n, ops),
-        node_map=node_map,
+        graph=g2, thresholds=k2, lift=ProfileLift(n, 2 * n, ops), node_map=node_map
     )
+
+
+def _weighted_input(g: Graph, k: Sequence[int], what: str) -> tuple[int, ...]:
+    if g.weights is None:
+        raise BadParameterError(f"{what} needs a weighted instance")
+    return as_thresholds(g, k)
 
 
 # ---------------------------------------------------------------------------
 # Integer weights to unit weights
 
 
-def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> ExpansionResult:
+def integer_weights_to_unit(
+    g: Graph, k: Sequence[int], *, max_nodes: int = 4096
+) -> ExpansionResult:
     """Blow a loop-free integer-weighted instance up to unit weights.
 
     With N = product of |w_e| over all edges, the target has N * n nodes
@@ -361,10 +352,12 @@ def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> Expan
     Every copy inherits its original's threshold, and the lift colors
     all copies of i like i.
     """
-    if any(lw != 0 for lw in w.loop_weights):
+    k = _weighted_input(g, k, "the unit-weight blowup")
+    if g.loops:
         raise BadParameterError("unit-weight blowup requires a loop-free instance")
-    n = w.n
-    radii = [abs(wt) for _, _, wt in w.edges]
+    n = g.n
+    rows = g.weighted_edges()
+    radii = [abs(wt) for _, _, wt in rows]
     total_blocks = 1
     for r in radii:
         total_blocks *= r
@@ -378,7 +371,7 @@ def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> Expan
         strides.append(acc)
         acc *= r
     edges2 = []
-    for t, (i, j, wt) in enumerate(w.edges):
+    for t, (i, j, wt) in enumerate(rows):
         r, stride = radii[t], strides[t]
         sign = 1 if wt > 0 else -1
         for beta in range(total_blocks):
@@ -389,8 +382,7 @@ def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> Expan
                     u = (beta + m * stride) * n + i
                     v = (beta + m2 * stride) * n + j
                     edges2.append((u, v, sign))
-    k2 = tuple(w.thresholds[i] for _ in range(total_blocks) for i in range(n))
-    w2 = build_weighted_graph(total_blocks * n, edges2, (), k2)
+    g2 = build_graph(total_blocks * n, edges2, weighted=True)
     ops = tuple((_COPY, i) for _ in range(total_blocks) for i in range(n))
     node_map = tuple(
         {"role": "copy", "source": i, "block": beta}
@@ -398,9 +390,8 @@ def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> Expan
         for i in range(n)
     )
     return ExpansionResult(
-        graph=None,
-        thresholds=None,
-        weighted=w2,
+        graph=g2,
+        thresholds=k * total_blocks,
         lift=ProfileLift(n, total_blocks * n, ops),
         node_map=node_map,
     )
@@ -410,7 +401,7 @@ def integer_weights_to_unit(w: WeightedGraph, *, max_nodes: int = 4096) -> Expan
 # Self-loop removal
 
 
-def remove_self_loops(w: WeightedGraph) -> ExpansionResult:
+def remove_self_loops(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """Double a weighted instance into a loop-free one.
 
     Both sides carry copies of every non-loop edge; a self-loop of
@@ -418,28 +409,22 @@ def remove_self_loops(w: WeightedGraph) -> ExpansionResult:
     Mirrors copy their originals under the lift. With no loops present
     this is a plain doubling into two mirrored copies.
     """
-    n = w.n
+    k = _weighted_input(g, k, "self-loop removal")
+    n = g.n
     edges = []
-    for i, j, wt in w.edges:
+    for i, j, wt in g.weighted_edges():
         edges.append((i, j, wt))
         edges.append((n + i, n + j, wt))
-    for i, lw in enumerate(w.loop_weights):
-        if lw != 0:
-            edges.append((i, n + i, lw))
-    w2 = build_weighted_graph(
-        2 * n, edges, (), tuple(w.thresholds) * 2, require_connected=False
-    )
+    for i, lw in g.loops:
+        edges.append((i, n + i, lw))
+    g2 = build_graph(2 * n, edges, weighted=True, require_connected=False)
     ops = tuple((_COPY, i) for i in range(n)) * 2
     node_map = tuple(
         [{"role": "original", "source": i} for i in range(n)]
         + [{"role": "mirror", "source": i} for i in range(n)]
     )
     return ExpansionResult(
-        graph=None,
-        thresholds=None,
-        weighted=w2,
-        lift=ProfileLift(n, 2 * n, ops),
-        node_map=node_map,
+        graph=g2, thresholds=k * 2, lift=ProfileLift(n, 2 * n, ops), node_map=node_map
     )
 
 

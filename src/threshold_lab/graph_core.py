@@ -27,6 +27,7 @@ from .errors import (
     NodeOutOfRangeError,
     NotBipartiteError,
     SelfLoopError,
+    WeightOutOfRangeError,
 )
 
 ACTION_B = "B"
@@ -35,12 +36,15 @@ ACTION_W = "W"
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1.
+    """Undirected graph on nodes 0..n-1, unweighted or integer-weighted.
 
     ``edges`` is the canonical sorted list of pairs (i, j) with i < j,
     ``adjacency`` holds sorted neighbor tuples, and ``neighbor_masks[i]``
-    is the bitmask of node i's neighborhood for popcount-style counting.
-    Instances are immutable and safe to share across workers.
+    is the bitmask of node i's neighborhood for bit-count updates.
+    ``weights`` is None for an unweighted graph; otherwise it holds the
+    nonzero integer weight of each edge, aligned with ``edges``, and
+    ``loops`` the (node, nonzero weight) self-loops sorted by node.
+    Thresholds are not part of the graph. Instances are immutable.
     """
 
     n: int
@@ -48,6 +52,8 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     neighbor_masks: tuple[int, ...]
     degrees: tuple[int, ...]
+    weights: tuple[int, ...] | None = None
+    loops: tuple[tuple[int, int], ...] = ()
 
     @property
     def num_edges(self) -> int:
@@ -55,6 +61,12 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return self.degrees[i]
+
+    def weighted_edges(self) -> list[tuple[int, int, int]]:
+        """(i, j, w) per edge; w is 1 throughout on an unweighted graph."""
+        if self.weights is None:
+            return [(i, j, 1) for i, j in self.edges]
+        return [(i, j, w) for (i, j), w in zip(self.edges, self.weights)]
 
 
 @dataclass(frozen=True)
@@ -71,33 +83,59 @@ class TwoPartition:
 
 def build_graph(
     n: int,
-    edge_list: Iterable[Sequence[int]],
+    edges: Iterable[Sequence[int]],
+    loops: Iterable[Sequence[int]] = (),
     *,
+    weighted: bool = False,
     require_connected: bool = True,
 ) -> Graph:
-    """Validate and build a Graph from an edge list.
+    """Validate and build a Graph from (i, j) or (i, j, w) edge rows and
+    (i, w) self-loop rows.
 
-    Rejects self-loops, duplicate edges, out-of-range endpoints, and
-    (unless ``require_connected=False``, used by expansion transforms
-    whose doubling constructions may legitimately split in two)
-    disconnected graphs.
+    Every number must be an integer (see ``as_int``). The graph is
+    weighted when ``weighted`` is set, a row carries a weight or a
+    self-loop is given; a pair row then has weight 1. Rejects zero
+    weights, self-loops among the edges, duplicate edges or loops,
+    out-of-range nodes, and (unless ``require_connected=False``, used by
+    expansion transforms whose doubling constructions may legitimately
+    split in two) disconnected graphs.
     """
+    n = as_int(n, "node count")
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
-    seen = set()
-    canon = []
-    for pair in edge_list:
-        i, j = pair
+    weight_of: dict[tuple[int, int], int] = {}
+    for row in edges:
+        fields = _fields(row, (2, 3), "edge row")
+        i = as_int(fields[0], "edge endpoint")
+        j = as_int(fields[1], "edge endpoint")
+        w = 1
+        if len(fields) == 3:
+            w = as_int(fields[2], "edge weight")
+            weighted = True
         if not (0 <= i < n) or not (0 <= j < n):
             raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         if i == j:
-            raise SelfLoopError(f"self-loop at node {i}")
+            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+        if w == 0:
+            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
         e = (i, j) if i < j else (j, i)
-        if e in seen:
+        if e in weight_of:
             raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
-        canon.append(e)
-    canon.sort()
+        weight_of[e] = w
+    loop_of: dict[int, int] = {}
+    for row in loops:
+        i, w = _fields(row, (2,), "self-loop row")
+        i = as_int(i, "self-loop node")
+        w = as_int(w, "self-loop weight")
+        weighted = True
+        if not 0 <= i < n:
+            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+        if w == 0:
+            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+        if i in loop_of:
+            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
+        loop_of[i] = w
+    canon = sorted(weight_of)
     adj = [[] for _ in range(n)]
     for i, j in canon:
         adj[i].append(j)
@@ -109,7 +147,25 @@ def build_graph(
             raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
     masks = tuple(sum(1 << j for j in nbrs) for nbrs in adjacency)
     degrees = tuple(len(nbrs) for nbrs in adjacency)
-    return Graph(n=n, edges=tuple(canon), adjacency=adjacency, neighbor_masks=masks, degrees=degrees)
+    return Graph(
+        n=n,
+        edges=tuple(canon),
+        adjacency=adjacency,
+        neighbor_masks=masks,
+        degrees=degrees,
+        weights=tuple(weight_of[e] for e in canon) if weighted else None,
+        loops=tuple(sorted(loop_of.items())),
+    )
+
+
+def _fields(row, widths: tuple[int, ...], what: str) -> list:
+    try:
+        fields = list(row)
+    except TypeError:
+        fields = None
+    if fields is None or len(fields) not in widths:
+        raise BadParameterError(f"{what} {row!r} must have {' or '.join(map(str, widths))} entries")
+    return fields
 
 
 def _first_unreached(n: int, adjacency) -> int | None:
@@ -128,10 +184,6 @@ def _first_unreached(n: int, adjacency) -> int | None:
     return None
 
 
-def is_connected(g: Graph) -> bool:
-    return _first_unreached(g.n, g.adjacency) is None
-
-
 def as_int(x, what: str) -> int:
     """x as an int, never coerced: bools, floats and strings are rejected,
     and any other value with ``__index__`` (a numpy integer, say) is
@@ -146,15 +198,29 @@ def as_int(x, what: str) -> int:
     raise BadParameterError(f"{what} must be an integer, got {x!r}")
 
 
+def require_unweighted(g: Graph) -> None:
+    """Reject a weighted graph where only the unit-weight rule is defined."""
+    if g.weights is not None:
+        raise BadParameterError("this needs an unweighted instance, not a weighted one")
+
+
+def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
+    """k as a tuple of g.n ints, of any sign."""
+    k = tuple(as_int(x, "threshold") for x in k)
+    if len(k) != g.n:
+        raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
+    return k
+
+
 def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
-    """Return k as a tuple of ints, checking length and non-negativity.
+    """Return k as a tuple of ints for the unit-weight rule on g, checking
+    that g is unweighted, the length and non-negativity.
 
     Values 0 and > d_i are allowed; they mark non-valid nodes pinned to
     one action.
     """
-    k = tuple(as_int(x, "threshold") for x in k)
-    if len(k) != g.n:
-        raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
+    require_unweighted(g)
+    k = as_thresholds(g, k)
     for i, ki in enumerate(k):
         if ki < 0:
             raise BadParameterError(f"threshold k_{i} = {ki} is negative")
@@ -196,6 +262,7 @@ def as_types(values: Iterable) -> tuple[Fraction, ...]:
 
 
 def validate_types(g: Graph, q: Sequence) -> tuple[Fraction, ...]:
+    require_unweighted(g)
     q = as_types(q)
     if len(q) != g.n:
         raise LengthMismatchError(f"type vector has length {len(q)}, expected {g.n}")
@@ -310,14 +377,10 @@ def format_profile(a: int, n: int) -> str:
 
 
 def validate_profile(a: int, n: int) -> int:
-    a = int(a)
+    a = as_int(a, "profile")
     if not 0 <= a < (1 << n):
         raise LengthMismatchError(f"profile {a} does not fit in {n} bits")
     return a
-
-
-def popcount(a: int) -> int:
-    return a.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +393,16 @@ def popcount(a: int) -> int:
 
 
 def instance_to_dict(g: Graph, k: Sequence[int] | None = None, q: Sequence | None = None) -> dict:
-    d: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
+    """The JSON form of g with thresholds k or types q; a weighted graph
+    keeps the weighted format."""
+    if g.weights is None:
+        d: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
+    else:
+        d = {
+            "n": g.n,
+            "weighted_edges": [list(e) for e in g.weighted_edges()],
+            "self_loops": [list(s) for s in g.loops],
+        }
     if k is not None:
         d["thresholds"] = list(k)
     if q is not None:
@@ -360,20 +432,31 @@ def check_int_rows(rows, width: int, what: str) -> None:
 
 
 def instance_from_dict(d: dict):
-    """Decode an instance dict.
+    """Decode an instance dict of either format.
 
-    Returns (Graph, thresholds) or (Graph, types) for the primary model;
-    weighted instances are decoded by dynamics.weighted_graph_from_dict.
-    n, edge endpoints and thresholds must be JSON integers: floats,
-    booleans and strings are rejected, never coerced.
+    Returns (Graph, thresholds), or (Graph, types) for an unweighted
+    instance with types and no thresholds. A weighted instance without
+    thresholds gets all-zero ones. Every number must be a JSON integer:
+    floats, booleans and strings are rejected, never coerced.
     """
+    weighted = isinstance(d, dict) and "weighted_edges" in d
     try:
         n = d["n"]
-        edges = d["edges"]
+        edges = d["weighted_edges" if weighted else "edges"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed instance: {exc}") from exc
     if type(n) is not int:
         raise BadParameterError(f"n must be an integer, got {n!r}")
+    if weighted:
+        loops = d.get("self_loops", [])
+        check_int_rows(edges, 3, "weighted_edges")
+        check_int_rows(loops, 2, "self_loops")
+        g = build_graph(n, edges, loops, weighted=True)
+        k = d.get("thresholds")
+        if k is None:
+            k = [0] * n
+        check_int_list(k, "thresholds")
+        return g, as_thresholds(g, k)
     check_int_rows(edges, 2, "edges")
     g = build_graph(n, edges)
     if "thresholds" in d:

@@ -12,9 +12,8 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from .dynamics import WeightedGraph, build_weighted_graph
 from .errors import BadParameterError
-from .graph_core import Graph, build_graph
+from .graph_core import Graph, build_graph, require_unweighted
 
 
 def cycle_graph(n: int) -> Graph:
@@ -84,7 +83,9 @@ def classify_family(g: Graph) -> str | None:
     Overlapping cases (an edge is both a star and complete, a triangle
     both a cycle and complete) resolve in the order star, complete,
     cycle, path; the closed-form resilience values agree on overlaps.
+    The families are unweighted, so a weighted graph is rejected.
     """
+    require_unweighted(g)
     n = g.n
     degs = sorted(g.degrees)
     if n >= 2 and degs == [1] * (n - 1) + [n - 1]:
@@ -139,7 +140,9 @@ def random_weighted_instance(
     self_loop_prob: float = 0.3,
     threshold_range: tuple[int, int] = (-4, 4),
     extra_edge_prob: float = 0.3,
-) -> WeightedGraph:
+) -> tuple[Graph, tuple[int, ...]]:
+    """(Graph, thresholds) with random signed weights, self-loops and
+    thresholds of either sign."""
     g = random_connected_graph(n, rng, extra_edge_prob)
     edges = [(i, j, rng.choice(weight_choices)) for i, j in g.edges]
     loops = [
@@ -147,10 +150,10 @@ def random_weighted_instance(
     ]
     lo, hi = threshold_range
     k = tuple(rng.randint(lo, hi) for _ in range(n))
-    return build_weighted_graph(n, edges, loops, k)
+    return build_graph(n, edges, loops, weighted=True), k
 
 
-def random_signed_instance(n: int, rng: random.Random) -> WeightedGraph:
+def random_signed_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
     """Connected +-1-weighted loop-free instance with every node valid
     (-d_i^- <= k_i <= d_i^+), as the signed simulation requires."""
     g = random_connected_graph(n, rng)
@@ -165,10 +168,12 @@ def random_signed_instance(n: int, rng: random.Random) -> WeightedGraph:
             d_minus[i] += 1
             d_minus[j] += 1
     k = tuple(rng.randint(-d_minus[i], d_plus[i]) for i in range(n))
-    return build_weighted_graph(n, edges, (), k)
+    return build_graph(n, edges, weighted=True), k
 
 
-def random_small_blowup_instance(n: int, rng: random.Random, *, max_blocks: int = 64) -> WeightedGraph:
+def random_small_blowup_instance(
+    n: int, rng: random.Random, *, max_blocks: int = 64
+) -> tuple[Graph, tuple[int, ...]]:
     """Loop-free integer-weighted instance whose |w| product stays small
     enough for the unit-weight blowup guard."""
     g = random_connected_graph(n, rng)
@@ -179,4 +184,4 @@ def random_small_blowup_instance(n: int, rng: random.Random, *, max_blocks: int 
         blocks *= mag
         edges.append((i, j, mag * rng.choice((-1, 1))))
     k = tuple(rng.randint(-2, 3) for _ in range(n))
-    return build_weighted_graph(n, edges, (), k)
+    return build_graph(n, edges, weighted=True), k

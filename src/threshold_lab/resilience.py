@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolationError,
     OutOfFormulaRangeError,
 )
-from .graph_core import Graph, types_to_thresholds
+from .graph_core import Graph, require_unweighted, types_to_thresholds
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class RecoveryProblem:
 
 
 def recovery_problem(g: Graph, K: int) -> RecoveryProblem:
+    require_unweighted(g)
     if K < 1:
         raise BadParameterError(f"budget K must be >= 1, got {K}")
     K = min(K, g.n)  # profiles cannot hold more than n deviations
@@ -187,6 +188,7 @@ def greedy_upper_bound_q(g: Graph) -> tuple[Fraction, ...]:
     Always recovers for K = n and satisfies
     ||q||_1 = sum over edges of min(1/d_i, 1/d_j) <= n/2.
     """
+    require_unweighted(g)
     q = [Fraction(0)] * g.n
     for i, j in g.edges:
         hi = j if (g.degrees[i], i) < (g.degrees[j], j) else i

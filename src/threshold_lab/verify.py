@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import dynamics, enumeration, expansions, instances, reductions, resilience
 from .errors import ThresholdLabError
 from .graph_core import (
+    build_graph,
     is_bipartite,
     two_partition,
     types_to_thresholds,
@@ -114,18 +116,23 @@ def _check_inverted_and_weighted_cycles(rng, guard_n) -> str:
     loop's report from every start profile; every cycle has length <= 2."""
     runs = 0
     for g, k in _random_instances(rng, 20, 6):
-        step = dynamics.make_step_inverted(g, k)
-        rule = dynamics.Rule.from_weighted(
-            dynamics.build_weighted_graph(
-                g.n, [(i, j, -1) for i, j in g.edges], (), [1 - x for x in k]
-            )
-        )
-        runs += _compare_engines(step, rule, g, "inverted")
+        # the inverted rule as weights -1 and thresholds 1 - k
+        negated = build_graph(g.n, [(i, j, -1) for i, j in g.edges])
+        rule = dynamics.Rule.from_graph(negated, [1 - x for x in k])
+        runs += _compare_engines(_inverted_step(g, k), rule, g, "inverted")
     for _ in range(20):
-        w = instances.random_weighted_instance(rng.randint(2, 6), rng)
-        rule = dynamics.Rule.from_weighted(w)
-        runs += _compare_engines(dynamics.make_step_weighted(w), rule, w, "weighted")
+        g, k = instances.random_weighted_instance(rng.randint(2, 6), rng)
+        rule = dynamics.Rule.from_graph(g, k)
+        runs += _compare_engines(partial(dynamics.step_weighted, g, k), rule, g, "weighted")
     return f"{runs} inverted and weighted trajectories agree, every limit cycle has length <= 2"
+
+
+def _inverted_step(g, k):
+    """The inverted rule, B iff at most k_i - 1 neighbors play B, as the
+    complement of the threshold step."""
+    base = dynamics.make_step(g, k)
+    full = (1 << g.n) - 1
+    return lambda a: base(a) ^ full
 
 
 def _compare_engines(step, rule, g, what) -> int:
@@ -213,7 +220,7 @@ def _check_expansion_commutation(rng, guard_n) -> str:
         for res, source in (
             (expansions.bipartite_expansion(g, k), src),
             (expansions.symmetric_expansion(g, k), src),
-            (expansions.inverted_to_primary(g, k), dynamics.make_step_inverted(g, k)),
+            (expansions.inverted_to_primary(g, k), _inverted_step(g, k)),
         ):
             ok, bad = expansions.commutation_check(source, res.target_step(), res.lift, profiles)
             assert ok, f"commutation failed at profile {bad}"
@@ -224,24 +231,17 @@ def _check_expansion_commutation(rng, guard_n) -> str:
             assert ok, f"one-step commutation failed at profile {bad}"
             trials += 1
     for _ in range(8):
-        w = instances.random_signed_instance(rng.randint(2, 5), rng)
-        res = expansions.signed_to_primary(w)
-        ok, bad = expansions.commutation_check(
-            dynamics.make_step_weighted(w), res.target_step(), res.lift, range(1 << w.n)
-        )
-        assert ok, f"signed commutation failed at profile {bad}"
-        w2 = instances.random_small_blowup_instance(rng.randint(2, 4), rng)
-        res2 = expansions.integer_weights_to_unit(w2)
-        ok, bad = expansions.commutation_check(
-            dynamics.make_step_weighted(w2), res2.target_step(), res2.lift, range(1 << w2.n)
-        )
-        assert ok, f"blowup commutation failed at profile {bad}"
-        w3 = instances.random_weighted_instance(rng.randint(2, 5), rng)
-        res3 = expansions.remove_self_loops(w3)
-        ok, bad = expansions.commutation_check(
-            dynamics.make_step_weighted(w3), res3.target_step(), res3.lift, range(1 << w3.n)
-        )
-        assert ok, f"self-loop doubling commutation failed at profile {bad}"
+        for make, max_n, transform, what in (
+            (instances.random_signed_instance, 5, expansions.signed_to_primary, "signed"),
+            (instances.random_small_blowup_instance, 4, expansions.integer_weights_to_unit, "blowup"),
+            (instances.random_weighted_instance, 5, expansions.remove_self_loops, "self-loop doubling"),
+        ):
+            g, k = make(rng.randint(2, max_n), rng)
+            res = transform(g, k)
+            ok, bad = expansions.commutation_check(
+                partial(dynamics.step_weighted, g, k), res.target_step(), res.lift, range(1 << g.n)
+            )
+            assert ok, f"{what} commutation failed at profile {bad}"
         trials += 3
     return f"{trials} expansion squares commute"
 

@@ -57,6 +57,15 @@ def slow_census(adjacency, thresholds):
     return fixed, two_cycles, max_transient, max_cycle
 
 
+def inverted_step(g, k):
+    """The inverted rule by its definition, B iff at most k_i - 1
+    neighbors play B: the complement of the threshold step."""
+    from threshold_lab import step
+
+    full = (1 << g.n) - 1
+    return lambda a: step(g, k, a) ^ full
+
+
 def as_int(profile_tuple) -> int:
     return sum(1 << i for i, b in enumerate(profile_tuple) if b)
 

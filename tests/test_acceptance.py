@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -37,8 +38,6 @@ from threshold_lab import (
     is_reachable,
     is_symmetric_model,
     make_step,
-    make_step_inverted,
-    make_step_weighted,
     one_step_symmetric_expansion,
     pred_reduction,
     reachable_pred_reduction,
@@ -197,8 +196,8 @@ def test_criterion_02_weighted_cycle_bound():
     rng = random.Random(202)
     worst_cycle = 0
     for _ in range(1000):
-        w = random_weighted_instance(rng.randint(2, 6), rng)
-        table = [step_weighted(w, a) for a in range(1 << w.n)]
+        w, k = random_weighted_instance(rng.randint(2, 6), rng)
+        table = [step_weighted(w, k, a) for a in range(1 << w.n)]
         quad_bound = 14 * w.num_edges + 6 * w.n
         for a in range(1 << w.n):
             seen = {a: 0}
@@ -253,13 +252,15 @@ def test_criterion_04_expansion_commutation():
         checks = [(bipartite_expansion(g, k), src), (symmetric_expansion(g, k), src)]
         if not is_symmetric_model(g, k):
             checks.append((one_step_symmetric_expansion(g, k), src))
-        checks.append((inverted_to_primary(g, k), make_step_inverted(g, k)))
-        ws = random_signed_instance(rng.randint(2, 6), rng)
-        checks.append((signed_to_primary(ws), make_step_weighted(ws)))
-        wb = random_small_blowup_instance(rng.randint(2, 5), rng)
-        checks.append((integer_weights_to_unit(wb), make_step_weighted(wb)))
-        wl = random_weighted_instance(rng.randint(2, 6), rng)
-        checks.append((remove_self_loops(wl), make_step_weighted(wl)))
+        full = (1 << g.n) - 1
+        checks.append((inverted_to_primary(g, k), lambda a: src(a) ^ full))
+        for make, max_n, transform in (
+            (random_signed_instance, 6, signed_to_primary),
+            (random_small_blowup_instance, 5, integer_weights_to_unit),
+            (random_weighted_instance, 6, remove_self_loops),
+        ):
+            w, kw = make(rng.randint(2, max_n), rng)
+            checks.append((transform(w, kw), partial(step_weighted, w, kw)))
         for res, source in checks:
             src_profiles = profiles if source is src else range(1 << res.lift.source_n)
             ok, bad = commutation_check(source, res.target_step(), res.lift, src_profiles)

@@ -111,8 +111,7 @@ class TestSimulate:
     def test_huge_weights_run_exactly(self, capsys, tmp_path):
         # 10^24 does not fit in int64: the engine runs on Python ints
         from threshold_lab import (
-            Rule, format_profile, limit_cycle, make_step_weighted, parse_profile,
-            weighted_graph_from_dict,
+            Rule, format_profile, instance_from_dict, limit_cycle, parse_profile, step_weighted,
         )
 
         big = 10**24
@@ -123,10 +122,10 @@ class TestSimulate:
             "thresholds": [big, big, 1 - big, big - 1],
         }
         path = write(tmp_path / "big.json", inst)
-        w = weighted_graph_from_dict(inst)
-        assert Rule.from_weighted(w).weights.dtype == object
+        w, k = instance_from_dict(inst)
+        assert Rule.from_graph(w, k).weights.dtype == object
         for start in ("BWWW", "WBWB", "WWBW"):
-            ref = limit_cycle(make_step_weighted(w), parse_profile(start), 100)
+            ref = limit_cycle(lambda a: step_weighted(w, k, a), parse_profile(start), 100)
             code = main(["simulate", "--input", path, "--initial", start])
             assert code == 0
             assert json.loads(capsys.readouterr().out) == {
@@ -242,6 +241,45 @@ class TestExpand:
         assert code == 0
         assert out["n"] == 4
         assert all(w in (-1, 1) for _, _, w in out["weighted_edges"])
+
+    @pytest.mark.parametrize("kind", ["unit-weights", "drop-self-loops"])
+    def test_unit_weighted_file_keeps_the_weighted_format(self, capsys, tmp_path, kind):
+        path = write(
+            tmp_path / "w1.json",
+            {"n": 3, "weighted_edges": [[0, 1, 1], [1, 2, 1]], "self_loops": [],
+             "thresholds": [1, 1, 1]},
+        )
+        code, out = run(capsys, ["expand", "--input", path, "--kind", kind])
+        assert code == 0
+        assert "weighted_edges" in out and "edges" not in out and out["self_loops"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate"],
+            ["resilience", "--K", "1", "--mode", "brute"],
+            ["resilience", "--K", "1", "--mode", "greedy"],
+            ["resilience", "--K", "1", "--mode", "closed-form"],
+            ["expand", "--kind", "bipartite"],
+            ["expand", "--kind", "symmetric"],
+            ["expand", "--kind", "remove-node", "--node", "0", "--pin", "B"],
+        ],
+        ids=["enumerate", "brute", "greedy", "closed-form", "bipartite", "symmetric",
+             "remove-node"],
+    )
+    def test_weighted_file_rejected_where_unit_weights_are_needed(self, capsys, tmp_path, argv):
+        # a weighted path whose weights are all 1 is still a weighted instance
+        path = write(
+            tmp_path / "wpath.json",
+            {"n": 3, "weighted_edges": [[0, 1, 1], [1, 2, 1]], "thresholds": [1, 1, 1]},
+        )
+        assert main([argv[0], "--input", path, *argv[1:]]) == 2
+        assert "needs an unweighted instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["unit-weights", "drop-self-loops"])
+    def test_unweighted_file_rejected_by_weighted_kinds(self, capsys, triangle_file, kind):
+        assert main(["expand", "--input", triangle_file, "--kind", kind]) == 2
+        assert "needs a weighted instance" in capsys.readouterr().err
 
 
 class TestReduce:
@@ -390,3 +428,27 @@ class TestDeterminism:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["enumerate", "--input", "/nonexistent.json"]) == 2
+
+
+def test_benchmark_input_loader_runs(tmp_path):
+    """perfbench/load_inputs.py imports library names by name; a rename
+    must fail here, not only in the benchmark."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    files = [
+        write(tmp_path / "t.json", {"n": 2, "edges": [[0, 1]], "thresholds": [1, 1]}),
+        write(tmp_path / "q.json", {"n": 2, "edges": [[0, 1]], "types": [[1, 2], [0, 1]]}),
+        write(tmp_path / "w.json", {"n": 2, "weighted_edges": [[0, 1, -2]],
+                                    "self_loops": [[1, 3]], "thresholds": [0, -1]}),
+        write(tmp_path / "f.json", {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]}),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "load_inputs.py"), *files],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -12,27 +12,20 @@ from threshold_lab import (
     LengthMismatchError,
     Rule,
     build_graph,
-    build_weighted_graph,
     conflict_links,
     convergence_time_bound,
     default_guard,
+    instance_from_dict,
     limit_cycle,
     make_step,
-    make_step_inverted,
-    make_step_types,
-    make_step_weighted,
     parse_profile,
     ring_two_step,
     step,
-    step_inverted,
     step_restricted,
     step_types,
     step_weighted,
     strong_assignments,
     types_to_thresholds,
-    weighted_graph_from_dict,
-    weighted_types_to_thresholds,
-    with_thresholds,
 )
 from threshold_lab.enumeration import enumerate_limits
 from threshold_lab.instances import (
@@ -44,7 +37,13 @@ from threshold_lab.instances import (
     star_graph,
 )
 
-from conftest import as_int, slow_step
+from conftest import as_int, inverted_step, slow_step
+
+
+def negated(g):
+    """g with every edge weight -1: with thresholds 1 - k_i it runs the
+    inverted rule, B iff at most k_i - 1 neighbors play B."""
+    return build_graph(g.n, [(i, j, -1) for i, j in g.edges])
 
 
 class TestStep:
@@ -97,7 +96,7 @@ class TestStepTypes:
         for _ in range(25):
             g = random_connected_graph(rng.randint(2, 7), rng)
             q = [Fraction(rng.randint(0, 12), 12) for _ in range(g.n)]
-            fn = make_step_types(g, q)
+            fn = make_step(g, types_to_thresholds(g, q))
             for a in range(1 << g.n):
                 assert fn(a) == step_types(g, q, a)
 
@@ -118,20 +117,25 @@ class TestStepRestricted:
 
 
 class TestStepInverted:
+    """The inverted rule is the weighted rule with weights -1 and
+    thresholds 1 - k_i."""
+
     def test_complement_property(self, rng):
         for _ in range(30):
             g = random_connected_graph(rng.randint(2, 7), rng)
             k = random_thresholds(g, rng)
             full = (1 << g.n) - 1
+            inv = [1 - x for x in k]
             for _ in range(20):
                 a = rng.randrange(1 << g.n)
-                assert step_inverted(g, k, a) ^ step(g, k, a) == full
+                assert step_weighted(negated(g), inv, a) ^ step(g, k, a) == full
 
     def test_triangle_example(self, triangle):
-        assert step_inverted(triangle, (1, 1, 2), parse_profile("BWW")) == parse_profile("BWB")
+        a = parse_profile("BWW")
+        assert step_weighted(negated(triangle), (0, 0, -1), a) == parse_profile("BWB")
 
     def test_all_white_goes_all_black(self, four_cycle):
-        assert step_inverted(four_cycle, (1, 1, 1, 1), 0) == 0b1111
+        assert step_weighted(negated(four_cycle), (0, 0, 0, 0), 0) == 0b1111
 
 
 class TestStepWeighted:
@@ -139,26 +143,19 @@ class TestStepWeighted:
         for _ in range(25):
             g = random_connected_graph(rng.randint(2, 8), rng)
             k = tuple(rng.randint(0, d + 1) for d in g.degrees)
-            w = build_weighted_graph(g.n, [(i, j, 1) for i, j in g.edges], (), k)
+            w = build_graph(g.n, [(i, j, 1) for i, j in g.edges])
+            assert w.weights is not None and w.edges == g.edges
             for a in range(1 << g.n):
-                assert step_weighted(w, a) == step(g, k, a)
+                assert step_weighted(w, k, a) == step(g, k, a) == step_weighted(g, k, a)
 
     def test_negative_edge_fixed_point(self):
-        w = build_weighted_graph(2, [(0, 1, -1)], (), (0, 0))
+        w = build_graph(2, [(0, 1, -1)])
         a = parse_profile("BW")
-        assert step_weighted(w, a) == a
+        assert step_weighted(w, (0, 0), a) == a
 
     def test_self_loop_feeds_back(self):
-        w = build_weighted_graph(2, [(0, 1, 1)], [(0, 2)], (2, 1))
-        assert step_weighted(w, parse_profile("BW")) & 1
-
-    def test_weighted_types_conversion(self):
-        w = build_weighted_graph(3, [(0, 1, 1), (0, 2, 1)], (), (0, 0, 0))
-        assert weighted_types_to_thresholds(w, [(1, 2), 0, 0])[0] == 2
-        assert weighted_types_to_thresholds(w, [0, 0, 0]) == (1, 1, 1)
-        w2 = build_weighted_graph(3, [(0, 1, 2), (0, 2, -1)], (), (0, 0, 0))
-        # theta_0 = 1/2, least integer threshold is 1
-        assert weighted_types_to_thresholds(w2, [(1, 2), 0, 0])[0] == 1
+        w = build_graph(2, [(0, 1, 1)], [(0, 2)])
+        assert step_weighted(w, (2, 1), parse_profile("BW")) & 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -184,10 +181,10 @@ class TestStepWeighted:
     def test_loader_rejects_non_integers(self, field, value):
         d = {"n": 3, "weighted_edges": [[0, 1, 2], [1, 2, -1]], "self_loops": [[1, 1]],
              "thresholds": [1, 0, 1]}
-        assert weighted_graph_from_dict(dict(d)).thresholds == (1, 0, 1)
+        assert instance_from_dict(dict(d))[1] == (1, 0, 1)
         d[field] = value
         with pytest.raises(BadParameterError, match="must be"):
-            weighted_graph_from_dict(d)
+            instance_from_dict(d)
 
 
 class TestLimitCycle:
@@ -228,14 +225,6 @@ class TestLimitCycle:
         from threshold_lab import convergence_time
 
         assert convergence_time(triangle, (1, 1, 1), parse_profile("BWW")) == 2
-
-    def test_with_thresholds_replaces_only_thresholds(self):
-        from threshold_lab import with_thresholds
-
-        w = build_weighted_graph(2, [(0, 1, -1)], [(0, 2)], (0, 0))
-        w2 = with_thresholds(w, (5, -3))
-        assert w2.thresholds == (5, -3)
-        assert w2.edges == w.edges and w2.loop_weights == w.loop_weights
 
 
 class TestConflictLinks:
@@ -328,16 +317,16 @@ def test_limit_cycles_never_exceed_two(inst):
 @settings(max_examples=100, deadline=None)
 def test_inverted_cycles_never_exceed_two(inst):
     g, k, a = inst
-    report = limit_cycle(make_step_inverted(g, k), a, default_guard(g))
+    report = limit_cycle(inverted_step(g, k), a, default_guard(g))
     assert len(report.cycle) in (1, 2)
 
 
 def test_weighted_cycles_never_exceed_two(rng):
     for _ in range(60):
-        w = random_weighted_instance(rng.randint(2, 6), rng)
-        fn = make_step_weighted(w)
-        for a in range(1 << w.n):
-            assert len(limit_cycle(fn, a, default_guard(w)).cycle) in (1, 2)
+        g, k = random_weighted_instance(rng.randint(2, 6), rng)
+        for a in range(1 << g.n):
+            report = limit_cycle(lambda b: step_weighted(g, k, b), a, default_guard(g))
+            assert len(report.cycle) in (1, 2)
 
 
 class TestStrictIntegers:
@@ -366,17 +355,37 @@ class TestStrictIntegers:
     )
     def test_weighted_builder(self, edges, loops, k):
         with pytest.raises(BadParameterError, match="must be an integer"):
-            build_weighted_graph(2, edges, loops, k)
+            Rule.from_graph(build_graph(2, edges, loops), k)
 
     def test_weighted_node_count(self):
         for n in (2.0, True, "2"):
             with pytest.raises(BadParameterError, match="must be an integer"):
-                build_weighted_graph(n, [(0, 1, 1)], (), (0, 0))
+                build_graph(n, [(0, 1, 1)])
 
-    def test_with_thresholds(self):
-        w = build_weighted_graph(2, [(0, 1, -1)], (), (0, 0))
+    def test_weighted_thresholds(self):
+        w = build_graph(2, [(0, 1, -1)])
+        for call in (lambda k: Rule.from_graph(w, k), lambda k: step_weighted(w, k, 0)):
+            with pytest.raises(BadParameterError, match="must be an integer"):
+                call((2.7, False))
+            call((5, -3))  # weighted thresholds may be negative
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_graph(True, []),
+            lambda: build_graph(2.0, [(0, 1)]),
+            lambda: build_graph(2, [(0, 1.0)]),
+            lambda: build_graph(2, [(0, 1, 1.5)]),
+            lambda: build_graph(2, [(0, 1)], [(0, True)]),
+            lambda: step(build_graph(2, [(0, 1)]), (1, 1), 1.9),
+            lambda: limit_cycle(Rule.from_graph(build_graph(2, [(0, 1)]), (1, 1)), True, 10),
+        ],
+        ids=["n-bool", "n-float", "endpoint-float", "weight-float", "loop-weight-bool",
+             "profile-float", "profile-bool"],
+    )
+    def test_graph_and_profile_numbers(self, call):
         with pytest.raises(BadParameterError, match="must be an integer"):
-            with_thresholds(w, (2.7, False))
+            call()
 
     def test_numpy_integers_accepted(self):
         import numpy as np
@@ -384,11 +393,11 @@ class TestStrictIntegers:
         g = build_graph(2, [(0, 1)])
         fn = make_step(g, np.array([1, 1]))
         assert fn(0b01) == 0b10
-        w = build_weighted_graph(
-            np.int64(2), [(np.int32(0), 1, np.int64(-3))], [(1, np.int8(2))], np.array([0, 1])
-        )
-        assert w.edges == ((0, 1, -3),) and w.loop_weights == (0, 2) and w.thresholds == (0, 1)
-        assert all(type(x) is int for x in w.thresholds + w.edges[0] + w.loop_weights)
+        w = build_graph(np.int64(2), [(np.int32(0), 1, np.int64(-3))], [(1, np.int8(2))])
+        assert w.weighted_edges() == [(0, 1, -3)] and w.loops == ((1, 2),)
+        assert all(type(x) is int for x in (w.n,) + w.edges[0] + w.weights + w.loops[0])
+        rule = Rule.from_graph(w, np.array([0, -1]))
+        assert rule.thresholds.tolist() == [0, -1]
         with pytest.raises(BadParameterError):
             make_step(g, np.array([True, False]))
 
@@ -409,7 +418,8 @@ _SCALES = (1, 1 << 20, 1 << 58, 10**24)
 
 @st.composite
 def rule_case(draw):
-    """(reference step map, Rule, n) for one of the four rules."""
+    """(reference step map, Rule, n) for one of the four rules; every Rule
+    comes from build_graph and Rule.from_graph."""
     import random as _random
 
     n = draw(st.integers(min_value=1, max_value=10))
@@ -417,23 +427,23 @@ def rule_case(draw):
     kind = draw(st.sampled_from(["threshold", "types", "inverted", "weighted"]))
     if kind == "weighted":
         scale = draw(st.sampled_from(_SCALES))
-        w = random_weighted_instance(n, rng, weight_choices=(-2, -1, 1, 2))
-        w = build_weighted_graph(
+        g, k = random_weighted_instance(n, rng, weight_choices=(-2, -1, 1, 2))
+        g = build_graph(
             n,
-            [(i, j, wt * scale) for i, j, wt in w.edges],
-            [(i, wt * scale) for i, wt in w.self_loops],
-            [x * scale + rng.randint(-1, 1) for x in w.thresholds],
+            [(i, j, wt * scale) for i, j, wt in g.weighted_edges()],
+            [(i, wt * scale) for i, wt in g.loops],
+            weighted=True,
         )
-        return make_step_weighted(w), Rule.from_weighted(w), n
+        k = [x * scale + rng.randint(-1, 1) for x in k]
+        return (lambda a: step_weighted(g, k, a)), Rule.from_graph(g, k), n
     g = random_connected_graph(n, rng)
     if kind == "types":
         q = random_types(g, rng)
-        return make_step_types(g, q), Rule.from_graph(g, types_to_thresholds(g, q)), n
+        return (lambda a: step_types(g, q, a)), Rule.from_graph(g, types_to_thresholds(g, q)), n
     k = random_thresholds(g, rng)
     if kind == "threshold":
         return make_step(g, k), Rule.from_graph(g, k), n
-    inverted = build_weighted_graph(n, [(i, j, -1) for i, j in g.edges], (), [1 - x for x in k])
-    return make_step_inverted(g, k), Rule.from_weighted(inverted), n
+    return inverted_step(g, k), Rule.from_graph(negated(g), [1 - x for x in k]), n
 
 
 @given(rule_case(), st.data())
@@ -454,21 +464,21 @@ class TestRuleEngine:
         # bound = 4 sum|k| + 2n, int64 iff below 2^62
         assert Rule.from_graph(g, [(1 << 60) - 1]).weights.dtype.kind == "i"
         assert Rule.from_graph(g, [1 << 60]).weights.dtype == object
-        w = build_weighted_graph(2, [(0, 1, (1 << 60) - 2)], (), (0, 0))
-        assert Rule.from_weighted(w).weights.dtype.kind == "i"  # 2(2^60 - 2) + 4 < 2^62
-        w = build_weighted_graph(2, [(0, 1, 1 << 61)], (), (0, 0))
-        assert Rule.from_weighted(w).weights.dtype == object
+        w = build_graph(2, [(0, 1, (1 << 60) - 2)])
+        assert Rule.from_graph(w, (0, 0)).weights.dtype.kind == "i"  # 2(2^60 - 2) + 4 < 2^62
+        w = build_graph(2, [(0, 1, 1 << 61)])
+        assert Rule.from_graph(w, (0, 0)).weights.dtype == object
 
     def test_int64_path_near_the_bound(self):
         # sum|w_ij| = 2^61 - 32 over both directions, 4 sum|k| = 2^60 - 4
         big = (1 << 59) - 8
-        w = build_weighted_graph(
-            3, [(0, 1, big), (1, 2, -big)], [(2, -3)], ((1 << 57) - 2, -(1 << 57) + 2, -3)
-        )
-        rule = Rule.from_weighted(w)
+        w = build_graph(3, [(0, 1, big), (1, 2, -big)], [(2, -3)])
+        k = ((1 << 57) - 2, -(1 << 57) + 2, -3)
+        rule = Rule.from_graph(w, k)
         assert rule.weights.dtype.kind == "i"
         for a in range(8):
-            assert limit_cycle(rule, a, 100) == limit_cycle(make_step_weighted(w), a, 100)
+            ref = limit_cycle(lambda b: step_weighted(w, k, b), a, 100)
+            assert limit_cycle(rule, a, 100) == ref
 
     def test_planted_directed_three_cycle_is_caught(self):
         import numpy as np

@@ -2,12 +2,12 @@ import pytest
 
 from threshold_lab import (
     AlreadySymmetricError,
+    BadParameterError,
     GuardExceededError,
     ValidityViolatedError,
     WeightOutOfRangeError,
     bipartite_expansion,
     build_graph,
-    build_weighted_graph,
     commutation_check,
     compose_lifts,
     identity_lift,
@@ -17,8 +17,6 @@ from threshold_lab import (
     is_bipartite,
     is_symmetric_model,
     make_step,
-    make_step_inverted,
-    make_step_weighted,
     one_step_symmetric_expansion,
     remove_constant_node,
     remove_self_loops,
@@ -35,6 +33,12 @@ from threshold_lab.instances import (
     random_thresholds,
     random_weighted_instance,
 )
+
+from conftest import inverted_step
+
+
+def weighted_step(g, k):
+    return lambda a: step_weighted(g, k, a)
 
 
 class TestBipartiteExpansion:
@@ -264,119 +268,110 @@ class TestInvertedToPrimary:
             k = random_thresholds(g, rng)
             res = inverted_to_primary(g, k)
             ok, bad = commutation_check(
-                make_step_inverted(g, k), res.target_step(), res.lift, range(1 << g.n)
+                inverted_step(g, k), res.target_step(), res.lift, range(1 << g.n)
             )
             assert ok, f"counterexample {bad}"
 
 
 class TestSignedToPrimary:
     def test_all_positive_gives_two_copies(self):
-        w = build_weighted_graph(3, [(0, 1, 1), (1, 2, 1)], (), (0, 1, 1))
-        res = signed_to_primary(w)
+        w, k = build_graph(3, [(0, 1, 1), (1, 2, 1)]), (0, 1, 1)
+        res = signed_to_primary(w, k)
         assert res.graph.n == 6
         original_edges = {(i, j) for i, j in res.graph.edges if i < 3 and j < 3}
         mirror_edges = {(i - 3, j - 3) for i, j in res.graph.edges if i >= 3 and j >= 3}
         assert original_edges == mirror_edges == {(0, 1), (1, 2)}
-        ok, _ = commutation_check(
-            make_step_weighted(w), res.target_step(), res.lift, range(8)
-        )
+        ok, _ = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(8))
         assert ok
 
     def test_single_negative_edge(self):
-        w = build_weighted_graph(2, [(0, 1, -1)], (), (0, 0))
-        res = signed_to_primary(w)
+        w, k = build_graph(2, [(0, 1, -1)]), (0, 0)
+        res = signed_to_primary(w, k)
         assert set(res.graph.edges) == {(0, 3), (1, 2)}
-        ok, _ = commutation_check(
-            make_step_weighted(w), res.target_step(), res.lift, range(4)
-        )
+        ok, _ = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(4))
         assert ok
 
     def test_commutation_random(self, rng):
         for _ in range(30):
-            w = random_signed_instance(rng.randint(2, 6), rng)
-            res = signed_to_primary(w)
+            w, k = random_signed_instance(rng.randint(2, 6), rng)
+            res = signed_to_primary(w, k)
             ok, bad = commutation_check(
-                make_step_weighted(w), res.target_step(), res.lift, range(1 << w.n)
+                weighted_step(w, k), res.target_step(), res.lift, range(1 << w.n)
             )
             assert ok, f"counterexample {bad}"
 
     def test_rejects_big_weights(self):
-        w = build_weighted_graph(2, [(0, 1, 2)], (), (0, 0))
         with pytest.raises(WeightOutOfRangeError):
-            signed_to_primary(w)
+            signed_to_primary(build_graph(2, [(0, 1, 2)]), (0, 0))
 
     def test_rejects_invalid_thresholds(self):
-        w = build_weighted_graph(2, [(0, 1, 1)], (), (2, 0))
         with pytest.raises(ValidityViolatedError):
-            signed_to_primary(w)
+            signed_to_primary(build_graph(2, [(0, 1, 1)]), (2, 0))
 
 
 class TestIntegerWeightBlowup:
     def test_unit_weights_identity_blowup(self):
-        w = build_weighted_graph(2, [(0, 1, -1)], (), (0, 0))
-        res = integer_weights_to_unit(w)
-        assert res.weighted.n == 2
-        assert res.weighted.edges == ((0, 1, -1),)
+        res = integer_weights_to_unit(build_graph(2, [(0, 1, -1)]), (0, 0))
+        assert res.graph.n == 2
+        assert res.graph.weighted_edges() == [(0, 1, -1)]
 
     def test_single_heavy_edge(self):
-        w = build_weighted_graph(2, [(0, 1, 2)], (), (1, 1))
-        res = integer_weights_to_unit(w)
-        assert res.weighted.n == 4
+        w, k = build_graph(2, [(0, 1, 2)]), (1, 1)
+        res = integer_weights_to_unit(w, k)
+        assert res.graph.n == 4
         # each copy of node 0 is adjacent to both copies of node 1
-        degs = [res.weighted.degree(i) for i in range(4)]
+        degs = [res.graph.degree(i) for i in range(4)]
         assert degs == [2, 2, 2, 2]
-        ok, _ = commutation_check(
-            make_step_weighted(w), res.target_step(), res.lift, range(4)
-        )
+        ok, _ = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(4))
         assert ok
 
     def test_path_with_mixed_weights(self):
-        w = build_weighted_graph(3, [(0, 1, 2), (1, 2, -1)], (), (1, 0, 0))
-        res = integer_weights_to_unit(w)
-        assert res.weighted.n == 6
-        ok, bad = commutation_check(
-            make_step_weighted(w), res.target_step(), res.lift, range(8)
-        )
+        w, k = build_graph(3, [(0, 1, 2), (1, 2, -1)]), (1, 0, 0)
+        res = integer_weights_to_unit(w, k)
+        assert res.graph.n == 6
+        ok, bad = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(8))
         assert ok, f"counterexample {bad}"
 
     def test_commutation_random(self, rng):
         for _ in range(20):
-            w = random_small_blowup_instance(rng.randint(2, 4), rng)
-            res = integer_weights_to_unit(w)
+            w, k = random_small_blowup_instance(rng.randint(2, 4), rng)
+            res = integer_weights_to_unit(w, k)
             ok, bad = commutation_check(
-                make_step_weighted(w), res.target_step(), res.lift, range(1 << w.n)
+                weighted_step(w, k), res.target_step(), res.lift, range(1 << w.n)
             )
             assert ok, f"counterexample {bad}"
 
     def test_guard(self):
-        w = build_weighted_graph(2, [(0, 1, 100)], (), (0, 0))
         with pytest.raises(GuardExceededError):
-            integer_weights_to_unit(w, max_nodes=64)
+            integer_weights_to_unit(build_graph(2, [(0, 1, 100)]), (0, 0), max_nodes=64)
+
+    def test_rejects_unweighted_graph(self, triangle):
+        for transform in (integer_weights_to_unit, remove_self_loops):
+            with pytest.raises(BadParameterError, match="needs a weighted instance"):
+                transform(triangle, (1, 1, 1))
 
 
 class TestRemoveSelfLoops:
     def test_no_loops_plain_doubling(self):
-        w = build_weighted_graph(2, [(0, 1, 3)], (), (1, 1))
-        res = remove_self_loops(w)
-        assert res.weighted.n == 4
-        assert set(res.weighted.edges) == {(0, 1, 3), (2, 3, 3)}
+        res = remove_self_loops(build_graph(2, [(0, 1, 3)]), (1, 1))
+        assert res.graph.n == 4
+        assert set(res.graph.weighted_edges()) == {(0, 1, 3), (2, 3, 3)}
+        assert res.to_dict()["self_loops"] == []
 
     def test_loop_becomes_cross_edge(self):
-        w = build_weighted_graph(2, [(0, 1, 1)], [(0, 1)], (1, 1))
-        res = remove_self_loops(w)
-        assert (0, 2, 1) in res.weighted.edges
-        assert all(lw == 0 for lw in res.weighted.loop_weights)
-        ok, _ = commutation_check(
-            make_step_weighted(w), res.target_step(), res.lift, range(4)
-        )
+        w, k = build_graph(2, [(0, 1, 1)], [(0, 1)]), (1, 1)
+        res = remove_self_loops(w, k)
+        assert (0, 2, 1) in res.graph.weighted_edges()
+        assert res.graph.loops == ()
+        ok, _ = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(4))
         assert ok
 
     def test_commutation_random(self, rng):
         for _ in range(25):
-            w = random_weighted_instance(rng.randint(2, 5), rng)
-            res = remove_self_loops(w)
+            w, k = random_weighted_instance(rng.randint(2, 5), rng)
+            res = remove_self_loops(w, k)
             ok, bad = commutation_check(
-                make_step_weighted(w), res.target_step(), res.lift, range(1 << w.n)
+                weighted_step(w, k), res.target_step(), res.lift, range(1 << w.n)
             )
             assert ok, f"counterexample {bad}"
 

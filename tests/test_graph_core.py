@@ -11,7 +11,16 @@ from threshold_lab import (
     NodeOutOfRangeError,
     NotBipartiteError,
     SelfLoopError,
+    WeightOutOfRangeError,
+    bipartite_expansion,
     build_graph,
+    count_fixed_points_backtracking,
+    enumerate_limits,
+    greedy_upper_bound_q,
+    make_step,
+    predecessors,
+    resilience_bruteforce,
+    transition_table,
     format_profile,
     instance_from_dict,
     instance_to_dict,
@@ -58,6 +67,54 @@ class TestBuildGraph:
     def test_single_node(self):
         g = build_graph(1, [])
         assert g.n == 1 and g.edges == ()
+
+    def test_weighted_rows(self):
+        g = build_graph(3, [(2, 1, -2), (0, 1)], [(2, 5)])
+        assert g.edges == ((0, 1), (1, 2)) and g.weights == (1, -2) and g.loops == ((2, 5),)
+        assert g.adjacency == ((1,), (0, 2), (1,)) and g.degrees == (1, 2, 1)
+        assert build_graph(3, [(0, 1), (1, 2)]).weights is None
+        assert build_graph(1, [], weighted=True).weights == ()
+        assert build_graph(2, [(0, 1)], [(0, 1)]).weights == (1,)
+
+    @pytest.mark.parametrize(
+        "edges, loops, error",
+        [
+            ([(0, 1, 0)], (), WeightOutOfRangeError),
+            ([(0, 1)], [(0, 0)], WeightOutOfRangeError),
+            ([(0, 1)], [(0, 1), (0, 2)], DuplicateEdgeError),
+            ([(0, 1)], [(2, 1)], NodeOutOfRangeError),
+            ([(0, 1, 1, 1)], (), BadParameterError),
+            ([(0, 1)], [(0,)], BadParameterError),
+            ([0], (), BadParameterError),
+        ],
+    )
+    def test_bad_weighted_rows(self, edges, loops, error):
+        with pytest.raises(error):
+            build_graph(2, edges, loops)
+
+
+WEIGHTED = build_graph(3, [(0, 1, 2), (1, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_limits(WEIGHTED, (1, 1, 1)),
+        lambda: transition_table(WEIGHTED, (1, 1, 1)),
+        lambda: predecessors(WEIGHTED, (1, 1, 1), 0),
+        lambda: count_fixed_points_backtracking(WEIGHTED, (1, 1, 1)),
+        lambda: make_step(WEIGHTED, (1, 1, 1)),
+        lambda: resilience_bruteforce(WEIGHTED, 1),
+        lambda: greedy_upper_bound_q(WEIGHTED),
+        lambda: bipartite_expansion(WEIGHTED, (1, 1, 1)),
+    ],
+    ids=["enumerate_limits", "transition_table", "predecessors",
+         "count_fixed_points_backtracking", "make_step", "resilience_bruteforce",
+         "greedy_upper_bound_q", "bipartite_expansion"],
+)
+def test_unit_weight_entry_points_reject_weighted_graphs(call):
+    with pytest.raises(BadParameterError, match="needs an unweighted instance"):
+        call()
 
 
 class TestValidity:
@@ -226,6 +283,30 @@ class TestInstanceJson:
         d = {"n": 3, "edges": [[0, 1], [1, 2]], "types": [[1, 2], pair, [0, 1]]}
         with pytest.raises(BadParameterError, match="must be"):
             instance_from_dict(d)
+
+    def test_weighted_format_is_kept(self):
+        # all weights 1 and no self-loops: still a weighted instance
+        d = {"n": 2, "weighted_edges": [[0, 1, 1]], "self_loops": [], "thresholds": [1, -1]}
+        g, k = instance_from_dict(d)
+        assert g.weights == (1,) and k == (1, -1)
+        assert instance_to_dict(g, k) == d
+        g, k = instance_from_dict({"n": 2, "weighted_edges": [[0, 1, 3]]})
+        assert k == (0, 0)
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_roundtrip(self, n, seed, unit):
+        rng = random.Random(seed)
+        g = random_connected_graph(n, rng)
+        weights = (1,) if unit else (-3, -1, 1, 2, 10**20)
+        d = {
+            "n": n,
+            "weighted_edges": [[i, j, rng.choice(weights)] for i, j in g.edges],
+            "self_loops": [] if unit else [[i, rng.choice(weights)] for i in range(n)
+                                           if rng.random() < 0.3],
+            "thresholds": [rng.randint(-5, 5) for _ in range(n)],
+        }
+        assert instance_to_dict(*instance_from_dict(d)) == d
 
     def test_load_instance_from_file(self, tmp_path, four_cycle):
         import json
