@@ -3,122 +3,150 @@
 Simulation, exhaustive limit-structure enumeration, structure-preserving
 expansion transforms, counting-reduction gadgets, and a resilience
 measure over type allocations.
+
+The package is lazy (PEP 562): ``from threshold_lab import X`` imports
+the submodule that defines X on first use, so importing the package
+loads no submodule and no numpy until one of its names is used.
 """
 
-from .errors import (
-    AlreadySymmetricError,
-    BadParameterError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    GuardExceededError,
-    IdentityViolatedError,
-    InconsistentCountError,
-    InputError,
-    InvariantViolationError,
-    LengthMismatchError,
-    NodeOutOfRangeError,
-    NotBipartiteError,
-    OutOfFormulaRangeError,
-    ResourceLimitError,
-    SelfLoopError,
-    ThresholdLabError,
-    ValidityViolatedError,
-    VariableMissingError,
-    WeightOutOfRangeError,
-)
-from .graph_core import (
-    ACTION_B,
-    ACTION_W,
-    Graph,
-    TwoPartition,
-    as_types,
-    build_graph,
-    format_profile,
-    instance_from_dict,
-    instance_to_dict,
-    is_bipartite,
-    is_valid_node,
-    load_instance,
-    parse_profile,
-    two_partition,
-    types_to_thresholds,
-    validate_profile,
-    validate_thresholds,
-    validate_types,
-)
-from .dynamics import (
-    LimitReport,
-    Rule,
-    conflict_links,
-    convergence_time,
-    convergence_time_bound,
-    default_guard,
-    limit_cycle,
-    make_step,
-    ring_two_step,
-    step,
-    step_restricted,
-    step_types,
-    step_weighted,
-    strong_assignments,
-)
-from .expansions import (
-    ComponentInstance,
-    ExpansionResult,
-    ProfileLift,
-    bipartite_expansion,
-    commutation_check,
-    compose_lifts,
-    identity_lift,
-    instances_isomorphic,
-    integer_weights_to_unit,
-    inverted_to_primary,
-    is_symmetric_model,
-    one_step_symmetric_expansion,
-    remove_constant_node,
-    remove_self_loops,
-    signed_to_primary,
-    symmetric_expansion,
-)
-from .enumeration import (
-    DEFAULT_GUARD_N,
-    BipartiteCycleCheck,
-    LimitCensus,
-    bipartite_cycle_identity,
-    build_extremal_cycle_instance,
-    census_to_dict,
-    count_fixed_points_backtracking,
-    enumerate_limits,
-    is_reachable,
-    predecessors,
-    transition_table,
-)
-from .reductions import (
-    CPRED_DISCREPANCY_NOTE,
-    MONOTONE_2CNF,
-    MONOTONE_2DNF,
-    THREE_CNF,
-    Formula,
-    GadgetInstance,
-    PredGadget,
-    ReachablePredGadget,
-    count_sat,
-    fix_reduction,
-    formula_from_dict,
-    pred_reduction,
-    reachable_pred_reduction,
-    recover_sat_count,
-)
-from .resilience import (
-    BoundsReport,
-    RecoveryProblem,
-    ResilienceResult,
-    check_recovery,
-    greedy_upper_bound_q,
-    recovery_problem,
-    resilience_bruteforce,
-    resilience_closed_form,
-    verify_bounds,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "errors": (
+        "AlreadySymmetricError",
+        "BadParameterError",
+        "DisconnectedError",
+        "DuplicateEdgeError",
+        "GuardExceededError",
+        "IdentityViolatedError",
+        "InconsistentCountError",
+        "InputError",
+        "InvariantViolationError",
+        "LengthMismatchError",
+        "NodeOutOfRangeError",
+        "NotBipartiteError",
+        "OutOfFormulaRangeError",
+        "ResourceLimitError",
+        "SelfLoopError",
+        "ThresholdLabError",
+        "ValidityViolatedError",
+        "VariableMissingError",
+        "WeightOutOfRangeError",
+    ),
+    "graph_core": (
+        "ACTION_B",
+        "ACTION_W",
+        "Graph",
+        "TwoPartition",
+        "as_types",
+        "build_graph",
+        "format_profile",
+        "instance_from_dict",
+        "instance_to_dict",
+        "is_bipartite",
+        "is_valid_node",
+        "load_instance",
+        "parse_profile",
+        "two_partition",
+        "types_to_thresholds",
+        "validate_profile",
+        "validate_thresholds",
+        "validate_types",
+    ),
+    "dynamics": (
+        "LimitReport",
+        "Rule",
+        "conflict_links",
+        "convergence_time",
+        "convergence_time_bound",
+        "default_guard",
+        "limit_cycle",
+        "make_step",
+        "ring_two_step",
+        "step",
+        "step_restricted",
+        "step_types",
+        "step_weighted",
+        "strong_assignments",
+    ),
+    "expansions": (
+        "ComponentInstance",
+        "ExpansionResult",
+        "ProfileLift",
+        "bipartite_expansion",
+        "commutation_check",
+        "compose_lifts",
+        "identity_lift",
+        "instances_isomorphic",
+        "integer_weights_to_unit",
+        "inverted_to_primary",
+        "is_symmetric_model",
+        "one_step_symmetric_expansion",
+        "remove_constant_node",
+        "remove_self_loops",
+        "signed_to_primary",
+        "symmetric_expansion",
+    ),
+    "enumeration": (
+        "DEFAULT_GUARD_N",
+        "BipartiteCycleCheck",
+        "LimitCensus",
+        "bipartite_cycle_identity",
+        "build_extremal_cycle_instance",
+        "census_to_dict",
+        "count_fixed_points_backtracking",
+        "enumerate_limits",
+        "is_reachable",
+        "predecessors",
+        "transition_table",
+    ),
+    "reductions": (
+        "CPRED_DISCREPANCY_NOTE",
+        "MONOTONE_2CNF",
+        "MONOTONE_2DNF",
+        "THREE_CNF",
+        "Formula",
+        "GadgetInstance",
+        "PredGadget",
+        "ReachablePredGadget",
+        "count_sat",
+        "fix_reduction",
+        "formula_from_dict",
+        "pred_reduction",
+        "reachable_pred_reduction",
+        "recover_sat_count",
+    ),
+    "resilience": (
+        "BoundsReport",
+        "RecoveryProblem",
+        "ResilienceResult",
+        "check_recovery",
+        "greedy_upper_bound_q",
+        "recovery_problem",
+        "resilience_bruteforce",
+        "resilience_closed_form",
+        "verify_bounds",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

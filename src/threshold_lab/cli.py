@@ -6,6 +6,10 @@ All output is canonical JSON (sorted keys, exact rationals as
 byte-identical results. Exit codes: 0 success, 2 invalid input, 3 guard
 exceeded, 4 invariant violation (a failed verify suite, or a
 failed energy certificate in simulate).
+
+Start-up loads only what every subcommand shares: the expansion,
+instance-family and verify modules are imported by the subcommands that
+use them, and numpy by the first 2^n scan or ``Rule``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .dynamics import Rule, default_guard, limit_cycle
 from .enumeration import (
     DEFAULT_GUARD_N,
@@ -30,13 +33,6 @@ from .errors import (
     ResourceLimitError,
     ThresholdLabError,
 )
-from .expansions import (
-    bipartite_expansion,
-    integer_weights_to_unit,
-    remove_constant_node,
-    remove_self_loops,
-    symmetric_expansion,
-)
 from .graph_core import (
     format_profile,
     instance_from_dict,
@@ -44,7 +40,6 @@ from .graph_core import (
     parse_profile,
     types_to_thresholds,
 )
-from .instances import classify_family
 from .reductions import (
     count_sat,
     fix_reduction,
@@ -126,6 +121,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .expansions import (
+        bipartite_expansion,
+        integer_weights_to_unit,
+        remove_constant_node,
+        remove_self_loops,
+        symmetric_expansion,
+    )
+
     g, k = _load_instance(args.input)
     if args.kind == "bipartite":
         res = bipartite_expansion(g, k)
@@ -224,6 +227,8 @@ def _cmd_resilience(args) -> int:
             }
         )
     elif args.mode == "closed-form":
+        from .instances import classify_family
+
         family = classify_family(g)
         if family is None:
             raise InputError("closed-form mode needs a star, path, cycle, or complete graph")
@@ -235,7 +240,9 @@ def _cmd_resilience(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(seed=args.seed, guard_n=args.guard_n)
+    from .verify import run_all
+
+    results = run_all(seed=args.seed, guard_n=args.guard_n)
     failures = 0
     for name, ok, detail in results:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"

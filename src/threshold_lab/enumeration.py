@@ -8,16 +8,15 @@ table once (4 bytes per profile) and derives fixed points, 2-cycles,
 witnesses and the period check from it; predecessor and reachability
 scans stream the kernel chunk by chunk and never hold the table.
 Fixed-point counting also has a depth-first backtracking path that
-scales past the scan limit on gadget-shaped graphs.
+scales past the scan limit on gadget-shaped graphs. numpy is imported
+by the scan entry points, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     BadParameterError,
@@ -26,6 +25,9 @@ from .errors import (
     InvariantViolationError,
 )
 from .graph_core import Graph, build_graph, two_partition, validate_profile, validate_thresholds
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_GUARD_N = 24
 MAX_SCAN_N = 32  # the width of a uint32 profile word; no guard setting lifts it
@@ -95,6 +97,8 @@ def _steps(
     the generator fills the table; otherwise succ is one buffer reused
     for every chunk.
     """
+    import numpy as np
+
     n = g.n
     total = 1 << n
     masks = [np.uint32(m) for m in g.neighbor_masks]
@@ -123,6 +127,8 @@ def _steps(
 
 
 def _successor_table(g: Graph, k: Sequence[int]) -> np.ndarray:
+    import numpy as np
+
     table = np.empty(1 << g.n, dtype=np.uint32)
     for _ in _steps(g, k, table):
         pass
@@ -132,7 +138,7 @@ def _successor_table(g: Graph, k: Sequence[int]) -> np.ndarray:
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     # mode="clip" writes straight into out; the default mode="raise"
     # buffers the whole result first. Indices are profiles, always in range.
-    return np.take(table, index, out=out, mode="clip")
+    return table.take(index, out=out, mode="clip")
 
 
 def enumerate_limits(
@@ -153,6 +159,8 @@ def enumerate_limits(
     some transient is longer than one step, one more array of its size:
     8 bytes per profile.
     """
+    import numpy as np
+
     k = validate_thresholds(g, k)
     check_scan_size(g.n, guard_n)
     table = _successor_table(g, k)
@@ -211,6 +219,8 @@ def _assert_period_at_most_two(table: np.ndarray) -> None:
     cycle, where f^2 fixes no point. Every transient is shorter than
     2^n, so without such a cycle round n passes.
     """
+    import numpy as np
+
     total = table.size
     n = total.bit_length() - 1
     limit = table.copy()
@@ -363,6 +373,8 @@ def predecessors(
     g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
 ) -> tuple[int, ...]:
     """All profiles b with step(b) == a, by scanning the 2^n space."""
+    import numpy as np
+
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
     check_scan_size(g.n, guard_n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -135,6 +135,14 @@ def build_graph(
         if i in loop_of:
             raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
         loop_of[i] = w
+    if require_connected and len(weight_of) < n - 1:
+        # too few edges to connect n nodes: refuse from the edge rows
+        # alone, so a huge n with few edges allocates nothing per node
+        sparse = defaultdict(list)
+        for i, j in weight_of:
+            sparse[i].append(j)
+            sparse[j].append(i)
+        _check_connected(n, sparse)
     canon = sorted(weight_of)
     adj = [[] for _ in range(n)]
     for i, j in canon:
@@ -142,9 +150,7 @@ def build_graph(
         adj[j].append(i)
     adjacency = tuple(tuple(sorted(a)) for a in adj)
     if require_connected:
-        unreached = _first_unreached(n, adjacency)
-        if unreached is not None:
-            raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
+        _check_connected(n, adjacency)
     masks = tuple(sum(1 << j for j in nbrs) for nbrs in adjacency)
     degrees = tuple(len(nbrs) for nbrs in adjacency)
     return Graph(
@@ -168,20 +174,22 @@ def _fields(row, widths: tuple[int, ...], what: str) -> list:
     return fields
 
 
-def _first_unreached(n: int, adjacency) -> int | None:
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
+def _check_connected(n: int, adj) -> None:
+    """Raise DisconnectedError naming the smallest node that node 0 does
+    not reach. ``adj[u]`` lists u's neighbors: a per-node sequence, or a
+    defaultdict holding only the nodes on some edge. Work and memory are
+    linear in the nodes reached."""
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
                 queue.append(v)
-    for v in range(n):
-        if not seen[v]:
-            return v
-    return None
+    if len(seen) < n:
+        # the smallest unreached node is at most len(seen)
+        unreached = next(v for v in range(n) if v not in seen)
+        raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
 
 
 def as_int(x, what: str) -> int:

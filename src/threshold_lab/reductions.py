@@ -9,13 +9,13 @@ structure encodes satisfying assignments:
 
 Node ids are assigned in a documented, byte-reproducible order and each
 builder returns a human-readable label per node. Literals are DIMACS
-style: +-(variable index + 1), negation only in 3-CNF.
+style: +-(variable index + 1), negation only in 3-CNF. ``count_sat``
+imports numpy when it runs, not when this module is imported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
 from .enumeration import DEFAULT_GUARD_N, _chunks, check_scan_size, predecessors
 from .errors import (
@@ -104,6 +104,8 @@ def formula_from_dict(d: dict) -> Formula:
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     """Exact model count by scanning all 2^n assignments, one chunk of
     consecutive assignments at a time."""
+    import numpy as np
+
     n = f.num_vars
     check_scan_size(n, guard_n)
     is_dnf = f.variant == MONOTONE_2DNF

@@ -1,0 +1,45 @@
+"""The summarising step of tools/bench_pairs.py, on made-up run results."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def pair(seed, first, parent, change):
+    return {"seed": seed, "first": first, "parent": parent, "change": change}
+
+
+def test_summary_counts_wins_in_the_better_direction():
+    pairs = [
+        pair(1, "parent", {"jobs_per_s": 2.0, "job_s_p50": 0.30, "ok_frac": 1.0},
+             {"jobs_per_s": 3.0, "job_s_p50": 0.20, "ok_frac": 1.0}),
+        pair(2, "change", {"jobs_per_s": 2.5, "job_s_p50": 0.25, "ok_frac": 1.0},
+             {"jobs_per_s": 2.4, "job_s_p50": 0.20, "ok_frac": 1.0}),
+        pair(3, "parent", {"jobs_per_s": 2.2, "job_s_p50": 0.35, "ok_frac": 1.0},
+             {"jobs_per_s": 4.0, "job_s_p50": 0.35, "ok_frac": 0.5}),
+    ]
+    better = {"jobs_per_s": "higher", "job_s_p50": "lower", "ok_frac": "higher"}
+    s = bench_pairs.summarize(pairs, better)
+    assert (s["pairs"], s["runs_per_side"], s["seeds"]) == (3, 3, [1, 2, 3])
+    assert s["runs"] == pairs
+    m = s["metrics"]
+    assert m["jobs_per_s"]["change_wins"] == 2
+    assert m["job_s_p50"]["change_wins"] == 2  # the tie in pair 3 counts for neither
+    assert m["ok_frac"]["change_wins"] == 0
+    assert m["jobs_per_s"]["better"] == "higher"
+    assert m["jobs_per_s"]["parent"] == {"median": 2.2, "q1": 2.1, "q3": 2.35}
+    assert m["jobs_per_s"]["change"] == {"median": 3.0, "q1": 2.7, "q3": 3.5}
+    assert m["ok_frac"]["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.0}
+
+
+def test_quartiles_of_one_run():
+    assert bench_pairs.quartiles([0.123456]) == {"median": 0.1235, "q1": 0.1235, "q3": 0.1235}
+
+
+def test_quartiles_round_to_four_places():
+    q = bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert q == {"median": 3.0, "q1": 2.0, "q3": 4.0}

@@ -187,6 +187,11 @@ class TestEnumerate:
             assert main(["enumerate", "--input", path]) == 2
             assert "must be" in capsys.readouterr().err
 
+    def test_huge_edgeless_instance_is_input_error(self, capsys, tmp_path):
+        path = write(tmp_path / "big.json", {"n": 300000, "edges": [], "thresholds": [0]})
+        assert main(["enumerate", "--input", path]) == 2
+        assert "node 1 unreachable" in capsys.readouterr().err
+
 
 class TestExpand:
     def test_bipartite(self, capsys, triangle_file):
@@ -432,7 +437,9 @@ class TestDeterminism:
 
 def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename
-    must fail here, not only in the benchmark."""
+    must fail here, not only in the benchmark. Start-up stays lean: the
+    CLI import, resilience in every mode, the bipartite expansion and the
+    loader never load numpy, and the CLI import loads no leaf module."""
     import os
     import subprocess
     import sys
@@ -446,9 +453,60 @@ def test_benchmark_input_loader_runs(tmp_path):
                                     "self_loops": [[1, 3]], "thresholds": [0, -1]}),
         write(tmp_path / "f.json", {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]}),
     ]
+    star = write(tmp_path / "star.json",
+                 {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "thresholds": [1, 1, 1, 1]})
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "load_inputs.py"), *files],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+
+    def python(*args):
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    heavy = ("numpy", "networkx", "threshold_lab.verify", "threshold_lab.expansions",
+             "threshold_lab.instances")
+    loaded = python("-c", f"import sys, threshold_lab.cli; "
+                          f"print([m for m in {heavy!r} if m in sys.modules])")
+    assert loaded.strip() == "[]"
+
+    runs = [["resilience", "--input", star, "--K", "1", "--mode", mode]
+            for mode in ("brute", "greedy", "closed-form")]
+    runs.append(["expand", "--input", star, "--kind", "bipartite"])
+    probe = ("import contextlib, io, sys\n"
+             "from threshold_lab.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(code, 'numpy' in sys.modules)\n")
+    for argv in runs:
+        assert python("-c", probe, *argv).split() == ["0", "False"], argv
+
+    loader = root / "perfbench" / "load_inputs.py"
+    probe = (f"import runpy, sys; sys.argv = sys.argv[1:]; "
+             f"runpy.run_path(sys.argv[0], run_name='__main__'); print('numpy' in sys.modules)")
+    assert python("-c", probe, str(loader), *files).strip() == "False"
+
+
+def test_package_exports_resolve_lazily():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import threshold_lab
+
+    assert len(set(threshold_lab.__all__)) == len(threshold_lab.__all__)
+    for name in threshold_lab.__all__:
+        assert getattr(threshold_lab, name) is not None, name
+    listed = set(dir(threshold_lab))
+    assert listed >= set(threshold_lab.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        threshold_lab.no_such_name
+    # a fresh interpreter: the package import loads no submodule, and a
+    # submodule named in the export table is an attribute of the package
+    probe = ("import sys, threshold_lab as t; "
+             "print(sorted(m for m in sys.modules if m.startswith('threshold_lab.')), "
+             "t.resilience.__name__)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert out.stdout.split() == ["[]", "threshold_lab.resilience"], out.stderr

@@ -52,6 +52,37 @@ class TestBuildGraph:
         with pytest.raises(DisconnectedError, match="node 2"):
             build_graph(3, [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "d",
+        [{"n": 300000, "edges": [], "thresholds": [0]}, {"n": 300000, "weighted_edges": []}],
+        ids=["unweighted", "weighted"],
+    )
+    def test_too_few_edges_rejected_before_per_node_work(self, d):
+        # fewer than n - 1 edges cannot connect n nodes, so a tiny file
+        # must not cost memory linear in n before it is refused
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError, match="node 1 unreachable"):
+                instance_from_dict(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_too_few_edges_names_the_smallest_unreached_node(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, n - 2))
+            reached = {0}
+            for _ in range(n):
+                reached |= {v for e in edges if reached & set(e) for v in e}
+            with pytest.raises(DisconnectedError, match=f"node {min(set(range(n)) - reached)} "):
+                build_graph(n, edges)
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError, match="node 1"):
             build_graph(3, [(0, 1), (1, 1), (1, 2)])
