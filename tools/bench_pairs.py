@@ -1,24 +1,22 @@
 """Paired parent/change benchmark runs, summarised into a BENCH_<pr>.json record.
 
     python3 tools/bench_pairs.py --pr 9 --parent HEAD~1 --change HEAD \
-        --workloads resilience --seeds 931 932 933 934 935 936 937 938 939 940 \
-        --trace-seed 7 --what "one line on what the change does"
+        --seeds 931 932 933 934 935 936 937 938 939 940 --trace-seed 7 \
+        --what "one line on what the change does"
 
 Both commits are extracted with ``git archive`` into a temporary
-directory. For every workload and seed, each checkout runs
+directory. For every workload of ``BENCHMARK.json`` and every seed, each
+checkout runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
-once; the pair alternates which side runs first. The end-to-end metrics
+once, with the run length ``BENCHMARK.json`` sets; the pair alternates which side runs first. The end-to-end metrics
 of every run are kept under ``runs``, and each metric is summarised per
 side as median and quartiles, with ``change_wins``: the pairs in which
 the change is strictly better in the direction ``BENCHMARK.json`` gives.
 With ``--trace-seed`` each checkout also makes one traced run per
-workload, whose non-zero per-layer metrics are recorded.
-
-Running again with the same parent and change replaces the workloads it
-runs and keeps the others in the record, so workloads may be measured
-with different numbers of seeds. Any failed run stops the tool.
+workload, whose non-zero per-layer metrics are recorded. Any failed run
+stops the tool.
 """
 
 from __future__ import annotations
@@ -102,39 +100,35 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json at the repo root")
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["census", "trajectories", "counting", "resilience"])
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace-seed", type=int, default=None)
-    ap.add_argument("--what", default=None, help="what the change does (kept from an earlier run)")
+    ap.add_argument("--what", required=True, help="one line on what the change does")
     args = ap.parse_args(argv)
 
     shas = {side: _git("rev-parse", f"{ref}^{{commit}}").decode().strip()
             for side, ref in zip(SIDES, (args.parent, args.change))}
-    out = ROOT / f"BENCH_{args.pr}.json"
-    record = json.loads(out.read_text()) if out.exists() else {}
-    if (record.get("parent_sha"), record.get("change_sha")) != (shas["parent"], shas["change"]):
-        record = {}
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    record = {"what": args.what, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             extract(shas[side], dirs[side])
         machine = None
-        for workload in args.workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side], machine = bench(dirs[side], workload, seed, args.seconds, 0)
+                    pair[side], machine = bench(dirs[side], workload, seed, seconds, 0)
                     print(f"{workload} seed {seed} {side}: jobs_per_s {pair[side]['jobs_per_s']:.4g}",
                           file=sys.stderr)
                 pairs.append(pair)
-            record.setdefault("workloads", {})[workload] = summarize(pairs, better)
+            record["workloads"][workload] = summarize(pairs, better)
             if args.trace_seed is not None:
-                traced = {side: bench(dirs[side], workload, args.trace_seed, args.seconds, 1)[0]
+                traced = {side: bench(dirs[side], workload, args.trace_seed, seconds, 1)[0]
                           for side in SIDES}
                 keep = sorted(k for k in traced["parent"]
                               if traced["parent"][k] or traced["change"].get(k))
@@ -146,15 +140,13 @@ def main(argv=None) -> int:
         parent_sha=shas["parent"],
         change_sha=shas["change"],
         machine=machine,
-        method=(f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+        method=(f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                 "--trace 0 in fresh git-archive checkouts of both commits; parent and change "
                 "alternate which runs first in each pair; medians and inclusive quartiles are "
                 "over the runs of one side; change_wins counts pairs where the change is "
                 "strictly better"),
     )
-    if args.what:
-        record["what"] = args.what
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 
