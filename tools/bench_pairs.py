@@ -1,6 +1,6 @@
 """Paired parent/change benchmark runs, summarised into a BENCH_<pr>.json record.
 
-    python3 tools/bench_pairs.py --pr 9 --parent HEAD~1 --change HEAD \
+    python3 tools/bench_pairs.py --pr N --parent HEAD~1 --change HEAD \
         --seeds 931 932 933 934 935 936 937 938 939 940 --trace-seed 7 \
         --what "one line on what the change does"
 
