@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -135,22 +135,18 @@ def build_graph(
         if i in loop_of:
             raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
         loop_of[i] = w
-    if require_connected and len(weight_of) < n - 1:
-        # too few edges to connect n nodes: refuse from the edge rows
-        # alone, so a huge n with few edges allocates nothing per node
-        sparse = defaultdict(list)
-        for i, j in weight_of:
-            sparse[i].append(j)
-            sparse[j].append(i)
-        _check_connected(n, sparse)
+    # neighbors of the nodes on some edge only: connectivity is checked
+    # on this before anything is allocated per node, so a huge n with
+    # few edges is refused at a cost linear in the edge rows
     canon = sorted(weight_of)
-    adj = [[] for _ in range(n)]
+    nbrs_of: dict[int, list[int]] = {}
     for i, j in canon:
-        adj[i].append(j)
-        adj[j].append(i)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
+        nbrs_of.setdefault(i, []).append(j)
+        nbrs_of.setdefault(j, []).append(i)
     if require_connected:
-        _check_connected(n, adjacency)
+        _check_connected(n, nbrs_of)
+    # canon is sorted, so every neighbor list is built in ascending order
+    adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
     masks = tuple(sum(1 << j for j in nbrs) for nbrs in adjacency)
     degrees = tuple(len(nbrs) for nbrs in adjacency)
     return Graph(
@@ -174,15 +170,15 @@ def _fields(row, widths: tuple[int, ...], what: str) -> list:
     return fields
 
 
-def _check_connected(n: int, adj) -> None:
+def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
     """Raise DisconnectedError naming the smallest node that node 0 does
-    not reach. ``adj[u]`` lists u's neighbors: a per-node sequence, or a
-    defaultdict holding only the nodes on some edge. Work and memory are
-    linear in the nodes reached."""
+    not reach. ``nbrs_of`` holds the neighbor lists of the nodes on some
+    edge only. Work and memory are linear in the nodes reached and their
+    edges."""
     seen = {0}
     queue = [0]
     for u in queue:
-        for v in adj[u]:
+        for v in nbrs_of.get(u, ()):
             if v not in seen:
                 seen.add(v)
                 queue.append(v)

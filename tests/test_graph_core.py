@@ -71,15 +71,27 @@ class TestBuildGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_too_few_edges_names_the_smallest_unreached_node(self):
+    def test_disconnected_with_enough_edges_rejected(self):
+        # a triangle plus an isolated node: n - 1 edges, still disconnected
+        with pytest.raises(DisconnectedError, match="node 3 unreachable"):
+            build_graph(4, [(0, 1), (1, 2), (0, 2)])
+
+    def test_random_graphs_against_brute_force(self):
+        # a disconnected graph names the smallest node that node 0 does
+        # not reach; a connected one gets sorted neighbor lists
         rng = random.Random(7)
-        for _ in range(300):
+        for _ in range(600):
             n = rng.randint(2, 9)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            edges = rng.sample(pairs, rng.randint(0, n - 2))
+            edges = [e[::-1] if rng.random() < 0.5 else e
+                     for e in rng.sample(pairs, rng.randint(0, len(pairs)))]
             reached = {0}
             for _ in range(n):
                 reached |= {v for e in edges if reached & set(e) for v in e}
+            if len(reached) == n:
+                nbrs = [sorted(v for e in edges if u in e for v in e if v != u) for u in range(n)]
+                assert build_graph(n, edges).adjacency == tuple(map(tuple, nbrs))
+                continue
             with pytest.raises(DisconnectedError, match=f"node {min(set(range(n)) - reached)} "):
                 build_graph(n, edges)
 

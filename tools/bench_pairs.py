@@ -1,7 +1,7 @@
 """Paired parent/change benchmark runs, summarised into a BENCH_<pr>.json record.
 
     python3 tools/bench_pairs.py --pr N --parent HEAD~1 --change HEAD \
-        --seeds 931 932 933 934 935 936 937 938 939 940 --trace-seed 7 \
+        --seeds 931 932 933 934 935 936 937 938 939 940 \
         --what "one line on what the change does"
 
 Both commits are extracted with ``git archive`` into a temporary
@@ -14,9 +14,9 @@ once, with the run length ``BENCHMARK.json`` sets; the pair alternates which sid
 of every run are kept under ``runs``, and each metric is summarised per
 side as median and quartiles, with ``change_wins``: the pairs in which
 the change is strictly better in the direction ``BENCHMARK.json`` gives.
-With ``--trace-seed`` each checkout also makes one traced run per
-workload, whose non-zero per-layer metrics are recorded. Any failed run
-stops the tool.
+Each checkout also makes one traced run per workload at seed 7, the
+seed of every traced comparison in the project's notes, and its non-zero
+per-layer metrics are recorded. Any failed run stops the tool.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SEED = 7
 
 
 def quartiles(values: list[float]) -> dict:
@@ -101,7 +102,6 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
-    ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--what", required=True, help="one line on what the change does")
     args = ap.parse_args(argv)
 
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = {"what": args.what, "workloads": {}}
+    record = {"what": args.what, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -127,14 +127,13 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                 pairs.append(pair)
             record["workloads"][workload] = summarize(pairs, better)
-            if args.trace_seed is not None:
-                traced = {side: bench(dirs[side], workload, args.trace_seed, seconds, 1)[0]
-                          for side in SIDES}
-                keep = sorted(k for k in traced["parent"]
-                              if traced["parent"][k] or traced["change"].get(k))
-                record.setdefault(f"traced_seed{args.trace_seed}", {})[workload] = {
-                    side: {k: round(traced[side].get(k, 0.0), 6) for k in keep} for side in SIDES
-                }
+            traced = {side: bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0]
+                      for side in SIDES}
+            keep = sorted(k for k in traced["parent"]
+                          if traced["parent"][k] or traced["change"].get(k))
+            record[f"traced_seed{TRACE_SEED}"][workload] = {
+                side: {k: round(traced[side].get(k, 0.0), 6) for k in keep} for side in SIDES
+            }
     machine = {k: v for k, v in machine.items() if k not in ("git_sha", "src_sha256")}
     record.update(
         parent_sha=shas["parent"],
