@@ -7,14 +7,17 @@ buffers allocated once per scan. The census builds the full successor
 table once (4 bytes per profile) and derives fixed points, 2-cycles,
 witnesses and the period check from it; predecessor and reachability
 scans stream the kernel chunk by chunk and never hold the table.
-Fixed-point counting also has a depth-first backtracking path that
-scales past the scan limit on gadget-shaped graphs. numpy is imported
-by the scan entry points, so importing this module does not load it.
+numpy is imported by the scan entry points, so importing this module
+does not load it.
+
+Fixed points can also be counted without a scan, in pure Python: a
+depth-first search that propagates each node's threshold constraint
+after every assignment. It scales past the scan limit on gadget-shaped
+graphs and never loads numpy.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -256,113 +259,120 @@ def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD
 
 
 def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
-    """Exact fixed-point count by depth-first assignment with pruning.
+    """Exact fixed-point count by depth-first search with constraint
+    propagation.
 
-    Fixed points are profiles where every node i satisfies
-    a_i = [B-neighbor count >= k_i]. Assigning nodes in breadth-first
-    order, a partial profile is pruned as soon as some assigned node can
-    no longer meet (or already exceeds) its constraint, and nodes whose
-    neighborhoods are fully decided get their value forced. Scales well
-    past the 2^n scan on gadget-shaped graphs.
+    Fixed points are profiles where every node u satisfies
+    a_u = [B-neighbor count >= k_u]. For each node, lo counts its B
+    neighbors and hi adds its unassigned ones. After every assignment
+    the rules below run on the assigned node and its neighbors until
+    nothing changes:
+
+      unassigned, lo >= k        forced B
+      unassigned, hi < k         forced W
+      B, hi < k                  contradiction
+      B, hi == k                 every unassigned neighbor forced B
+      W, lo >= k                 contradiction
+      W, lo == k - 1             every unassigned neighbor forced W
+
+    Propagation starts from the nodes that thresholds alone decide
+    (k = 0 is B, k > d is W). The search branches on the unassigned node
+    with the most assigned neighbors, ties going to the higher degree,
+    then the lower id, and runs on an explicit stack, so its depth is
+    not bounded by the interpreter's recursion limit. Scales well past
+    the 2^n scan on gadget-shaped graphs.
     """
     k = validate_thresholds(g, k)
     n = g.n
-    order = _bfs_order(g)
+    adjacency = g.adjacency
+    degrees = g.degrees
+    value = [-1] * n  # -1 unassigned, 0 W, 1 B
+    lo = [0] * n  # assigned B neighbors
+    free = list(degrees)  # unassigned neighbors; hi = lo + free
 
-    value = [-1] * n  # -1 unassigned
-    cnt_b = [0] * n  # assigned B neighbors
-    rem = list(g.degrees)  # unassigned neighbors
-
-    def violated(u: int) -> bool:
-        if value[u] == 1:
-            return cnt_b[u] + rem[u] < k[u]
-        if value[u] == 0:
-            return cnt_b[u] >= k[u]
-        return False
-
-    def assign(u: int, val: int, trail: list) -> bool:
-        # Returns False on contradiction; the trail records assigned nodes
-        # so undo can reverse their counter updates. Counter updates for a
-        # node are applied atomically before any violation check, keeping
-        # the trail consistent on failure.
-        queue = [(u, val)]
-        while queue:
-            v, b = queue.pop()
+    def assign(pending: list[tuple[int, int]], trail: list[int]) -> bool:
+        # Returns False on contradiction. The trail records every node
+        # assigned, so undo can reverse its counter updates; a node's
+        # updates are applied whole before any rule runs.
+        while pending:
+            v, b = pending.pop()
             if value[v] != -1:
                 if value[v] != b:
                     return False
                 continue
             value[v] = b
             trail.append(v)
-            for w_ in g.adjacency[v]:
-                rem[w_] -= 1
+            nbrs = adjacency[v]
+            for w in nbrs:
+                free[w] -= 1
                 if b:
-                    cnt_b[w_] += 1
-            if violated(v):
-                return False
-            for w_ in g.adjacency[v]:
-                if violated(w_):
-                    return False
-                if value[w_] == -1 and rem[w_] == 0:
-                    queue.append((w_, 1 if cnt_b[w_] >= k[w_] else 0))
+                    lo[w] += 1
+            for u in (v, *nbrs):
+                val, l, ku = value[u], lo[u], k[u]
+                h = l + free[u]
+                if val == -1:
+                    if l >= ku:
+                        pending.append((u, 1))
+                    elif h < ku:
+                        pending.append((u, 0))
+                elif val == 1:
+                    if h < ku:
+                        return False
+                    if h == ku and free[u]:
+                        pending.extend((w, 1) for w in adjacency[u] if value[w] == -1)
+                else:
+                    if l >= ku:
+                        return False
+                    if l == ku - 1 and free[u]:
+                        pending.extend((w, 0) for w in adjacency[u] if value[w] == -1)
         return True
 
-    def undo(trail: list) -> None:
+    def undo(trail: list[int]) -> None:
         for v in reversed(trail):
             b = value[v]
             value[v] = -1
-            for w_ in g.adjacency[v]:
-                rem[w_] += 1
+            for w in adjacency[v]:
+                free[w] += 1
                 if b:
-                    cnt_b[w_] -= 1
+                    lo[w] -= 1
 
-    def first_unassigned() -> int:
-        for v in order:
+    width = max(degrees) + 1
+
+    def branch_node() -> int:
+        best, best_key = -1, -1
+        for v in range(n):
             if value[v] == -1:
-                return v
-        return -1
+                key = (degrees[v] - free[v]) * width + degrees[v]
+                if key > best_key:
+                    best, best_key = v, key
+        return best
 
-    def search() -> int:
-        u = first_unassigned()
-        if u == -1:
-            return 1
-        total = 0
-        for val in (0, 1):
-            trail: list = []
-            if assign(u, val, trail):
-                total += search()
+    decided = [(v, 1) for v in range(n) if k[v] == 0]
+    decided += [(v, 0) for v in range(n) if k[v] > degrees[v]]
+    if not assign(decided, []):
+        return 0
+    u = branch_node()
+    if u == -1:
+        return 1
+    count = 0
+    stack = [[u, 0, None]]  # frames: [node, next value, trail of the value tried last]
+    while stack:
+        frame = stack[-1]
+        u, b, trail = frame
+        if trail is not None:
             undo(trail)
-        return total
-
-    # Each branching node adds a Python frame, so an instance needing more
-    # branching levels than the interpreter's recursion limit cannot run.
-    try:
-        return search()
-    except RecursionError:
-        raise GuardExceededError(
-            f"backtracking on {n} nodes needs a search depth beyond Python's "
-            f"recursion limit of {sys.getrecursionlimit()} frames"
-        ) from None
-
-
-def _bfs_order(g: Graph) -> list[int]:
-    from collections import deque
-
-    seen = [False] * g.n
-    order = []
-    for start in range(g.n):
-        if seen[start]:
+        if b > 1:
+            stack.pop()
             continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return order
+        trail = []
+        frame[1], frame[2] = b + 1, trail
+        if assign([(u, b)], trail):
+            v = branch_node()
+            if v == -1:
+                count += 1
+            else:
+                stack.append([v, 0, None])
+    return count
 
 
 # ---------------------------------------------------------------------------

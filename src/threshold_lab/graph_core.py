@@ -17,6 +17,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,7 +41,8 @@ class Graph:
 
     ``edges`` is the canonical sorted list of pairs (i, j) with i < j,
     ``adjacency`` holds sorted neighbor tuples, and ``neighbor_masks[i]``
-    is the bitmask of node i's neighborhood for bit-count updates.
+    is the bitmask of node i's neighborhood for bit-count updates,
+    computed on first use (n masks of n bits each).
     ``weights`` is None for an unweighted graph; otherwise it holds the
     nonzero integer weight of each edge, aligned with ``edges``, and
     ``loops`` the (node, nonzero weight) self-loops sorted by node.
@@ -50,10 +52,13 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    neighbor_masks: tuple[int, ...]
     degrees: tuple[int, ...]
     weights: tuple[int, ...] | None = None
     loops: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << j for j in nbrs) for nbrs in self.adjacency)
 
     @property
     def num_edges(self) -> int:
@@ -147,13 +152,11 @@ def build_graph(
         _check_connected(n, nbrs_of)
     # canon is sorted, so every neighbor list is built in ascending order
     adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
-    masks = tuple(sum(1 << j for j in nbrs) for nbrs in adjacency)
     degrees = tuple(len(nbrs) for nbrs in adjacency)
     return Graph(
         n=n,
         edges=tuple(canon),
         adjacency=adjacency,
-        neighbor_masks=masks,
         degrees=degrees,
         weights=tuple(weight_of[e] for e in canon) if weighted else None,
         loops=tuple(sorted(loop_of.items())),

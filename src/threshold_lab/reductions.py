@@ -10,14 +10,14 @@ structure encodes satisfying assignments:
 Node ids are assigned in a documented, byte-reproducible order and each
 builder returns a human-readable label per node. Literals are DIMACS
 style: +-(variable index + 1), negation only in 3-CNF. ``count_sat``
-imports numpy when it runs, not when this module is imported.
+counts on Python-int truth tables and never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import DEFAULT_GUARD_N, _chunks, check_scan_size, predecessors
+from .enumeration import DEFAULT_GUARD_N, check_scan_size, predecessors
 from .errors import (
     BadParameterError,
     InconsistentCountError,
@@ -30,6 +30,7 @@ THREE_CNF = "3cnf"
 MONOTONE_2CNF = "monotone-2cnf"
 
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
+_SAT_BLOCK_BITS = 16  # count_sat evaluates 2^16 assignments per block
 
 
 @dataclass(frozen=True)
@@ -102,32 +103,39 @@ def formula_from_dict(d: dict) -> Formula:
 
 
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
-    """Exact model count by scanning all 2^n assignments, one chunk of
-    consecutive assignments at a time."""
-    import numpy as np
+    """Exact model count over all 2^n assignments, on bit-sliced truth
+    tables.
 
+    Assignments run in blocks of 2^w, w = min(n, _SAT_BLOCK_BITS). In a
+    block, variable j < w is a 2^w-bit column whose bit x is bit j of x;
+    a variable j >= w is constant over the block, all ones or all zeros.
+    Clauses combine columns with & and |, negation is ^ full, and each
+    block's models are counted with int.bit_count.
+    """
     n = f.num_vars
     check_scan_size(n, guard_n)
+    w = min(n, _SAT_BLOCK_BITS)
+    full = (1 << (1 << w)) - 1
+    low = []
+    for j in range(w):
+        # 2^j zeros then 2^j ones, doubled until it spans the block
+        col, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while span < 1 << w:
+            col |= col << span
+            span *= 2
+        low.append(col)
     is_dnf = f.variant == MONOTONE_2DNF
-
-    def clause_value(assigns, clause):
-        lits = []
-        for lit in clause:
-            bit = ((assigns >> np.uint32(abs(lit) - 1)) & 1).astype(bool)
-            lits.append(bit if lit > 0 else ~bit)
-        acc = lits[0]
-        for other in lits[1:]:
-            acc = (acc & other) if is_dnf else (acc | other)
-        return acc
-
     count = 0
-    for lo, hi in _chunks(1 << n):
-        assigns = np.arange(lo, hi, dtype=np.uint32)
-        total = clause_value(assigns, f.clauses[0])
-        for clause in f.clauses[1:]:
-            cv = clause_value(assigns, clause)
-            total = (total | cv) if is_dnf else (total & cv)
-        count += int(np.count_nonzero(total))
+    for block in range(1 << (n - w)):
+        cols = low + [full if block >> i & 1 else 0 for i in range(n - w)]
+        total = 0 if is_dnf else full
+        for clause in f.clauses:
+            acc = full if is_dnf else 0
+            for lit in clause:
+                col = cols[lit - 1] if lit > 0 else cols[-lit - 1] ^ full
+                acc = (acc & col) if is_dnf else (acc | col)
+            total = (total | acc) if is_dnf else (total & acc)
+        count += total.bit_count()
     return count
 
 
@@ -327,6 +335,10 @@ def reachable_pred_reduction(
         raise BadParameterError(f"reachable_pred_reduction needs a {MONOTONE_2CNF} formula")
     n, m = f.num_vars, len(f.clauses)
     size = n + m + 1
+    # both scans are refused before the gadget is built
+    check_scan_size(n, guard_n)
+    if measure:
+        check_scan_size(size, guard_n)
     d = n + m
     labels = (
         [f"v_x{p + 1}" for p in range(n)] + [f"u_c{c + 1}" for c in range(m)] + ["d"]

@@ -323,6 +323,23 @@ class TestReduce:
         assert out["measured_predecessors"] == 9
         assert "discrepancy" in out
 
+    def test_reachable_pred_guard_before_build(self, capsys, tmp_path):
+        # 200,000 declared variables, one used: the 2^n scans are refused
+        # before any of the 200,002 gadget nodes is built
+        import tracemalloc
+
+        path = write(tmp_path / "wide.json",
+                     {"variant": "monotone-2cnf", "n": 200000, "clauses": [[1]]})
+        tracemalloc.start()
+        try:
+            code = main(["reduce", "--formula", path, "--kind", "reachable-pred", "--verify"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "exceeds 32" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     def test_bad_formula_exit(self, capsys, tmp_path):
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
@@ -438,8 +455,9 @@ class TestDeterminism:
 def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename
     must fail here, not only in the benchmark. Start-up stays lean: the
-    CLI import, resilience in every mode, the bipartite expansion and the
-    loader never load numpy, and the CLI import loads no leaf module."""
+    CLI import, resilience in every mode, the bipartite expansion,
+    ``reduce --kind fix --verify`` and the loader never load numpy, and
+    the CLI import loads no leaf module."""
     import os
     import subprocess
     import sys
@@ -479,6 +497,18 @@ def test_benchmark_input_loader_runs(tmp_path):
              "print(code, 'numpy' in sys.modules)\n")
     for argv in runs:
         assert python("-c", probe, *argv).split() == ["0", "False"], argv
+    # the fixed-point count and the model count of a fix job are pure Python
+    probe = ("import json, sys\n"
+             "from threshold_lab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, 'numpy' in sys.modules]))\n")
+    out = python("-c", probe, "reduce", "--formula", files[3], "--kind", "fix", "--verify")
+    *result, flags = out.splitlines()
+    assert json.loads(flags) == [0, False]
+    assert json.loads("\n".join(result))["verification"] == {
+        "fixed_points": 18, "match": True, "oracle_sat": 1,
+        "recovered_nsat": 3, "recovered_sat": 1,
+    }
 
     loader = root / "perfbench" / "load_inputs.py"
     probe = (f"import runpy, sys; sys.argv = sys.argv[1:]; "

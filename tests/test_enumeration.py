@@ -2,6 +2,7 @@ import pytest
 
 from threshold_lab import (
     BadParameterError,
+    DisconnectedError,
     GuardExceededError,
     InvariantViolationError,
     NotBipartiteError,
@@ -207,10 +208,30 @@ class TestBacktrackingCounter:
         count = count_fixed_points_backtracking(g, k)
         assert count == 2  # all-W and all-B only, by hand analysis
 
-    def test_recursion_limit_is_guard_error(self):
-        g = path_graph(1200)
-        with pytest.raises(GuardExceededError, match="recursion limit of [0-9]+ frames"):
-            count_fixed_points_backtracking(g, (1,) * g.n)
+    def test_agrees_with_scan_on_pinned_and_disconnected_graphs(self, rng):
+        # n <= 12, any edge density, thresholds from 0 to d + 1: nodes
+        # pinned by their threshold alone, and isolated nodes, seed the
+        # propagation before any branching
+        pinned_b = pinned_w = disconnected = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            g = build_graph(n, edges, require_connected=False)
+            k = random_thresholds(g, rng)
+            census = enumerate_limits(g, k, witnesses=False)
+            assert count_fixed_points_backtracking(g, k) == census.fixed_points, (edges, k)
+            pinned_b += 0 in k
+            pinned_w += any(ki > d for ki, d in zip(k, g.degrees))
+            try:
+                build_graph(n, edges)
+            except DisconnectedError:
+                disconnected += 1
+        assert min(pinned_b, pinned_w, disconnected) > 20
+
+    def test_long_path_needs_no_deep_recursion(self):
+        # one branching level: either value of node 1 forces the whole path
+        assert count_fixed_points_backtracking(path_graph(1200), (1,) * 1200) == 2
 
 
 class TestPredecessors:

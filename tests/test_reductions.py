@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from threshold_lab import (
@@ -111,16 +113,18 @@ class TestCountSat:
     def test_three_cnf_clause(self):
         assert count_sat(Formula(THREE_CNF, 3, ((1, 2, -3),))) == 7
 
-    def test_hard_cap_ignores_guard(self, monkeypatch):
-        import numpy
+    def test_hard_cap_ignores_guard(self):
+        import tracemalloc
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the scan started past the hard cap")
-
-        monkeypatch.setattr(numpy, "arange", unreachable)
         f = Formula(THREE_CNF, 33, ((1,),))
-        with pytest.raises(GuardExceededError, match="exceeds 32"):
-            count_sat(f, guard_n=40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="exceeds 32"):
+                count_sat(f, guard_n=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_matches_independent_counter(self, rng):
         for _ in range(40):
@@ -131,10 +135,10 @@ class TestCountSat:
             assert count_sat(f) == brute_sat_count(f)
 
     def test_chunked_scan_matches_independent_counter(self, rng, monkeypatch):
-        # 16-assignment chunks: every formula with n >= 5 spans several
-        import threshold_lab.enumeration as en
+        # 4-assignment blocks: every formula with n >= 3 spans several
+        import threshold_lab.reductions as red
 
-        monkeypatch.setattr(en, "_CHUNK", 16)
+        monkeypatch.setattr(red, "_SAT_BLOCK_BITS", 2)
         for _ in range(30):
             f = random_3cnf(rng, max_vars=8, max_clauses=6)
             assert count_sat(f) == brute_sat_count(f), f
@@ -191,6 +195,21 @@ class TestFixReduction:
             sat, nsat = recover_sat_count(count, f.num_vars)
             assert sat == brute_sat_count(f)
             assert sat + nsat == 1 << f.num_vars
+
+    @pytest.mark.parametrize("nv, m", [(3, 2), (4, 4)])
+    def test_covering_family_identity(self, nv, m):
+        # every set of m distinct positive 2-clauses covering all nv
+        # variables: the family the benchmark's fix jobs run
+        pairs = list(itertools.combinations(range(1, nv + 1), 2))
+        family = [c for c in itertools.combinations(pairs, m)
+                  if len({v for clause in c for v in clause}) == nv]
+        assert len(family) == {(3, 2): 3, (4, 4): 15}[nv, m]
+        for clauses in family:
+            f = Formula(MONOTONE_2DNF, nv, clauses)
+            gadget = fix_reduction(f)
+            sat = brute_sat_count(f)
+            count = count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
+            assert count == sat + 8 * ((1 << nv) - sat - 1) + 1, clauses
 
     def test_fixed_points_uniform_on_variable_blocks(self):
         # every fixed point colors each s-triple and its y/z occurrences alike
@@ -251,6 +270,21 @@ class TestPredReduction:
             expect_w = 3 * n <= node < 4 * n
             assert ((gadget.target >> node) & 1) == (0 if expect_w else 1)
             assert gadget.thresholds[node] == (2 if expect_w else 1)
+
+    def test_large_gadget_skips_the_neighbor_masks(self):
+        # 40,002 nodes around a hub of degree 20,000: the masks, n bits
+        # per node, are left until a step or a scan asks for them
+        import tracemalloc
+
+        f = Formula(THREE_CNF, 10000, ((1, 2, 3),))
+        tracemalloc.start()
+        try:
+            gadget = pred_reduction(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gadget.graph.n == 40002
+        assert peak < 64 << 20
 
     def test_equivalence_random(self, rng):
         for _ in range(60):
