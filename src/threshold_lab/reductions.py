@@ -30,7 +30,9 @@ THREE_CNF = "3cnf"
 MONOTONE_2CNF = "monotone-2cnf"
 
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
-_SAT_BLOCK_BITS = 16  # count_sat evaluates 2^16 assignments per block
+# count_sat's block width: one 2^16-bit column is 8 KB, so a block stays
+# small while each & or | covers 65,536 assignments
+_SAT_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
