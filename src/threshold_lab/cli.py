@@ -9,7 +9,7 @@ failed energy certificate in simulate).
 
 Start-up loads only what every subcommand shares: the expansion,
 instance-family and verify modules are imported by the subcommands that
-use them, and numpy by the first 2^n scan or ``Rule``.
+use them, and numpy by the first 2^n scan.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .enumeration import (
     DEFAULT_GUARD_N,
     MAX_SCAN_N,
     census_to_dict,
+    check_scan_size,
     enumerate_limits,
 )
 from .errors import (
@@ -48,6 +49,7 @@ from .reductions import (
     reachable_pred_reduction,
     recover_sat_count,
     CPRED_DISCREPANCY_NOTE,
+    THREE_CNF,
 )
 from .enumeration import count_fixed_points_backtracking, is_reachable
 from .resilience import (
@@ -176,6 +178,9 @@ def _cmd_reduce(args) -> int:
                 "match": sat == oracle,
             }
     elif args.kind == "pred":
+        if args.verify and f.variant == THREE_CNF:
+            # the scan below needs the whole gadget; refuse it before the build
+            check_scan_size(4 * f.num_vars + len(f.clauses) + 1, args.guard_n)
         gadget = pred_reduction(f)
         out = instance_to_dict(gadget.graph, gadget.thresholds)
         out["labels"] = list(gadget.labels)

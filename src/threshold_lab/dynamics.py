@@ -17,14 +17,15 @@ plain-Python references:
                  thresholds that may be negative
 
 ``make_step`` is the unit-weight bit-count kernel. ``Rule`` holds any
-weighted rule in numpy CSR arrays; ``limit_cycle`` runs it on a
-vectorized engine that certifies period <= 2 with the Lyapunov energy.
+weighted rule as per-node reader lists; ``limit_cycle`` runs it on a
+frontier engine in Python ints that re-tests only the nodes whose field
+changed and certifies period <= 2 with the Lyapunov energy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BadParameterError,
@@ -42,9 +43,6 @@ from .graph_core import (
     validate_thresholds,
     validate_types,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 StepMap = Callable[[int], int]
 
@@ -141,60 +139,36 @@ def make_step(g: Graph, k: Sequence[int]) -> StepMap:
 
 
 # ---------------------------------------------------------------------------
-# The weighted threshold rule as CSR arrays
+# The weighted threshold rule as reader lists
 
 
 @dataclass(frozen=True, eq=False)
 class Rule:
-    """out_i = [sum_j w_ij x_j + l_i x_i >= k_i] as numpy arrays.
+    """out_i = [sum_j w_ij x_j + l_i x_i >= k_i] on Python ints.
 
-    Row i of the CSR triple (``indptr``, ``indices``, ``weights``) lists
-    node i's neighbors j with their weights w_ij; ``loops`` holds the
-    self-loop weights l_i and ``thresholds`` the k_i. Every rule of this
-    module is one of these: threshold rules have unit weights, type rules
-    go through ``types_to_thresholds``, and the inverted rule has weights
-    -1 and thresholds 1 - k_i.
-
-    The integer arrays are int64 when sum|w_ij| + sum|l_i| + 4 sum|k_i|
-    + 2n < 2^62, a bound under which no prefix sum, field or energy term
-    of ``limit_cycle`` can overflow; otherwise they hold Python ints
-    (dtype object) and the same code runs exactly on them. Build one
-    with ``from_graph``.
+    ``readers[j]`` lists the pairs (i, w_ij) whose field reads x_j, with
+    a self-loop as (j, l_j); ``thresholds`` holds the k_i. Every rule of
+    this module is one of these: threshold rules have unit weights, type
+    rules go through ``types_to_thresholds``, and the inverted rule has
+    weights -1 and thresholds 1 - k_i. Build one with ``from_graph``.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    loops: np.ndarray
-    thresholds: np.ndarray
+    readers: tuple[tuple[tuple[int, int], ...], ...]
+    thresholds: tuple[int, ...]
 
     @classmethod
     def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:
         """The rule of g under thresholds k: unit weights and no self-loops
         on an unweighted graph, the edge and self-loop weights otherwise."""
-        import numpy as np
-
         k = _rule_thresholds(g, k)
-        weight = {}
+        readers: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i, j, w in g.weighted_edges():
-            weight[i, j] = weight[j, i] = w
-        weights = [weight[i, j] for i, nbrs in enumerate(g.adjacency) for j in nbrs]
-        loops = [0] * g.n
+            readers[i].append((j, w))
+            readers[j].append((i, w))
         for i, w in g.loops:
-            loops[i] = w
-        bound = sum(map(abs, weights)) + sum(map(abs, loops)) + 4 * sum(map(abs, k)) + 2 * g.n
-        dtype = np.int64 if bound < 1 << 62 else object
-        indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(g.degrees, out=indptr[1:])
-        return cls(
-            n=g.n,
-            indptr=indptr,
-            indices=np.array([j for nbrs in g.adjacency for j in nbrs], dtype=np.int64),
-            weights=np.array(weights, dtype=dtype),
-            loops=np.array(loops, dtype=dtype),
-            thresholds=np.array(k, dtype=dtype),
-        )
+            readers[i].append((i, w))
+        return cls(n=g.n, readers=tuple(map(tuple, readers)), thresholds=k)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +205,7 @@ def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:
 
     Succeeds iff the trajectory visits at most guard + 1 distinct
     states; otherwise raises GuardExceededError. A ``Rule`` runs the
-    vectorized engine, which stops at the first x(t+2) = x(t) and
+    frontier engine, which stops at the first x(t+2) = x(t) and
     certifies period <= 2 at every step (see ``_rule_limit_cycle``). Any
     other step map is iterated by hashing every state with its
     first-visit time until a state repeats; that loop assumes nothing
@@ -257,13 +231,15 @@ def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:
 
 
 def _rule_limit_cycle(rule: Rule, a: int, guard: int) -> LimitReport:
-    """Iterate a Rule on numpy arrays until x(t+2) = x(t).
+    """Iterate a Rule on Python ints until x(t+2) = x(t).
 
-    The field is h = W x + l x with W the CSR weights, taken as
-    differences of one prefix sum per step, and x' = (h >= k). The first
-    t with x(t+2) = x(t) is the exact transient, and the cycle is x(t),
-    or x(t) and x(t+1); only those states are converted back to ints, so
-    memory stays constant along the trajectory.
+    Slot t % 2 holds x(t) as a 0/1 list and the field h(t) = W x(t)
+    + l x(t) it produces, so x(t+2) = [h(t+1) >= k] overwrites x(t) in
+    place. x_i(t+2) can differ from x_i(t) only if i reads a node j with
+    x_j(t+1) != x_j(t-1), so each step tests only the readers of the
+    nodes that moved in the step before, and flipping a node updates
+    only the fields of its readers. The first t with x(t+2) = x(t) is
+    the exact transient, and the cycle is x(t), or x(t) and x(t+1).
 
     Certificate (Goles & Olivos 1981; Goles, Fogelman-Soulie & Pellegrin
     1985): with h(t-1) the field that produced x(t),
@@ -272,57 +248,64 @@ def _rule_limit_cycle(rule: Rule, a: int, guard: int) -> LimitReport:
     with x_i(t+1) != x_i(t-1) of |2 h_i(t) - 2 k_i + 1| >= 1, so 2E drops
     by at least the number of such nodes. Since 2E is bounded, a cycle
     longer than 2 would break this; each step checks it and raises
-    InvariantViolationError if it fails.
+    InvariantViolationError if it fails. The sums s[p] = x[p].h[1 - p]
+    and cx[p] = (2k - 1).x[p] are kept up to date node by node, without
+    assuming symmetric weights.
     """
-    import numpy as np
-
-    n = rule.n
+    n, readers, k = rule.n, rule.readers, rule.thresholds
     a = validate_profile(a, n)
-    idx, w, loops, k = rule.indices, rule.weights, rule.loops, rule.thresholds
-    lo, hi = rule.indptr[:-1], rule.indptr[1:]
-    c = 2 * k - 1
-    prefix = np.zeros(len(idx) + 1, dtype=w.dtype)
+    c = [2 * ki - 1 for ki in k]
+    x, h = [[0] * n, [0] * n], [[0] * n, [0] * n]
+    s, cx = [0, 0], [0, 0]
 
-    def field(x):
-        np.cumsum(w * x[idx], out=prefix[1:])
-        return prefix[hi] - prefix[lo] + loops * x
+    def flip(p: int, nodes: Iterable[int]) -> None:
+        # flip x[p] at nodes; bring h[p], cx[p] and both s up to date
+        xp, hp, xq, hq = x[p], h[p], x[1 - p], h[1 - p]
+        dc = ds = dq = 0
+        for j in nodes:
+            xp[j] ^= 1
+            sign = 1 if xp[j] else -1
+            dc += sign * c[j]
+            ds += sign * hq[j]
+            for i, w in readers[j]:
+                w *= sign
+                hp[i] += w
+                if xq[i]:
+                    dq += w
+        cx[p] += dc
+        s[p] += ds
+        s[1 - p] += dq
 
-    nbytes = (n + 7) // 8
-    x_prev = np.unpackbits(
-        np.frombuffer(a.to_bytes(nbytes, "little"), dtype=np.uint8), count=n, bitorder="little"
-    ).view(bool)
-    h = field(x_prev)
-    x = h >= k
-    cx = int(c @ x)
-    energy = -2 * int(x @ h) + cx + int(c @ x_prev)
-    t = 0
+    bits = bin(a)[:1:-1]
+    flip(0, [i for i, b in enumerate(bits) if b == "1"])
+    flip(1, [i for i in range(n) if h[0][i] >= k[i]])
+    energy = -2 * s[1] + cx[0] + cx[1]
+    t, cand = 0, range(n)
     while True:
-        # x_prev = x(t), x = x(t+1), energy = 2E(t+1)
-        h = field(x)
-        x_next = h >= k
-        cx_next = int(c @ x_next)
-        energy_next = -2 * int(x_next @ h) + cx_next + cx
-        flips = int(np.count_nonzero(x_next != x_prev))
-        if energy - energy_next < flips:
+        # slot p holds x(t), slot 1 - p holds x(t+1), energy = 2E(t+1)
+        p = t & 1
+        xp, hq = x[p], h[1 - p]
+        moved = [i for i in cand if (hq[i] >= k[i]) != xp[i]]
+        flip(p, moved)
+        energy_next = -2 * s[p] + cx[0] + cx[1]
+        if energy - energy_next < len(moved):
             raise InvariantViolationError(
                 f"energy certificate failed at step {t + 2}: 2E went from {energy} to "
-                f"{energy_next} while {flips} nodes differ from two steps before "
+                f"{energy_next} while {len(moved)} nodes differ from two steps before "
                 "(the weights are not symmetric, or a cycle is longer than 2)"
             )
-        if flips == 0:
-            cycle = (x_prev,) if np.array_equal(x, x_prev) else (x_prev, x)
+        if not moved:
+            cycle = (xp,) if xp == x[1 - p] else (xp, x[1 - p])
             if t + len(cycle) > guard + 1:
                 raise GuardExceededError(f"trajectory exceeded guard of {guard} states")
-            states = tuple(
-                int.from_bytes(np.packbits(s, bitorder="little").tobytes(), "little")
-                for s in cycle
-            )
+            states = tuple(int("".join(map(str, xs[::-1])), 2) for xs in cycle)
             return LimitReport(transient=t, cycle=states, trajectory_length=t + len(cycle))
         # x(t) lies before the cycle, so the trajectory has >= t + 2 states
         t += 1
         if t > guard:
             raise GuardExceededError(f"trajectory exceeded guard of {guard} states")
-        x_prev, x, energy, cx = x, x_next, energy_next, cx_next
+        energy = energy_next
+        cand = {i for j in moved for i, _ in readers[j]}
 
 
 def convergence_time(g: Graph, k: Sequence[int], a: int, guard: int | None = None) -> int:

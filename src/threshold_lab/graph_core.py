@@ -364,23 +364,26 @@ def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
 # Profiles
 
 
+# B/W strings and binary digits, both in node order (node 0 first)
+_TO_DIGITS = str.maketrans(ACTION_B + ACTION_W, "10")
+_TO_ACTIONS = str.maketrans("10", ACTION_B + ACTION_W)
+
+
 def parse_profile(text: str, n: int | None = None) -> int:
     """Parse a 'B'/'W' string into a profile int (bit i = node i)."""
     if n is not None and len(text) != n:
         raise LengthMismatchError(f"profile string has length {len(text)}, expected {n}")
-    a = 0
-    for i, ch in enumerate(text):
-        if ch == ACTION_B:
-            a |= 1 << i
-        elif ch != ACTION_W:
-            raise BadParameterError(f"profile character {ch!r} at position {i} is not 'B' or 'W'")
-    return a
+    if text.count(ACTION_B) + text.count(ACTION_W) != len(text):
+        i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in (ACTION_B, ACTION_W))
+        raise BadParameterError(f"profile character {ch!r} at position {i} is not 'B' or 'W'")
+    return int(text[::-1].translate(_TO_DIGITS), 2) if text else 0
 
 
 def format_profile(a: int, n: int) -> str:
     if not 0 <= a < (1 << n):
         raise LengthMismatchError(f"profile {a} does not fit in {n} bits")
-    return "".join(ACTION_B if (a >> i) & 1 else ACTION_W for i in range(n))
+    # a sentinel bit above node n - 1 pins the digit count at n
+    return bin(a | 1 << n)[:2:-1].translate(_TO_ACTIONS)
 
 
 def validate_profile(a: int, n: int) -> int:

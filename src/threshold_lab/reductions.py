@@ -290,7 +290,7 @@ def pred_reduction(f: Formula) -> PredGadget:
             edges.append((s(c), node))
     g = build_graph(size, edges)
     k = tuple(2 if 3 * n <= node < 4 * n else 1 for node in range(size))
-    target = sum(1 << node for node in range(size) if not 3 * n <= node < 4 * n)
+    target = ((1 << size) - 1) ^ (((1 << n) - 1) << 3 * n)
     return PredGadget(graph=g, thresholds=k, target=target, labels=tuple(labels))
 
 

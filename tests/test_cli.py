@@ -111,7 +111,7 @@ class TestSimulate:
     def test_huge_weights_run_exactly(self, capsys, tmp_path):
         # 10^24 does not fit in int64: the engine runs on Python ints
         from threshold_lab import (
-            Rule, format_profile, instance_from_dict, limit_cycle, parse_profile, step_weighted,
+            format_profile, instance_from_dict, limit_cycle, parse_profile, step_weighted,
         )
 
         big = 10**24
@@ -123,7 +123,6 @@ class TestSimulate:
         }
         path = write(tmp_path / "big.json", inst)
         w, k = instance_from_dict(inst)
-        assert Rule.from_graph(w, k).weights.dtype == object
         for start in ("BWWW", "WBWB", "WWBW"):
             ref = limit_cycle(lambda a: step_weighted(w, k, a), parse_profile(start), 100)
             code = main(["simulate", "--input", path, "--initial", start])
@@ -340,6 +339,26 @@ class TestReduce:
         assert "exceeds 32" in capsys.readouterr().err
         assert peak < 1 << 20
 
+    def test_pred_guard_before_build(self, capsys, tmp_path):
+        # 100,000 declared variables, one clause: the 400,002-node gadget
+        # is refused before it is built
+        import tracemalloc
+
+        path = write(tmp_path / "wide.json", {"variant": "3cnf", "n": 100000, "clauses": [[1, 2, 3]]})
+        tracemalloc.start()
+        try:
+            code = main(["reduce", "--formula", path, "--kind", "pred", "--verify"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "n = 400002 exceeds 32" in capsys.readouterr().err
+        assert peak < 1 << 20
+        # a formula of the wrong variant is still an input error
+        path = write(tmp_path / "wide2.json", {"variant": "monotone-2cnf", "n": 100000, "clauses": [[1]]})
+        assert main(["reduce", "--formula", path, "--kind", "pred", "--verify"]) == 2
+        assert "needs a 3cnf formula" in capsys.readouterr().err
+
     def test_bad_formula_exit(self, capsys, tmp_path):
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
@@ -455,9 +474,9 @@ class TestDeterminism:
 def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename
     must fail here, not only in the benchmark. Start-up stays lean: the
-    CLI import, resilience in every mode, the bipartite expansion,
-    ``reduce --kind fix --verify`` and the loader never load numpy, and
-    the CLI import loads no leaf module."""
+    CLI import, ``simulate`` on every rule, resilience in every mode, the
+    bipartite expansion, ``reduce --kind fix --verify`` and the loader
+    never load numpy, and the CLI import loads no leaf module."""
     import os
     import subprocess
     import sys
@@ -487,8 +506,9 @@ def test_benchmark_input_loader_runs(tmp_path):
                           f"print([m for m in {heavy!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
 
-    runs = [["resilience", "--input", star, "--K", "1", "--mode", mode]
-            for mode in ("brute", "greedy", "closed-form")]
+    runs = [["simulate", "--input", path, "--initial", "BW"] for path in files[:3]]
+    runs += [["resilience", "--input", star, "--K", "1", "--mode", mode]
+             for mode in ("brute", "greedy", "closed-form")]
     runs.append(["expand", "--input", star, "--kind", "bipartite"])
     probe = ("import contextlib, io, sys\n"
              "from threshold_lab.cli import main\n"

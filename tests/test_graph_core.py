@@ -266,12 +266,20 @@ class TestProfiles:
     def test_parse_rejects_garbage(self):
         with pytest.raises(BadParameterError):
             parse_profile("BXW")
+        for text, ch, i in (("BXW", "X", 1), ("BW1", "1", 2), ("0BW", "0", 0),
+                            ("WW b", " ", 2), ("WWWb", "b", 3)):
+            with pytest.raises(BadParameterError, match=f"{ch!r} at position {i} "):
+                parse_profile(text)
 
-    @given(st.integers(min_value=1, max_value=16), st.data())
+    @given(st.integers(min_value=1, max_value=300), st.data())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, n, data):
         a = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-        assert parse_profile(format_profile(a, n), n) == a
+        text = format_profile(a, n)
+        assert parse_profile(text, n) == a
+        # the bit-by-bit definitions
+        assert text == "".join("B" if (a >> i) & 1 else "W" for i in range(n))
+        assert parse_profile(text) == sum(1 << i for i, ch in enumerate(text) if ch == "B")
 
     def test_profile_order_is_integer_order(self):
         profiles = ["WWW", "BWW", "WBW", "BBW"]
