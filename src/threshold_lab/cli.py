@@ -9,7 +9,8 @@ failed energy certificate in simulate).
 
 Start-up loads only what every subcommand shares: the expansion,
 instance-family and verify modules are imported by the subcommands that
-use them, and numpy by the first 2^n scan.
+use them. The 2^n scans run on Python ints, so no subcommand loads
+numpy.
 """
 
 from __future__ import annotations

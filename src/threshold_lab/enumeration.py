@@ -1,19 +1,20 @@
 """Exhaustive and backtracking enumeration of the limit structure.
 
-Every 2^n scan runs one kernel: profiles are uint32 words, and node i's
-update over a chunk of consecutive profiles is
-``bitwise_count(a & neighbor_mask_i) >= k_i``, written into chunk
-buffers allocated once per scan. The census builds the full successor
-table once (4 bytes per profile) and derives fixed points, 2-cycles,
-witnesses and the period check from it; predecessor and reachability
-scans stream the kernel chunk by chunk and never hold the table.
-numpy is imported by the scan entry points, so importing this module
-does not load it.
+Every 2^n scan runs on bit-sliced truth tables. Profiles go in blocks
+of 2^w consecutive values, w = min(n, _BLOCK_BITS); within a block,
+node i is one 2^w-bit Python int, its column, whose bit x is bit i of
+profile base + x. One kernel maps profile columns to successor columns
+with & and | alone, so each big-int operation updates one node over
+the whole block. The census, its period check, the predecessor and
+reachability scans and ``reductions.count_sat`` all run block by
+block, so scan memory does not grow with 2^n. Only
+``transition_table``, which assembles the columns into an array,
+imports numpy.
 
 Fixed points can also be counted without a scan, in pure Python: a
 depth-first search that propagates each node's threshold constraint
 after every assignment. It scales past the scan limit on gadget-shaped
-graphs and never loads numpy.
+graphs.
 """
 
 from __future__ import annotations
@@ -21,24 +22,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .dynamics import default_guard
 from .errors import (
     BadParameterError,
     GuardExceededError,
     IdentityViolatedError,
     InvariantViolationError,
 )
-from .graph_core import Graph, build_graph, two_partition, validate_profile, validate_thresholds
+from .graph_core import Graph, as_int, build_graph, two_partition
+from .graph_core import validate_profile, validate_thresholds
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_GUARD_N = 24
-MAX_SCAN_N = 32  # the width of a uint32 profile word; no guard setting lifts it
-_CHUNK = 1 << 16
+MAX_SCAN_N = 32  # bounds the scan time; no guard setting lifts it
+# one 2^16-bit column is 8 KB, so a block stays small while each & or |
+# covers 65,536 profiles
+_BLOCK_BITS = 16
 
 
 def check_scan_size(n: int, guard_n: int) -> None:
-    """Refuse a 2^n scan past the uint32 profile width or past guard_n.
+    """Refuse a 2^n scan past MAX_SCAN_N or past guard_n.
 
     Called before anything is allocated.
     """
@@ -86,62 +91,60 @@ def census_to_dict(census: LimitCensus, n: int) -> dict:
 # The 2^n kernel
 
 
-def _chunks(total: int) -> Iterator[tuple[int, int]]:
-    for lo in range(0, total, _CHUNK):
-        yield lo, min(lo + _CHUNK, total)
+def column_blocks(n: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (base, full, columns) per block of 2^w profiles, w = min(n,
+    _BLOCK_BITS), in profile order. ``full`` has all 2^w bits set; column
+    j < w has bit x equal to bit j of x, and a column j >= w is constant
+    over the block, full or 0."""
+    w = min(n, _BLOCK_BITS)
+    size = 1 << w
+    full = (1 << size) - 1
+    low = []
+    for j in range(w):
+        # 2^j zeros then 2^j ones, doubled until it spans the block
+        col, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while span < size:
+            col |= col << span
+            span *= 2
+        low.append(col)
+    for block in range(1 << (n - w)):
+        yield block << w, full, low + [full if block >> i & 1 else 0 for i in range(n - w)]
 
 
-def _steps(
-    g: Graph, k: Sequence[int], table: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, succ) per chunk, with succ[j] = step(lo + j).
+def _step_columns(g: Graph, k: Sequence[int], full: int, cols: list[int]) -> list[int]:
+    """Successor columns: bit x of node i's column is [at least k_i
+    neighbors are B] in the profile that bit x of ``cols`` spells.
 
-    With ``table`` given, succ is the view table[lo:hi], so exhausting
-    the generator fills the table; otherwise succ is one buffer reused
-    for every chunk.
+    ge[t] marks the profiles with at least t B neighbors among the
+    columns seen so far. Only t within reach of k_i is kept: at least
+    k_i - (columns still unseen), at most k_i, so a node costs
+    k_i (d_i - k_i + 1) steps of two big-int operations, and k_i = 0
+    none.
     """
-    import numpy as np
-
-    n = g.n
-    total = 1 << n
-    masks = [np.uint32(m) for m in g.neighbor_masks]
-    # a count never exceeds n, so clamping keeps the uint8 comparison exact
-    ks = [min(ki, n + 1) for ki in k]
-    size = min(_CHUNK, total)
-    offsets = np.arange(size, dtype=np.uint32)
-    vals = np.empty(size, dtype=np.uint32)
-    word = np.empty(size, dtype=np.uint32)
-    count = np.empty(size, dtype=np.uint8)
-    hit = np.empty(size, dtype=bool)
-    buf = np.empty(size, dtype=np.uint32) if table is None else None
-    for lo, hi in _chunks(total):
-        m = hi - lo
-        succ = buf[:m] if table is None else table[lo:hi]
-        v, w, c, h = vals[:m], word[:m], count[:m], hit[:m]
-        np.add(offsets[:m], np.uint32(lo), out=v)
-        succ.fill(0)
-        for i in range(n):
-            np.bitwise_and(v, masks[i], out=w)
-            np.bitwise_count(w, out=c)
-            np.greater_equal(c, ks[i], out=h)
-            np.left_shift(h, np.uint32(i), out=w, dtype=np.uint32)
-            np.bitwise_or(succ, w, out=succ)
-        yield lo, succ
+    out = []
+    for nbrs, ki in zip(g.adjacency, k):
+        d = len(nbrs)
+        if ki > d:
+            out.append(0)
+            continue
+        ge = [full] + [0] * ki
+        for seen, j in enumerate(nbrs, 1):
+            c = cols[j]
+            for t in range(min(seen, ki), max(0, ki - d + seen - 1), -1):
+                ge[t] |= ge[t - 1] & c
+        out.append(ge[ki])
+    return out
 
 
-def _successor_table(g: Graph, k: Sequence[int]) -> np.ndarray:
-    import numpy as np
-
-    table = np.empty(1 << g.n, dtype=np.uint32)
-    for _ in _steps(g, k, table):
-        pass
-    return table
-
-
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # mode="clip" writes straight into out; the default mode="raise"
-    # buffers the whole result first. Indices are profiles, always in range.
-    return table.take(index, out=out, mode="clip")
+def _set_bits(mask: int, base: int, cap: int) -> list[int]:
+    """base + x for the first ``cap`` set bits x of mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bits[x] is bit x
+    out = []
+    x = bits.find("1")
+    while x >= 0 and len(out) < cap:
+        out.append(base + x)
+        x = bits.find("1", x + 1)
+    return out
 
 
 def enumerate_limits(
@@ -155,49 +158,63 @@ def enumerate_limits(
     """Scan all 2^n profiles and classify the limit structure.
 
     A profile a is a fixed point iff step(a) == a; an unordered pair
-    {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. The scan
-    also verifies that no profile sits on a longer cycle,
-    re-establishing the length-2 bound on this instance rather than
-    assuming it. Peak memory is the successor table plus, when
-    some transient is longer than one step, one more array of its size:
-    8 bytes per profile.
+    {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. Per
+    block, the masks come from f = step and f^2 applied to the columns,
+    and a < f(a) from one comparator pass, most significant node first.
+    The scan also verifies that every profile reaches a cycle of length
+    <= 2 within min(2^n, dynamics.default_guard(g)) steps,
+    re-establishing the length-2 bound and the transient envelope on
+    this instance rather than assuming them.
     """
-    import numpy as np
-
     k = validate_thresholds(g, k)
+    witness_cap = as_int(witness_cap, "witness_cap")
+    if witness_cap < 0:
+        raise BadParameterError(f"witness_cap must be non-negative, got {witness_cap}")
     check_scan_size(g.n, guard_n)
-    table = _successor_table(g, k)
-    total = table.size
+    limit = min(1 << g.n, default_guard(g))
     cap = witness_cap if witnesses else 0
     fixed = two = periodic = 0
     fw: list[int] = []
     tw: list[tuple[int, int]] = []
-    settled = True  # f^2 fixes f(a) for every profile a scanned so far
-    size = min(_CHUNK, total)
-    offsets = np.arange(size, dtype=np.uint32)
-    vals = np.empty(size, dtype=np.uint32)
-    f2_buf = np.empty(size, dtype=np.uint32)
-    f3_buf = np.empty(size, dtype=np.uint32)
-    for lo, hi in _chunks(total):
-        m = hi - lo
-        a = np.add(offsets[:m], np.uint32(lo), out=vals[:m])
-        f1 = table[lo:hi]
-        f2 = _gather(table, f1, f2_buf[:m])
-        fixed_mask = f1 == a
-        periodic_mask = f2 == a
-        two_mask = periodic_mask & (a < f1)
-        fixed += int(np.count_nonzero(fixed_mask))
-        periodic += int(np.count_nonzero(periodic_mask))
-        two += int(np.count_nonzero(two_mask))
-        if len(fw) < cap:
-            fw.extend(a[fixed_mask][: cap - len(fw)].tolist())
-        if len(tw) < cap:
-            room = cap - len(tw)
-            tw.extend(zip(a[two_mask][:room].tolist(), f1[two_mask][:room].tolist()))
-        if settled:
-            settled = np.array_equal(_gather(table, f2, f3_buf[:m]), f1)
-    if not settled:
-        _assert_period_at_most_two(table)
+    for base, full, x in column_blocks(g.n):
+        f1 = _step_columns(g, k, full, x)
+        f2 = _step_columns(g, k, full, f1)
+        moved = returned = less = 0
+        equal = full  # profiles whose nodes above the current one agree with f
+        for xi, yi, zi in zip(reversed(x), reversed(f1), reversed(f2)):
+            returned |= xi ^ zi
+            diff = xi ^ yi
+            moved |= diff
+            split = equal & diff
+            less |= split & yi
+            equal ^= split
+        fixed_mask = full ^ moved
+        periodic_mask = full ^ returned
+        two_mask = periodic_mask & less
+        fixed += fixed_mask.bit_count()
+        periodic += periodic_mask.bit_count()
+        two += two_mask.bit_count()
+        if len(fw) < cap and fixed_mask:
+            fw += _set_bits(fixed_mask, base, cap - len(fw))
+        if len(tw) < cap and two_mask:
+            rows = [bin(c)[:1:-1] for c in f1]
+            for a in _set_bits(two_mask, 0, cap - len(tw)):
+                b = sum(1 << i for i, row in enumerate(rows) if a < len(row) and row[a] == "1")
+                tw.append((base + a, b))
+        # f^(t+2) == f^t on the whole block iff every profile reaches a cycle
+        # of length <= 2 within t steps. Transients are shorter than 2^n, so
+        # at limit 2^n only a longer cycle fails; a smaller limit also bounds
+        # the transient.
+        before, now, t = (x, f1), f2, 0
+        while before[0] != now:
+            if t == limit:
+                raise InvariantViolationError(
+                    f"a profile is not on a cycle of length <= 2 after {limit} steps: either "
+                    "a limit cycle longer than 2 exists, contradicting the length-2 cycle "
+                    "bound, or a transient exceeds the 10(14|E| + 6n) + 4 step envelope; "
+                    "both indicate an implementation bug"
+                )
+            before, now, t = (before[1], now), _step_columns(g, k, full, now), t + 1
     if periodic != fixed + 2 * two:
         raise InvariantViolationError("census does not account for every periodic profile")
     return LimitCensus(
@@ -209,49 +226,22 @@ def enumerate_limits(
     )
 
 
-def _assert_period_at_most_two(table: np.ndarray) -> None:
-    """Raise unless every limit cycle of the map ``table`` has length <= 2.
-
-    The census pass already found a profile a with f^2(f(a)) != f(a), so
-    this starts at round 1. ``limit`` starts as a copy of f and is
-    squared in place, limit[a] <- limit[limit[a]]; an entry read later in
-    the same round may already be squared, so after round j limit[a] is
-    f^t(a) with t >= 2^j. The check stops at the first round where f^2
-    fixes limit[a] for every a. That is sound: limit[a] lies on a's
-    forward orbit, so for a on a cycle longer than 2 it stays on that
-    cycle, where f^2 fixes no point. Every transient is shorter than
-    2^n, so without such a cycle round n passes.
-    """
-    import numpy as np
-
-    total = table.size
-    n = total.bit_length() - 1
-    limit = table.copy()
-    size = min(_CHUNK, total)
-    buf = np.empty(size, dtype=np.uint32)
-    f2_buf = np.empty(size, dtype=np.uint32)
-    for _ in range(n):
-        settled = True
-        for lo, hi in _chunks(total):
-            m = hi - lo
-            cur = limit[lo:hi]
-            cur[...] = _gather(limit, cur, buf[:m])
-            if settled:
-                f2 = _gather(table, _gather(table, cur, buf[:m]), f2_buf[:m])
-                settled = np.array_equal(f2, cur)
-        if settled:
-            return
-    raise InvariantViolationError(
-        "a limit cycle longer than 2 exists; this contradicts the "
-        "length-2 cycle bound and indicates an implementation bug"
-    )
-
-
 def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N) -> np.ndarray:
-    """Full successor table next[a] = step(a) for all 2^n profiles."""
+    """Full successor table next[a] = step(a) for all 2^n profiles, as a
+    uint32 array assembled from the successor columns."""
     k = validate_thresholds(g, k)
     check_scan_size(g.n, guard_n)
-    return _successor_table(g, k)
+    import numpy as np
+
+    table = np.zeros(1 << g.n, dtype=np.uint32)
+    for base, full, cols in column_blocks(g.n):
+        size = full.bit_length()
+        part = table[base : base + size]
+        for i, c in enumerate(_step_columns(g, k, full, cols)):
+            raw = np.frombuffer(c.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+            bits = np.unpackbits(raw, count=size, bitorder="little")
+            part |= bits.astype(np.uint32) << np.uint32(i)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +369,25 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
 # Predecessors and reachability
 
 
+def _matches(g: Graph, k: Sequence[int], a: int) -> Iterator[tuple[int, int]]:
+    """Yield (base, mask) per block; bit x of mask is [step(base + x) == a]."""
+    for base, full, cols in column_blocks(g.n):
+        diff = 0
+        for i, c in enumerate(_step_columns(g, k, full, cols)):
+            diff |= c ^ full if a >> i & 1 else c
+        yield base, full ^ diff
+
+
 def predecessors(
     g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
 ) -> tuple[int, ...]:
     """All profiles b with step(b) == a, by scanning the 2^n space."""
-    import numpy as np
-
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
     check_scan_size(g.n, guard_n)
     found: list[int] = []
-    for lo, succ in _steps(g, k):
-        found.extend((np.flatnonzero(succ == a) + lo).tolist())
+    for base, mask in _matches(g, k, a):
+        found += _set_bits(mask, base, 1 << g.n)
     return tuple(found)
 
 
@@ -401,7 +398,7 @@ def is_reachable(
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
     check_scan_size(g.n, guard_n)
-    return any(bool((succ == a).any()) for _, succ in _steps(g, k))
+    return any(mask for _, mask in _matches(g, k, a))
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,8 @@ def _eligible_pivots(g: Graph, k: Sequence[int]) -> list[int]:
 def one_step_symmetric_expansion(
     g: Graph, k: Sequence[int], pivot: int | None = None
 ) -> ExpansionResult:
-    """Attach d_p + 1 three-node Y gadgets to one pivot node.
-
-    The pivot's threshold becomes d_p + 1, half of its new odd degree
-    2*d_p + 1 rounded up; Y centers get threshold 2 and leaves 1. The
-    lift freezes min(k_p, d_p + 1) gadget blocks at W and the remaining
-    d_p - k_p + 1 at B, which replays the pivot's original rule.
-    """
+    """Attach d_p + 1 three-node Y gadgets to one pivot node, by default
+    the lowest eligible one (see ``_attach_y_gadgets``)."""
     k = validate_thresholds(g, k)
     if is_symmetric_model(g, k):
         raise AlreadySymmetricError("instance is already a symmetric model")
@@ -197,28 +192,7 @@ def one_step_symmetric_expansion(
         pivot = eligible[0]
     elif pivot not in eligible:
         raise BadParameterError(f"node {pivot} is not an eligible pivot")
-    n, d = g.n, g.degrees[pivot]
-    blocks = d + 1
-    frozen_w = min(k[pivot], blocks)  # clamp: thresholds above d+1 act like d+1
-    edges = list(g.edges)
-    node_map = [{"role": "original", "source": i} for i in range(n)]
-    ops = [(_COPY, i) for i in range(n)]
-    k2 = list(k)
-    k2[pivot] = d + 1
-    for m in range(blocks):
-        center = n + 3 * m
-        frozen = ACTION_W if m < frozen_w else ACTION_B
-        bit = 0 if m < frozen_w else 1
-        edges += [(pivot, center), (center, center + 1), (center, center + 2)]
-        k2 += [2, 1, 1]
-        for role in ("y_center", "y_leaf", "y_leaf"):
-            node_map.append({"role": role, "pivot": pivot, "block": m, "frozen": frozen})
-            ops.append((_CONST, bit))
-    g2 = build_graph(n + 3 * blocks, edges)
-    lift = ProfileLift(n, g2.n, tuple(ops))
-    return ExpansionResult(
-        graph=g2, thresholds=tuple(k2), lift=lift, node_map=tuple(node_map)
-    )
+    return _attach_y_gadgets(g, k, [pivot])
 
 
 def symmetric_expansion(
@@ -227,28 +201,58 @@ def symmetric_expansion(
     """Iterate one-step expansions, pivot = lowest eligible node, until
     every node has odd degree and the majority threshold.
 
-    The result is unique up to isomorphism regardless of pivot order;
-    the lowest-index rule makes the output canonical. Already-symmetric
-    inputs come back unchanged with the identity lift.
+    Gadget nodes and expanded pivots are symmetric from the start, so
+    the iteration expands the initially eligible pivots in increasing
+    order; that is built in one pass. The result is unique up to
+    isomorphism regardless of pivot order; the lowest-index rule makes
+    the output canonical. Already-symmetric inputs come back unchanged
+    with the identity lift.
     """
     k = validate_thresholds(g, k)
-    cur_g, cur_k = g, k
-    lift = identity_lift(g.n)
-    node_map = [{"role": "original", "source": i} for i in range(g.n)]
-    while not is_symmetric_model(cur_g, cur_k):
-        step_res = one_step_symmetric_expansion(cur_g, cur_k)
-        if step_res.graph.n > max_nodes:
-            raise GuardExceededError(
-                f"symmetric expansion exceeded {max_nodes} nodes"
-            )
-        lift = compose_lifts(step_res.lift, lift)
-        node_map = [
-            node_map[entry["source"]] if entry["role"] == "original" else entry
-            for entry in step_res.node_map
-        ]
-        cur_g, cur_k = step_res.graph, step_res.thresholds
+    pivots = _eligible_pivots(g, k)
+    if not pivots:
+        node_map = tuple({"role": "original", "source": i} for i in range(g.n))
+        return ExpansionResult(graph=g, thresholds=k, lift=identity_lift(g.n), node_map=node_map)
+    size = g.n + sum(3 * (g.degrees[p] + 1) for p in pivots)
+    if size > max_nodes:
+        raise GuardExceededError(f"symmetric expansion exceeded {max_nodes} nodes")
+    return _attach_y_gadgets(g, k, pivots)
+
+
+def _attach_y_gadgets(g: Graph, k: tuple[int, ...], pivots: list[int]) -> ExpansionResult:
+    """Attach d_p + 1 three-node Y gadgets to each pivot p, in order.
+
+    Each pivot's threshold becomes d_p + 1, half of its new odd degree
+    2*d_p + 1 rounded up; Y centers get threshold 2 and leaves 1. The
+    lift freezes min(k_p, d_p + 1) of p's gadget blocks at W and the
+    remaining d_p - k_p + 1 at B, which replays the pivot's original
+    rule.
+    """
+    n = g.n
+    edges = list(g.edges)
+    node_map = [{"role": "original", "source": i} for i in range(n)]
+    ops = [(_COPY, i) for i in range(n)]
+    k2 = list(k)
+    for pivot in pivots:
+        d = g.degrees[pivot]
+        blocks = d + 1
+        frozen_w = min(k[pivot], blocks)  # clamp: thresholds above d+1 act like d+1
+        k2[pivot] = d + 1
+        for m in range(blocks):
+            center = len(k2)
+            frozen = ACTION_W if m < frozen_w else ACTION_B
+            bit = 0 if m < frozen_w else 1
+            edges += [(pivot, center), (center, center + 1), (center, center + 2)]
+            k2 += [2, 1, 1]
+            for role in ("y_center", "y_leaf", "y_leaf"):
+                node_map.append({"role": role, "pivot": pivot, "block": m, "frozen": frozen})
+                ops.append((_CONST, bit))
+    g2 = build_graph(len(k2), edges)
     return ExpansionResult(
-        graph=cur_g, thresholds=cur_k, lift=lift, node_map=tuple(node_map)
+        graph=g2,
+        thresholds=tuple(k2),
+        lift=ProfileLift(n, g2.n, tuple(ops)),
+        node_map=tuple(node_map),
     )
 
 

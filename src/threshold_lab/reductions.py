@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import DEFAULT_GUARD_N, check_scan_size, predecessors
+from .enumeration import DEFAULT_GUARD_N, check_scan_size, column_blocks, predecessors
 from .errors import (
     BadParameterError,
     InconsistentCountError,
@@ -30,9 +30,6 @@ THREE_CNF = "3cnf"
 MONOTONE_2CNF = "monotone-2cnf"
 
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
-# count_sat's block width: one 2^16-bit column is 8 KB, so a block stays
-# small while each & or | covers 65,536 assignments
-_SAT_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -108,28 +105,16 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     """Exact model count over all 2^n assignments, on bit-sliced truth
     tables.
 
-    Assignments run in blocks of 2^w, w = min(n, _SAT_BLOCK_BITS). In a
-    block, variable j < w is a 2^w-bit column whose bit x is bit j of x;
-    a variable j >= w is constant over the block, all ones or all zeros.
-    Clauses combine columns with & and |, negation is ^ full, and each
-    block's models are counted with int.bit_count.
+    Assignments run in the blocks of ``enumeration.column_blocks``, with
+    variable j as column j. Clauses combine columns with & and |,
+    negation is ^ full, and each block's models are counted with
+    int.bit_count.
     """
     n = f.num_vars
     check_scan_size(n, guard_n)
-    w = min(n, _SAT_BLOCK_BITS)
-    full = (1 << (1 << w)) - 1
-    low = []
-    for j in range(w):
-        # 2^j zeros then 2^j ones, doubled until it spans the block
-        col, span = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
-        while span < 1 << w:
-            col |= col << span
-            span *= 2
-        low.append(col)
     is_dnf = f.variant == MONOTONE_2DNF
     count = 0
-    for block in range(1 << (n - w)):
-        cols = low + [full if block >> i & 1 else 0 for i in range(n - w)]
+    for _, full, cols in column_blocks(n):
         total = 0 if is_dnf else full
         for clause in f.clauses:
             acc = full if is_dnf else 0

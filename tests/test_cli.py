@@ -165,7 +165,8 @@ class TestEnumerate:
         def unreachable(*args):
             raise AssertionError("the scan started past the hard cap")
 
-        monkeypatch.setattr(en, "_successor_table", unreachable)
+        monkeypatch.setattr(en, "column_blocks", unreachable)
+        monkeypatch.setattr(en, "_step_columns", unreachable)
         path = write(
             tmp_path / "p33.json",
             {"n": 33, "edges": [[i, i + 1] for i in range(32)], "thresholds": [1] * 33},
@@ -475,8 +476,9 @@ def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename
     must fail here, not only in the benchmark. Start-up stays lean: the
     CLI import, ``simulate`` on every rule, resilience in every mode, the
-    bipartite expansion, ``reduce --kind fix --verify`` and the loader
-    never load numpy, and the CLI import loads no leaf module."""
+    bipartite expansion, the 2^n scans of ``enumerate`` and of ``reduce
+    --verify`` of every kind, and the loader never load numpy, and the
+    CLI import loads no leaf module."""
     import os
     import subprocess
     import sys
@@ -489,6 +491,8 @@ def test_benchmark_input_loader_runs(tmp_path):
         write(tmp_path / "w.json", {"n": 2, "weighted_edges": [[0, 1, -2]],
                                     "self_loops": [[1, 3]], "thresholds": [0, -1]}),
         write(tmp_path / "f.json", {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]}),
+        write(tmp_path / "c3.json", {"variant": "3cnf", "n": 3, "clauses": [[1, -2, 3]]}),
+        write(tmp_path / "c2.json", {"variant": "monotone-2cnf", "n": 2, "clauses": [[1, 2]]}),
     ]
     star = write(tmp_path / "star.json",
                  {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "thresholds": [1, 1, 1, 1]})
@@ -510,6 +514,9 @@ def test_benchmark_input_loader_runs(tmp_path):
     runs += [["resilience", "--input", star, "--K", "1", "--mode", mode]
              for mode in ("brute", "greedy", "closed-form")]
     runs.append(["expand", "--input", star, "--kind", "bipartite"])
+    runs.append(["enumerate", "--input", star])
+    runs += [["reduce", "--formula", path, "--kind", kind, "--verify"]
+             for path, kind in ((files[4], "pred"), (files[5], "reachable-pred"))]
     probe = ("import contextlib, io, sys\n"
              "from threshold_lab.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -28,6 +28,22 @@ from threshold_lab.instances import (
 from conftest import as_int, slow_census
 
 
+def column_kernel(succ):
+    """A stand-in for enumeration._step_columns that maps each profile a
+    of the block to succ(a, g, k), one profile at a time."""
+
+    def kernel(g, k, full, cols):
+        out = [0] * len(cols)
+        for x in range(full.bit_length()):
+            a = sum((c >> x & 1) << i for i, c in enumerate(cols))
+            b = succ(a, g, k)
+            for i in range(len(cols)):
+                out[i] |= (b >> i & 1) << x
+        return out
+
+    return kernel
+
+
 class TestEnumerateLimits:
     def test_odd_five_cycle_unanimous_fixed_points(self):
         g = cycle_graph(5)
@@ -74,6 +90,10 @@ class TestEnumerateLimits:
     def test_witness_cap(self, four_cycle):
         census = enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=1)
         assert len(census.fixed_witnesses) == 1
+        # never coerced: a bool, a float or a negative cap is an input error
+        for cap in (-1, True, 2.5):
+            with pytest.raises(BadParameterError, match="witness_cap"):
+                enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=cap)
 
     def test_sharding_is_invisible(self, rng, monkeypatch):
         import threshold_lab.enumeration as en
@@ -81,19 +101,19 @@ class TestEnumerateLimits:
         g = random_connected_graph(8, rng)
         k = random_thresholds(g, rng)
         base = enumerate_limits(g, k)
-        monkeypatch.setattr(en, "_CHUNK", 16)
+        monkeypatch.setattr(en, "_BLOCK_BITS", 2)
         sharded = enumerate_limits(g, k)
         assert sharded == base
 
-    @pytest.mark.parametrize("chunk", [None, 16])
-    def test_matches_brute_force_step(self, rng, monkeypatch, chunk):
+    @pytest.mark.parametrize("block_bits", [None, 2])
+    def test_matches_brute_force_step(self, rng, monkeypatch, block_bits):
         # counts, capped witnesses, the table and predecessor scans against
-        # dynamics.step on every profile, in one chunk and across many;
-        # the extremal cycle spreads many fixed points over the chunks
+        # dynamics.step on every profile, in one block and across many;
+        # the extremal cycle spreads many fixed points over the blocks
         import threshold_lab.enumeration as en
 
-        if chunk is not None:
-            monkeypatch.setattr(en, "_CHUNK", chunk)
+        if block_bits is not None:
+            monkeypatch.setattr(en, "_BLOCK_BITS", block_bits)
         cases = [build_extremal_cycle_instance(9, "max")]
         for _ in range(12):
             g = random_connected_graph(rng.randint(2, 10), rng)
@@ -117,30 +137,32 @@ class TestEnumerateLimits:
     def test_planted_three_cycle_is_caught(self, four_cycle, monkeypatch):
         import threshold_lab.enumeration as en
 
-        real = en._successor_table
-
-        def planted(g, k):
-            table = real(g, k)
-            table[0b0001], table[0b0010], table[0b0100] = 0b0010, 0b0100, 0b0001
-            return table
-
-        monkeypatch.setattr(en, "_successor_table", planted)
+        plant = {0b0001: 0b0010, 0b0010: 0b0100, 0b0100: 0b0001}
+        monkeypatch.setattr(en, "_step_columns", column_kernel(
+            lambda a, g, k: plant.get(a, step(g, k, a))))
         with pytest.raises(InvariantViolationError, match="longer than 2"):
             enumerate_limits(four_cycle, (1, 1, 1, 1))
 
     def test_period_check_outlasts_longest_transient(self, four_cycle, monkeypatch):
-        # a -> a - 1 down to the fixed point 0: a transient of 2^n - 1 steps,
-        # the longest possible, still settles within the n doubling rounds
-        import numpy as np
+        # a -> a - 1 down to the fixed point 0: a transient of 2^n - 1 = 15
+        # steps, the longest possible, settles under the cap of
+        # min(2^n, 10(14|E| + 6n) + 4) = 16 steps
         import threshold_lab.enumeration as en
 
-        def chain(g, k):
-            return np.maximum(np.arange(1 << g.n, dtype=np.uint32), 1) - np.uint32(1)
-
-        monkeypatch.setattr(en, "_successor_table", chain)
+        monkeypatch.setattr(en, "_step_columns", column_kernel(lambda a, g, k: max(a - 1, 0)))
         census = enumerate_limits(four_cycle, (1, 1, 1, 1))
         assert (census.fixed_points, census.two_cycles) == (1, 0)
         assert census.fixed_witnesses == (0,)
+
+    def test_transient_past_the_envelope_is_caught(self, four_cycle, monkeypatch):
+        # the same chain under a 10-step envelope: its 15-step transient
+        # exceeds the cap
+        import threshold_lab.enumeration as en
+
+        monkeypatch.setattr(en, "_step_columns", column_kernel(lambda a, g, k: max(a - 1, 0)))
+        monkeypatch.setattr(en, "default_guard", lambda g: 10)
+        with pytest.raises(InvariantViolationError, match="transient exceeds"):
+            enumerate_limits(four_cycle, (1, 1, 1, 1))
 
     def test_guard(self, rng):
         g = random_connected_graph(6, rng)
@@ -155,8 +177,8 @@ class TestEnumerateLimits:
         def unreachable(*args):
             raise AssertionError("the scan started past the hard cap")
 
-        monkeypatch.setattr(en, "_successor_table", unreachable)
-        monkeypatch.setattr(en, "_steps", unreachable)
+        monkeypatch.setattr(en, "column_blocks", unreachable)
+        monkeypatch.setattr(en, "_step_columns", unreachable)
         g = build_graph(33, [(i, i + 1) for i in range(32)])
         k = (1,) * 33
         for scan in (

@@ -234,6 +234,42 @@ class TestSymmetricExpansion:
                 canonical.graph, canonical.thresholds, cur_g, cur_k
             )
 
+    def test_one_pass_equals_iterated_one_step(self, rng):
+        # thresholds from 0 to d + 2: pinned pivots clamp their frozen blocks
+        for _ in range(60):
+            g = random_connected_graph(rng.randint(1, 7), rng, extra_edge_prob=0.3)
+            k = tuple(rng.randint(0, d + 2) for d in g.degrees)
+            cur_g, cur_k = g, k
+            lift = identity_lift(g.n)
+            node_map = [{"role": "original", "source": i} for i in range(g.n)]
+            while not is_symmetric_model(cur_g, cur_k):
+                res = one_step_symmetric_expansion(cur_g, cur_k)
+                lift = compose_lifts(res.lift, lift)
+                node_map = [node_map[e["source"]] if e["role"] == "original" else e
+                            for e in res.node_map]
+                cur_g, cur_k = res.graph, res.thresholds
+            res = symmetric_expansion(g, k)
+            assert (res.graph, res.thresholds, res.lift, res.node_map) == (
+                cur_g, cur_k, lift, tuple(node_map)
+            )
+
+    def test_long_path_builds_once(self, monkeypatch):
+        # every interior node of a k = 1 path pivots; one build for all of them
+        import threshold_lab.expansions as ex
+
+        builds = []
+        real = ex.build_graph
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return real(*args, **kwargs)
+
+        g = build_graph(2000, [(i, i + 1) for i in range(1999)])
+        monkeypatch.setattr(ex, "build_graph", counting)
+        res = symmetric_expansion(g, (1,) * 2000)
+        assert builds == [res.graph.n] == [2000 + 1998 * 9]
+        assert is_symmetric_model(res.graph, res.thresholds)
+
 
 class TestCombineExpansions:
     def test_orders_commute_up_to_isomorphism(self, rng):

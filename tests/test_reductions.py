@@ -136,9 +136,9 @@ class TestCountSat:
 
     def test_chunked_scan_matches_independent_counter(self, rng, monkeypatch):
         # 4-assignment blocks: every formula with n >= 3 spans several
-        import threshold_lab.reductions as red
+        import threshold_lab.enumeration as en
 
-        monkeypatch.setattr(red, "_SAT_BLOCK_BITS", 2)
+        monkeypatch.setattr(en, "_BLOCK_BITS", 2)
         for _ in range(30):
             f = random_3cnf(rng, max_vars=8, max_clauses=6)
             assert count_sat(f) == brute_sat_count(f), f
