@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -65,14 +66,25 @@ EXIT_GUARD = 3
 EXIT_INVARIANT = 4
 
 
+def _is_decimal(text: str) -> bool:
+    """An optional minus sign and ASCII digits only: int() would also
+    read spaces, underscores, a plus sign and non-ASCII digits."""
+    return re.fullmatch(r"-?[0-9]+", text) is not None
+
+
+def _guard_n_arg(text: str) -> int:
+    if not _is_decimal(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _default_guard_n() -> int:
     env = os.environ.get("THRESHOLD_LAB_GUARD_N")
     if not env:
         return DEFAULT_GUARD_N
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"THRESHOLD_LAB_GUARD_N must be an integer, got {env!r}") from None
+    if not _is_decimal(env):
+        raise InputError(f"THRESHOLD_LAB_GUARD_N must be an integer, got {env!r}")
+    return int(env)
 
 
 def _emit(obj) -> None:
@@ -271,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_guard_n(p):
-        p.add_argument("--guard-n", type=int, default=None,
+        p.add_argument("--guard-n", type=_guard_n_arg, default=None,
                        help=f"max node count for 2^n scans (default: $THRESHOLD_LAB_GUARD_N "
                             f"or {DEFAULT_GUARD_N}; never above {MAX_SCAN_N})")
 

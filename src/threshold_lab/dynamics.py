@@ -24,8 +24,7 @@ changed and certifies period <= 2 with the Lyapunov energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadParameterError,
@@ -142,7 +141,6 @@ def make_step(g: Graph, k: Sequence[int]) -> StepMap:
 # The weighted threshold rule as reader lists
 
 
-@dataclass(frozen=True, eq=False)
 class Rule:
     """out_i = [sum_j w_ij x_j + l_i x_i >= k_i] on Python ints.
 
@@ -151,11 +149,26 @@ class Rule:
     this module is one of these: threshold rules have unit weights, type
     rules go through ``types_to_thresholds``, and the inverted rule has
     weights -1 and thresholds 1 - k_i. Build one with ``from_graph``.
+    Fields are read-only; rules compare by identity.
     """
 
-    n: int
-    readers: tuple[tuple[tuple[int, int], ...], ...]
-    thresholds: tuple[int, ...]
+    __slots__ = ("n", "readers", "thresholds")
+
+    def __init__(
+        self,
+        n: int,
+        readers: tuple[tuple[tuple[int, int], ...], ...],
+        thresholds: tuple[int, ...],
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "readers", readers)
+        object.__setattr__(self, "thresholds", thresholds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: Rule is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Rule is read-only")
 
     @classmethod
     def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:
@@ -175,8 +188,7 @@ class Rule:
 # Trajectories
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     """Transient length plus the limit cycle reached from a start profile.
 
     ``transient`` is the minimal number of iterations before entering the
@@ -398,12 +410,16 @@ def ring_orientation(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     succ = [-1] * g.n
     pred = [-1] * g.n
     prev, cur = g.adjacency[0][1], 0
-    for _ in range(g.n):
+    # on a 2-regular graph the walk returns to node 0 after the length
+    # of node 0's cycle
+    for length in range(1, g.n + 1):
         nxt = g.adjacency[cur][0] if g.adjacency[cur][0] != prev else g.adjacency[cur][1]
         succ[cur] = nxt
         pred[nxt] = cur
         prev, cur = cur, nxt
-    if cur != 0:
+        if cur == 0:
+            break
+    if length != g.n:
         raise BadParameterError("2-regular graph is not a single cycle")
     return tuple(succ), tuple(pred)
 

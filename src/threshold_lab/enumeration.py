@@ -19,8 +19,7 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .dynamics import default_guard
 from .errors import (
@@ -53,8 +52,7 @@ def check_scan_size(n: int, guard_n: int) -> None:
         raise GuardExceededError(f"n = {n} exceeds the 2^n scan guard {guard_n}")
 
 
-@dataclass(frozen=True)
-class LimitCensus:
+class LimitCensus(NamedTuple):
     """Counts of fixed points and 2-cycles, with optional witnesses.
 
     cycle_classes == fixed_points + two_cycles. Witness lists are sorted
@@ -405,8 +403,7 @@ def is_reachable(
 # The fixed-point / cycle-class identity on bipartite instances
 
 
-@dataclass(frozen=True)
-class BipartiteCycleCheck:
+class BipartiteCycleCheck(NamedTuple):
     fixed_points: int
     two_cycles: int
     cycle_classes: int

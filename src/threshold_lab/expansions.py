@@ -10,8 +10,7 @@ Constructions favor transparency over size; outputs are not minimized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dynamics import StepMap, make_step, step_weighted
 from .errors import (
@@ -38,8 +37,7 @@ _NEGATE = "negate"
 _CONST = "const"
 
 
-@dataclass(frozen=True)
-class ProfileLift:
+class ProfileLift(NamedTuple):
     """Injective map from source profiles to target profiles.
 
     Per-target-node instructions: ("copy", src), ("negate", src), or
@@ -92,8 +90,7 @@ def compose_lifts(outer: ProfileLift, inner: ProfileLift) -> ProfileLift:
     return ProfileLift(inner.source_n, outer.target_n, tuple(ops))
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Produced instance, profile lift, and per-node provenance.
 
     The instance is (graph, thresholds); a weighted graph is stepped by
@@ -436,8 +433,7 @@ def remove_self_loops(g: Graph, k: Sequence[int]) -> ExpansionResult:
 # Constant-node removal
 
 
-@dataclass(frozen=True)
-class ComponentInstance:
+class ComponentInstance(NamedTuple):
     """One connected component of g minus a pinned node.
 
     ``nodes[new_id] = old_id`` records the relabeling back into g.

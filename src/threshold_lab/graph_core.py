@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadParameterError,
@@ -35,7 +34,6 @@ ACTION_B = "B"
 ACTION_W = "W"
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected graph on nodes 0..n-1, unweighted or integer-weighted.
 
@@ -46,15 +44,45 @@ class Graph:
     ``weights`` is None for an unweighted graph; otherwise it holds the
     nonzero integer weight of each edge, aligned with ``edges``, and
     ``loops`` the (node, nonzero weight) self-loops sorted by node.
-    Thresholds are not part of the graph. Instances are immutable.
+    Thresholds are not part of the graph. Instances are immutable and
+    equal when their fields are.
+
+    A plain class, not a tuple: ``neighbor_masks`` is cached in the
+    instance ``__dict__``, which ``__setattr__`` does not guard.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
-    weights: tuple[int, ...] | None = None
-    loops: tuple[tuple[int, int], ...] = ()
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        adjacency: tuple[tuple[int, ...], ...],
+        degrees: tuple[int, ...],
+        weights: tuple[int, ...] | None = None,
+        loops: tuple[tuple[int, int], ...] = (),
+    ):
+        vars(self).update(
+            n=n, edges=edges, adjacency=adjacency, degrees=degrees, weights=weights, loops=loops
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
+
+    def _key(self) -> tuple:
+        return (self.n, self.edges, self.adjacency, self.degrees, self.weights, self.loops)
+
+    def __eq__(self, other):
+        if type(other) is not Graph:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={self.edges}, weights={self.weights}, loops={self.loops})"
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -74,12 +102,12 @@ class Graph:
         return [(i, j, w) for (i, j), w in zip(self.edges, self.weights)]
 
 
-@dataclass(frozen=True)
-class TwoPartition:
+class TwoPartition(NamedTuple):
     """Bipartition of a graph's nodes: no edge runs inside either part.
 
-    ``p_even`` holds the nodes at even BFS distance from node 0 (so it
-    contains node 0) and ``p_odd`` the rest; both are sorted tuples.
+    ``p_even`` holds the nodes at even BFS distance from the smallest
+    node of their component (so it contains node 0) and ``p_odd`` the
+    rest; both are sorted tuples.
     """
 
     p_odd: tuple[int, ...]
@@ -284,27 +312,32 @@ def is_valid_node(g: Graph, k: Sequence[int], i: int) -> bool:
 
 
 def two_partition(g: Graph) -> TwoPartition:
-    """2-color g by breadth-first search from node 0.
+    """2-color g by breadth-first search, one search per component.
 
-    Deterministic: p_even is the set of nodes at even distance from
-    node 0. Raises NotBipartiteError carrying an odd-cycle witness.
+    Deterministic: each search starts at the smallest node not yet
+    colored, and p_even is the set of nodes at even distance from the
+    start of their component. Raises NotBipartiteError carrying an
+    odd-cycle witness.
     """
     color = [-1] * g.n
     parent = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if color[v] == -1:
-                color[v] = color[u] ^ 1
-                parent[v] = u
-                queue.append(v)
-            elif color[v] == color[u]:
-                witness = _odd_cycle_witness(parent, u, v)
-                raise NotBipartiteError(
-                    f"graph is not bipartite: odd cycle {witness}", witness=witness
-                )
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if color[v] == -1:
+                    color[v] = color[u] ^ 1
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    witness = _odd_cycle_witness(parent, u, v)
+                    raise NotBipartiteError(
+                        f"graph is not bipartite: odd cycle {witness}", witness=witness
+                    )
     p_even = tuple(i for i in range(g.n) if color[i] == 0)
     p_odd = tuple(i for i in range(g.n) if color[i] == 1)
     return TwoPartition(p_odd=p_odd, p_even=p_even)

@@ -15,7 +15,7 @@ counts on Python-int truth tables and never loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import DEFAULT_GUARD_N, check_scan_size, column_blocks, predecessors
 from .errors import (
@@ -32,47 +32,66 @@ MONOTONE_2CNF = "monotone-2cnf"
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
 
 
-@dataclass(frozen=True)
 class Formula:
     """A Boolean formula in one of the three reduction dialects.
 
     DNF formulas are disjunctions of conjunction clauses, CNF formulas
     conjunctions of disjunction clauses. Monotone variants carry no
     negations. For monotone 2-DNF every variable must appear somewhere
-    (the counting reduction presumes it).
+    (the counting reduction presumes it). Construction validates all
+    of this; fields are read-only and formulas equal when their fields
+    are.
     """
 
-    variant: str
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ("variant", "num_vars", "clauses")
 
-    def __post_init__(self):
-        if self.variant not in _ARITY:
-            raise BadParameterError(f"unknown formula variant {self.variant!r}")
-        if self.num_vars < 1:
+    def __init__(self, variant: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if variant not in _ARITY:
+            raise BadParameterError(f"unknown formula variant {variant!r}")
+        if num_vars < 1:
             raise BadParameterError("formula needs at least one variable")
-        if not self.clauses:
+        if not clauses:
             raise BadParameterError("formula needs at least one clause")
-        arity = _ARITY[self.variant]
+        arity = _ARITY[variant]
         seen_vars = set()
-        for clause in self.clauses:
+        for clause in clauses:
             if not clause:
                 raise BadParameterError("empty clause")
             if len(clause) > arity:
-                raise BadParameterError(
-                    f"clause {clause} exceeds arity {arity} for {self.variant}"
-                )
+                raise BadParameterError(f"clause {clause} exceeds arity {arity} for {variant}")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise BadParameterError(f"literal {lit} out of range")
-                if lit < 0 and self.variant != THREE_CNF:
+                if lit < 0 and variant != THREE_CNF:
                     raise BadParameterError(f"negative literal {lit} in monotone formula")
                 seen_vars.add(abs(lit) - 1)
-        if self.variant == MONOTONE_2DNF and len(seen_vars) != self.num_vars:
-            missing = sorted(set(range(self.num_vars)) - seen_vars)
+        if variant == MONOTONE_2DNF and len(seen_vars) != num_vars:
+            missing = sorted(set(range(num_vars)) - seen_vars)
             raise VariableMissingError(
                 f"variables {[v + 1 for v in missing]} never appear in the 2-DNF formula"
             )
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "clauses", clauses)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: Formula is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Formula is read-only")
+
+    def __eq__(self, other):
+        if type(other) is not Formula:
+            return NotImplemented
+        return (self.variant, self.num_vars, self.clauses) == (
+            other.variant, other.num_vars, other.clauses
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.num_vars, self.clauses))
+
+    def __repr__(self) -> str:
+        return f"Formula({self.variant!r}, {self.num_vars}, {self.clauses})"
 
     def to_dict(self) -> dict:
         return {
@@ -130,8 +149,7 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
 # Fixed-point counting gadget (monotone 2-DNF)
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     graph: Graph
     thresholds: tuple[int, ...]
     labels: tuple[str, ...]
@@ -228,8 +246,7 @@ def recover_sat_count(fixed_point_count: int, num_vars: int) -> tuple[int, int]:
 # Reachability gadget (3-CNF)
 
 
-@dataclass(frozen=True)
-class PredGadget:
+class PredGadget(NamedTuple):
     graph: Graph
     thresholds: tuple[int, ...]
     target: int
@@ -290,8 +307,7 @@ CPRED_DISCREPANCY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ReachablePredGadget:
+class ReachablePredGadget(NamedTuple):
     graph: Graph
     thresholds: tuple[int, ...]
     target: int

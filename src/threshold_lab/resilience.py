@@ -11,11 +11,10 @@ q_i in {0, 1/d_i, ..., d_i/d_i} without loss.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dynamics import make_step
 from .errors import (
@@ -27,8 +26,7 @@ from .errors import (
 from .graph_core import Graph, require_unweighted, types_to_thresholds
 
 
-@dataclass(frozen=True)
-class RecoveryProblem:
+class RecoveryProblem(NamedTuple):
     """A graph, a perturbation budget, and the quantized search grid."""
 
     graph: Graph
@@ -110,8 +108,7 @@ def _check_recovery_counted(
     return True, None, checked
 
 
-@dataclass(frozen=True)
-class ResilienceResult:
+class ResilienceResult(NamedTuple):
     """Exact resilience value with an optimal witness allocation.
 
     ``evaluations`` counts the (candidate q, seed) recovery checks
@@ -196,8 +193,7 @@ def greedy_upper_bound_q(g: Graph) -> tuple[Fraction, ...]:
     return tuple(q)
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     mu: Fraction
     lower: Fraction
     upper: Fraction

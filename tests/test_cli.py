@@ -159,6 +159,22 @@ class TestEnumerate:
         assert main(["enumerate", "--input", four_cycle_file]) == 2
         assert "THRESHOLD_LAB_GUARD_N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", " 1_0 ", " 10", "+10", "\u0661\u0660"])
+    def test_guard_env_takes_plain_decimals_only(self, capsys, four_cycle_file, monkeypatch,
+                                                 value):
+        # int() reads each of these as 10
+        monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", value)
+        assert main(["enumerate", "--input", four_cycle_file]) == 2
+        assert (f"THRESHOLD_LAB_GUARD_N must be an integer, got {value!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["1_0", " 10", "10 ", "+10", "\u0661\u0660"])
+    def test_guard_flag_takes_plain_decimals_only(self, capsys, four_cycle_file, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--input", four_cycle_file, "--guard-n", value])
+        assert exc.value.code == 2
+        assert f"argument --guard-n: invalid int value: {value!r}" in capsys.readouterr().err
+
     def test_hard_cap_beats_guard_env(self, capsys, tmp_path, monkeypatch):
         import threshold_lab.enumeration as en
 
@@ -477,8 +493,9 @@ def test_benchmark_input_loader_runs(tmp_path):
     must fail here, not only in the benchmark. Start-up stays lean: the
     CLI import, ``simulate`` on every rule, resilience in every mode, the
     bipartite expansion, the 2^n scans of ``enumerate`` and of ``reduce
-    --verify`` of every kind, and the loader never load numpy, and the
-    CLI import loads no leaf module."""
+    --verify`` of every kind, and the loader never load numpy, nor
+    ``dataclasses`` and the ``inspect`` chain it imports, and the CLI
+    import loads no leaf module."""
     import os
     import subprocess
     import sys
@@ -504,7 +521,8 @@ def test_benchmark_input_loader_runs(tmp_path):
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    heavy = ("numpy", "networkx", "threshold_lab.verify", "threshold_lab.expansions",
+    lean = ("numpy", "dataclasses", "inspect")
+    heavy = (*lean, "networkx", "threshold_lab.verify", "threshold_lab.expansions",
              "threshold_lab.instances")
     loaded = python("-c", f"import sys, threshold_lab.cli; "
                           f"print([m for m in {heavy!r} if m in sys.modules])")
@@ -521,17 +539,17 @@ def test_benchmark_input_loader_runs(tmp_path):
              "from threshold_lab.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[1:])\n"
-             "print(code, 'numpy' in sys.modules)\n")
+             f"print(code, [m for m in {lean!r} if m in sys.modules])\n")
     for argv in runs:
-        assert python("-c", probe, *argv).split() == ["0", "False"], argv
+        assert python("-c", probe, *argv).strip() == "0 []", argv
     # the fixed-point count and the model count of a fix job are pure Python
     probe = ("import json, sys\n"
              "from threshold_lab.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(json.dumps([code, 'numpy' in sys.modules]))\n")
+             f"print(json.dumps([code, [m for m in {lean!r} if m in sys.modules]]))\n")
     out = python("-c", probe, "reduce", "--formula", files[3], "--kind", "fix", "--verify")
     *result, flags = out.splitlines()
-    assert json.loads(flags) == [0, False]
+    assert json.loads(flags) == [0, []]
     assert json.loads("\n".join(result))["verification"] == {
         "fixed_points": 18, "match": True, "oracle_sat": 1,
         "recovered_nsat": 3, "recovered_sat": 1,
@@ -539,8 +557,9 @@ def test_benchmark_input_loader_runs(tmp_path):
 
     loader = root / "perfbench" / "load_inputs.py"
     probe = (f"import runpy, sys; sys.argv = sys.argv[1:]; "
-             f"runpy.run_path(sys.argv[0], run_name='__main__'); print('numpy' in sys.modules)")
-    assert python("-c", probe, str(loader), *files).strip() == "False"
+             f"runpy.run_path(sys.argv[0], run_name='__main__'); "
+             f"print([m for m in {lean!r} if m in sys.modules])")
+    assert python("-c", probe, str(loader), *files).strip() == "[]"
 
 
 def test_package_exports_resolve_lazily():

@@ -292,6 +292,15 @@ class TestRingTwoStepTable:
         with pytest.raises(BadParameterError):
             ring_two_step(star_graph(4), (1, 1, 1, 1), 0, 0)
 
+    def test_requires_a_single_cycle(self):
+        # two disjoint triangles are 2-regular, and node 0's cycle length
+        # divides n, but the walk from node 0 misses nodes 3..5
+        g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                        require_connected=False)
+        for i in (0, 4):
+            with pytest.raises(BadParameterError, match="not a single cycle"):
+                ring_two_step(g, (1,) * 6, 0, i)
+
 
 @st.composite
 def small_instance(draw):

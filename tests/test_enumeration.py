@@ -295,6 +295,15 @@ class TestBipartiteCycleIdentity:
         with pytest.raises(NotBipartiteError):
             bipartite_cycle_identity(triangle, (1, 1, 1))
 
+    def test_disconnected(self):
+        # two disjoint edges under k = 1: F = 2 * 2 fixed points, and
+        # every 2-cycle is a splice across the partition of both edges
+        g = build_graph(4, [(0, 1), (2, 3)], require_connected=False)
+        check = bipartite_cycle_identity(g, (1, 1, 1, 1))
+        assert check.fixed_points == 4
+        assert check.cycle_classes == check.predicted_classes == 10
+        assert check.pairing_verified
+
     def test_holds_on_random_bipartite(self, rng):
         checked = 0
         while checked < 30:

@@ -211,6 +211,20 @@ class TestTwoPartition:
         assert not is_bipartite(triangle)
         assert is_bipartite(four_cycle)
 
+    def test_colors_every_component(self):
+        # each component's smallest node goes in p_even
+        g = build_graph(5, [(0, 1), (2, 3), (3, 4)], require_connected=False)
+        part = two_partition(g)
+        assert part.p_even == (0, 2, 4)
+        assert part.p_odd == (1, 3)
+
+    def test_odd_cycle_outside_node_zeros_component(self):
+        g = build_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)], require_connected=False)
+        assert not is_bipartite(g)
+        with pytest.raises(NotBipartiteError) as err:
+            two_partition(g)
+        assert err.value.witness == (2, 3, 4)
+
 
 class TestTypesToThresholds:
     def test_half_of_two(self):
