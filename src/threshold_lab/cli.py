@@ -72,7 +72,7 @@ def _is_decimal(text: str) -> bool:
     return re.fullmatch(r"-?[0-9]+", text) is not None
 
 
-def _guard_n_arg(text: str) -> int:
+def _int_arg(text: str) -> int:
     if not _is_decimal(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return int(text)
@@ -283,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_guard_n(p):
-        p.add_argument("--guard-n", type=_guard_n_arg, default=None,
+        p.add_argument("--guard-n", type=_int_arg, default=None,
                        help=f"max node count for 2^n scans (default: $THRESHOLD_LAB_GUARD_N "
                             f"or {DEFAULT_GUARD_N}; never above {MAX_SCAN_N})")
 
     p = sub.add_parser("simulate", help="iterate an instance to its limit cycle")
     p.add_argument("--input", required=True, help="instance JSON path")
     p.add_argument("--initial", required=True, help="initial profile as a B/W string")
-    p.add_argument("--max-states", type=int, default=None,
+    p.add_argument("--max-states", type=_int_arg, default=None,
                    help="trajectory guard override")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["bipartite", "symmetric", "unit-weights", "drop-self-loops", "remove-node"],
     )
-    p.add_argument("--node", type=int, default=None, help="node to remove (remove-node)")
+    p.add_argument("--node", type=_int_arg, default=None, help="node to remove (remove-node)")
     p.add_argument("--pin", choices=["B", "W"], default=None,
                    help="action the removed node is pinned to (remove-node)")
     p.set_defaults(fn=_cmd_expand)
@@ -321,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resilience", help="resilience measure of an instance")
     p.add_argument("--input", required=True)
-    p.add_argument("--K", type=int, default=None, help="perturbation budget")
+    p.add_argument("--K", type=_int_arg, default=None, help="perturbation budget")
     p.add_argument("--mode", default="brute", choices=["brute", "greedy", "closed-form"])
     p.set_defaults(fn=_cmd_resilience)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    p.add_argument("--seed", type=_int_arg, default=0, help="seed for randomized suites")
     add_guard_n(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -343,9 +343,11 @@ def strong_assignments(
     matter what the neighbors do.
 
     The two-step value of node i depends only on its closed radius-2
-    neighborhood, so only those nodes are enumerated; the guard caps the
-    local state count.
+    neighborhood, so only those nodes are enumerated, as bit-sliced
+    columns of the census kernel; the guard caps the local state count.
     """
+    from .enumeration import column_blocks, threshold_column
+
     k = validate_thresholds(g, k)
     if not 0 <= i < g.n:
         raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
@@ -358,25 +360,17 @@ def strong_assignments(
         raise GuardExceededError(
             f"radius-2 neighborhood of node {i} needs 2^{len(free)} local states"
         )
-    nbrs = g.adjacency[i]
     result = set()
     for action, bit in ((ACTION_B, 1), (ACTION_W, 0)):
-        base = bit << i
-        ok = True
-        for pattern in range(1 << len(free)):
-            a = base
-            for pos, j in enumerate(free):
-                if (pattern >> pos) & 1:
-                    a |= 1 << j
-            # two-step value of node i only
-            cnt = 0
-            for j in nbrs:
-                if (a & g.neighbor_masks[j]).bit_count() >= k[j]:
-                    cnt += 1
-            if (1 if cnt >= k[i] else 0) != bit:
-                ok = False
+        # strong iff node i's column of f^2 equals its own constant column
+        for _, full, cols in column_blocks(len(free)):
+            col = dict(zip(free, cols))
+            col[i] = full if bit else 0
+            f1 = [threshold_column(k[j], [col[x] for x in g.adjacency[j]], full)
+                  for j in g.adjacency[i]]
+            if threshold_column(k[i], f1, full) != col[i]:
                 break
-        if ok:
+        else:
             result.add(action)
     return frozenset(result)
 

@@ -109,29 +109,31 @@ def column_blocks(n: int) -> Iterator[tuple[int, int, list[int]]]:
         yield block << w, full, low + [full if block >> i & 1 else 0 for i in range(n - w)]
 
 
+def threshold_column(k_i: int, nbr_cols: Sequence[int], full: int) -> int:
+    """Column of [at least k_i of nbr_cols are set], bitwise.
+
+    ge[t] marks the bits set in at least t of the columns seen so far.
+    Only t within reach of k_i is kept: at least k_i - (columns still
+    unseen), at most k_i, so a node costs k_i (d_i - k_i + 1) steps of
+    two big-int operations, and k_i = 0 none; k_i > d_i gives 0.
+    """
+    d = len(nbr_cols)
+    if k_i > d:
+        return 0
+    ge = [full] + [0] * k_i
+    for seen, c in enumerate(nbr_cols, 1):
+        for t in range(min(seen, k_i), max(0, k_i - d + seen - 1), -1):
+            ge[t] |= ge[t - 1] & c
+    return ge[k_i]
+
+
 def _step_columns(g: Graph, k: Sequence[int], full: int, cols: list[int]) -> list[int]:
     """Successor columns: bit x of node i's column is [at least k_i
-    neighbors are B] in the profile that bit x of ``cols`` spells.
-
-    ge[t] marks the profiles with at least t B neighbors among the
-    columns seen so far. Only t within reach of k_i is kept: at least
-    k_i - (columns still unseen), at most k_i, so a node costs
-    k_i (d_i - k_i + 1) steps of two big-int operations, and k_i = 0
-    none.
-    """
-    out = []
-    for nbrs, ki in zip(g.adjacency, k):
-        d = len(nbrs)
-        if ki > d:
-            out.append(0)
-            continue
-        ge = [full] + [0] * ki
-        for seen, j in enumerate(nbrs, 1):
-            c = cols[j]
-            for t in range(min(seen, ki), max(0, ki - d + seen - 1), -1):
-                ge[t] |= ge[t - 1] & c
-        out.append(ge[ki])
-    return out
+    neighbors are B] in the profile that bit x of ``cols`` spells."""
+    return [
+        threshold_column(ki, [cols[j] for j in nbrs], full)
+        for nbrs, ki in zip(g.adjacency, k)
+    ]
 
 
 def _set_bits(mask: int, base: int, cap: int) -> list[int]:

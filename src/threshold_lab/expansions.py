@@ -32,61 +32,43 @@ from .graph_core import (
     validate_thresholds,
 )
 
-_COPY = "copy"
-_NEGATE = "negate"
-_CONST = "const"
-
-
 class ProfileLift(NamedTuple):
     """Injective map from source profiles to target profiles.
 
-    Per-target-node instructions: ("copy", src), ("negate", src), or
-    ("const", bit). Closed under composition, which is all the
-    constructions in this module need.
+    ``ops[t] = (src, flip)``: target bit t is source bit src XOR flip.
+    A constant reads bit ``source_n``, which is clear in every source
+    profile, so the constant is flip. Closed under composition, which
+    is all the constructions in this module need.
     """
 
     source_n: int
     target_n: int
-    ops: tuple[tuple[str, int], ...]
+    ops: tuple[tuple[int, int], ...]
 
     def apply(self, a: int) -> int:
         a = validate_profile(a, self.source_n)
         out = 0
-        for t, (op, arg) in enumerate(self.ops):
-            if op == _COPY:
-                bit = (a >> arg) & 1
-            elif op == _NEGATE:
-                bit = 1 ^ ((a >> arg) & 1)
-            else:
-                bit = arg
-            out |= bit << t
+        for t, (src, flip) in enumerate(self.ops):
+            out |= ((a >> src & 1) ^ flip) << t
         return out
 
     __call__ = apply
 
 
 def identity_lift(n: int) -> ProfileLift:
-    return ProfileLift(n, n, tuple((_COPY, i) for i in range(n)))
+    return ProfileLift(n, n, tuple((i, 0) for i in range(n)))
 
 
 def compose_lifts(outer: ProfileLift, inner: ProfileLift) -> ProfileLift:
     """Lift equal to outer(inner(a))."""
     if inner.target_n != outer.source_n:
         raise BadParameterError("lift composition size mismatch")
+    # outer's constants read bit inner.target_n: map it to inner's constant 0
+    inner_ops = inner.ops + ((inner.source_n, 0),)
     ops = []
-    for op, arg in outer.ops:
-        if op == _CONST:
-            ops.append((op, arg))
-        elif op == _COPY:
-            ops.append(inner.ops[arg])
-        else:
-            iop, iarg = inner.ops[arg]
-            if iop == _COPY:
-                ops.append((_NEGATE, iarg))
-            elif iop == _NEGATE:
-                ops.append((_COPY, iarg))
-            else:
-                ops.append((_CONST, 1 ^ iarg))
+    for src, flip in outer.ops:
+        isrc, iflip = inner_ops[src]
+        ops.append((isrc, flip ^ iflip))
     return ProfileLift(inner.source_n, outer.target_n, tuple(ops))
 
 
@@ -129,7 +111,29 @@ def commutation_check(
 
 
 # ---------------------------------------------------------------------------
-# Bipartite-expansion
+# Mirror doublings
+
+
+def _doubled(
+    n: int, edges: list, thresholds: tuple[int, ...], flip: int, *, weighted: bool = False
+) -> ExpansionResult:
+    """Instance on originals 0..n-1 and mirrors n..2n-1, n + i mirroring
+    i. The lift copies every original and copies (flip 0) or negates
+    (flip 1) it onto its mirror. Doublings may split in two, so the
+    graph skips the connectivity check."""
+    g2 = build_graph(2 * n, edges, weighted=weighted, require_connected=False)
+    ops = tuple((i, 0) for i in range(n)) + tuple((i, flip) for i in range(n))
+    node_map = tuple(
+        [{"role": "original", "source": i} for i in range(n)]
+        + [{"role": "mirror", "source": i} for i in range(n)]
+    )
+    return ExpansionResult(g2, thresholds, ProfileLift(n, 2 * n, ops), node_map)
+
+
+def _cross_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edge {i, j} of g as the two cross edges {i, n+j} and {j, n+i}."""
+    n = g.n
+    return [e for i, j in g.edges for e in ((i, n + j), (j, n + i))]
 
 
 def bipartite_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
@@ -142,38 +146,23 @@ def bipartite_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
     into two components.
     """
     k = validate_thresholds(g, k)
-    n = g.n
-    edges = []
-    for i, j in g.edges:
-        edges.append((i, n + j))
-        edges.append((j, n + i))
-    g2 = build_graph(2 * n, edges, require_connected=False)
-    k2 = k + k
-    lift = ProfileLift(n, 2 * n, tuple((_COPY, i) for i in range(n)) * 2)
-    node_map = tuple(
-        [{"role": "original", "source": i} for i in range(n)]
-        + [{"role": "mirror", "source": i} for i in range(n)]
-    )
-    return ExpansionResult(graph=g2, thresholds=k2, lift=lift, node_map=node_map)
+    return _doubled(g.n, _cross_edges(g), k + k, 0)
 
 
 # ---------------------------------------------------------------------------
 # Symmetric-expansion
 
 
+def _eligible_pivots(g: Graph, k: tuple[int, ...]) -> list[int]:
+    """Nodes that are not a majority vote: even degree, or a threshold
+    other than (d_i + 1) / 2."""
+    return [i for i, d in enumerate(g.degrees) if d % 2 == 0 or 2 * k[i] != d + 1]
+
+
 def is_symmetric_model(g: Graph, k: Sequence[int]) -> bool:
     """True iff every node has odd degree and the majority threshold
     (d_i + 1) / 2, so the update is an unweighted majority vote."""
-    k = validate_thresholds(g, k)
-    return all(d % 2 == 1 and 2 * k[i] == d + 1 for i, d in enumerate(g.degrees))
-
-
-def _eligible_pivots(g: Graph, k: Sequence[int]) -> list[int]:
-    out = []
-    for i, d in enumerate(g.degrees):
-        if d % 2 == 0 or 2 * k[i] != d + 1:
-            out.append(i)
-    return out
+    return not _eligible_pivots(g, validate_thresholds(g, k))
 
 
 def one_step_symmetric_expansion(
@@ -182,9 +171,9 @@ def one_step_symmetric_expansion(
     """Attach d_p + 1 three-node Y gadgets to one pivot node, by default
     the lowest eligible one (see ``_attach_y_gadgets``)."""
     k = validate_thresholds(g, k)
-    if is_symmetric_model(g, k):
-        raise AlreadySymmetricError("instance is already a symmetric model")
     eligible = _eligible_pivots(g, k)
+    if not eligible:
+        raise AlreadySymmetricError("instance is already a symmetric model")
     if pivot is None:
         pivot = eligible[0]
     elif pivot not in eligible:
@@ -223,12 +212,13 @@ def _attach_y_gadgets(g: Graph, k: tuple[int, ...], pivots: list[int]) -> Expans
     2*d_p + 1 rounded up; Y centers get threshold 2 and leaves 1. The
     lift freezes min(k_p, d_p + 1) of p's gadget blocks at W and the
     remaining d_p - k_p + 1 at B, which replays the pivot's original
-    rule.
+    rule. Gadgets hang off their pivot and join no two components, so a
+    disconnected input (a doubling) gives a disconnected output.
     """
     n = g.n
     edges = list(g.edges)
     node_map = [{"role": "original", "source": i} for i in range(n)]
-    ops = [(_COPY, i) for i in range(n)]
+    ops = list(identity_lift(n).ops)
     k2 = list(k)
     for pivot in pivots:
         d = g.degrees[pivot]
@@ -243,8 +233,8 @@ def _attach_y_gadgets(g: Graph, k: tuple[int, ...], pivots: list[int]) -> Expans
             k2 += [2, 1, 1]
             for role in ("y_center", "y_leaf", "y_leaf"):
                 node_map.append({"role": role, "pivot": pivot, "block": m, "frozen": frozen})
-                ops.append((_CONST, bit))
-    g2 = build_graph(len(k2), edges)
+                ops.append((n, bit))
+    g2 = build_graph(len(k2), edges, require_connected=False)
     return ExpansionResult(
         graph=g2,
         thresholds=tuple(k2),
@@ -267,16 +257,8 @@ def inverted_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
     a on mirrors), which is exactly the lift of the inverted step.
     """
     k = validate_thresholds(g, k)
-    base = bipartite_expansion(g, k)
-    n = g.n
-    k2 = tuple(max(0, g.degrees[i] - k[i] + 1) for i in range(n)) + k
-    ops = tuple((_COPY, i) for i in range(n)) + tuple((_NEGATE, i) for i in range(n))
-    return ExpansionResult(
-        graph=base.graph,
-        thresholds=k2,
-        lift=ProfileLift(n, 2 * n, ops),
-        node_map=base.node_map,
-    )
+    k2 = tuple(max(0, d - ki + 1) for d, ki in zip(g.degrees, k)) + k
+    return _doubled(g.n, _cross_edges(g), k2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +299,10 @@ def signed_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
                 f"node {i}: threshold {k[i]} outside [-d^-, d^+] = "
                 f"[{-d_minus[i]}, {d_plus[i]}]"
             )
-    g2 = build_graph(2 * n, edges, require_connected=False)
     k2 = tuple(k[i] + d_minus[i] for i in range(n)) + tuple(
         d_plus[i] - k[i] + 1 for i in range(n)
     )
-    ops = tuple((_COPY, i) for i in range(n)) + tuple((_NEGATE, i) for i in range(n))
-    node_map = tuple(
-        [{"role": "original", "source": i} for i in range(n)]
-        + [{"role": "mirror", "source": i} for i in range(n)]
-    )
-    return ExpansionResult(
-        graph=g2, thresholds=k2, lift=ProfileLift(n, 2 * n, ops), node_map=node_map
-    )
+    return _doubled(n, edges, k2, 1)
 
 
 def _weighted_input(g: Graph, k: Sequence[int], what: str) -> tuple[int, ...]:
@@ -384,7 +358,7 @@ def integer_weights_to_unit(
                     v = (beta + m2 * stride) * n + j
                     edges2.append((u, v, sign))
     g2 = build_graph(total_blocks * n, edges2, weighted=True)
-    ops = tuple((_COPY, i) for _ in range(total_blocks) for i in range(n))
+    ops = identity_lift(n).ops * total_blocks
     node_map = tuple(
         {"role": "copy", "source": i, "block": beta}
         for beta in range(total_blocks)
@@ -418,15 +392,7 @@ def remove_self_loops(g: Graph, k: Sequence[int]) -> ExpansionResult:
         edges.append((n + i, n + j, wt))
     for i, lw in g.loops:
         edges.append((i, n + i, lw))
-    g2 = build_graph(2 * n, edges, weighted=True, require_connected=False)
-    ops = tuple((_COPY, i) for i in range(n)) * 2
-    node_map = tuple(
-        [{"role": "original", "source": i} for i in range(n)]
-        + [{"role": "mirror", "source": i} for i in range(n)]
-    )
-    return ExpansionResult(
-        graph=g2, thresholds=k * 2, lift=ProfileLift(n, 2 * n, ops), node_map=node_map
-    )
+    return _doubled(n, edges, k * 2, 0, weighted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,23 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert f"argument --guard-n: invalid int value: {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", " 1_0 ", "+3", "٣"])
+    @pytest.mark.parametrize("argv", [
+        ["resilience", "--K"],
+        ["simulate", "--initial", "BWBW", "--max-states"],
+        ["expand", "--kind", "remove-node", "--pin", "B", "--node"],
+        ["verify", "--seed"],
+    ], ids=["K", "max-states", "node", "seed"])
+    def test_integer_options_take_plain_decimals_only(self, capsys, four_cycle_file, argv,
+                                                      value):
+        # int() reads each of these as 10 or 3
+        if argv[0] != "verify":
+            argv = argv[:1] + ["--input", four_cycle_file] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        assert f"argument {argv[-1]}: invalid int value: {value!r}" in capsys.readouterr().err
+
     def test_hard_cap_beats_guard_env(self, capsys, tmp_path, monkeypatch):
         import threshold_lab.enumeration as en
 

@@ -264,6 +264,38 @@ class TestStrongAssignments:
         with pytest.raises(GuardExceededError):
             strong_assignments(g, (1,) * 24, 0)
 
+    def test_matches_per_pattern_definition_on_wide_regions(self, rng):
+        # the definition, pattern by pattern: node i's two-step value over
+        # every assignment of its radius-2 region with a_i held fixed
+        def reference(g, k, i):
+            free = sorted({x for j in g.adjacency[i] for x in (j, *g.adjacency[j])} - {i})
+            out = set()
+            for action, bit in (("B", 1), ("W", 0)):
+                for pattern in range(1 << len(free)):
+                    a = bit << i
+                    for pos, j in enumerate(free):
+                        a |= (pattern >> pos & 1) << j
+                    count = sum(
+                        sum(a >> x & 1 for x in g.adjacency[j]) >= k[j] for j in g.adjacency[i]
+                    )
+                    if (count >= k[i]) != bit:
+                        break
+                else:
+                    out.add(action)
+            return out
+
+        widths = set()
+        while len(widths) < 5 or min(widths) > 10 or max(widths) < 14:
+            g = random_connected_graph(rng.randint(11, 16), rng, extra_edge_prob=0.15)
+            i = rng.randrange(g.n)
+            free = {x for j in g.adjacency[i] for x in (j, *g.adjacency[j])} - {i}
+            if not 10 <= len(free) <= 14:
+                continue
+            widths.add(len(free))
+            for _ in range(2):
+                k = tuple(rng.randint(0, d + 1) for d in g.degrees)
+                assert strong_assignments(g, k, i) == reference(g, k, i)
+
     def test_strongness_is_real(self, rng):
         # once played, a strong action recurs after two parallel steps
         for _ in range(15):

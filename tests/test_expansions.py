@@ -292,6 +292,28 @@ class TestCombineExpansions:
             checked += 1
 
 
+    def test_bipartite_doubling_then_symmetric(self, rng):
+        # the doubling of a bipartite instance splits in two; the gadgets keep it split
+        cases = [(build_graph(2, [(0, 1)]), (1, 2)), (build_graph(3, [(0, 1), (1, 2)]), (1, 1, 1))]
+        while len(cases) < 14:
+            g = random_connected_graph(rng.randint(1, 6), rng, extra_edge_prob=0.3)
+            if is_bipartite(g):
+                cases.append((g, tuple(rng.randint(0, d + 1) for d in g.degrees)))
+        for g, k in cases:
+            bip = bipartite_expansion(g, k)
+            sym = symmetric_expansion(bip.graph, bip.thresholds)
+            assert is_symmetric_model(sym.graph, sym.thresholds)
+            results = [sym]
+            if sym.graph.n > bip.graph.n:
+                results.append(one_step_symmetric_expansion(bip.graph, bip.thresholds))
+            for res in results:
+                lift = compose_lifts(res.lift, bip.lift)
+                ok, bad = commutation_check(
+                    make_step(g, k), res.target_step(), lift, range(1 << g.n)
+                )
+                assert ok, f"counterexample {bad}"
+
+
 class TestInvertedToPrimary:
     def test_mirror_thresholds(self, triangle):
         res = inverted_to_primary(triangle, (1, 1, 1))
@@ -461,3 +483,26 @@ class TestLiftComposition:
         combo = compose_lifts(res2.lift, res1.lift)
         for a in range(8):
             assert combo(a) == res2.lift(res1.lift(a))
+
+    def test_compose_through_constants(self, rng):
+        # symmetric -> bipartite -> inverted: the bipartite lift copies the Y-gadget
+        # constants onto mirrors and the inverted lift negates them
+        gadgets = 0
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(1, 4), rng, extra_edge_prob=0.3)
+            k = tuple(rng.randint(0, d + 2) for d in g.degrees)
+            sym = symmetric_expansion(g, k)
+            bip = bipartite_expansion(sym.graph, sym.thresholds)
+            inv = inverted_to_primary(bip.graph, bip.thresholds)
+            gadgets += sym.graph.n > g.n
+            lifts = (sym.lift, bip.lift, inv.lift)
+            inner_first = compose_lifts(inv.lift, compose_lifts(bip.lift, sym.lift))
+            outer_first = compose_lifts(compose_lifts(inv.lift, bip.lift), sym.lift)
+            assert inner_first == outer_first
+            assert (inner_first.source_n, inner_first.target_n) == (g.n, inv.graph.n)
+            for a in range(1 << g.n):
+                b = a
+                for lift in lifts:
+                    b = lift(b)
+                assert inner_first(a) == b
+        assert gadgets >= 10
