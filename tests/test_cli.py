@@ -175,7 +175,7 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert f"argument --guard-n: invalid int value: {value!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["1_0", " 1_0 ", "+3", "٣"])
+    @pytest.mark.parametrize("value", ["1_0", " 1_0 ", "+3", "\u0663"])
     @pytest.mark.parametrize("argv", [
         ["resilience", "--K"],
         ["simulate", "--initial", "BWBW", "--max-states"],
