@@ -124,7 +124,12 @@ def _rule_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
 
 
 def make_step(g: Graph, k: Sequence[int]) -> StepMap:
-    k = validate_thresholds(g, k)
+    return _bitcount_step(g, validate_thresholds(g, k))
+
+
+def _bitcount_step(g: Graph, k: Sequence[int]) -> StepMap:
+    """make_step without validation, for thresholds the caller built as
+    non-negative ints of length g.n on an unweighted g."""
     masks, n = g.neighbor_masks, g.n
 
     def fn(a: int) -> int:
@@ -344,9 +349,10 @@ def strong_assignments(
 
     The two-step value of node i depends only on its closed radius-2
     neighborhood, so only those nodes are enumerated, as bit-sliced
-    columns of the census kernel; the guard caps the local state count.
+    columns through two compiled column kernels: the neighbors' step,
+    then node i's; the guard caps the local state count.
     """
-    from .enumeration import column_blocks, threshold_column
+    from .enumeration import column_blocks, compile_kernel
 
     k = validate_thresholds(g, k)
     if not 0 <= i < g.n:
@@ -360,15 +366,18 @@ def strong_assignments(
         raise GuardExceededError(
             f"radius-2 neighborhood of node {i} needs 2^{len(free)} local states"
         )
+    # local column x is free node free[x]; node i is the last column
+    local = {v: x for x, v in enumerate(free)}
+    local[i] = len(free)
+    nbrs = g.adjacency[i]
+    first = compile_kernel((k[j], [local[v] for v in g.adjacency[j]]) for j in nbrs)
+    second = compile_kernel([(k[i], range(len(nbrs)))])
     result = set()
     for action, bit in ((ACTION_B, 1), (ACTION_W, 0)):
         # strong iff node i's column of f^2 equals its own constant column
         for _, full, cols in column_blocks(len(free)):
-            col = dict(zip(free, cols))
-            col[i] = full if bit else 0
-            f1 = [threshold_column(k[j], [col[x] for x in g.adjacency[j]], full)
-                  for j in g.adjacency[i]]
-            if threshold_column(k[i], f1, full) != col[i]:
+            own = full if bit else 0
+            if second(full, first(full, cols + [own]))[0] != own:
                 break
         else:
             result.add(action)

@@ -3,11 +3,14 @@
 Every 2^n scan runs on bit-sliced truth tables. Profiles go in blocks
 of 2^w consecutive values, w = min(n, _BLOCK_BITS); within a block,
 node i is one 2^w-bit Python int, its column, whose bit x is bit i of
-profile base + x. One kernel maps profile columns to successor columns
-with & and | alone, so each big-int operation updates one node over
-the whole block. The census, its period check, the predecessor and
-reachability scans and ``reductions.count_sat`` all run block by
-block, so scan memory does not grow with 2^n. Only
+profile base + x. ``compile_kernel`` turns a scan's threshold rows
+into one straight-line Python function that maps profile columns to
+successor columns with & and | alone, so each big-int operation
+updates one node over the whole block; every scan compiles its kernel
+once, after the size check, and reuses it for every block and pass.
+The census, its period check, the predecessor and reachability scans,
+``dynamics.strong_assignments`` and ``reductions.count_sat`` all run
+block by block, so scan memory does not grow with 2^n. Only
 ``transition_table``, which assembles the columns into an array,
 imports numpy.
 
@@ -19,7 +22,7 @@ graphs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import default_guard
 from .errors import (
@@ -109,31 +112,49 @@ def column_blocks(n: int) -> Iterator[tuple[int, int, list[int]]]:
         yield block << w, full, low + [full if block >> i & 1 else 0 for i in range(n - w)]
 
 
-def threshold_column(k_i: int, nbr_cols: Sequence[int], full: int) -> int:
-    """Column of [at least k_i of nbr_cols are set], bitwise.
+def compile_kernel(
+    rows: Iterable[tuple[int, Sequence[int]]],
+) -> Callable[[int, list[int]], list[int]]:
+    """Compile threshold rows into one straight-line column function.
 
-    ge[t] marks the bits set in at least t of the columns seen so far.
-    Only t within reach of k_i is kept: at least k_i - (columns still
-    unseen), at most k_i, so a node costs k_i (d_i - k_i + 1) steps of
-    two big-int operations, and k_i = 0 none; k_i > d_i gives 0.
+    Row i is (k_i, input indices); the returned ``kernel(full, cols)``
+    gives, per row, the column of [at least k_i of its input columns are
+    set], bitwise, as a list. Each row runs the ge[t] recurrence: ge[t]
+    marks the bits set in at least t of the inputs seen so far. Only t
+    within reach of k_i is kept (at least k_i minus the inputs still
+    unseen, at most k_i), and the schedule is fixed when the source is
+    written, so a call spends only big-int operations: the first ge[1]
+    is the input itself, later ones take one |, an entry set for the
+    first time takes one &, and every other update takes & then |. A
+    row costs (2 k_i - 1)(d_i - k_i + 1) - k_i operations; k_i = 0 is
+    ``full`` and k_i > d_i is 0. Input columns must lie within ``full``.
+    Only integers are written into the source.
     """
-    d = len(nbr_cols)
-    if k_i > d:
-        return 0
-    ge = [full] + [0] * k_i
-    for seen, c in enumerate(nbr_cols, 1):
-        for t in range(min(seen, k_i), max(0, k_i - d + seen - 1), -1):
-            ge[t] |= ge[t - 1] & c
-    return ge[k_i]
-
-
-def _step_columns(g: Graph, k: Sequence[int], full: int, cols: list[int]) -> list[int]:
-    """Successor columns: bit x of node i's column is [at least k_i
-    neighbors are B] in the profile that bit x of ``cols`` spells."""
-    return [
-        threshold_column(ki, [cols[j] for j in nbrs], full)
-        for nbrs, ki in zip(g.adjacency, k)
-    ]
+    lines = ["def kernel(full, cols):"]
+    loaded: set[int] = set()
+    out = []
+    for i, (ki, inputs) in enumerate(rows):
+        d = len(inputs)
+        if ki == 0 or ki > d:
+            out.append("full" if ki == 0 else "0")
+            continue
+        # names[t] holds ge[t] (ge[0] = full is never read); ge[k_i] gets
+        # its own name so it survives the rows after it
+        names = ["full"] + [f"g{t:d}" for t in range(1, ki)] + [f"o{i:d}"]
+        live = [False] * (ki + 1)
+        for seen, j in enumerate(inputs, 1):
+            if j not in loaded:
+                loaded.add(j)
+                lines.append(f"    c{j:d} = cols[{j:d}]")
+            for t in range(min(seen, ki), max(0, ki - d + seen - 1), -1):
+                term = f"c{j:d}" if t == 1 else f"{names[t - 1]} & c{j:d}"
+                lines.append(f"    {names[t]} {'|=' if live[t] else '='} {term}")
+                live[t] = True
+        out.append(names[ki])
+    lines.append(f"    return [{', '.join(out)}]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<column kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _set_bits(mask: int, base: int, cap: int) -> list[int]:
@@ -171,14 +192,15 @@ def enumerate_limits(
     if witness_cap < 0:
         raise BadParameterError(f"witness_cap must be non-negative, got {witness_cap}")
     check_scan_size(g.n, guard_n)
+    kernel = compile_kernel(zip(k, g.adjacency))
     limit = min(1 << g.n, default_guard(g))
     cap = witness_cap if witnesses else 0
     fixed = two = periodic = 0
     fw: list[int] = []
     tw: list[tuple[int, int]] = []
     for base, full, x in column_blocks(g.n):
-        f1 = _step_columns(g, k, full, x)
-        f2 = _step_columns(g, k, full, f1)
+        f1 = kernel(full, x)
+        f2 = kernel(full, f1)
         moved = returned = less = 0
         equal = full  # profiles whose nodes above the current one agree with f
         for xi, yi, zi in zip(reversed(x), reversed(f1), reversed(f2)):
@@ -214,7 +236,7 @@ def enumerate_limits(
                     "bound, or a transient exceeds the 10(14|E| + 6n) + 4 step envelope; "
                     "both indicate an implementation bug"
                 )
-            before, now, t = (before[1], now), _step_columns(g, k, full, now), t + 1
+            before, now, t = (before[1], now), kernel(full, now), t + 1
     if periodic != fixed + 2 * two:
         raise InvariantViolationError("census does not account for every periodic profile")
     return LimitCensus(
@@ -231,13 +253,14 @@ def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD
     uint32 array assembled from the successor columns."""
     k = validate_thresholds(g, k)
     check_scan_size(g.n, guard_n)
+    kernel = compile_kernel(zip(k, g.adjacency))
     import numpy as np
 
     table = np.zeros(1 << g.n, dtype=np.uint32)
     for base, full, cols in column_blocks(g.n):
         size = full.bit_length()
         part = table[base : base + size]
-        for i, c in enumerate(_step_columns(g, k, full, cols)):
+        for i, c in enumerate(kernel(full, cols)):
             raw = np.frombuffer(c.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
             bits = np.unpackbits(raw, count=size, bitorder="little")
             part |= bits.astype(np.uint32) << np.uint32(i)
@@ -371,9 +394,10 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
 
 def _matches(g: Graph, k: Sequence[int], a: int) -> Iterator[tuple[int, int]]:
     """Yield (base, mask) per block; bit x of mask is [step(base + x) == a]."""
+    kernel = compile_kernel(zip(k, g.adjacency))
     for base, full, cols in column_blocks(g.n):
         diff = 0
-        for i, c in enumerate(_step_columns(g, k, full, cols)):
+        for i, c in enumerate(kernel(full, cols)):
             diff |= c ^ full if a >> i & 1 else c
         yield base, full ^ diff
 

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
-from .dynamics import make_step
+from .dynamics import _bitcount_step
 from .errors import (
     BadParameterError,
     GuardExceededError,
@@ -84,8 +84,9 @@ def _check_recovery_counted(
     g: Graph, k: Sequence[int], seeds: Sequence[int]
 ) -> tuple[bool, int | None, int]:
     """Recovery under integer thresholds k, all >= 1 so that all-W is a
-    fixed point; also returns how many seeds were checked."""
-    step = make_step(g, k)
+    fixed point; also returns how many seeds were checked. The search
+    builds k itself, so it skips threshold validation."""
+    step = _bitcount_step(g, k)
     verdict: dict[int, bool] = {0: True}
     checked = 0
     for seed in seeds:

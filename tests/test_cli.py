@@ -199,7 +199,7 @@ class TestEnumerate:
             raise AssertionError("the scan started past the hard cap")
 
         monkeypatch.setattr(en, "column_blocks", unreachable)
-        monkeypatch.setattr(en, "_step_columns", unreachable)
+        monkeypatch.setattr(en, "compile_kernel", unreachable)
         path = write(
             tmp_path / "p33.json",
             {"n": 33, "edges": [[i, i + 1] for i in range(32)], "thresholds": [1] * 33},

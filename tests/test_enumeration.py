@@ -18,6 +18,7 @@ from threshold_lab import (
     transition_table,
 )
 from threshold_lab.instances import (
+    complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -28,20 +29,25 @@ from threshold_lab.instances import (
 from conftest import as_int, slow_census
 
 
-def column_kernel(succ):
-    """A stand-in for enumeration._step_columns that maps each profile a
-    of the block to succ(a, g, k), one profile at a time."""
+def planted_kernel(succ):
+    """A stand-in for enumeration.compile_kernel whose kernel maps each
+    profile a of the block to succ(a), one profile at a time."""
 
-    def kernel(g, k, full, cols):
-        out = [0] * len(cols)
-        for x in range(full.bit_length()):
-            a = sum((c >> x & 1) << i for i, c in enumerate(cols))
-            b = succ(a, g, k)
-            for i in range(len(cols)):
-                out[i] |= (b >> i & 1) << x
-        return out
+    def compile_kernel(rows):
+        n = len(list(rows))
 
-    return kernel
+        def kernel(full, cols):
+            out = [0] * n
+            for x in range(full.bit_length()):
+                a = sum((c >> x & 1) << i for i, c in enumerate(cols))
+                b = succ(a)
+                for i in range(n):
+                    out[i] |= (b >> i & 1) << x
+            return out
+
+        return kernel
+
+    return compile_kernel
 
 
 class TestEnumerateLimits:
@@ -138,8 +144,8 @@ class TestEnumerateLimits:
         import threshold_lab.enumeration as en
 
         plant = {0b0001: 0b0010, 0b0010: 0b0100, 0b0100: 0b0001}
-        monkeypatch.setattr(en, "_step_columns", column_kernel(
-            lambda a, g, k: plant.get(a, step(g, k, a))))
+        monkeypatch.setattr(en, "compile_kernel", planted_kernel(
+            lambda a: plant.get(a, step(four_cycle, (1, 1, 1, 1), a))))
         with pytest.raises(InvariantViolationError, match="longer than 2"):
             enumerate_limits(four_cycle, (1, 1, 1, 1))
 
@@ -149,7 +155,7 @@ class TestEnumerateLimits:
         # min(2^n, 10(14|E| + 6n) + 4) = 16 steps
         import threshold_lab.enumeration as en
 
-        monkeypatch.setattr(en, "_step_columns", column_kernel(lambda a, g, k: max(a - 1, 0)))
+        monkeypatch.setattr(en, "compile_kernel", planted_kernel(lambda a: max(a - 1, 0)))
         census = enumerate_limits(four_cycle, (1, 1, 1, 1))
         assert (census.fixed_points, census.two_cycles) == (1, 0)
         assert census.fixed_witnesses == (0,)
@@ -159,7 +165,7 @@ class TestEnumerateLimits:
         # exceeds the cap
         import threshold_lab.enumeration as en
 
-        monkeypatch.setattr(en, "_step_columns", column_kernel(lambda a, g, k: max(a - 1, 0)))
+        monkeypatch.setattr(en, "compile_kernel", planted_kernel(lambda a: max(a - 1, 0)))
         monkeypatch.setattr(en, "default_guard", lambda g: 10)
         with pytest.raises(InvariantViolationError, match="transient exceeds"):
             enumerate_limits(four_cycle, (1, 1, 1, 1))
@@ -170,15 +176,16 @@ class TestEnumerateLimits:
             enumerate_limits(g, (1,) * 6, guard_n=5)
 
     def test_hard_cap_ignores_guard(self, monkeypatch):
-        # 33 nodes do not fit a uint32 profile word; refused before the
-        # kernel allocates anything (a regression fails here, not in a 32 GiB table)
+        # 33 nodes do not fit a uint32 profile word; refused before any
+        # kernel is compiled or anything is allocated (a regression fails
+        # here, not in a 32 GiB table)
         import threshold_lab.enumeration as en
 
         def unreachable(*args):
             raise AssertionError("the scan started past the hard cap")
 
         monkeypatch.setattr(en, "column_blocks", unreachable)
-        monkeypatch.setattr(en, "_step_columns", unreachable)
+        monkeypatch.setattr(en, "compile_kernel", unreachable)
         g = build_graph(33, [(i, i + 1) for i in range(32)])
         k = (1,) * 33
         for scan in (
@@ -189,6 +196,47 @@ class TestEnumerateLimits:
         ):
             with pytest.raises(GuardExceededError, match="exceeds 32"):
                 scan()
+
+
+class TestCompileKernel:
+    @staticmethod
+    def assert_matches_step(g, k):
+        import threshold_lab.enumeration as en
+
+        kernel = en.compile_kernel(zip(k, g.adjacency))
+        ((_, full, cols),) = en.column_blocks(g.n)
+        out = kernel(full, cols)
+        assert len(out) == g.n
+        for a in range(1 << g.n):
+            assert sum((c >> a & 1) << i for i, c in enumerate(out)) == step(g, k, a)
+
+    def test_matches_step_one_profile_at_a_time(self, rng):
+        # random thresholds in 0..d_i + 1 give k = 0, k = d and k > d; half
+        # the graphs are built without the connectivity check, so nodes
+        # may be isolated (d = 0)
+        shapes = {"k=0": 0, "k=d": 0, "k>d": 0, "isolated": 0}
+        for trial in range(320):
+            n = 1 if trial < 10 else rng.randint(2, 10)
+            if trial % 2:
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+                g = build_graph(n, edges, require_connected=False)
+            else:
+                g = random_connected_graph(n, rng)
+            k = random_thresholds(g, rng)
+            for ki, d in zip(k, g.degrees):
+                shapes["k=0"] += ki == 0
+                shapes["k=d"] += ki == d
+                shapes["k>d"] += ki > d
+                shapes["isolated"] += d == 0
+            self.assert_matches_step(g, k)
+        assert min(shapes.values()) > 0
+
+    @pytest.mark.parametrize("ki", range(9))
+    def test_complete_graph_every_threshold(self, ki):
+        # K_8 has degree 7: k = 0 is pinned B, k = 8 pinned W
+        g = complete_graph(8)
+        self.assert_matches_step(g, (ki,) * 8)
+        self.assert_matches_step(g, tuple((ki + i) % 9 for i in range(8)))
 
 
 class TestTransitionTable:
