@@ -6,7 +6,7 @@ measure over type allocations.
 
 The package is lazy (PEP 562): ``from threshold_lab import X`` imports
 the submodule that defines X on first use, so importing the package
-loads no submodule and no numpy until one of its names is used.
+loads no submodule until one of its names is used.
 """
 
 import importlib
@@ -18,6 +18,7 @@ _EXPORTS = {
     "errors": (
         "AlreadySymmetricError",
         "BadParameterError",
+        "DEFAULT_GUARD_N",
         "DisconnectedError",
         "DuplicateEdgeError",
         "GuardExceededError",
@@ -91,7 +92,6 @@ _EXPORTS = {
         "symmetric_expansion",
     ),
     "enumeration": (
-        "DEFAULT_GUARD_N",
         "BipartiteCycleCheck",
         "LimitCensus",
         "bipartite_cycle_identity",
@@ -101,7 +101,6 @@ _EXPORTS = {
         "enumerate_limits",
         "is_reachable",
         "predecessors",
-        "transition_table",
     ),
     "reductions": (
         "CPRED_DISCREPANCY_NOTE",

@@ -7,15 +7,29 @@ byte-identical results. Exit codes: 0 success, 2 invalid input, 3 guard
 exceeded, 4 invariant violation (a failed verify suite, or a
 failed energy certificate in simulate).
 
-Start-up loads only what every subcommand shares: the expansion,
-instance-family and verify modules are imported by the subcommands that
-use them. The 2^n scans run on Python ints, so no subcommand loads
-numpy.
+Start-up loads only what every subcommand shares: ``errors``,
+``graph_core`` and ``dynamics``, with argparse and json. Each subcommand
+imports the rest of what it runs:
+
+  simulate     nothing more
+  enumerate    enumeration
+  expand       expansions
+  reduce       reductions, with the enumeration it builds on
+  resilience   resilience; instances for --mode closed-form
+  verify       verify, which loads every module
+
+No subcommand loads numpy. The names the subcommands take from
+enumeration, reductions and resilience (``_LAZY``) are bound in this
+module when one of them is first looked up here (PEP 562) or when its
+subcommand runs. Binding never replaces a name already set, so a
+wrapper set on this module beforehand is the function the subcommand
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -23,18 +37,14 @@ import sys
 from fractions import Fraction
 
 from .dynamics import Rule, default_guard, limit_cycle
-from .enumeration import (
+from .errors import (
     DEFAULT_GUARD_N,
     MAX_SCAN_N,
-    census_to_dict,
-    check_scan_size,
-    enumerate_limits,
-)
-from .errors import (
     InputError,
     InvariantViolationError,
     ResourceLimitError,
     ThresholdLabError,
+    check_scan_size,
 )
 from .graph_core import (
     format_profile,
@@ -43,22 +53,50 @@ from .graph_core import (
     parse_profile,
     types_to_thresholds,
 )
-from .reductions import (
-    count_sat,
-    fix_reduction,
-    formula_from_dict,
-    pred_reduction,
-    reachable_pred_reduction,
-    recover_sat_count,
-    CPRED_DISCREPANCY_NOTE,
-    THREE_CNF,
-)
-from .enumeration import count_fixed_points_backtracking, is_reachable
-from .resilience import (
-    greedy_upper_bound_q,
-    resilience_bruteforce,
-    resilience_closed_form,
-)
+
+# module -> the names the subcommands use from it, bound on first use
+_LAZY = {
+    "enumeration": (
+        "census_to_dict",
+        "count_fixed_points_backtracking",
+        "enumerate_limits",
+        "is_reachable",
+    ),
+    "reductions": (
+        "CPRED_DISCREPANCY_NOTE",
+        "THREE_CNF",
+        "count_sat",
+        "fix_reduction",
+        "formula_from_dict",
+        "pred_reduction",
+        "reachable_pred_reduction",
+        "recover_sat_count",
+    ),
+    "resilience": (
+        "greedy_upper_bound_q",
+        "resilience_bruteforce",
+        "resilience_closed_form",
+    ),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import the modules and bind their ``_LAZY`` names here, keeping
+    any name already set."""
+    scope = globals()
+    for module in modules:
+        mod = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            scope.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,6 +167,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _bind("enumeration")
     g, k = _load_instance(args.input)
     census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
     _emit(census_to_dict(census, g.n))
@@ -173,6 +212,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _bind("enumeration", "reductions")
     with open(args.formula, "r", encoding="utf-8") as fh:
         f = formula_from_dict(json.load(fh))
     if args.kind == "fix":
@@ -180,6 +220,9 @@ def _cmd_reduce(args) -> int:
         out = instance_to_dict(gadget.graph, gadget.thresholds)
         out["labels"] = list(gadget.labels)
         if args.verify:
+            # the model-count oracle below scans 2^num_vars; refuse it
+            # before the counter runs
+            check_scan_size(f.num_vars, args.guard_n)
             fcount = count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
             sat, nsat = recover_sat_count(fcount, f.num_vars)
             oracle = count_sat(f)
@@ -222,6 +265,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_resilience(args) -> int:
+    _bind("resilience")
     g, _k = _load_instance(args.input)
     if args.K is None:
         raise InputError("resilience needs --K")

@@ -10,9 +10,8 @@ updates one node over the whole block; every scan compiles its kernel
 once, after the size check, and reuses it for every block and pass.
 The census, its period check, the predecessor and reachability scans,
 ``dynamics.strong_assignments`` and ``reductions.count_sat`` all run
-block by block, so scan memory does not grow with 2^n. Only
-``transition_table``, which assembles the columns into an array,
-imports numpy.
+block by block, so scan memory does not grow with 2^n, and none of
+them needs numpy.
 
 Fixed points can also be counted without a scan, in pure Python: a
 depth-first search that propagates each node's threshold constraint
@@ -22,37 +21,26 @@ graphs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import default_guard
+
+# the scan guard is defined in errors; DEFAULT_GUARD_N, MAX_SCAN_N and
+# check_scan_size stay importable from here
 from .errors import (
+    DEFAULT_GUARD_N,
+    MAX_SCAN_N,
     BadParameterError,
-    GuardExceededError,
     IdentityViolatedError,
     InvariantViolationError,
+    check_scan_size,
 )
 from .graph_core import Graph, as_int, build_graph, two_partition
 from .graph_core import validate_profile, validate_thresholds
 
-if TYPE_CHECKING:
-    import numpy as np
-
-DEFAULT_GUARD_N = 24
-MAX_SCAN_N = 32  # bounds the scan time; no guard setting lifts it
 # one 2^16-bit column is 8 KB, so a block stays small while each & or |
 # covers 65,536 profiles
 _BLOCK_BITS = 16
-
-
-def check_scan_size(n: int, guard_n: int) -> None:
-    """Refuse a 2^n scan past MAX_SCAN_N or past guard_n.
-
-    Called before anything is allocated.
-    """
-    if n > MAX_SCAN_N:
-        raise GuardExceededError(f"n = {n} exceeds {MAX_SCAN_N}, the widest 2^n scan supported")
-    if n > guard_n:
-        raise GuardExceededError(f"n = {n} exceeds the 2^n scan guard {guard_n}")
 
 
 class LimitCensus(NamedTuple):
@@ -246,25 +234,6 @@ def enumerate_limits(
         fixed_witnesses=tuple(fw) if witnesses else None,
         two_cycle_witnesses=tuple(tw) if witnesses else None,
     )
-
-
-def transition_table(g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N) -> np.ndarray:
-    """Full successor table next[a] = step(a) for all 2^n profiles, as a
-    uint32 array assembled from the successor columns."""
-    k = validate_thresholds(g, k)
-    check_scan_size(g.n, guard_n)
-    kernel = compile_kernel(zip(k, g.adjacency))
-    import numpy as np
-
-    table = np.zeros(1 << g.n, dtype=np.uint32)
-    for base, full, cols in column_blocks(g.n):
-        size = full.bit_length()
-        part = table[base : base + size]
-        for i, c in enumerate(kernel(full, cols)):
-            raw = np.frombuffer(c.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-            bits = np.unpackbits(raw, count=size, bitorder="little")
-            part |= bits.astype(np.uint32) << np.uint32(i)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_GUARD_N, check_scan_size, column_blocks, predecessors
+from .enumeration import column_blocks, predecessors
 from .errors import (
+    DEFAULT_GUARD_N,
     BadParameterError,
     InconsistentCountError,
     VariableMissingError,
+    check_scan_size,
 )
 from .graph_core import Graph, build_graph, check_int_list
 

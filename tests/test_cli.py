@@ -393,6 +393,31 @@ class TestReduce:
         assert main(["reduce", "--formula", path, "--kind", "pred", "--verify"]) == 2
         assert "needs a 3cnf formula" in capsys.readouterr().err
 
+    def test_fix_verify_guard_before_counter(self, capsys, tmp_path, monkeypatch):
+        # the cycle 2-DNF on 28 variables gives a 339-node gadget with
+        # about 2^28 fixed points; the 2^28 model-count scan is refused
+        # before the counter starts
+        import time
+
+        import threshold_lab.cli as cli
+
+        def unreachable(*args):
+            raise AssertionError("the fixed-point counter ran before the size check")
+
+        monkeypatch.setattr(cli, "count_fixed_points_backtracking", unreachable)
+        clauses = [[i + 1, (i + 1) % 28 + 1] for i in range(28)]
+        path = write(tmp_path / "cycle.json",
+                     {"variant": "monotone-2dnf", "n": 28, "clauses": clauses})
+        t0 = time.perf_counter()
+        code = main(["reduce", "--formula", path, "--kind", "fix", "--verify",
+                     "--guard-n", "20"])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "n = 28 exceeds the 2^n scan guard 20" in captured.err
+        assert elapsed < 1.0
+
     def test_bad_formula_exit(self, capsys, tmp_path):
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
@@ -511,8 +536,9 @@ def test_benchmark_input_loader_runs(tmp_path):
     CLI import, ``simulate`` on every rule, resilience in every mode, the
     bipartite expansion, the 2^n scans of ``enumerate`` and of ``reduce
     --verify`` of every kind, and the loader never load numpy, nor
-    ``dataclasses`` and the ``inspect`` chain it imports, and the CLI
-    import loads no leaf module."""
+    ``dataclasses`` and the ``inspect`` chain it imports; the CLI import
+    loads no leaf module and none of the three engines, and each
+    subcommand loads no engine it does not run."""
     import os
     import subprocess
     import sys
@@ -539,31 +565,38 @@ def test_benchmark_input_loader_runs(tmp_path):
         return proc.stdout
 
     lean = ("numpy", "dataclasses", "inspect")
-    heavy = (*lean, "networkx", "threshold_lab.verify", "threshold_lab.expansions",
+    enumeration, reductions, resilience = (
+        f"threshold_lab.{m}" for m in ("enumeration", "reductions", "resilience"))
+    engines = (enumeration, reductions, resilience)
+    heavy = (*lean, *engines, "networkx", "threshold_lab.verify", "threshold_lab.expansions",
              "threshold_lab.instances")
     loaded = python("-c", f"import sys, threshold_lab.cli; "
                           f"print([m for m in {heavy!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
 
-    runs = [["simulate", "--input", path, "--initial", "BW"] for path in files[:3]]
-    runs += [["resilience", "--input", star, "--K", "1", "--mode", mode]
+    # (modules that must stay unloaded, argv)
+    runs = [((*lean, *engines), ["simulate", "--input", path, "--initial", "BW"])
+            for path in files[:3]]
+    runs += [((*lean, enumeration, reductions),
+              ["resilience", "--input", star, "--K", "1", "--mode", mode])
              for mode in ("brute", "greedy", "closed-form")]
-    runs.append(["expand", "--input", star, "--kind", "bipartite"])
-    runs.append(["enumerate", "--input", star])
-    runs += [["reduce", "--formula", path, "--kind", kind, "--verify"]
+    runs.append(((*lean, *engines), ["expand", "--input", star, "--kind", "bipartite"]))
+    runs.append(((*lean, reductions, resilience), ["enumerate", "--input", star]))
+    runs += [((*lean, resilience), ["reduce", "--formula", path, "--kind", kind, "--verify"])
              for path, kind in ((files[4], "pred"), (files[5], "reachable-pred"))]
     probe = ("import contextlib, io, sys\n"
              "from threshold_lab.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(sys.argv[1:])\n"
-             f"print(code, [m for m in {lean!r} if m in sys.modules])\n")
-    for argv in runs:
-        assert python("-c", probe, *argv).strip() == "0 []", argv
+             "    code = main(sys.argv[2:])\n"
+             "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules])\n")
+    for unused, argv in runs:
+        assert python("-c", probe, ",".join(unused), *argv).strip() == "0 []", argv
     # the fixed-point count and the model count of a fix job are pure Python
     probe = ("import json, sys\n"
              "from threshold_lab.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             f"print(json.dumps([code, [m for m in {lean!r} if m in sys.modules]]))\n")
+             f"print(json.dumps([code, [m for m in {(*lean, resilience)!r} "
+             f"if m in sys.modules]]))\n")
     out = python("-c", probe, "reduce", "--formula", files[3], "--kind", "fix", "--verify")
     *result, flags = out.splitlines()
     assert json.loads(flags) == [0, []]
@@ -577,6 +610,103 @@ def test_benchmark_input_loader_runs(tmp_path):
              f"runpy.run_path(sys.argv[0], run_name='__main__'); "
              f"print([m for m in {lean!r} if m in sys.modules])")
     assert python("-c", probe, str(loader), *files).strip() == "[]"
+
+
+def test_tracer_wraps_every_cli_name(tmp_path):
+    """perfbench's tracer replaces library names on ``cli`` with
+    ``getattr`` then ``setattr`` before ``main`` runs. In a fresh
+    interpreter every wrapped name ``cli`` binds must resolve, whether
+    its module is loaded yet or not, and the wrapper set on ``cli`` must
+    be the function the subcommand calls; a name ``cli`` does not bind
+    stays absent."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    unbound = {"weighted_graph_from_dict", "make_step", "make_step_types", "make_step_weighted"}
+    files = {
+        "q": write(tmp_path / "q.json", {"n": 2, "edges": [[0, 1]], "types": [[1, 2], [0, 1]]}),
+        "star": write(tmp_path / "star.json",
+                      {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "thresholds": [1, 1, 1, 1]}),
+        "dnf": write(tmp_path / "f.json",
+                     {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]}),
+        "cnf3": write(tmp_path / "c3.json",
+                      {"variant": "3cnf", "n": 3, "clauses": [[1, -2, 3]]}),
+        "cnf2": write(tmp_path / "c2.json",
+                      {"variant": "monotone-2cnf", "n": 2, "clauses": [[1, 2]]}),
+    }
+    jobs = [
+        ["simulate", "--input", files["q"], "--initial", "BW"],
+        ["enumerate", "--input", files["star"]],
+        ["reduce", "--formula", files["dnf"], "--kind", "fix", "--verify"],
+        ["reduce", "--formula", files["cnf3"], "--kind", "pred", "--verify"],
+        ["reduce", "--formula", files["cnf2"], "--kind", "reachable-pred", "--verify"],
+        ["resilience", "--input", files["star"], "--K", "1"],
+    ]
+    # mode "cli" resolves each name on cli, as the tracer does; mode
+    # "package" takes it from the package and sets the wrapper on a cli
+    # that has not resolved it
+    probe = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+import threshold_lab
+import threshold_lab.cli as cli
+
+mode, unbound, argv = sys.argv[2], set(sys.argv[3].split(",")), sys.argv[4:]
+names = [name for mod, name, *_ in tracing.WRAPPED if mod == "cli"]
+called, report = [], {"absent": [], "mismatch": []}
+
+def wrap(name, fn):
+    def wrapper(*args, **kwargs):
+        called.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in names:
+    if name in unbound:
+        if getattr(cli, name, None) is not None:
+            report["absent"].append(name)
+        continue
+    fn = getattr(cli if mode == "cli" else threshold_lab, name)
+    if fn is not getattr(threshold_lab, name):
+        report["mismatch"].append(name)
+    setattr(cli, name, wrap(name, fn))
+with contextlib.redirect_stdout(io.StringIO()):
+    report["code"] = cli.main(argv)
+report["called"] = sorted(set(called))
+report["bound"] = sorted(set(names) - unbound)
+print(json.dumps(report))
+"""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    expected = {
+        "count_fixed_points_backtracking", "count_sat", "enumerate_limits", "fix_reduction",
+        "formula_from_dict", "instance_from_dict", "is_reachable", "limit_cycle",
+        "parse_profile", "pred_reduction", "reachable_pred_reduction", "recover_sat_count",
+        "resilience_bruteforce", "types_to_thresholds",
+    }
+    for mode in ("cli", "package"):
+        called = set()
+        for argv in jobs:
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, str(root / "perfbench"), mode, ",".join(unbound),
+                 *argv],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            assert report["code"] == 0, (mode, argv)
+            assert report["absent"] == report["mismatch"] == [], (mode, argv)
+            assert set(report["bound"]) == expected
+            called.update(report["called"])
+        assert called == expected, mode
+
+    import threshold_lab.cli as cli
+
+    assert getattr(cli, "make_step", None) is None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 def test_package_exports_resolve_lazily():

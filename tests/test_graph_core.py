@@ -20,7 +20,6 @@ from threshold_lab import (
     make_step,
     predecessors,
     resilience_bruteforce,
-    transition_table,
     format_profile,
     instance_from_dict,
     instance_to_dict,
@@ -143,7 +142,6 @@ WEIGHTED = build_graph(3, [(0, 1, 2), (1, 2, 1)])
     "call",
     [
         lambda: enumerate_limits(WEIGHTED, (1, 1, 1)),
-        lambda: transition_table(WEIGHTED, (1, 1, 1)),
         lambda: predecessors(WEIGHTED, (1, 1, 1), 0),
         lambda: count_fixed_points_backtracking(WEIGHTED, (1, 1, 1)),
         lambda: make_step(WEIGHTED, (1, 1, 1)),
@@ -151,7 +149,7 @@ WEIGHTED = build_graph(3, [(0, 1, 2), (1, 2, 1)])
         lambda: greedy_upper_bound_q(WEIGHTED),
         lambda: bipartite_expansion(WEIGHTED, (1, 1, 1)),
     ],
-    ids=["enumerate_limits", "transition_table", "predecessors",
+    ids=["enumerate_limits", "predecessors",
          "count_fixed_points_backtracking", "make_step", "resilience_bruteforce",
          "greedy_upper_bound_q", "bipartite_expansion"],
 )
