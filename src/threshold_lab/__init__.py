@@ -96,7 +96,6 @@ _EXPORTS = {
         "LimitCensus",
         "bipartite_cycle_identity",
         "build_extremal_cycle_instance",
-        "census_to_dict",
         "count_fixed_points_backtracking",
         "enumerate_limits",
         "is_reachable",

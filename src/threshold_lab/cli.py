@@ -18,12 +18,12 @@ imports the rest of what it runs:
   resilience   resilience; instances for --mode closed-form
   verify       verify, which loads every module
 
-No subcommand loads numpy. The names the subcommands take from
-enumeration, reductions and resilience (``_LAZY``) are bound in this
-module when one of them is first looked up here (PEP 562) or when its
-subcommand runs. Binding never replaces a name already set, so a
-wrapper set on this module beforehand is the function the subcommand
-calls.
+No subcommand loads numpy. The names that enumeration, reductions and
+resilience export (the package table ``threshold_lab._EXPORTS``) are
+bound in this module when one of them is first looked up here (PEP 562)
+or when its subcommand runs. Binding never replaces a name already set,
+so a wrapper set on this module beforehand is the function the
+subcommand calls.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import _EXPORTS, _OWNER
 from .dynamics import Rule, default_guard, limit_cycle
 from .errors import (
     DEFAULT_GUARD_N,
@@ -54,47 +55,21 @@ from .graph_core import (
     types_to_thresholds,
 )
 
-# module -> the names the subcommands use from it, bound on first use
-_LAZY = {
-    "enumeration": (
-        "census_to_dict",
-        "count_fixed_points_backtracking",
-        "enumerate_limits",
-        "is_reachable",
-    ),
-    "reductions": (
-        "CPRED_DISCREPANCY_NOTE",
-        "THREE_CNF",
-        "count_sat",
-        "fix_reduction",
-        "formula_from_dict",
-        "pred_reduction",
-        "reachable_pred_reduction",
-        "recover_sat_count",
-    ),
-    "resilience": (
-        "greedy_upper_bound_q",
-        "resilience_bruteforce",
-        "resilience_closed_form",
-    ),
-}
-
-
 def _bind(*modules: str) -> None:
-    """Import the modules and bind their ``_LAZY`` names here, keeping
+    """Import the modules and bind their exported names here, keeping
     any name already set."""
     scope = globals()
     for module in modules:
         mod = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAZY[module]:
+        for name in _EXPORTS[module]:
             scope.setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
+    module = _OWNER.get(name)
+    if module in ("enumeration", "reductions", "resilience"):
+        _bind(module)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -170,7 +145,13 @@ def _cmd_enumerate(args) -> int:
     _bind("enumeration")
     g, k = _load_instance(args.input)
     census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
-    _emit(census_to_dict(census, g.n))
+    _emit(
+        {
+            "fixed_points": census.fixed_points,
+            "two_cycles": census.two_cycles,
+            "cycle_classes": census.cycle_classes,
+        }
+    )
     return EXIT_OK
 
 
@@ -225,7 +206,7 @@ def _cmd_reduce(args) -> int:
             check_scan_size(f.num_vars, args.guard_n)
             fcount = count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
             sat, nsat = recover_sat_count(fcount, f.num_vars)
-            oracle = count_sat(f)
+            oracle = count_sat(f, guard_n=args.guard_n)
             out["verification"] = {
                 "fixed_points": fcount,
                 "recovered_sat": sat,
@@ -246,7 +227,7 @@ def _cmd_reduce(args) -> int:
                 gadget.graph, gadget.thresholds, gadget.target, guard_n=args.guard_n
             )
             # brute-force satisfiability oracle
-            sat = count_sat(f) > 0
+            sat = count_sat(f, guard_n=args.guard_n) > 0
             out["verification"] = {"reachable": reach, "satisfiable": sat, "match": reach == sat}
     elif args.kind == "reachable-pred":
         gadget = reachable_pred_reduction(f, measure=args.verify, guard_n=args.guard_n)

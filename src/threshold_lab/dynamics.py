@@ -8,18 +8,20 @@ concurrently without coordination.
 Every rule is one weighted threshold rule on a ``Graph`` with
 thresholds k beside it: types become thresholds through
 ``types_to_thresholds``, and the inverted rule (B iff at most k_i - 1
-neighbors played B) is weights -1 with thresholds 1 - k_i. The
+neighbors played B) is weights -1 with thresholds 1 - k_i.
+
+``make_step`` is the unit-weight bit-count kernel (node i plays B iff
+at least k_i neighbors played B), and ``step`` one call of it. The
 plain-Python references:
-  step           node i plays B iff at least k_i neighbors played B
   step_types     node i plays B iff strictly more than q_i*d_i did
   step_restricted  apply the rule only on a node subset, freeze the rest
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
 
-``make_step`` is the unit-weight bit-count kernel. ``Rule`` holds any
-weighted rule as per-node reader lists; ``limit_cycle`` runs it on a
-frontier engine in Python ints that re-tests only the nodes whose field
-changed and certifies period <= 2 with the Lyapunov energy.
+``Rule`` holds any weighted rule as per-node reader lists;
+``limit_cycle`` runs it on a frontier engine in Python ints that
+re-tests only the nodes whose field changed and certifies period <= 2
+with the Lyapunov energy.
 """
 
 from __future__ import annotations
@@ -57,13 +59,7 @@ weighted_graph_from_dict = instance_from_dict
 
 def step(g: Graph, k: Sequence[int], a: int) -> int:
     """One synchronous update: out_i = B iff >= k_i neighbors of i play B in a."""
-    k = validate_thresholds(g, k)
-    a = validate_profile(a, g.n)
-    out = 0
-    for i in range(g.n):
-        if (a & g.neighbor_masks[i]).bit_count() >= k[i]:
-            out |= 1 << i
-    return out
+    return make_step(g, k)(validate_profile(a, g.n))
 
 
 def step_types(g: Graph, q: Sequence, a: int) -> int:
@@ -146,7 +142,7 @@ def _bitcount_step(g: Graph, k: Sequence[int]) -> StepMap:
 # The weighted threshold rule as reader lists
 
 
-class Rule:
+class Rule(NamedTuple):
     """out_i = [sum_j w_ij x_j + l_i x_i >= k_i] on Python ints.
 
     ``readers[j]`` lists the pairs (i, w_ij) whose field reads x_j, with
@@ -154,26 +150,11 @@ class Rule:
     this module is one of these: threshold rules have unit weights, type
     rules go through ``types_to_thresholds``, and the inverted rule has
     weights -1 and thresholds 1 - k_i. Build one with ``from_graph``.
-    Fields are read-only; rules compare by identity.
     """
 
-    __slots__ = ("n", "readers", "thresholds")
-
-    def __init__(
-        self,
-        n: int,
-        readers: tuple[tuple[tuple[int, int], ...], ...],
-        thresholds: tuple[int, ...],
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "readers", readers)
-        object.__setattr__(self, "thresholds", thresholds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: Rule is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Rule is read-only")
+    n: int
+    readers: tuple[tuple[tuple[int, int], ...], ...]
+    thresholds: tuple[int, ...]
 
     @classmethod
     def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:

@@ -58,24 +58,6 @@ class LimitCensus(NamedTuple):
     two_cycle_witnesses: tuple[tuple[int, int], ...] | None = None
 
 
-def census_to_dict(census: LimitCensus, n: int) -> dict:
-    """JSON form: counts plus any witness lists as 'B'/'W' strings."""
-    from .graph_core import format_profile
-
-    d = {
-        "fixed_points": census.fixed_points,
-        "two_cycles": census.two_cycles,
-        "cycle_classes": census.cycle_classes,
-    }
-    if census.fixed_witnesses is not None:
-        d["fixed_point_witnesses"] = [format_profile(a, n) for a in census.fixed_witnesses]
-    if census.two_cycle_witnesses is not None:
-        d["two_cycle_witnesses"] = [
-            [format_profile(a, n), format_profile(b, n)] for a, b in census.two_cycle_witnesses
-        ]
-    return d
-
-
 # ---------------------------------------------------------------------------
 # The 2^n kernel
 

@@ -34,7 +34,16 @@ ACTION_B = "B"
 ACTION_W = "W"
 
 
-class Graph:
+class _GraphFields(NamedTuple):
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+    weights: tuple[int, ...] | None = None
+    loops: tuple[tuple[int, int], ...] = ()
+
+
+class Graph(_GraphFields):
     """Undirected graph on nodes 0..n-1, unweighted or integer-weighted.
 
     ``edges`` is the canonical sorted list of pairs (i, j) with i < j,
@@ -47,42 +56,16 @@ class Graph:
     Thresholds are not part of the graph. Instances are immutable and
     equal when their fields are.
 
-    A plain class, not a tuple: ``neighbor_masks`` is cached in the
-    instance ``__dict__``, which ``__setattr__`` does not guard.
+    No ``__slots__``: ``neighbor_masks`` is cached in the instance
+    ``__dict__``, which ``cached_property`` writes directly, past
+    ``__setattr__``.
     """
-
-    def __init__(
-        self,
-        n: int,
-        edges: tuple[tuple[int, int], ...],
-        adjacency: tuple[tuple[int, ...], ...],
-        degrees: tuple[int, ...],
-        weights: tuple[int, ...] | None = None,
-        loops: tuple[tuple[int, int], ...] = (),
-    ):
-        vars(self).update(
-            n=n, edges=edges, adjacency=adjacency, degrees=degrees, weights=weights, loops=loops
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: Graph is immutable")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
-
-    def _key(self) -> tuple:
-        return (self.n, self.edges, self.adjacency, self.degrees, self.weights, self.loops)
-
-    def __eq__(self, other):
-        if type(other) is not Graph:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges}, weights={self.weights}, loops={self.loops})"
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:

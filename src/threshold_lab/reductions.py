@@ -34,20 +34,25 @@ MONOTONE_2CNF = "monotone-2cnf"
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
 
 
-class Formula:
+class _FormulaFields(NamedTuple):
+    variant: str
+    num_vars: int
+    clauses: tuple[tuple[int, ...], ...]
+
+
+class Formula(_FormulaFields):
     """A Boolean formula in one of the three reduction dialects.
 
     DNF formulas are disjunctions of conjunction clauses, CNF formulas
     conjunctions of disjunction clauses. Monotone variants carry no
     negations. For monotone 2-DNF every variable must appear somewhere
     (the counting reduction presumes it). Construction validates all
-    of this; fields are read-only and formulas equal when their fields
-    are.
+    of this.
     """
 
-    __slots__ = ("variant", "num_vars", "clauses")
+    __slots__ = ()
 
-    def __init__(self, variant: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+    def __new__(cls, variant: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
         if variant not in _ARITY:
             raise BadParameterError(f"unknown formula variant {variant!r}")
         if num_vars < 1:
@@ -72,28 +77,7 @@ class Formula:
             raise VariableMissingError(
                 f"variables {[v + 1 for v in missing]} never appear in the 2-DNF formula"
             )
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "clauses", clauses)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: Formula is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: Formula is read-only")
-
-    def __eq__(self, other):
-        if type(other) is not Formula:
-            return NotImplemented
-        return (self.variant, self.num_vars, self.clauses) == (
-            other.variant, other.num_vars, other.clauses
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.variant, self.num_vars, self.clauses))
-
-    def __repr__(self) -> str:
-        return f"Formula({self.variant!r}, {self.num_vars}, {self.clauses})"
+        return super().__new__(cls, variant, num_vars, clauses)
 
     def to_dict(self) -> dict:
         return {

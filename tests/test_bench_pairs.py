@@ -34,6 +34,22 @@ def test_summary_counts_wins_in_the_better_direction():
     assert m["jobs_per_s"]["parent"] == {"median": 2.2, "q1": 2.1, "q3": 2.35}
     assert m["jobs_per_s"]["change"] == {"median": 3.0, "q1": 2.7, "q3": 3.5}
     assert m["ok_frac"]["change"] == {"median": 1.0, "q1": 0.75, "q3": 1.0}
+    # change/parent per pair: jobs_per_s 1.5, 0.96, 1.8182; job_s_p50 0.6667, 0.8, 1.0
+    assert m["jobs_per_s"]["ratio"] == {"median": 1.5, "q1": 1.23, "q3": 1.6591}
+    assert m["job_s_p50"]["ratio"] == {"median": 0.8, "q1": 0.7333, "q3": 0.9}
+    assert m["ok_frac"]["ratio"] == {"median": 1.0, "q1": 0.75, "q3": 1.0}
+
+
+def test_ratio_skips_pairs_with_a_zero_parent():
+    pairs = [
+        pair(1, "parent", {"errors": 0.0, "job_s_p50": 0.2}, {"errors": 1.0, "job_s_p50": 0.3}),
+        pair(2, "change", {"errors": 2.0, "job_s_p50": 0.4}, {"errors": 1.0, "job_s_p50": 0.2}),
+    ]
+    m = bench_pairs.summarize(pairs, {"errors": "lower", "job_s_p50": "lower"})["metrics"]
+    assert m["errors"]["ratio"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert m["job_s_p50"]["ratio"] == {"median": 1.0, "q1": 0.75, "q3": 1.25}
+    only_zero = bench_pairs.summarize(pairs[:1], {"errors": "lower"})["metrics"]
+    assert only_zero["errors"]["ratio"] is None
 
 
 def test_quartiles_of_one_run():

@@ -418,6 +418,29 @@ class TestReduce:
         assert "n = 28 exceeds the 2^n scan guard 20" in captured.err
         assert elapsed < 1.0
 
+    def test_fix_verify_oracle_scans_under_the_guard_flag(self, capsys, tmp_path, monkeypatch):
+        # --guard-n 25 admits the 25-variable model count, so the oracle
+        # must run under that guard and not the default 24
+        import threshold_lab.cli as cli
+
+        seen = {}
+
+        def count_sat(f, **kwargs):
+            seen.update(kwargs)
+            return 1
+
+        monkeypatch.setattr(cli, "count_fixed_points_backtracking", lambda g, k: 0)
+        monkeypatch.setattr(cli, "recover_sat_count", lambda fcount, n: (1, 0))
+        monkeypatch.setattr(cli, "count_sat", count_sat)
+        clauses = [[i + 1, (i + 1) % 25 + 1] for i in range(25)]
+        path = write(tmp_path / "cycle.json",
+                     {"variant": "monotone-2dnf", "n": 25, "clauses": clauses})
+        code = main(["reduce", "--formula", path, "--kind", "fix", "--verify",
+                     "--guard-n", "25"])
+        assert code == 0, capsys.readouterr().err
+        assert seen == {"guard_n": 25}
+        assert json.loads(capsys.readouterr().out)["verification"]["match"] is True
+
     def test_bad_formula_exit(self, capsys, tmp_path):
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
@@ -733,3 +756,69 @@ def test_package_exports_resolve_lazily():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          timeout=120, env=env)
     assert out.stdout.split() == ["[]", "threshold_lab.resilience"], out.stderr
+
+
+def test_exported_records_are_tuples():
+    import threshold_lab
+
+    values = [getattr(threshold_lab, name) for name in threshold_lab.__all__]
+    records = [v for v in values if isinstance(v, type) and not issubclass(v, Exception)]
+    assert len(records) == 16
+    assert [r.__name__ for r in records if not issubclass(r, tuple)] == []
+
+
+def test_graph_rule_and_formula_are_read_only():
+    from threshold_lab import MONOTONE_2DNF, Formula, Rule, build_graph
+
+    g = build_graph(2, [(0, 1)])
+    for record in (g, Rule.from_graph(g, (1, 1)), Formula(MONOTONE_2DNF, 2, ((1, 2),))):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 3
+    masks = g.neighbor_masks
+    assert masks == (0b10, 0b01)
+    assert g.neighbor_masks is masks
+
+
+def test_each_subcommand_name_resolves_after_its_bind():
+    """Every global a ``cli._cmd_*`` function loads is bound in ``cli``
+    once the engines its ``_bind`` call names are bound. Each subcommand
+    runs in a fresh copy of the module, so a name left out of the
+    binding, which would raise NameError only when that subcommand runs,
+    fails here."""
+    import builtins
+    import dis
+    import importlib.util
+    import types
+
+    def global_loads(code):
+        names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                names |= global_loads(const)
+        return names
+
+    spec = importlib.util.find_spec("threshold_lab.cli")
+    bound = set()
+    for command in ("simulate", "enumerate", "expand", "reduce", "resilience", "verify"):
+        cli = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli)
+        code = getattr(cli, f"_cmd_{command}").__code__
+        ins = list(dis.get_instructions(code))
+        engines = []
+        for at, i in enumerate(ins):
+            if i.opname == "LOAD_GLOBAL" and i.argval == "_bind":
+                for arg in ins[at + 1:]:
+                    if arg.opname != "LOAD_CONST":
+                        break
+                    engines.append(arg.argval)
+        cli._bind(*engines)
+        bound.update(engines)
+        missing = [name for name in sorted(global_loads(code))
+                   if name not in vars(cli) and not hasattr(builtins, name)]
+        assert missing == [], command
+    assert bound == {"enumeration", "reductions", "resilience"}

@@ -5,15 +5,20 @@
         --what "one line on what the change does"
 
 Both commits are extracted with ``git archive`` into a temporary
-directory. For every workload of ``BENCHMARK.json`` and every seed, each
-checkout runs
+directory. For every seed, and within it every workload of
+``BENCHMARK.json``, each checkout runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 20 --trace 0
 
-once, with the run length ``BENCHMARK.json`` sets; the pair alternates which side runs first. The end-to-end metrics
-of every run are kept under ``runs``, and each metric is summarised per
-side as median and quartiles, with ``change_wins``: the pairs in which
-the change is strictly better in the direction ``BENCHMARK.json`` gives.
+once, with the run length ``BENCHMARK.json`` sets; the pair alternates
+which side runs first. Running the workloads in turn within each seed
+spreads slow drift in machine load over all of them instead of over one
+workload's block of pairs. The end-to-end metrics of every run are kept
+under ``runs``, and each metric is summarised per side as median and
+quartiles, with ``change_wins``: the pairs in which the change is
+strictly better in the direction ``BENCHMARK.json`` gives, and
+``ratio``: median and quartiles of change/parent over the pairs whose
+parent value is not 0 (None if there are none).
 Each checkout also makes one traced run per workload at seed 7, the
 seed of every traced comparison in the project's notes, and its non-zero
 per-layer metrics are recorded. Any failed run stops the tool.
@@ -56,9 +61,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
         wins = sum(1 for p in pairs if sign * (p["change"][name] - p["parent"][name]) > 0)
+        ratios = [p["change"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
         metrics[name] = {
             "better": direction,
             "change_wins": wins,
+            "ratio": quartiles(ratios) if ratios else None,
             **{side: quartiles([p[side][name] for p in pairs]) for side in SIDES},
         }
     return {
@@ -116,17 +123,18 @@ def main(argv=None) -> int:
         for side in SIDES:
             extract(shas[side], dirs[side])
         machine = None
-        for workload in (w["name"] for w in spec["workloads"]):
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pairs = {w["name"]: [] for w in spec["workloads"]}
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for workload in pairs:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side], machine = bench(dirs[side], workload, seed, seconds, 0)
                     print(f"{workload} seed {seed} {side}: jobs_per_s {pair[side]['jobs_per_s']:.4g}",
                           file=sys.stderr)
-                pairs.append(pair)
-            record["workloads"][workload] = summarize(pairs, better)
+                pairs[workload].append(pair)
+        for workload in pairs:
+            record["workloads"][workload] = summarize(pairs[workload], better)
             traced = {side: bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0]
                       for side in SIDES}
             keep = sorted(k for k in traced["parent"]
@@ -140,10 +148,12 @@ def main(argv=None) -> int:
         change_sha=shas["change"],
         machine=machine,
         method=(f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
-                "--trace 0 in fresh git-archive checkouts of both commits; parent and change "
+                "--trace 0 in fresh git-archive checkouts of both commits; the seed loop is "
+                "outermost and the workloads run in turn within each seed; parent and change "
                 "alternate which runs first in each pair; medians and inclusive quartiles are "
                 "over the runs of one side; change_wins counts pairs where the change is "
-                "strictly better"),
+                "strictly better; ratio is change/parent per pair, pairs with a parent value "
+                "of 0 skipped"),
     )
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
