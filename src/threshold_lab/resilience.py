@@ -112,8 +112,11 @@ def _check_recovery_counted(
 class ResilienceResult(NamedTuple):
     """Exact resilience value with an optimal witness allocation.
 
-    ``evaluations`` counts the (candidate q, seed) recovery checks
-    performed during the search.
+    ``evaluations`` counts the (candidate q, seed) recovery checks made
+    during the search: the greedy allocation's, then those of every full
+    candidate the search evaluated. The walks that learn failure boxes
+    are not counted, and candidates inside a learned box are skipped
+    without a check.
     """
 
     mu: Fraction
@@ -121,16 +124,85 @@ class ResilienceResult(NamedTuple):
     evaluations: int
 
 
+def _failure_box(g: Graph, k: Sequence[int], seed: int) -> tuple[int, ...]:
+    """Digit upper bounds of the failure box learned from a seed that
+    does not recover under thresholds k.
+
+    The walk from the seed runs until a profile repeats, so it covers
+    every step of the trajectory. For each node i that some step sets to
+    B, c_i is the least B-neighbour count at such a step, and the box
+    bounds the digit by c_i - 1; every other node keeps the bound d_i,
+    which is no constraint. As k_i <= c_i, the digits k - 1 lie in the
+    box.
+
+    Soundness: every m' in the box fails from the same seed. Let x_t be
+    the walk under k and x'_t the walk under k' = m' + 1 from the same
+    seed. Then x'_t contains x_t for every t. At t = 0 both are the
+    seed. If x'_t contains x_t and node i is in x_{t+1}, then
+    |N(i) & x'_t| >= |N(i) & x_t| >= c_i >= m'_i + 1 = k'_i, so i is in
+    x'_{t+1}: the step is monotone in the profile and antitone in k.
+    The seed fails under k, and all-W is a fixed point, so x_t is never
+    all-W; hence neither is x'_t, and m' fails too.
+    """
+    masks = g.neighbor_masks
+    ub = list(g.degrees)
+    seen: set[int] = set()
+    a = seed
+    while a not in seen:
+        seen.add(a)
+        nxt = 0
+        for i, mask in enumerate(masks):
+            c = (a & mask).bit_count()
+            if c >= k[i]:
+                nxt |= 1 << i
+                if c <= ub[i]:
+                    ub[i] = c - 1
+        a = nxt
+    return tuple(ub)
+
+
 def resilience_bruteforce(
     g: Graph, K: int, *, max_grid: int = 1 << 24, max_seeds: int = 2_000_000
 ) -> ResilienceResult:
-    """Exact minimum of ||q||_1 over the quantized grid.
+    """Exact minimum of ||q||_1 over the quantized grid, with the least
+    optimal digit vector as witness.
 
-    Candidates are explored best-first by nondecreasing l1 norm (ties:
-    lexicographically smallest digit vector), so the first recovering
-    candidate is optimal. Branches whose partial sum already exceeds a
-    known-feasible bound are pruned; the greedy allocation provides that
-    bound up front. Monotonicity of recovery in q is never assumed.
+    The search runs on digits: q_i = m_i / d_i, whose strict type rule
+    is the threshold rule with k_i = m_i + 1. Scaled by L = lcm of the
+    degrees, ||q||_1 is the integer key sum of m_i * (L / d_i), so
+    (key, digits) orders candidates exactly as (||q||_1, digits) does.
+    The greedy allocation gives a recovering upper bound on the key up
+    front; q == 1 everywhere always recovers, so one exists.
+
+    Failure boxes. Each full candidate that fails from a seed yields a
+    box of digit vectors that all fail from that seed (``_failure_box``
+    proves it), so no candidate inside a learned box is evaluated.
+
+    A* (Hart, Nilsson & Raphael 1968). A heap entry is a digit prefix p
+    of length i under the priority (key(p) + h(p), p). A box that p has
+    not escaped (all its assigned digits are within the box bounds)
+    can be escaped only by some free node j >= i with a digit above its
+    bound, which adds at least (ub_j + 1) * w_j to the key. h(p) is the
+    largest such cheapest escape over the boxes p has not escaped; a box
+    that bounds no free node holds every completion of p, so p is dead.
+    Boxes only accumulate, so an entry's h is recomputed when it is
+    popped after new boxes were learned, and the entry is pushed back if
+    h rose; a full candidate has h = 0 unless it is inside a box.
+
+    The first recovering full candidate popped is the least recovering
+    (key, digits), as a best-first search in (key, digits) order would
+    return. Let m* be that least one; its key is at most the bound, and
+    it lies in no box. Every prefix p of m* has key(p) + h(p) <=
+    key(m*), because m* escapes every box that p has not escaped at
+    some free node, at a cost of at least h(p) on top of key(p). Hence
+    no prefix of m* is pruned or dead, and until m* is popped the heap
+    holds one prefix of m*: the root starts there, and popping a prefix
+    either pushes it back or pushes its next prefix. A proper prefix
+    sorts before m* (its priority is at most key(m*) and its digits are
+    a proper prefix of m*'s), so it sorts before every recovering
+    candidate whose (key, digits) is larger than m*'s; such a candidate
+    enters the heap with priority exactly (key, digits), so it cannot be
+    popped before m*.
     """
     prob = recovery_problem(g, K)
     grid_size = 1
@@ -139,43 +211,95 @@ def resilience_bruteforce(
         if grid_size > max_grid:
             raise GuardExceededError(f"type grid exceeds guard {max_grid}")
     seeds = _seed_list(g.n, prob.budget, max_seeds)
-    # The search runs on integers. Candidate q_i = m_i / d_i is the digit
-    # m_i; its strict type rule is the threshold rule with k_i = m_i + 1.
-    # Scaled by L = lcm of the degrees, ||q||_1 is the integer key
-    # sum of m_i * (L / d_i), so (key, digits) orders candidates exactly
-    # as (||q||_1, digits) does.
-    L = lcm(*(d for d in g.degrees if d))
-    weights = [L // d if d else 0 for d in g.degrees]
+    n, degrees = g.n, g.degrees
+    L = lcm(*(d for d in degrees if d))
+    weights = [L // d if d else 0 for d in degrees]
     evaluations = 0
 
-    bound = g.n * L  # q == 1 everywhere always recovers
+    # Box b is bit b of every mask. esc[j][m] holds the boxes that digit
+    # m at node j escapes. A prefix of length i is dead if it has not
+    # escaped a box in dead[i]; levels[i] lists, by descending cost, the
+    # boxes whose cheapest escape over the nodes j >= i has that cost.
+    esc = [[0] * (d + 1) for d in degrees]
+    dead = [0] * (n + 1)
+    by_cost: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    boxes = 0
+
+    def learn(k: Sequence[int], seed: int) -> None:
+        nonlocal boxes
+        ub = _failure_box(g, k, seed)
+        bit = 1 << boxes
+        boxes += 1
+        cheapest = None
+        for i in range(n, -1, -1):
+            if i < n and ub[i] < degrees[i]:
+                row = esc[i]
+                for m in range(ub[i] + 1, len(row)):
+                    row[m] |= bit
+                cost = (ub[i] + 1) * weights[i]
+                if cheapest is None or cost < cheapest:
+                    cheapest = cost
+            if cheapest is None:
+                dead[i] |= bit
+            else:
+                level = by_cost[i]
+                level[cheapest] = level.get(cheapest, 0) | bit
+                levels[i] = sorted(level.items(), reverse=True)
+
+    def estimate(i: int, escaped: int) -> int | None:
+        """h of a length-i prefix that escaped these boxes; None if dead."""
+        open_boxes = ~escaped
+        if dead[i] & open_boxes:
+            return None
+        for cost, mask in levels[i]:
+            if mask & open_boxes:
+                return cost
+        return 0
+
+    bound = n * L  # q == 1 everywhere always recovers
     greedy = greedy_upper_bound_q(g)
-    ok, _, n_checked = _check_recovery_counted(g, types_to_thresholds(g, greedy), seeds)
+    greedy_k = types_to_thresholds(g, greedy)
+    ok, failing, n_checked = _check_recovery_counted(g, greedy_k, seeds)
     evaluations += n_checked
     if ok:
         # every greedy q_i is a multiple of 1/d_i, so the scaled sum is integral
         bound = min(bound, int(sum(greedy) * L))
+    else:
+        learn(greedy_k, failing)
 
-    # Best-first over partial digit vectors; extending never lowers the key.
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    # (key + h, digits, key, boxes escaped, boxes known when pushed)
+    heap: list[tuple[int, tuple[int, ...], int, int, int]] = [(0, (), 0, 0, 0)]
     while heap:
-        key, digits = heapq.heappop(heap)
-        if key > bound:
-            continue
+        priority, digits, key, escaped, known = heapq.heappop(heap)
         i = len(digits)
-        if i == g.n:
-            ok, _, n_checked = _check_recovery_counted(g, [m + 1 for m in digits], seeds)
+        if known < boxes:
+            for j, m in enumerate(digits):
+                escaped |= esc[j][m]
+            h = estimate(i, escaped)
+            if h is None or key + h > bound:
+                continue
+            if key + h > priority:
+                heapq.heappush(heap, (key + h, digits, key, escaped, boxes))
+                continue
+        if i == n:
+            k = [m + 1 for m in digits]
+            ok, failing, n_checked = _check_recovery_counted(g, k, seeds)
             evaluations += n_checked
             if ok:
                 q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
                 return ResilienceResult(mu=Fraction(key, L), witness_q=q, evaluations=evaluations)
+            learn(k, failing)
             continue
-        w = weights[i]
-        for m in range(len(prob.grid[i])):
+        w, row = weights[i], esc[i]
+        for m, escapes in enumerate(row):
             s = key + m * w
             if s > bound:
                 break
-            heapq.heappush(heap, (s, digits + (m,)))
+            child_escaped = escaped | escapes
+            h = estimate(i + 1, child_escaped)
+            if h is not None and s + h <= bound:
+                heapq.heappush(heap, (s + h, digits + (m,), s, child_escaped, boxes))
     raise InvariantViolationError("no recovering type distribution found on the grid")
 
 

@@ -46,6 +46,7 @@ def run_all(seed: int = 0, guard_n: int = enumeration.DEFAULT_GUARD_N) -> list[R
         _check_reachable_pred_gadget,
         _check_convergence_time_bounds,
         _check_resilience_closed_forms,
+        _check_resilience_monotone,
         _check_greedy_recovery,
         _probe_bipartite_linear_time,
     ]
@@ -380,6 +381,9 @@ def _check_resilience_closed_forms(rng, guard_n) -> str:
         pairs.append((instances.complete_graph(n), "complete", range(1, n + 1)))
     pairs.append((instances.path_graph(5), "path", (1, 2)))
     pairs.append((instances.cycle_graph(5), "cycle", (1, 2, 3)))
+    for n in range(6, 11):
+        pairs.append((instances.path_graph(n), "path", (1, 2)))
+        pairs.append((instances.cycle_graph(n), "cycle", (1, 2)))
     for g, family, budgets in pairs:
         for K in budgets:
             mu = resilience.resilience_bruteforce(g, K).mu
@@ -387,6 +391,45 @@ def _check_resilience_closed_forms(rng, guard_n) -> str:
                 f"{family} n={g.n} K={K}: brute force {mu}"
             )
     return "closed forms match brute force"
+
+
+def _check_resilience_monotone(rng, guard_n) -> str:
+    """The step is monotone in the profile and antitone in k: a within
+    a' and k >= k' keep f_k^t(a) within f_k'^t(a') at every t. So every
+    digit vector in a failure box the search learns fails from the
+    box's seed."""
+    steps = 0
+    for g, k in _random_instances(rng, 40, 7):
+        k_low = [rng.randint(0, x) for x in k]
+        for _ in range(20):
+            a = rng.randrange(1 << g.n)
+            a_high = a | rng.randrange(1 << g.n)
+            for _ in range(g.n):
+                a, a_high = dynamics.step(g, k, a), dynamics.step(g, k_low, a_high)
+                assert a & ~a_high == 0, f"step not monotone on {g.edges} k={k} k'={k_low}"
+                steps += 1
+    boxes = 0
+    while boxes < 20:
+        g = instances.random_connected_graph(rng.randint(2, 6), rng)
+        k = [rng.randint(0, d) + 1 for d in g.degrees]
+        seed = rng.randrange(1, 1 << g.n)
+        if _recovers_from(g, k, seed):
+            continue
+        box = resilience._failure_box(g, k, seed)
+        for m in product(*(range(ub + 1) for ub in box)):
+            assert not _recovers_from(g, [x + 1 for x in m], seed), (
+                f"digits {m} in the box {box} of seed {seed} recover on {g.edges}"
+            )
+        boxes += 1
+    return f"{steps} paired steps stay nested; {boxes} failure boxes fail throughout"
+
+
+def _recovers_from(g, k, seed) -> bool:
+    cur, seen = seed, set()
+    while cur not in seen:
+        seen.add(cur)
+        cur = dynamics.step(g, k, cur)
+    return cur == 0
 
 
 def _probe_bipartite_linear_time(rng, guard_n) -> str:

@@ -462,6 +462,17 @@ class TestResilience:
         assert out["mu"] == [1, 1]
         assert out["witness_q"][0] == [1, 1]
 
+    def test_brute_fifteen_cycle_at_budget_four(self, capsys, tmp_path):
+        # a 3^15 grid with 1,941 seeds: the closed form (15 - 1) / 2
+        n = 15
+        path = write(
+            tmp_path / "c15.json",
+            {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)], "thresholds": [1] * n},
+        )
+        code, out = run(capsys, ["resilience", "--input", path, "--K", "4", "--mode", "brute"])
+        assert code == 0
+        assert out["mu"] == [7, 1]
+
     def test_closed_form_family_detection(self, capsys, four_cycle_file):
         code, out = run(
             capsys, ["resilience", "--input", four_cycle_file, "--K", "2", "--mode", "closed-form"]
@@ -498,7 +509,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == 19
+        assert len(lines) == 20
         assert all(l.startswith("PASS") for l in lines)
 
     def test_verify_honours_guard(self, capsys):

@@ -1,20 +1,27 @@
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 
 from threshold_lab import (
     BadParameterError,
     GuardExceededError,
+    InvariantViolationError,
     OutOfFormulaRangeError,
+    ResilienceResult,
     check_recovery,
     greedy_upper_bound_q,
     recovery_problem,
     resilience_bruteforce,
     resilience_closed_form,
+    step,
     step_types,
+    types_to_thresholds,
     verify_bounds,
 )
+from threshold_lab.resilience import _check_recovery_counted, _failure_box, _seed_list
 from threshold_lab.instances import (
     complete_graph,
     cycle_graph,
@@ -50,6 +57,58 @@ def reference_resilience(g, K):
         if reference_recovers(g, q, prob.budget):
             return total, q
     raise AssertionError("q == 1 everywhere always recovers")
+
+
+def reference_best_first(g, K, *, max_grid=1 << 24, max_seeds=2_000_000):
+    """The search that preceded the A* one: every candidate in (key,
+    digits) order, pruned only by the greedy bound, checked in full."""
+    prob = recovery_problem(g, K)
+    grid_size = 1
+    for choices in prob.grid:
+        grid_size *= len(choices)
+        if grid_size > max_grid:
+            raise GuardExceededError(f"type grid exceeds guard {max_grid}")
+    seeds = _seed_list(g.n, prob.budget, max_seeds)
+    L = lcm(*(d for d in g.degrees if d))
+    weights = [L // d if d else 0 for d in g.degrees]
+    evaluations = 0
+
+    bound = g.n * L  # q == 1 everywhere always recovers
+    greedy = greedy_upper_bound_q(g)
+    ok, _, n_checked = _check_recovery_counted(g, types_to_thresholds(g, greedy), seeds)
+    evaluations += n_checked
+    if ok:
+        bound = min(bound, int(sum(greedy) * L))
+
+    heap = [(0, ())]
+    while heap:
+        key, digits = heapq.heappop(heap)
+        if key > bound:
+            continue
+        i = len(digits)
+        if i == g.n:
+            ok, _, n_checked = _check_recovery_counted(g, [m + 1 for m in digits], seeds)
+            evaluations += n_checked
+            if ok:
+                q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
+                return ResilienceResult(mu=Fraction(key, L), witness_q=q, evaluations=evaluations)
+            continue
+        w = weights[i]
+        for m in range(len(prob.grid[i])):
+            s = key + m * w
+            if s > bound:
+                break
+            heapq.heappush(heap, (s, digits + (m,)))
+    raise InvariantViolationError("no recovering type distribution found on the grid")
+
+
+def recovers_from(g, k, seed):
+    """Does the walk from seed under thresholds k reach all-W?"""
+    cur, seen = seed, set()
+    while cur not in seen:
+        seen.add(cur)
+        cur = step(g, k, cur)
+    return cur == 0
 
 
 class TestCheckRecovery:
@@ -146,9 +205,9 @@ class TestBruteForce:
     @pytest.mark.parametrize(
         "g, K, mu, evaluations",
         [
-            (cycle_graph(7), 1, Fraction(5, 2), 807),
-            (cycle_graph(7), 2, Fraction(3), 1711),
-            (path_graph(8), 2, Fraction(3), 1908),
+            (cycle_graph(7), 1, Fraction(5, 2), 96),
+            (cycle_graph(7), 2, Fraction(3), 261),
+            (path_graph(8), 2, Fraction(3), 195),
         ],
     )
     def test_pinned_value_and_search_order(self, g, K, mu, evaluations):
@@ -164,6 +223,43 @@ class TestBruteForce:
             for K in (1, 2):
                 res = resilience_bruteforce(g, K)
                 assert (res.mu, res.witness_q) == reference_resilience(g, K), g.edges
+
+    def test_matches_best_first_reference(self, rng):
+        cases = [(random_connected_graph(rng.randint(2, 8), rng), K)
+                 for _ in range(20) for K in (1, 2, 3)]
+        for n in range(3, 9):
+            for make in (star_graph, path_graph, cycle_graph, complete_graph):
+                cases += [(make(n), K) for K in (1, 2, 3) if make is not complete_graph or n + K <= 9]
+        for g, K in cases:
+            res, ref = resilience_bruteforce(g, K), reference_best_first(g, K)
+            assert (res.mu, res.witness_q) == (ref.mu, ref.witness_q), (g.edges, K)
+            assert res.evaluations <= ref.evaluations
+
+    def test_failure_box_is_sound(self, rng):
+        """Every digit vector in a learned box fails from the box's seed."""
+        boxes = 0
+        while boxes < 300:
+            g = random_connected_graph(rng.randint(2, 6), rng)
+            m = [rng.randint(0, d) for d in g.degrees]
+            k = [x + 1 for x in m]
+            seed = rng.randrange(1, 1 << g.n)
+            if recovers_from(g, k, seed):
+                continue
+            ub = _failure_box(g, k, seed)
+            assert all(x <= u <= d for x, u, d in zip(m, ub, g.degrees)), (m, ub)
+            for box_m in product(*(range(u + 1) for u in ub)):
+                assert not recovers_from(g, [x + 1 for x in box_m], seed), (g.edges, ub, box_m)
+            boxes += 1
+
+    @pytest.mark.parametrize(
+        "family, n, K", [("cycle", 12, 3), ("cycle", 13, 2), ("path", 14, 2), ("cycle", 15, 4)]
+    )
+    def test_scale_matches_closed_form(self, family, n, K):
+        g = {"cycle": cycle_graph, "path": path_graph}[family](n)
+        res = resilience_bruteforce(g, K)
+        assert res.mu == resilience_closed_form(family, n, K)
+        assert sum(res.witness_q, Fraction(0)) == res.mu
+        assert check_recovery(g, res.witness_q, K) == (True, None)
 
     def test_seed_guard_applies_to_search(self):
         with pytest.raises(GuardExceededError):

@@ -7,7 +7,7 @@ def test_all_invariant_suites_pass():
     results = verify.run_all(seed=0)
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert not failures, failures
-    assert len(results) == 19
+    assert len(results) == 20
 
 
 def test_suites_are_seed_stable():
