@@ -21,7 +21,6 @@ from threshold_lab import (
     types_to_thresholds,
     verify_bounds,
 )
-from threshold_lab.resilience import _check_recovery_counted, _failure_box, _seed_list
 from threshold_lab.instances import (
     complete_graph,
     cycle_graph,
@@ -29,6 +28,7 @@ from threshold_lab.instances import (
     random_connected_graph,
     star_graph,
 )
+from threshold_lab.resilience import _check_recovery_counted, _failure_box, _seed_list
 
 H = Fraction(1, 2)
 
@@ -59,16 +59,11 @@ def reference_resilience(g, K):
     raise AssertionError("q == 1 everywhere always recovers")
 
 
-def reference_best_first(g, K, *, max_grid=1 << 24, max_seeds=2_000_000):
+def reference_best_first(g, K):
     """The search that preceded the A* one: every candidate in (key,
     digits) order, pruned only by the greedy bound, checked in full."""
     prob = recovery_problem(g, K)
-    grid_size = 1
-    for choices in prob.grid:
-        grid_size *= len(choices)
-        if grid_size > max_grid:
-            raise GuardExceededError(f"type grid exceeds guard {max_grid}")
-    seeds = _seed_list(g.n, prob.budget, max_seeds)
+    seeds = _seed_list(g.n, prob.budget, 1 << g.n)
     L = lcm(*(d for d in g.degrees if d))
     weights = [L // d if d else 0 for d in g.degrees]
     evaluations = 0
