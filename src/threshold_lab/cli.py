@@ -52,6 +52,7 @@ from .graph_core import (
     instance_from_dict,
     instance_to_dict,
     parse_profile,
+    read_json,
     types_to_thresholds,
 )
 
@@ -111,8 +112,7 @@ def _frac(f: Fraction) -> list[int]:
 def _load_instance(path: str):
     """(Graph, thresholds) from an instance file of either format, with
     types converted to thresholds."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+    d = read_json(path)
     g, vec = instance_from_dict(d)
     if g.weights is None and "thresholds" not in d:
         return g, types_to_thresholds(g, vec)
@@ -194,8 +194,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_reduce(args) -> int:
     _bind("enumeration", "reductions")
-    with open(args.formula, "r", encoding="utf-8") as fh:
-        f = formula_from_dict(json.load(fh))
+    f = formula_from_dict(read_json(args.formula))
     if args.kind == "fix":
         gadget = fix_reduction(f)
         out = instance_to_dict(gadget.graph, gadget.thresholds)
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (InputError, ThresholdLabError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, ThresholdLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

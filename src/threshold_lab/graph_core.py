@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -108,91 +109,99 @@ def build_graph(
     """Validate and build a Graph from (i, j) or (i, j, w) edge rows and
     (i, w) self-loop rows.
 
-    Every number must be an integer (see ``as_int``). The graph is
-    weighted when ``weighted`` is set, a row carries a weight or a
-    self-loop is given; a pair row then has weight 1. Rejects zero
-    weights, self-loops among the edges, duplicate edges or loops,
-    out-of-range nodes, and (unless ``require_connected=False``, used by
-    expansion transforms whose doubling constructions may legitimately
-    split in two) disconnected graphs.
+    This is the one place that checks a graph's numbers: each must be an
+    integer (see ``as_int``). The graph is weighted when ``weighted`` is
+    set, a row carries a weight or a self-loop is given; a pair row then
+    has weight 1. Rejects rows of the wrong width, out-of-range nodes,
+    self-loops among the edges, zero weights, duplicate edges or loops,
+    and (unless ``require_connected=False``, used by expansion transforms
+    whose doubling constructions may legitimately split in two)
+    disconnected graphs. Each check runs on all rows at once, in this
+    order, edges first; only a failed check looks up its first offending
+    row, so a single defect gets the message of a row-by-row check.
     """
     n = as_int(n, "node count")
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
-    weight_of: dict[tuple[int, int], int] = {}
-    for row in edges:
-        fields = _fields(row, (2, 3), "edge row")
-        i = as_int(fields[0], "edge endpoint")
-        j = as_int(fields[1], "edge endpoint")
-        w = 1
-        if len(fields) == 3:
-            w = as_int(fields[2], "edge weight")
-            weighted = True
-        if not (0 <= i < n) or not (0 <= j < n):
-            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
-        if i == j:
-            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
-        if w == 0:
-            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
-        e = (i, j) if i < j else (j, i)
-        if e in weight_of:
-            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
-        weight_of[e] = w
-    loop_of: dict[int, int] = {}
-    for row in loops:
-        i, w = _fields(row, (2,), "self-loop row")
-        i = as_int(i, "self-loop node")
-        w = as_int(w, "self-loop weight")
-        weighted = True
-        if not 0 <= i < n:
-            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
-        if w == 0:
-            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
-        if i in loop_of:
-            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
-        loop_of[i] = w
-    # neighbors of the nodes on some edge only: connectivity is checked
-    # on this before anything is allocated per node, so a huge n with
-    # few edges is refused at a cost linear in the edge rows
+    starts, ends, *weights = _columns(edges, "edge row", ("edge endpoint",) * 2 + ("edge weight",))
+    if starts and not 0 <= min(starts + ends) <= max(starts + ends) < n:
+        i, j = next((i, j) for i, j in zip(starts, ends) if not (0 <= i < n and 0 <= j < n))
+        raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
+    if any(map(operator.eq, starts, ends)):
+        i = next(i for i, j in zip(starts, ends) if i == j)
+        raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+    if weights and 0 in weights[0]:
+        r = weights[0].index(0)
+        raise WeightOutOfRangeError(f"edge ({starts[r]},{ends[r]}) has zero weight")
+    canon = [(i, j) if i < j else (j, i) for i, j in zip(starts, ends)]
+    weight_of = dict(zip(canon, weights[0] if weights else repeat(1)))
+    if len(weight_of) < len(canon):
+        raise DuplicateEdgeError("duplicate edge ({},{})".format(*_first_repeat(canon)))
+    nodes, loop_weights = _columns(loops, "self-loop row", ("self-loop node", "self-loop weight"))
+    if nodes and not 0 <= min(nodes) <= max(nodes) < n:
+        i = next(i for i in nodes if not 0 <= i < n)
+        raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+    if 0 in loop_weights:
+        i = nodes[loop_weights.index(0)]
+        raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+    loop_of = dict(zip(nodes, loop_weights))
+    if len(loop_of) < len(nodes):
+        raise DuplicateEdgeError(f"duplicate self-loop at node {_first_repeat(nodes)}")
+    weighted = weighted or bool(weights) or bool(loop_of)
     canon = sorted(weight_of)
-    nbrs_of: dict[int, list[int]] = {}
-    for i, j in canon:
-        nbrs_of.setdefault(i, []).append(j)
-        nbrs_of.setdefault(j, []).append(i)
-    if require_connected:
-        _check_connected(n, nbrs_of)
+    # fewer than n - 1 edges cannot connect n nodes: then only the nodes
+    # on some edge get neighbor lists, so a huge n costs nothing per node
+    few = require_connected and len(canon) < n - 1
+    nbrs = defaultdict(list) if few else [[] for _ in range(n)]
     # canon is sorted, so every neighbor list is built in ascending order
-    adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
-    degrees = tuple(len(nbrs) for nbrs in adjacency)
+    for i, j in canon:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    if require_connected:
+        _check_connected(n, nbrs)
+    adjacency = tuple(map(tuple, nbrs))
     return Graph(
         n=n,
         edges=tuple(canon),
         adjacency=adjacency,
-        degrees=degrees,
-        weights=tuple(weight_of[e] for e in canon) if weighted else None,
+        degrees=tuple(map(len, adjacency)),
+        weights=tuple(map(weight_of.__getitem__, canon)) if weighted else None,
         loops=tuple(sorted(loop_of.items())),
     )
 
 
-def _fields(row, widths: tuple[int, ...], what: str) -> list:
+def _columns(rows, what: str, names: tuple[str, ...]) -> list:
+    """The int columns of ``rows`` of 2 to len(names) values, short rows
+    padded with 1; ``names[c]`` names column c in an ``as_int`` error."""
+    rows = list(rows)
+    widths = range(2, len(names) + 1)
     try:
-        fields = list(row)
-    except TypeError:
-        fields = None
-    if fields is None or len(fields) not in widths:
+        sized = set(map(len, rows)) <= set(widths)
+    except TypeError:  # some row has no length
+        sized = False
+    if not sized:
+        row = next(r for r in rows if not hasattr(r, "__len__") or len(r) not in widths)
         raise BadParameterError(f"{what} {row!r} must have {' or '.join(map(str, widths))} entries")
-    return fields
+    # one type set over all values: a numpy integer passes, through as_int
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [[as_int(x, name) for x, name in zip(row, names)] for row in rows]
+    return list(zip_longest(*rows, fillvalue=1)) or [(), ()]
 
 
-def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
+def _first_repeat(items):
+    """The first item equal to an earlier one."""
+    seen = set()
+    return next(x for x in items if x in seen or seen.add(x))
+
+
+def _check_connected(n: int, nbrs) -> None:
     """Raise DisconnectedError naming the smallest node that node 0 does
-    not reach. ``nbrs_of`` holds the neighbor lists of the nodes on some
-    edge only. Work and memory are linear in the nodes reached and their
-    edges."""
+    not reach. ``nbrs[u]`` lists u's neighbors. Work and memory are
+    linear in the nodes reached and their edges."""
     seen = {0}
     queue = [0]
     for u in queue:
-        for v in nbrs_of.get(u, ()):
+        for v in nbrs[u]:
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -224,7 +233,9 @@ def require_unweighted(g: Graph) -> None:
 
 def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """k as a tuple of g.n ints, of any sign."""
-    k = tuple(as_int(x, "threshold") for x in k)
+    k = tuple(k)
+    if not set(map(type, k)) <= {int}:
+        k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
         raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
     return k
@@ -239,9 +250,9 @@ def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """
     require_unweighted(g)
     k = as_thresholds(g, k)
-    for i, ki in enumerate(k):
-        if ki < 0:
-            raise BadParameterError(f"threshold k_{i} = {ki} is negative")
+    if k and min(k) < 0:
+        i = next(i for i, ki in enumerate(k) if ki < 0)
+        raise BadParameterError(f"threshold k_{i} = {k[i]} is negative")
     return k
 
 
@@ -251,29 +262,26 @@ def as_types(values: Iterable) -> tuple[Fraction, ...]:
     Accepts Fraction, int, or (numerator, denominator) pairs of ints.
     Floats are rejected: they cannot represent type boundaries exactly.
     Bools, strings and other non-int parts are rejected, never coerced.
+    The range is checked on numerator and denominator, in integers.
     """
     out = []
     for v in values:
-        if isinstance(v, float):
-            raise BadParameterError(f"type value {v!r} is a float; pass an exact rational")
-        if isinstance(v, Fraction):
-            f = v
+        if (isinstance(v, (list, tuple)) and len(v) == 2
+                and type(v[0]) is type(v[1]) is int and v[1]):
+            f = Fraction(v[0], v[1])
         elif type(v) is int:
             f = Fraction(v)
-        elif (
-            isinstance(v, (list, tuple))
-            and len(v) == 2
-            and type(v[0]) is int
-            and type(v[1]) is int
-            and v[1] != 0
-        ):
-            f = Fraction(v[0], v[1])
+        elif isinstance(v, Fraction):
+            f = v
+        elif isinstance(v, float):
+            raise BadParameterError(f"type value {v!r} is a float; pass an exact rational")
         else:
             raise BadParameterError(
                 f"type value {v!r} must be a Fraction, an int, or an integer pair "
                 "(numerator, nonzero denominator)"
             )
-        if not (0 <= f <= 1):
+        # a Fraction's denominator is positive
+        if not 0 <= f.numerator <= f.denominator:
             raise BadParameterError(f"type value {f} outside [0, 1]")
         out.append(f)
     return tuple(out)
@@ -373,7 +381,7 @@ def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
     non-valid node that always plays W.
     """
     q = validate_types(g, q)
-    return tuple(int(qi * g.degrees[i]) + 1 for i, qi in enumerate(q))
+    return tuple(f.numerator * d // f.denominator + 1 for f, d in zip(q, g.degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +444,16 @@ def instance_to_dict(g: Graph, k: Sequence[int] | None = None, q: Sequence | Non
     return d
 
 
-# Loaders use exact type checks: JSON true/false decode to bool, an int
-# subclass, and a float or numeric string must not be truncated into range.
-
-
-def check_int_list(values, what: str) -> None:
-    """Reject anything but a list of JSON integers."""
-    if not (type(values) is list and all(type(x) is int for x in values)):
-        raise BadParameterError(f"{what} must be a list of integers, got {values!r}")
-
-
-def check_int_rows(rows, width: int, what: str) -> None:
-    """Reject anything but a list of length-``width`` lists of JSON integers."""
-    if type(rows) is not list:
-        raise BadParameterError(f"{what} must be a list, got {rows!r}")
-    for r in rows:
-        if not (type(r) is list and len(r) == width and all(type(x) is int for x in r)):
-            raise BadParameterError(
-                f"each entry of {what} must be a list of {width} integers, got {r!r}"
-            )
+def _list(values, what: str, width: int | None = None) -> list:
+    """values, which must be a list, of length-``width`` lists if given."""
+    if type(values) is not list:
+        raise BadParameterError(f"{what} must be a list, got {values!r}")
+    if width and not (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}):
+        r = next(r for r in values if type(r) is not list or len(r) != width)
+        raise BadParameterError(
+            f"each entry of {what} must be a list of {width} integers, got {r!r}"
+        )
+    return values
 
 
 def instance_from_dict(d: dict):
@@ -462,8 +461,12 @@ def instance_from_dict(d: dict):
 
     Returns (Graph, thresholds), or (Graph, types) for an unweighted
     instance with types and no thresholds. A weighted instance without
-    thresholds gets all-zero ones. Every number must be a JSON integer:
-    floats, booleans and strings are rejected, never coerced.
+    thresholds gets all-zero ones. This checks the JSON shape only: keys,
+    lists, and row widths per format (2 for ``edges`` and ``self_loops``,
+    3 for ``weighted_edges``). Each number is checked once, where it is
+    taken: n, edges and self-loops in ``build_graph``, thresholds in
+    ``as_thresholds`` and types in ``as_types``. Floats, booleans and
+    strings are rejected there, never coerced.
     """
     weighted = isinstance(d, dict) and "weighted_edges" in d
     try:
@@ -471,29 +474,28 @@ def instance_from_dict(d: dict):
         edges = d["weighted_edges" if weighted else "edges"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed instance: {exc}") from exc
-    if type(n) is not int:
-        raise BadParameterError(f"n must be an integer, got {n!r}")
     if weighted:
-        loops = d.get("self_loops", [])
-        check_int_rows(edges, 3, "weighted_edges")
-        check_int_rows(loops, 2, "self_loops")
-        g = build_graph(n, edges, loops, weighted=True)
+        edges = _list(edges, "weighted_edges", 3)
+        g = build_graph(n, edges, _list(d.get("self_loops", []), "self_loops", 2), weighted=True)
         k = d.get("thresholds")
-        if k is None:
-            k = [0] * n
-        check_int_list(k, "thresholds")
-        return g, as_thresholds(g, k)
-    check_int_rows(edges, 2, "edges")
-    g = build_graph(n, edges)
-    if "thresholds" in d:
-        k = d["thresholds"]
-        check_int_list(k, "thresholds")
-        return g, validate_thresholds(g, k)
-    if "types" in d:
-        return g, validate_types(g, d["types"])
+        return g, as_thresholds(g, [0] * g.n if k is None else _list(k, "thresholds"))
+    g = build_graph(n, _list(edges, "edges", 2))
+    for key, take in (("thresholds", validate_thresholds), ("types", validate_types)):
+        if key in d:
+            return g, take(g, _list(d[key], key))
     raise BadParameterError("instance has neither 'thresholds' nor 'types'")
 
 
-def load_instance(path: str):
+def read_json(path: str):
+    """The JSON value in the file at ``path``: every loader's decode-error
+    policy. Text that is not JSON or UTF-8, or nests deeper than the
+    decoder recurses, raises BadParameterError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise BadParameterError(f"cannot decode {path} as JSON: {exc}") from exc
+
+
+def load_instance(path: str):
+    return instance_from_dict(read_json(path))

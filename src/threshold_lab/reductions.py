@@ -25,7 +25,7 @@ from .errors import (
     VariableMissingError,
     check_scan_size,
 )
-from .graph_core import Graph, build_graph, check_int_list
+from .graph_core import Graph, as_int, build_graph
 
 MONOTONE_2DNF = "monotone-2dnf"
 THREE_CNF = "3cnf"
@@ -47,7 +47,7 @@ class Formula(_FormulaFields):
     conjunctions of disjunction clauses. Monotone variants carry no
     negations. For monotone 2-DNF every variable must appear somewhere
     (the counting reduction presumes it). Construction validates all
-    of this.
+    of this, and takes every number through ``as_int``.
     """
 
     __slots__ = ()
@@ -55,12 +55,14 @@ class Formula(_FormulaFields):
     def __new__(cls, variant: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
         if variant not in _ARITY:
             raise BadParameterError(f"unknown formula variant {variant!r}")
+        num_vars = as_int(num_vars, "variable count")
         if num_vars < 1:
             raise BadParameterError("formula needs at least one variable")
         if not clauses:
             raise BadParameterError("formula needs at least one clause")
         arity = _ARITY[variant]
         seen_vars = set()
+        clauses = tuple(tuple(as_int(lit, "literal") for lit in clause) for clause in clauses)
         for clause in clauses:
             if not clause:
                 raise BadParameterError("empty clause")
@@ -88,22 +90,18 @@ class Formula(_FormulaFields):
 
 
 def formula_from_dict(d: dict) -> Formula:
-    """Decode a formula; n and every literal must be JSON integers."""
+    """Decode a formula. This checks the JSON shape only (the keys, and
+    clauses as a list of lists); ``Formula`` checks every number."""
     try:
         variant, n, clauses = d["variant"], d["n"], d["clauses"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed formula: {exc}") from exc
-    if type(n) is not int:
-        raise BadParameterError(f"n must be an integer, got {n!r}")
     if type(clauses) is not list:
         raise BadParameterError(f"clauses must be a list, got {clauses!r}")
-    for c in clauses:
-        check_int_list(c, "each clause")
-    return Formula(
-        variant=str(variant).lower(),
-        num_vars=n,
-        clauses=tuple(tuple(c) for c in clauses),
-    )
+    if not set(map(type, clauses)) <= {list}:
+        c = next(c for c in clauses if type(c) is not list)
+        raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
+    return Formula(str(variant).lower(), n, clauses)
 
 
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:

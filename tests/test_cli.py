@@ -563,6 +563,26 @@ class TestDeterminism:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["enumerate", "--input", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--input"],
+            ["simulate", "--initial", "BW", "--input"],
+            ["resilience", "--K", "1", "--input"],
+            ["expand", "--kind", "bipartite", "--input"],
+            ["reduce", "--kind", "fix", "--formula"],
+        ],
+        ids=["enumerate", "simulate", "resilience", "expand", "reduce"],
+    )
+    def test_deeply_nested_file_is_input_error(self, capsys, tmp_path, argv):
+        # deep enough that the JSON decoder runs out of recursion depth
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {path} as JSON: maximum recursion depth")
+        assert "Traceback" not in err
+
 
 def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,8 @@ from threshold_lab import (
     BadParameterError,
     DisconnectedError,
     DuplicateEdgeError,
+    Graph,
+    InputError,
     NodeOutOfRangeError,
     NotBipartiteError,
     SelfLoopError,
@@ -31,6 +35,7 @@ from threshold_lab import (
     two_partition,
     types_to_thresholds,
 )
+from threshold_lab.graph_core import as_int
 from threshold_lab.instances import random_connected_graph, random_types
 
 import random
@@ -380,3 +385,234 @@ class TestInstanceJson:
         path.write_text(json.dumps(instance_to_dict(four_cycle, (1, 2, 1, 2))))
         g, k = load_instance(str(path))
         assert g == four_cycle and k == (1, 2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            ('{"n": 2, "edges": [[0, 1]],', "Expecting"),
+        ],
+        ids=["deeply-nested", "truncated"],
+    )
+    def test_load_instance_rejects_undecodable_files(self, tmp_path, text, message):
+        from threshold_lab import load_instance
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(BadParameterError, match=f"cannot decode {re.escape(str(path))} as JSON: {message}"):
+            load_instance(str(path))
+
+    def test_types_must_be_a_list(self):
+        with pytest.raises(BadParameterError, match="types must be a list, got 5"):
+            instance_from_dict({"n": 2, "edges": [[0, 1]], "types": 5})
+
+
+# ---------------------------------------------------------------------------
+# Loader equivalence: the row-by-row build_graph that checked every value
+# of every row in turn, kept here as the oracle for the bulk checks
+
+
+def _oracle_fields(row, widths, what):
+    try:
+        fields = list(row)
+    except TypeError:
+        fields = None
+    if fields is None or len(fields) not in widths:
+        raise BadParameterError(f"{what} {row!r} must have {' or '.join(map(str, widths))} entries")
+    return fields
+
+
+def _oracle_check_connected(n, nbrs_of):
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        for v in nbrs_of.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    if len(seen) < n:
+        unreached = next(v for v in range(n) if v not in seen)
+        raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
+
+
+def oracle_build_graph(n, edges, loops=(), *, weighted=False, require_connected=True):
+    n = as_int(n, "node count")
+    if n < 1:
+        raise BadParameterError(f"node count must be positive, got {n}")
+    weight_of = {}
+    for row in edges:
+        fields = _oracle_fields(row, (2, 3), "edge row")
+        i = as_int(fields[0], "edge endpoint")
+        j = as_int(fields[1], "edge endpoint")
+        w = 1
+        if len(fields) == 3:
+            w = as_int(fields[2], "edge weight")
+            weighted = True
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
+        if i == j:
+            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+        if w == 0:
+            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
+        e = (i, j) if i < j else (j, i)
+        if e in weight_of:
+            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+        weight_of[e] = w
+    loop_of = {}
+    for row in loops:
+        i, w = _oracle_fields(row, (2,), "self-loop row")
+        i = as_int(i, "self-loop node")
+        w = as_int(w, "self-loop weight")
+        weighted = True
+        if not 0 <= i < n:
+            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+        if w == 0:
+            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+        if i in loop_of:
+            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
+        loop_of[i] = w
+    canon = sorted(weight_of)
+    nbrs_of = {}
+    for i, j in canon:
+        nbrs_of.setdefault(i, []).append(j)
+        nbrs_of.setdefault(j, []).append(i)
+    if require_connected:
+        _oracle_check_connected(n, nbrs_of)
+    adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
+    return Graph(
+        n=n,
+        edges=tuple(canon),
+        adjacency=adjacency,
+        degrees=tuple(len(nbrs) for nbrs in adjacency),
+        weights=tuple(weight_of[e] for e in canon) if weighted else None,
+        loops=tuple(sorted(loop_of.items())),
+    )
+
+
+def _outcome(build, *args, **kwargs):
+    """The Graph's fields, or the exception class and message."""
+    try:
+        g = build(*args, **kwargs)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return tuple(g), g.neighbor_masks
+
+
+def _random_rows(rng, n, weighted):
+    """Edge rows of a random graph, in random order and orientation,
+    sometimes disconnected; weighted rows mix pairs and triples."""
+    g = random_connected_graph(n, rng)
+    edges = [e for e in g.edges if rng.random() < 0.95]
+    rows = []
+    for i, j in edges:
+        row = [j, i] if rng.random() < 0.5 else [i, j]
+        if weighted and rng.random() < 0.8:
+            row.append(rng.choice((-7, -1, 1, 2, 3, 10**20)))
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+class TestLoaderEquivalence:
+    def test_random_unweighted_graphs(self):
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            rows = _random_rows(rng, n, weighted=False)
+            for connected in (True, False):
+                assert _outcome(build_graph, n, rows, require_connected=connected) == _outcome(
+                    oracle_build_graph, n, rows, require_connected=connected)
+
+    def test_random_weighted_graphs_with_loops(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            rows = _random_rows(rng, n, weighted=True)
+            loops = [[i, rng.choice((-2, 1, 5))] for i in range(n) if rng.random() < 0.3]
+            rng.shuffle(loops)
+            for weighted in (True, False):
+                assert _outcome(build_graph, n, rows, loops, weighted=weighted) == _outcome(
+                    oracle_build_graph, n, rows, loops, weighted=weighted)
+
+    def test_numpy_rows(self):
+        import numpy as np
+
+        rng = random.Random(23)
+        for _ in range(50):
+            n = rng.randint(2, 20)
+            rows = [r[:2] for r in _random_rows(rng, n, weighted=False)]
+            arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+            loops = np.array([[0, 3]], dtype=np.int32)
+            got = _outcome(build_graph, np.int64(n), arr, loops)
+            assert got == _outcome(oracle_build_graph, np.int64(n), arr, loops)
+            assert got[0][0] == n and type(got[0][0]) is int
+
+    def test_random_types_instances(self):
+        rng = random.Random(24)
+        for _ in range(200):
+            n = rng.randint(2, 30)
+            rows = [r[:2] for r in _random_rows(rng, n, weighted=False)]
+            types = []
+            for _ in range(n):
+                den = rng.choice((1, 2, 3, 7, -4))
+                types.append([rng.randint(0, abs(den)) * (1 if den > 0 else -1), den])
+            d = {"n": n, "edges": rows, "types": types}
+            expected = _outcome(oracle_build_graph, n, rows)
+            if type(expected[0]) is type and issubclass(expected[0], Exception):
+                with pytest.raises(expected[0], match=re.escape(expected[1])):
+                    instance_from_dict(d)
+                continue
+            g, q = instance_from_dict(d)
+            assert (tuple(g), g.neighbor_masks) == expected
+            assert q == tuple(Fraction(p, den) for p, den in types)
+            assert types_to_thresholds(g, q) == tuple(
+                math.floor(qi * di) + 1 for qi, di in zip(q, g.degrees))
+
+    @pytest.mark.parametrize(
+        "n, edges, loops, error, message",
+        [
+            (3, [(0, 1), (1, 3)], (), NodeOutOfRangeError,
+             "edge (1,3) references a node outside 0..2"),
+            (3, [(0, 1), (1, 2)], [(3, 1)], NodeOutOfRangeError,
+             "self-loop at node 3 outside 0..2"),
+            (3, [(0, 1), (1, 1), (1, 2)], (), SelfLoopError,
+             "self-loop at node 1: self-loops go in the loops argument"),
+            (3, [(0, 1, 2), (2, 1, 0)], (), WeightOutOfRangeError,
+             "edge (2,1) has zero weight"),
+            (3, [(0, 1), (1, 2)], [(2, 0)], WeightOutOfRangeError,
+             "self-loop at node 2 has zero weight"),
+            (3, [(0, 1), (1, 2), (1, 0)], (), DuplicateEdgeError, "duplicate edge (0,1)"),
+            (3, [(0, 1), (1, 2)], [(1, 5), (0, 1), (1, -1)], DuplicateEdgeError,
+             "duplicate self-loop at node 1"),
+            (3, [(0, 1), (1, True)], (), BadParameterError,
+             "edge endpoint must be an integer, got True"),
+            (3, [(0, 1, True), (1, 2)], (), BadParameterError,
+             "edge weight must be an integer, got True"),
+            (3, [(0, 1), (1, 2)], [(False, 1)], BadParameterError,
+             "self-loop node must be an integer, got False"),
+            (3, [(0, 1), (1, 2.0)], (), BadParameterError,
+             "edge endpoint must be an integer, got 2.0"),
+            (3, [(0, 1), (1, 2)], [(1, 1.5)], BadParameterError,
+             "self-loop weight must be an integer, got 1.5"),
+            (3, [(0, "1"), (1, 2)], (), BadParameterError,
+             "edge endpoint must be an integer, got '1'"),
+            (3.0, [(0, 1), (1, 2)], (), BadParameterError,
+             "node count must be an integer, got 3.0"),
+            (3, [(0, 1), (1, 2, 3, 4)], (), BadParameterError,
+             "edge row (1, 2, 3, 4) must have 2 or 3 entries"),
+            (3, [(0, 1), 2], (), BadParameterError, "edge row 2 must have 2 or 3 entries"),
+            (3, [(0, 1), (1, 2)], [(1,)], BadParameterError,
+             "self-loop row (1,) must have 2 entries"),
+            (3, [(0, 1)], (), DisconnectedError,
+             "graph is not connected: node 2 unreachable from node 0"),
+            (4, [(0, 1), (1, 2), (0, 2)], (), DisconnectedError,
+             "graph is not connected: node 3 unreachable from node 0"),
+        ],
+        ids=["edge-range", "loop-range", "self-loop", "zero-weight", "zero-loop-weight",
+             "duplicate-edge", "duplicate-loop", "bool", "bool-weight", "bool-loop-node",
+             "float", "float-loop-weight", "string", "float-n", "wide-row", "scalar-row",
+             "short-loop-row", "disconnected-few-edges", "disconnected"],
+    )
+    def test_single_defect_messages(self, n, edges, loops, error, message):
+        assert _outcome(build_graph, n, edges, loops) == (error, message)
+        assert _outcome(oracle_build_graph, n, edges, loops) == (error, message)

@@ -103,6 +103,29 @@ class TestFormula:
             formula_from_dict(d)
 
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, message",
+        [
+            (2, ((True, 2),), "literal must be an integer, got True"),
+            (2, ((1, 2.0),), "literal must be an integer, got 2.0"),
+            (2.0, ((1, 2),), "variable count must be an integer, got 2.0"),
+            (True, ((1,),), "variable count must be an integer, got True"),
+        ],
+        ids=["bool-literal", "float-literal", "float-count", "bool-count"],
+    )
+    def test_construction_rejects_non_integers(self, num_vars, clauses, message):
+        with pytest.raises(BadParameterError, match=f"^{message}$"):
+            Formula(MONOTONE_2DNF, num_vars, clauses)
+
+    def test_construction_accepts_numpy_integers(self):
+        import numpy as np
+
+        f = Formula(THREE_CNF, np.int64(2), [[np.int32(1), -2]])
+        assert f == Formula(THREE_CNF, 2, ((1, -2),))
+        assert type(f.num_vars) is int and type(f.clauses[0][0]) is int
+        assert count_sat(f) == 3
+
+
 class TestCountSat:
     def test_conjunction(self):
         assert count_sat(Formula(MONOTONE_2DNF, 2, ((1, 2),))) == 1
