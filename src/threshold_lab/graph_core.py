@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import defaultdict, deque
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat, zip_longest
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -110,98 +109,92 @@ def build_graph(
     (i, w) self-loop rows.
 
     This is the one place that checks a graph's numbers: each must be an
-    integer (see ``as_int``). The graph is weighted when ``weighted`` is
-    set, a row carries a weight or a self-loop is given; a pair row then
-    has weight 1. Rejects rows of the wrong width, out-of-range nodes,
-    self-loops among the edges, zero weights, duplicate edges or loops,
-    and (unless ``require_connected=False``, used by expansion transforms
-    whose doubling constructions may legitimately split in two)
-    disconnected graphs. Each check runs on all rows at once, in this
-    order, edges first; only a failed check looks up its first offending
-    row, so a single defect gets the message of a row-by-row check.
+    integer (see ``as_int``), checked once, row by row. The graph is
+    weighted when ``weighted`` is set, a row carries a weight or a
+    self-loop is given; a pair row then has weight 1. Rejects rows of the
+    wrong width, zero weights, self-loops among the edges, duplicate
+    edges or loops, out-of-range nodes, and (unless
+    ``require_connected=False``, used by expansion transforms whose
+    doubling constructions may legitimately split in two) disconnected
+    graphs.
     """
     n = as_int(n, "node count")
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
-    starts, ends, *weights = _columns(edges, "edge row", ("edge endpoint",) * 2 + ("edge weight",))
-    if starts and not 0 <= min(starts + ends) <= max(starts + ends) < n:
-        i, j = next((i, j) for i, j in zip(starts, ends) if not (0 <= i < n and 0 <= j < n))
-        raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
-    if any(map(operator.eq, starts, ends)):
-        i = next(i for i, j in zip(starts, ends) if i == j)
-        raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
-    if weights and 0 in weights[0]:
-        r = weights[0].index(0)
-        raise WeightOutOfRangeError(f"edge ({starts[r]},{ends[r]}) has zero weight")
-    canon = [(i, j) if i < j else (j, i) for i, j in zip(starts, ends)]
-    weight_of = dict(zip(canon, weights[0] if weights else repeat(1)))
-    if len(weight_of) < len(canon):
-        raise DuplicateEdgeError("duplicate edge ({},{})".format(*_first_repeat(canon)))
-    nodes, loop_weights = _columns(loops, "self-loop row", ("self-loop node", "self-loop weight"))
-    if nodes and not 0 <= min(nodes) <= max(nodes) < n:
-        i = next(i for i in nodes if not 0 <= i < n)
-        raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
-    if 0 in loop_weights:
-        i = nodes[loop_weights.index(0)]
-        raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
-    loop_of = dict(zip(nodes, loop_weights))
-    if len(loop_of) < len(nodes):
-        raise DuplicateEdgeError(f"duplicate self-loop at node {_first_repeat(nodes)}")
-    weighted = weighted or bool(weights) or bool(loop_of)
+    weight_of: dict[tuple[int, int], int] = {}
+    for row in edges:
+        fields = _fields(row, (2, 3), "edge row")
+        i = as_int(fields[0], "edge endpoint")
+        j = as_int(fields[1], "edge endpoint")
+        w = 1
+        if len(fields) == 3:
+            w = as_int(fields[2], "edge weight")
+            weighted = True
+        if not (0 <= i < n) or not (0 <= j < n):
+            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
+        if i == j:
+            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+        if w == 0:
+            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
+        e = (i, j) if i < j else (j, i)
+        if e in weight_of:
+            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+        weight_of[e] = w
+    loop_of: dict[int, int] = {}
+    for row in loops:
+        i, w = _fields(row, (2,), "self-loop row")
+        i = as_int(i, "self-loop node")
+        w = as_int(w, "self-loop weight")
+        weighted = True
+        if not 0 <= i < n:
+            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+        if w == 0:
+            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+        if i in loop_of:
+            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
+        loop_of[i] = w
+    # neighbors of the nodes on some edge only: connectivity is checked
+    # on this before anything is allocated per node, so a huge n with
+    # few edges is refused at a cost linear in the edge rows
     canon = sorted(weight_of)
-    # fewer than n - 1 edges cannot connect n nodes: then only the nodes
-    # on some edge get neighbor lists, so a huge n costs nothing per node
-    few = require_connected and len(canon) < n - 1
-    nbrs = defaultdict(list) if few else [[] for _ in range(n)]
-    # canon is sorted, so every neighbor list is built in ascending order
+    nbrs_of: dict[int, list[int]] = {}
     for i, j in canon:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+        nbrs_of.setdefault(i, []).append(j)
+        nbrs_of.setdefault(j, []).append(i)
     if require_connected:
-        _check_connected(n, nbrs)
-    adjacency = tuple(map(tuple, nbrs))
+        _check_connected(n, nbrs_of)
+    # canon is sorted, so every neighbor list is built in ascending order
+    adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
+    degrees = tuple(len(nbrs) for nbrs in adjacency)
     return Graph(
         n=n,
         edges=tuple(canon),
         adjacency=adjacency,
-        degrees=tuple(map(len, adjacency)),
-        weights=tuple(map(weight_of.__getitem__, canon)) if weighted else None,
+        degrees=degrees,
+        weights=tuple(weight_of[e] for e in canon) if weighted else None,
         loops=tuple(sorted(loop_of.items())),
     )
 
 
-def _columns(rows, what: str, names: tuple[str, ...]) -> list:
-    """The int columns of ``rows`` of 2 to len(names) values, short rows
-    padded with 1; ``names[c]`` names column c in an ``as_int`` error."""
-    rows = list(rows)
-    widths = range(2, len(names) + 1)
+def _fields(row, widths: tuple[int, ...], what: str) -> list:
     try:
-        sized = set(map(len, rows)) <= set(widths)
-    except TypeError:  # some row has no length
-        sized = False
-    if not sized:
-        row = next(r for r in rows if not hasattr(r, "__len__") or len(r) not in widths)
+        fields = list(row)
+    except TypeError:
+        fields = None
+    if fields is None or len(fields) not in widths:
         raise BadParameterError(f"{what} {row!r} must have {' or '.join(map(str, widths))} entries")
-    # one type set over all values: a numpy integer passes, through as_int
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = [[as_int(x, name) for x, name in zip(row, names)] for row in rows]
-    return list(zip_longest(*rows, fillvalue=1)) or [(), ()]
+    return fields
 
 
-def _first_repeat(items):
-    """The first item equal to an earlier one."""
-    seen = set()
-    return next(x for x in items if x in seen or seen.add(x))
-
-
-def _check_connected(n: int, nbrs) -> None:
+def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
     """Raise DisconnectedError naming the smallest node that node 0 does
-    not reach. ``nbrs[u]`` lists u's neighbors. Work and memory are
-    linear in the nodes reached and their edges."""
+    not reach. ``nbrs_of`` holds the neighbor lists of the nodes on some
+    edge only. Work and memory are linear in the nodes reached and their
+    edges."""
     seen = {0}
     queue = [0]
     for u in queue:
-        for v in nbrs[u]:
+        for v in nbrs_of.get(u, ()):
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -233,9 +226,7 @@ def require_unweighted(g: Graph) -> None:
 
 def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """k as a tuple of g.n ints, of any sign."""
-    k = tuple(k)
-    if not set(map(type, k)) <= {int}:
-        k = tuple(as_int(x, "threshold") for x in k)
+    k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
         raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
     return k
@@ -250,9 +241,9 @@ def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """
     require_unweighted(g)
     k = as_thresholds(g, k)
-    if k and min(k) < 0:
-        i = next(i for i, ki in enumerate(k) if ki < 0)
-        raise BadParameterError(f"threshold k_{i} = {k[i]} is negative")
+    for i, ki in enumerate(k):
+        if ki < 0:
+            raise BadParameterError(f"threshold k_{i} = {ki} is negative")
     return k
 
 
@@ -265,10 +256,14 @@ def as_types(values: Iterable) -> tuple[Fraction, ...]:
     The range is checked on numerator and denominator, in integers.
     """
     out = []
+    made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct pair
     for v in values:
         if (isinstance(v, (list, tuple)) and len(v) == 2
                 and type(v[0]) is type(v[1]) is int and v[1]):
-            f = Fraction(v[0], v[1])
+            key = (v[0], v[1])
+            f = made.get(key)
+            if f is None:
+                f = made[key] = Fraction(*key)
         elif type(v) is int:
             f = Fraction(v)
         elif isinstance(v, Fraction):
@@ -448,11 +443,12 @@ def _list(values, what: str, width: int | None = None) -> list:
     """values, which must be a list, of length-``width`` lists if given."""
     if type(values) is not list:
         raise BadParameterError(f"{what} must be a list, got {values!r}")
-    if width and not (set(map(type, values)) <= {list} and set(map(len, values)) <= {width}):
-        r = next(r for r in values if type(r) is not list or len(r) != width)
-        raise BadParameterError(
-            f"each entry of {what} must be a list of {width} integers, got {r!r}"
-        )
+    if width is not None:
+        for r in values:
+            if type(r) is not list or len(r) != width:
+                raise BadParameterError(
+                    f"each entry of {what} must be a list of {width} integers, got {r!r}"
+                )
     return values
 
 
@@ -463,7 +459,7 @@ def instance_from_dict(d: dict):
     instance with types and no thresholds. A weighted instance without
     thresholds gets all-zero ones. This checks the JSON shape only: keys,
     lists, and row widths per format (2 for ``edges`` and ``self_loops``,
-    3 for ``weighted_edges``). Each number is checked once, where it is
+    3 for ``weighted_edges``). Each number is checked where it is
     taken: n, edges and self-loops in ``build_graph``, thresholds in
     ``as_thresholds`` and types in ``as_types``. Floats, booleans and
     strings are rejected there, never coerced.
@@ -476,13 +472,17 @@ def instance_from_dict(d: dict):
         raise BadParameterError(f"malformed instance: {exc}") from exc
     if weighted:
         edges = _list(edges, "weighted_edges", 3)
-        g = build_graph(n, edges, _list(d.get("self_loops", []), "self_loops", 2), weighted=True)
+        loops = _list(d.get("self_loops", []), "self_loops", 2)
+        g = build_graph(n, edges, loops, weighted=True)
         k = d.get("thresholds")
-        return g, as_thresholds(g, [0] * g.n if k is None else _list(k, "thresholds"))
+        if k is None:
+            k = [0] * g.n
+        return g, as_thresholds(g, _list(k, "thresholds"))
     g = build_graph(n, _list(edges, "edges", 2))
-    for key, take in (("thresholds", validate_thresholds), ("types", validate_types)):
-        if key in d:
-            return g, take(g, _list(d[key], key))
+    if "thresholds" in d:
+        return g, validate_thresholds(g, _list(d["thresholds"], "thresholds"))
+    if "types" in d:
+        return g, validate_types(g, _list(d["types"], "types"))
     raise BadParameterError("instance has neither 'thresholds' nor 'types'")
 
 

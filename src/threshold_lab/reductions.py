@@ -98,9 +98,9 @@ def formula_from_dict(d: dict) -> Formula:
         raise BadParameterError(f"malformed formula: {exc}") from exc
     if type(clauses) is not list:
         raise BadParameterError(f"clauses must be a list, got {clauses!r}")
-    if not set(map(type, clauses)) <= {list}:
-        c = next(c for c in clauses if type(c) is not list)
-        raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
+    for c in clauses:
+        if type(c) is not list:
+            raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
     return Formula(str(variant).lower(), n, clauses)
 
 

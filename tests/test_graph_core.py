@@ -409,8 +409,9 @@ class TestInstanceJson:
 
 
 # ---------------------------------------------------------------------------
-# Loader equivalence: the row-by-row build_graph that checked every value
-# of every row in turn, kept here as the oracle for the bulk checks
+# Loader equivalence: the loaders check the JSON shape only and leave
+# every number to build_graph, so a file must give the graph, or the error,
+# of the row-by-row build_graph kept here as the oracle
 
 
 def _oracle_fields(row, widths, what):
@@ -501,13 +502,13 @@ def _outcome(build, *args, **kwargs):
 
 def _random_rows(rng, n, weighted):
     """Edge rows of a random graph, in random order and orientation,
-    sometimes disconnected; weighted rows mix pairs and triples."""
+    sometimes disconnected; a weighted row ends in its weight."""
     g = random_connected_graph(n, rng)
     edges = [e for e in g.edges if rng.random() < 0.95]
     rows = []
     for i, j in edges:
         row = [j, i] if rng.random() < 0.5 else [i, j]
-        if weighted and rng.random() < 0.8:
+        if weighted:
             row.append(rng.choice((-7, -1, 1, 2, 3, 10**20)))
         rows.append(row)
     rng.shuffle(rows)
@@ -520,9 +521,9 @@ class TestLoaderEquivalence:
         for _ in range(400):
             n = rng.randint(1, 30)
             rows = _random_rows(rng, n, weighted=False)
-            for connected in (True, False):
-                assert _outcome(build_graph, n, rows, require_connected=connected) == _outcome(
-                    oracle_build_graph, n, rows, require_connected=connected)
+            d = {"n": n, "edges": rows, "thresholds": [1] * n}
+            assert _outcome(lambda: instance_from_dict(d)[0]) == _outcome(
+                oracle_build_graph, n, rows)
 
     def test_random_weighted_graphs_with_loops(self):
         rng = random.Random(22)
@@ -531,9 +532,9 @@ class TestLoaderEquivalence:
             rows = _random_rows(rng, n, weighted=True)
             loops = [[i, rng.choice((-2, 1, 5))] for i in range(n) if rng.random() < 0.3]
             rng.shuffle(loops)
-            for weighted in (True, False):
-                assert _outcome(build_graph, n, rows, loops, weighted=weighted) == _outcome(
-                    oracle_build_graph, n, rows, loops, weighted=weighted)
+            d = {"n": n, "weighted_edges": rows, "self_loops": loops}
+            assert _outcome(lambda: instance_from_dict(d)[0]) == _outcome(
+                oracle_build_graph, n, rows, loops, weighted=True)
 
     def test_numpy_rows(self):
         import numpy as np
