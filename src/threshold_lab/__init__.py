@@ -42,7 +42,6 @@ _EXPORTS = {
         "ACTION_W",
         "Graph",
         "TwoPartition",
-        "as_types",
         "build_graph",
         "format_profile",
         "instance_from_dict",
@@ -118,15 +117,11 @@ _EXPORTS = {
         "recover_sat_count",
     ),
     "resilience": (
-        "BoundsReport",
-        "RecoveryProblem",
         "ResilienceResult",
         "check_recovery",
         "greedy_upper_bound_q",
-        "recovery_problem",
         "resilience_bruteforce",
         "resilience_closed_form",
-        "verify_bounds",
     ),
 }
 

@@ -18,7 +18,8 @@ imports the rest of what it runs:
   resilience   resilience; instances for --mode closed-form
   verify       verify, which loads every module
 
-No subcommand loads numpy. The names that enumeration, reductions and
+No subcommand loads numpy, and ``fractions`` is loaded only to decode
+a types file and by resilience. The names that enumeration, reductions and
 resilience export (the package table ``threshold_lab._EXPORTS``) are
 bound in this module when one of them is first looked up here (PEP 562)
 or when its subcommand runs. Binding never replaces a name already set,
@@ -34,7 +35,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import _EXPORTS, _OWNER
 from .dynamics import Rule, default_guard, limit_cycle
@@ -53,7 +53,6 @@ from .graph_core import (
     instance_to_dict,
     parse_profile,
     read_json,
-    types_to_thresholds,
 )
 
 def _bind(*modules: str) -> None:
@@ -105,18 +104,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _frac(f: Fraction) -> list[int]:
+def _frac(f) -> list[int]:
+    """A Fraction as [numerator, denominator]."""
     return [f.numerator, f.denominator]
-
-
-def _load_instance(path: str):
-    """(Graph, thresholds) from an instance file of either format, with
-    types converted to thresholds."""
-    d = read_json(path)
-    g, vec = instance_from_dict(d)
-    if g.weights is None and "thresholds" not in d:
-        return g, types_to_thresholds(g, vec)
-    return g, vec
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,7 @@ def _load_instance(path: str):
 def _cmd_simulate(args) -> int:
     if args.max_states is not None and args.max_states < 1:
         raise InputError(f"--max-states must be >= 1, got {args.max_states}")
-    g, k = _load_instance(args.input)
+    g, k = instance_from_dict(read_json(args.input))
     rule = Rule.from_graph(g, k)
     a = parse_profile(args.initial, g.n)
     report = limit_cycle(rule, a, args.max_states or default_guard(g))
@@ -143,7 +133,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _bind("enumeration")
-    g, k = _load_instance(args.input)
+    g, k = instance_from_dict(read_json(args.input))
     census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
     _emit(
         {
@@ -164,7 +154,7 @@ def _cmd_expand(args) -> int:
         symmetric_expansion,
     )
 
-    g, k = _load_instance(args.input)
+    g, k = instance_from_dict(read_json(args.input))
     if args.kind == "bipartite":
         res = bipartite_expansion(g, k)
     elif args.kind == "symmetric":
@@ -246,7 +236,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_resilience(args) -> int:
     _bind("resilience")
-    g, _k = _load_instance(args.input)
+    g, _k = instance_from_dict(read_json(args.input))
     if args.K is None:
         raise InputError("resilience needs --K")
     if args.mode == "brute":
@@ -265,7 +255,7 @@ def _cmd_resilience(args) -> int:
             {
                 "mode": "greedy",
                 "q": [_frac(x) for x in q],
-                "l1": _frac(sum(q, Fraction(0))),
+                "l1": _frac(sum(q)),
             }
         )
     elif args.mode == "closed-form":

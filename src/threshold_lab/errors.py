@@ -69,10 +69,6 @@ class VariableMissingError(InputError):
     pass
 
 
-class InconsistentCountError(InputError):
-    pass
-
-
 class OutOfFormulaRangeError(InputError):
     pass
 
@@ -91,6 +87,11 @@ class InvariantViolationError(ThresholdLabError):
 
 class IdentityViolatedError(InvariantViolationError):
     """The fixed-point/cycle-count identity failed on a bipartite instance."""
+
+
+class InconsistentCountError(InvariantViolationError):
+    """A fixed-point count has no (#sat, #nsat) preimage: a gadget or
+    counter bug."""
 
 
 def check_scan_size(n: int, guard_n: int) -> None:

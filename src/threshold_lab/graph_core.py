@@ -5,9 +5,10 @@ clear means W. The textual form is a string of 'B'/'W' characters indexed
 by node id, so ``"BWB"`` is the profile with nodes 0 and 2 playing B.
 Profiles compare and sort by their integer value.
 
-Types (fractions of neighbors) are ``fractions.Fraction`` values in
-[0, 1] and are never stored as floats: threshold boundaries depend on
-deciding ``q_i * d_i`` equalities exactly.
+Every instance is a graph with integer thresholds k. Types (fractions
+of neighbors) are exact ``fractions.Fraction`` values in [0, 1], never
+floats, and become thresholds once, through ``types_to_thresholds``:
+threshold boundaries depend on deciding ``q_i * d_i`` equalities exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -247,17 +247,20 @@ def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     return k
 
 
-def as_types(values: Iterable) -> tuple[Fraction, ...]:
-    """Coerce an iterable of rationals into exact Fractions in [0, 1].
+def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
+    """q as exact Fractions in [0, 1], one per node of the unweighted g.
 
     Accepts Fraction, int, or (numerator, denominator) pairs of ints.
     Floats are rejected: they cannot represent type boundaries exactly.
     Bools, strings and other non-int parts are rejected, never coerced.
     The range is checked on numerator and denominator, in integers.
     """
+    from fractions import Fraction
+
+    require_unweighted(g)
     out = []
     made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct pair
-    for v in values:
+    for v in q:
         if (isinstance(v, (list, tuple)) and len(v) == 2
                 and type(v[0]) is type(v[1]) is int and v[1]):
             key = (v[0], v[1])
@@ -279,15 +282,9 @@ def as_types(values: Iterable) -> tuple[Fraction, ...]:
         if not 0 <= f.numerator <= f.denominator:
             raise BadParameterError(f"type value {f} outside [0, 1]")
         out.append(f)
+    if len(out) != g.n:
+        raise LengthMismatchError(f"type vector has length {len(out)}, expected {g.n}")
     return tuple(out)
-
-
-def validate_types(g: Graph, q: Sequence) -> tuple[Fraction, ...]:
-    require_unweighted(g)
-    q = as_types(q)
-    if len(q) != g.n:
-        raise LengthMismatchError(f"type vector has length {len(q)}, expected {g.n}")
-    return q
 
 
 def is_valid_node(g: Graph, k: Sequence[int], i: int) -> bool:
@@ -419,11 +416,13 @@ def validate_profile(a: int, n: int) -> int:
 #              "thresholds": [int, ...] | "types": [[num, den], ...]}
 # Weighted:   {"n": int, "weighted_edges": [[i, j, w], ...],
 #              "self_loops": [[i, w], ...], "thresholds": [int, ...]}
+#
+# Both decode to (Graph, thresholds); types become thresholds on the way.
 
 
-def instance_to_dict(g: Graph, k: Sequence[int] | None = None, q: Sequence | None = None) -> dict:
-    """The JSON form of g with thresholds k or types q; a weighted graph
-    keeps the weighted format."""
+def instance_to_dict(g: Graph, k: Sequence[int]) -> dict:
+    """The JSON form of g with thresholds k; a weighted graph keeps the
+    weighted format."""
     if g.weights is None:
         d: dict = {"n": g.n, "edges": [list(e) for e in g.edges]}
     else:
@@ -432,10 +431,7 @@ def instance_to_dict(g: Graph, k: Sequence[int] | None = None, q: Sequence | Non
             "weighted_edges": [list(e) for e in g.weighted_edges()],
             "self_loops": [list(s) for s in g.loops],
         }
-    if k is not None:
-        d["thresholds"] = list(k)
-    if q is not None:
-        d["types"] = [[f.numerator, f.denominator] for f in as_types(q)]
+    d["thresholds"] = list(k)
     return d
 
 
@@ -453,16 +449,16 @@ def _list(values, what: str, width: int | None = None) -> list:
 
 
 def instance_from_dict(d: dict):
-    """Decode an instance dict of either format.
+    """Decode an instance dict of either format to (Graph, thresholds).
 
-    Returns (Graph, thresholds), or (Graph, types) for an unweighted
-    instance with types and no thresholds. A weighted instance without
+    Types, given instead of thresholds on an unweighted instance, are
+    converted by ``types_to_thresholds``. A weighted instance without
     thresholds gets all-zero ones. This checks the JSON shape only: keys,
     lists, and row widths per format (2 for ``edges`` and ``self_loops``,
-    3 for ``weighted_edges``). Each number is checked where it is
+    3 for ``weighted_edges``). Each number is checked once, where it is
     taken: n, edges and self-loops in ``build_graph``, thresholds in
-    ``as_thresholds`` and types in ``as_types``. Floats, booleans and
-    strings are rejected there, never coerced.
+    ``as_thresholds`` and types in ``validate_types``. Floats, booleans
+    and strings are rejected there, never coerced.
     """
     weighted = isinstance(d, dict) and "weighted_edges" in d
     try:
@@ -482,7 +478,7 @@ def instance_from_dict(d: dict):
     if "thresholds" in d:
         return g, validate_thresholds(g, _list(d["thresholds"], "thresholds"))
     if "types" in d:
-        return g, validate_types(g, _list(d["types"], "types"))
+        return g, types_to_thresholds(g, _list(d["types"], "types"))
     raise BadParameterError("instance has neither 'thresholds' nor 'types'")
 
 

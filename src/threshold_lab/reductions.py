@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import column_blocks, predecessors
+from .enumeration import _matches, column_blocks
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
@@ -342,7 +342,8 @@ def reachable_pred_reduction(
     claimed = count_sat(f, guard_n=guard_n)
     measured = None
     if measure:
-        measured = len(predecessors(g, k, target, guard_n=guard_n))
+        # count per block: the predecessors themselves are never built
+        measured = sum(mask.bit_count() for _, mask in _matches(g, k, target))
     return ReachablePredGadget(
         graph=g,
         thresholds=k,

@@ -26,26 +26,6 @@ from .errors import (
 from .graph_core import Graph, require_unweighted, types_to_thresholds
 
 
-class RecoveryProblem(NamedTuple):
-    """A graph, a perturbation budget, and the quantized search grid."""
-
-    graph: Graph
-    budget: int
-    grid: tuple[tuple[Fraction, ...], ...]
-
-
-def recovery_problem(g: Graph, K: int) -> RecoveryProblem:
-    require_unweighted(g)
-    if K < 1:
-        raise BadParameterError(f"budget K must be >= 1, got {K}")
-    K = min(K, g.n)  # profiles cannot hold more than n deviations
-    grid = tuple(
-        tuple(Fraction(m, d) for m in range(d + 1)) if d else (Fraction(0),)
-        for d in g.degrees
-    )
-    return RecoveryProblem(graph=g, budget=K, grid=grid)
-
-
 def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
     """Every profile with at most K B-nodes, after the seed-count guard.
 
@@ -204,14 +184,16 @@ def resilience_bruteforce(
     enters the heap with priority exactly (key, digits), so it cannot be
     popped before m*.
     """
-    prob = recovery_problem(g, K)
+    require_unweighted(g)
+    if K < 1:
+        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    n, degrees = g.n, g.degrees
     grid_size = 1
-    for choices in prob.grid:
-        grid_size *= len(choices)
+    for d in degrees:
+        grid_size *= d + 1
         if grid_size > max_grid:
             raise GuardExceededError(f"type grid exceeds guard {max_grid}")
-    seeds = _seed_list(g.n, prob.budget, max_seeds)
-    n, degrees = g.n, g.degrees
+    seeds = _seed_list(n, K, max_seeds)
     L = lcm(*(d for d in degrees if d))
     weights = [L // d if d else 0 for d in degrees]
     evaluations = 0
@@ -258,13 +240,12 @@ def resilience_bruteforce(
         return 0
 
     bound = n * L  # q == 1 everywhere always recovers
-    greedy = greedy_upper_bound_q(g)
-    greedy_k = types_to_thresholds(g, greedy)
+    greedy = _greedy_digits(g)
+    greedy_k = [m + 1 for m in greedy]
     ok, failing, n_checked = _check_recovery_counted(g, greedy_k, seeds)
     evaluations += n_checked
     if ok:
-        # every greedy q_i is a multiple of 1/d_i, so the scaled sum is integral
-        bound = min(bound, int(sum(greedy) * L))
+        bound = min(bound, sum(m * w for m, w in zip(greedy, weights)))
     else:
         learn(greedy_k, failing)
 
@@ -287,8 +268,8 @@ def resilience_bruteforce(
             ok, failing, n_checked = _check_recovery_counted(g, k, seeds)
             evaluations += n_checked
             if ok:
-                q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
-                return ResilienceResult(mu=Fraction(key, L), witness_q=q, evaluations=evaluations)
+                return ResilienceResult(mu=Fraction(key, L), witness_q=_types(g, digits),
+                                        evaluations=evaluations)
             learn(k, failing)
             continue
         w, row = weights[i], esc[i]
@@ -303,6 +284,21 @@ def resilience_bruteforce(
     raise InvariantViolationError("no recovering type distribution found on the grid")
 
 
+def _greedy_digits(g: Graph) -> list[int]:
+    """Degree-order allocation as digits: each edge adds 1 to the digit
+    of its endpoint of larger degree (ties: larger node id)."""
+    digits = [0] * g.n
+    for i, j in g.edges:
+        digits[j if (g.degrees[i], i) < (g.degrees[j], j) else i] += 1
+    return digits
+
+
+def _types(g: Graph, digits: Sequence[int]) -> tuple[Fraction, ...]:
+    """The types q_i = m_i / d_i of digits m; the one node of an edgeless
+    graph has d = 0 and type 0."""
+    return tuple(Fraction(m, d or 1) for m, d in zip(digits, g.degrees))
+
+
 def greedy_upper_bound_q(g: Graph) -> tuple[Fraction, ...]:
     """Degree-order allocation: each edge charges 1/d to its endpoint of
     larger degree (ties: larger node id).
@@ -311,38 +307,7 @@ def greedy_upper_bound_q(g: Graph) -> tuple[Fraction, ...]:
     ||q||_1 = sum over edges of min(1/d_i, 1/d_j) <= n/2.
     """
     require_unweighted(g)
-    q = [Fraction(0)] * g.n
-    for i, j in g.edges:
-        hi = j if (g.degrees[i], i) < (g.degrees[j], j) else i
-        q[hi] += Fraction(1, g.degrees[hi])
-    return tuple(q)
-
-
-class BoundsReport(NamedTuple):
-    mu: Fraction
-    lower: Fraction
-    upper: Fraction
-    lower_slack: Fraction
-    upper_slack: Fraction
-
-
-def verify_bounds(g: Graph, K: int, **kwargs) -> BoundsReport:
-    """Compute mu by brute force and assert 1 <= mu <= n/2."""
-    if g.n < 2:
-        raise BadParameterError("resilience bounds are stated for n >= 2")
-    result = resilience_bruteforce(g, K, **kwargs)
-    lower, upper = Fraction(1), Fraction(g.n, 2)
-    if not lower <= result.mu <= upper:
-        raise InvariantViolationError(
-            f"mu = {result.mu} violates the bounds [{lower}, {upper}]"
-        )
-    return BoundsReport(
-        mu=result.mu,
-        lower=lower,
-        upper=upper,
-        lower_slack=result.mu - lower,
-        upper_slack=upper - result.mu,
-    )
+    return _types(g, _greedy_digits(g))
 
 
 # ---------------------------------------------------------------------------

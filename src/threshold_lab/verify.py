@@ -14,7 +14,7 @@ from functools import partial
 from itertools import product
 
 from . import dynamics, enumeration, expansions, instances, reductions, resilience
-from .errors import ThresholdLabError
+from .errors import InvariantViolationError, ThresholdLabError
 from .graph_core import (
     build_graph,
     is_bipartite,
@@ -58,9 +58,15 @@ def run_all(seed: int = 0, guard_n: int = enumeration.DEFAULT_GUARD_N) -> list[R
             results.append((name, True, detail or ""))
         except ThresholdLabError as exc:
             results.append((name, False, str(exc)))
-        except AssertionError as exc:
-            results.append((name, False, str(exc)))
     return results
+
+
+def _require(ok, message: str = "", *args) -> None:
+    """Raise InvariantViolationError with ``message % args`` unless ok.
+    Unlike ``assert`` it also runs under ``python -O``, and the message
+    is formatted only on failure."""
+    if not ok:
+        raise InvariantViolationError(message % args if args else message)
 
 
 def _random_instances(rng, count, max_n):
@@ -75,11 +81,10 @@ def _check_type_threshold_equivalence(rng, guard_n) -> str:
         g = instances.random_connected_graph(rng.randint(2, 5), rng)
         q = instances.random_types(g, rng)
         k = types_to_thresholds(g, q)
-        assert all(ki >= 1 for ki in k), "types produced a zero threshold"
+        _require(all(ki >= 1 for ki in k), "types produced a zero threshold")
         for a in range(1 << g.n):
-            assert dynamics.step_types(g, q, a) == dynamics.step(g, k, a), (
-                f"type/threshold rules disagree on {g.edges} q={q} a={a}"
-            )
+            _require(dynamics.step_types(g, q, a) == dynamics.step(g, k, a),
+                     "type/threshold rules disagree on %s q=%s a=%s", g.edges, q, a)
             cases += 1
     return f"{cases} profile updates compared"
 
@@ -92,9 +97,8 @@ def _check_two_step_table(rng, guard_n) -> str:
             for a in range(1 << n):
                 b = dynamics.step(g, k, dynamics.step(g, k, a))
                 for i in range(n):
-                    assert dynamics.ring_two_step(g, k, a, i) == (b >> i) & 1, (
-                        f"table row mismatch at n={n} k={k} a={a} i={i}"
-                    )
+                    _require(dynamics.ring_two_step(g, k, a, i) == (b >> i) & 1,
+                             "table row mismatch at n=%s k=%s a=%s i=%s", n, k, a, i)
                     cases += 1
     return f"{cases} table entries checked"
 
@@ -140,10 +144,9 @@ def _compare_engines(step, rule, g, what) -> int:
     guard = dynamics.default_guard(g)
     for a in range(1 << g.n):
         report = dynamics.limit_cycle(step, a, guard)
-        assert len(report.cycle) <= 2, f"{what} cycle of length {len(report.cycle)}"
-        assert dynamics.limit_cycle(rule, a, guard) == report, (
-            f"{what} Rule engine disagrees with the reference from profile {a}"
-        )
+        _require(len(report.cycle) <= 2, "%s cycle of length %s", what, len(report.cycle))
+        _require(dynamics.limit_cycle(rule, a, guard) == report,
+                 "%s Rule engine disagrees with the reference from profile %s", what, a)
     return 1 << g.n
 
 
@@ -167,8 +170,9 @@ def _check_decoupling_identities(rng, guard_n) -> str:
             s2 = dynamics.step(g, k, s1)
             oe = dynamics.step_restricted(g, k, dynamics.step_restricted(g, k, a, part.p_odd), part.p_even)
             eo = dynamics.step_restricted(g, k, dynamics.step_restricted(g, k, a, part.p_even), part.p_odd)
-            assert oe & odd_mask == s1 & odd_mask and oe & even_mask == s2 & even_mask
-            assert eo & odd_mask == s2 & odd_mask and eo & even_mask == s1 & even_mask
+            _require(oe & odd_mask == s1 & odd_mask and oe & even_mask == s2 & even_mask
+                     and eo & odd_mask == s2 & odd_mask and eo & even_mask == s1 & even_mask,
+                     "decoupling fails on %s k=%s a=%s", g.edges, k, a)
             cases += 1
     return f"{cases} decoupling identities verified"
 
@@ -186,7 +190,7 @@ def _symmetric_bipartite_sample(rng, count):
 def _check_conflict_potential(rng, guard_n) -> str:
     cases = 0
     for g, k in _symmetric_bipartite_sample(rng, 6):
-        assert expansions.is_symmetric_model(g, k)
+        _require(expansions.is_symmetric_model(g, k), "symmetric expansion is not symmetric")
         part = two_partition(g)
         for _ in range(200):
             b = rng.randrange(1 << g.n)
@@ -194,7 +198,7 @@ def _check_conflict_potential(rng, guard_n) -> str:
                 after = dynamics.step_restricted(g, k, b, p)
                 changed = after != b
                 decreased = dynamics.conflict_links(g, after) < dynamics.conflict_links(g, b)
-                assert changed == decreased, "one-side update without a conflict-link drop"
+                _require(changed == decreased, "one-side update without a conflict-link drop")
                 cases += 1
     return f"{cases} sequential moves match the potential"
 
@@ -208,7 +212,8 @@ def _check_fixed_point_coincidence(rng, guard_n) -> str:
             comp = dynamics.step_restricted(
                 g, k, dynamics.step_restricted(g, k, a, part.p_odd), part.p_even
             )
-            assert fixed_parallel == (comp == a)
+            _require(fixed_parallel == (comp == a),
+                     "fixed points differ on %s k=%s a=%s", g.edges, k, a)
             cases += 1
     return f"{cases} fixed-point equivalences checked"
 
@@ -224,12 +229,12 @@ def _check_expansion_commutation(rng, guard_n) -> str:
             (expansions.inverted_to_primary(g, k), _inverted_step(g, k)),
         ):
             ok, bad = expansions.commutation_check(source, res.target_step(), res.lift, profiles)
-            assert ok, f"commutation failed at profile {bad}"
+            _require(ok, "commutation failed at profile %s", bad)
             trials += 1
         if not expansions.is_symmetric_model(g, k):
             res = expansions.one_step_symmetric_expansion(g, k)
             ok, bad = expansions.commutation_check(src, res.target_step(), res.lift, profiles)
-            assert ok, f"one-step commutation failed at profile {bad}"
+            _require(ok, "one-step commutation failed at profile %s", bad)
             trials += 1
     for _ in range(8):
         for make, max_n, transform, what in (
@@ -242,7 +247,7 @@ def _check_expansion_commutation(rng, guard_n) -> str:
             ok, bad = expansions.commutation_check(
                 partial(dynamics.step_weighted, g, k), res.target_step(), res.lift, range(1 << g.n)
             )
-            assert ok, f"{what} commutation failed at profile {bad}"
+            _require(ok, "%s commutation failed at profile %s", what, bad)
         trials += 3
     return f"{trials} expansion squares commute"
 
@@ -258,9 +263,8 @@ def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
         sym = expansions.symmetric_expansion(g, k)
         a = expansions.symmetric_expansion(bip.graph, bip.thresholds)
         b = expansions.bipartite_expansion(sym.graph, sym.thresholds)
-        assert expansions.instances_isomorphic(
-            a.graph, a.thresholds, b.graph, b.thresholds
-        ), "bipartite-then-symmetric differs from symmetric-then-bipartite"
+        _require(expansions.instances_isomorphic(a.graph, a.thresholds, b.graph, b.thresholds),
+                 "bipartite-then-symmetric differs from symmetric-then-bipartite")
         checked += 1
     return f"{checked} composition pairs isomorphic"
 
@@ -268,9 +272,8 @@ def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
 def _check_census_backtracking_agreement(rng, guard_n) -> str:
     for g, k in _random_instances(rng, 30, 9):
         census = enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
-        assert (
-            enumeration.count_fixed_points_backtracking(g, k) == census.fixed_points
-        ), f"backtracking disagrees with the scan on {g.edges} k={k}"
+        _require(enumeration.count_fixed_points_backtracking(g, k) == census.fixed_points,
+                 "backtracking disagrees with the scan on %s k=%s", g.edges, k)
     return "30 instances agree"
 
 
@@ -283,10 +286,10 @@ def _check_bipartite_cycle_identity(rng, guard_n) -> str:
 def _check_extremal_instances(rng, guard_n) -> str:
     g, k = enumeration.build_extremal_cycle_instance(5, "min")
     census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
-    assert census.fixed_points == 2 and census.two_cycles == 0
+    _require(census.fixed_points == 2 and census.two_cycles == 0, "min instance census %s", census)
     g, k = enumeration.build_extremal_cycle_instance(6, "max")
     census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
-    assert census.fixed_points >= 4 and census.two_cycles >= 3
+    _require(census.fixed_points >= 4 and census.two_cycles >= 3, "max instance census %s", census)
     return "min/max counting instances behave as constructed"
 
 
@@ -294,15 +297,16 @@ def _check_fix_gadget(rng, guard_n) -> str:
     f = reductions.Formula(reductions.MONOTONE_2DNF, 2, ((1, 2),))
     gadget = reductions.fix_reduction(f)
     count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
-    assert count == 18, f"anchor gadget has {count} fixed points, expected 18"
-    assert reductions.recover_sat_count(count, 2) == (1, 3)
+    _require(count == 18, "anchor gadget has %s fixed points, expected 18", count)
+    _require(reductions.recover_sat_count(count, 2) == (1, 3), "anchor counts do not invert")
     for _ in range(10):
         f = _random_2dnf(rng)
         gadget = reductions.fix_reduction(f)
-        assert is_bipartite(gadget.graph)
+        _require(is_bipartite(gadget.graph), "fix gadget of %s is not bipartite", f.clauses)
         count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
         sat, _nsat = reductions.recover_sat_count(count, f.num_vars)
-        assert sat == reductions.count_sat(f, guard_n=guard_n)
+        _require(sat == reductions.count_sat(f, guard_n=guard_n),
+                 "fix gadget of %s recovers #sat = %s", f.clauses, sat)
     return "fixed-point counts invert to #sat"
 
 
@@ -334,19 +338,17 @@ def _check_pred_gadget(rng, guard_n) -> str:
         reachable = enumeration.is_reachable(
             gadget.graph, gadget.thresholds, gadget.target, guard_n=guard_n
         )
-        assert reachable == (reductions.count_sat(f, guard_n=guard_n) > 0), (
-            f"PRED mismatch on {f.clauses}"
-        )
+        _require(reachable == (reductions.count_sat(f, guard_n=guard_n) > 0),
+                 "PRED mismatch on %s", f.clauses)
     return "reachability matches satisfiability on 15 formulas"
 
 
 def _check_reachable_pred_gadget(rng, guard_n) -> str:
     f = reductions.Formula(reductions.MONOTONE_2CNF, 2, ((1, 2),))
     gadget = reductions.reachable_pred_reduction(f, guard_n=guard_n)
-    assert gadget.claimed_count == 3 and gadget.measured_count == 9, (
-        f"expected the documented 9-vs-3 discrepancy, got "
-        f"{gadget.measured_count} vs {gadget.claimed_count}"
-    )
+    _require(gadget.claimed_count == 3 and gadget.measured_count == 9,
+             "expected the documented 9-vs-3 discrepancy, got %s vs %s",
+             gadget.measured_count, gadget.claimed_count)
     return "documented 9-vs-3 discrepancy reproduced"
 
 
@@ -357,20 +359,20 @@ def _check_convergence_time_bounds(rng, guard_n) -> str:
             k = instances.random_thresholds(g, rng)
             a = rng.randrange(1 << n)
             report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-            assert report.transient <= n, f"even cycle transient {report.transient} > {n}"
+            _require(report.transient <= n, "even cycle transient %s > %s", report.transient, n)
     for n in range(2, 7):
         for g in instances.trees(n):
             for _ in range(40):
                 k = instances.random_thresholds(g, rng)
                 a = rng.randrange(1 << n)
                 report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-                assert report.transient <= n, f"tree transient {report.transient} > {n}"
+                _require(report.transient <= n, "tree transient %s > %s", report.transient, n)
     for g, k in _random_instances(rng, 25, 7):
         bound = dynamics.convergence_time_bound(g)
         for _ in range(30):
             a = rng.randrange(1 << g.n)
             report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-            assert report.transient <= bound
+            _require(report.transient <= bound, "transient %s > %s", report.transient, bound)
     return "linear and quadratic convergence-time bounds hold"
 
 
@@ -387,9 +389,8 @@ def _check_resilience_closed_forms(rng, guard_n) -> str:
     for g, family, budgets in pairs:
         for K in budgets:
             mu = resilience.resilience_bruteforce(g, K).mu
-            assert mu == resilience.resilience_closed_form(family, g.n, K), (
-                f"{family} n={g.n} K={K}: brute force {mu}"
-            )
+            _require(mu == resilience.resilience_closed_form(family, g.n, K),
+                     "%s n=%s K=%s: brute force %s", family, g.n, K, mu)
     return "closed forms match brute force"
 
 
@@ -406,7 +407,7 @@ def _check_resilience_monotone(rng, guard_n) -> str:
             a_high = a | rng.randrange(1 << g.n)
             for _ in range(g.n):
                 a, a_high = dynamics.step(g, k, a), dynamics.step(g, k_low, a_high)
-                assert a & ~a_high == 0, f"step not monotone on {g.edges} k={k} k'={k_low}"
+                _require(a & ~a_high == 0, "step not monotone on %s k=%s k'=%s", g.edges, k, k_low)
                 steps += 1
     boxes = 0
     while boxes < 20:
@@ -417,9 +418,8 @@ def _check_resilience_monotone(rng, guard_n) -> str:
             continue
         box = resilience._failure_box(g, k, seed)
         for m in product(*(range(ub + 1) for ub in box)):
-            assert not _recovers_from(g, [x + 1 for x in m], seed), (
-                f"digits {m} in the box {box} of seed {seed} recover on {g.edges}"
-            )
+            _require(not _recovers_from(g, [x + 1 for x in m], seed),
+                     "digits %s in the box %s of seed %s recover on %s", m, box, seed, g.edges)
         boxes += 1
     return f"{steps} paired steps stay nested; {boxes} failure boxes fail throughout"
 
@@ -456,11 +456,11 @@ def _check_greedy_recovery(rng, guard_n) -> str:
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
         q = resilience.greedy_upper_bound_q(g)
         l1 = sum(q, Fraction(0))
-        assert l1 <= Fraction(g.n, 2), f"greedy allocation costs {l1} > n/2"
+        _require(l1 <= Fraction(g.n, 2), "greedy allocation costs %s > n/2", l1)
         edge_sum = sum(
             min(Fraction(1, g.degrees[i]), Fraction(1, g.degrees[j])) for i, j in g.edges
         )
-        assert l1 == edge_sum
+        _require(l1 == edge_sum, "greedy allocation costs %s, not %s", l1, edge_sum)
         ok, seed = resilience.check_recovery(g, q, g.n)
-        assert ok, f"greedy allocation failed to recover from seed {seed}"
+        _require(ok, "greedy allocation failed to recover from seed %s", seed)
     return "greedy allocation recovers within n/2 on 15 graphs"

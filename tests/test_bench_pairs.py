@@ -59,3 +59,28 @@ def test_quartiles_of_one_run():
 def test_quartiles_round_to_four_places():
     q = bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
     assert q == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # parent job_s_p50: q1 1.0, median 1.5, q3 2.0, a spread of 2/3
+    parent = [1.0, 1.0, 1.5, 2.0, 2.0]
+    steady = [10.0, 10.1, 10.2, 10.3, 10.4]
+
+    def pairs(change):
+        return [pair(i, "parent", {"job_s_p50": p, "jobs_per_s": s},
+                     {"job_s_p50": c, "jobs_per_s": s + 1})
+                for i, (p, s, c) in enumerate(zip(parent, steady, change))]
+
+    better = {"job_s_p50": "lower", "jobs_per_s": "higher"}
+    bounds = {"job_s_p50": 0.25, "jobs_per_s": 0.25}
+    m = bench_pairs.summarize(pairs([1.2] * 5), better, bounds)["metrics"]
+    assert bench_pairs.spread(parent) == 2 / 3
+    assert (m["job_s_p50"]["bound"], m["job_s_p50"]["unresolved"]) == (0.25, True)
+    assert m["jobs_per_s"]["unresolved"] is False
+    # every change run below every parent run: resolved despite the spread
+    m = bench_pairs.summarize(pairs([0.9] * 5), better, bounds)["metrics"]
+    assert m["job_s_p50"]["unresolved"] is False
+    # a bound the spread stays within
+    m = bench_pairs.summarize(pairs([1.2] * 5), better, {"job_s_p50": 0.7})["metrics"]
+    assert m["job_s_p50"]["unresolved"] is False
+    assert (m["jobs_per_s"]["bound"], m["jobs_per_s"]["unresolved"]) == (None, None)

@@ -54,6 +54,24 @@ class TestSimulate:
         assert code == 0
         assert out["cycle"] == ["BBB"]
 
+    def test_types_file_is_checked_once(self, capsys, tmp_path, monkeypatch):
+        import threshold_lab.graph_core as graph_core
+
+        calls = []
+        validate = graph_core.validate_types
+        monkeypatch.setattr(graph_core, "validate_types",
+                            lambda g, q: calls.append(q) or validate(g, q))
+        path = write(tmp_path / "types.json",
+                     {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "types": [[2, 5], [2, 5], [9, 10]]})
+        for argv in (["simulate", "--input", path, "--initial", "BBW"],
+                     ["enumerate", "--input", path],
+                     ["expand", "--input", path, "--kind", "bipartite"],
+                     ["resilience", "--input", path, "--K", "1"]):
+            calls.clear()
+            assert main(argv) == 0, argv
+            assert len(calls) == 1, argv
+        capsys.readouterr()
+
     def test_weighted_instance(self, capsys, tmp_path):
         path = write(
             tmp_path / "w.json",
@@ -441,6 +459,18 @@ class TestReduce:
         assert seen == {"guard_n": 25}
         assert json.loads(capsys.readouterr().out)["verification"]["match"] is True
 
+    def test_inconsistent_count_is_an_invariant_violation(self, capsys, tmp_path, monkeypatch):
+        # a fixed-point count with no (#sat, #nsat) preimage signals a
+        # gadget or counter bug, not bad input
+        import threshold_lab.cli as cli
+
+        monkeypatch.setattr(cli, "count_fixed_points_backtracking", lambda g, k: 0)
+        path = write(tmp_path / "f.json", {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]})
+        assert main(["reduce", "--formula", path, "--kind", "fix", "--verify"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: F = 0 has no integral solution for n = 2\n"
+
     def test_bad_formula_exit(self, capsys, tmp_path):
         path = write(tmp_path / "bad.json", {"variant": "monotone-2dnf", "n": 3, "clauses": [[1, 2]]})
         assert main(["reduce", "--formula", path, "--kind", "fix"]) == 2
@@ -592,7 +622,10 @@ def test_benchmark_input_loader_runs(tmp_path):
     --verify`` of every kind, and the loader never load numpy, nor
     ``dataclasses`` and the ``inspect`` chain it imports; the CLI import
     loads no leaf module and none of the three engines, and each
-    subcommand loads no engine it does not run."""
+    subcommand loads no engine it does not run. ``fractions`` loads only
+    for a types file or a resilience job: not on the CLI import, nor for
+    ``enumerate``, ``reduce`` of any kind, or ``simulate`` on a threshold
+    or weighted file."""
     import os
     import subprocess
     import sys
@@ -622,21 +655,21 @@ def test_benchmark_input_loader_runs(tmp_path):
     enumeration, reductions, resilience = (
         f"threshold_lab.{m}" for m in ("enumeration", "reductions", "resilience"))
     engines = (enumeration, reductions, resilience)
-    heavy = (*lean, *engines, "networkx", "threshold_lab.verify", "threshold_lab.expansions",
+    heavy = (*lean, *engines, "fractions", "networkx", "threshold_lab.verify", "threshold_lab.expansions",
              "threshold_lab.instances")
     loaded = python("-c", f"import sys, threshold_lab.cli; "
                           f"print([m for m in {heavy!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
 
     # (modules that must stay unloaded, argv)
-    runs = [((*lean, *engines), ["simulate", "--input", path, "--initial", "BW"])
-            for path in files[:3]]
+    runs = [((*lean, *engines, *fractions), ["simulate", "--input", path, "--initial", "BW"])
+            for path, fractions in zip(files[:3], (["fractions"], [], ["fractions"]))]
     runs += [((*lean, enumeration, reductions),
               ["resilience", "--input", star, "--K", "1", "--mode", mode])
              for mode in ("brute", "greedy", "closed-form")]
     runs.append(((*lean, *engines), ["expand", "--input", star, "--kind", "bipartite"]))
-    runs.append(((*lean, reductions, resilience), ["enumerate", "--input", star]))
-    runs += [((*lean, resilience), ["reduce", "--formula", path, "--kind", kind, "--verify"])
+    runs.append(((*lean, reductions, resilience, "fractions"), ["enumerate", "--input", star]))
+    runs += [((*lean, resilience, "fractions"), ["reduce", "--formula", path, "--kind", kind, "--verify"])
              for path, kind in ((files[4], "pred"), (files[5], "reachable-pred"))]
     probe = ("import contextlib, io, sys\n"
              "from threshold_lab.cli import main\n"
@@ -649,7 +682,7 @@ def test_benchmark_input_loader_runs(tmp_path):
     probe = ("import json, sys\n"
              "from threshold_lab.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             f"print(json.dumps([code, [m for m in {(*lean, resilience)!r} "
+             f"print(json.dumps([code, [m for m in {(*lean, resilience, 'fractions')!r} "
              f"if m in sys.modules]]))\n")
     out = python("-c", probe, "reduce", "--formula", files[3], "--kind", "fix", "--verify")
     *result, flags = out.splitlines()
@@ -679,7 +712,8 @@ def test_tracer_wraps_every_cli_name(tmp_path):
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
-    unbound = {"weighted_graph_from_dict", "make_step", "make_step_types", "make_step_weighted"}
+    unbound = {"weighted_graph_from_dict", "make_step", "make_step_types", "make_step_weighted",
+               "types_to_thresholds"}
     files = {
         "q": write(tmp_path / "q.json", {"n": 2, "edges": [[0, 1]], "types": [[1, 2], [0, 1]]}),
         "star": write(tmp_path / "star.json",
@@ -739,7 +773,7 @@ print(json.dumps(report))
         "count_fixed_points_backtracking", "count_sat", "enumerate_limits", "fix_reduction",
         "formula_from_dict", "instance_from_dict", "is_reachable", "limit_cycle",
         "parse_profile", "pred_reduction", "reachable_pred_reduction", "recover_sat_count",
-        "resilience_bruteforce", "types_to_thresholds",
+        "resilience_bruteforce",
     }
     for mode in ("cli", "package"):
         called = set()
@@ -794,7 +828,7 @@ def test_exported_records_are_tuples():
 
     values = [getattr(threshold_lab, name) for name in threshold_lab.__all__]
     records = [v for v in values if isinstance(v, type) and not issubclass(v, Exception)]
-    assert len(records) == 16
+    assert len(records) == 14
     assert [r.__name__ for r in records if not issubclass(r, tuple)] == []
 
 

@@ -311,9 +311,12 @@ class TestInstanceJson:
         assert g == four_cycle and k == (1, 2, 1, 2)
 
     def test_types_roundtrip(self, triangle):
-        d = instance_to_dict(triangle, q=[(1, 2), (0, 1), (1, 1)])
-        g, q = instance_from_dict(d)
-        assert q == (Fraction(1, 2), Fraction(0), Fraction(1))
+        # types decode to thresholds: floor(q_i * 2) + 1 on the triangle
+        d = {"n": 3, "edges": [list(e) for e in triangle.edges],
+             "types": [[1, 2], [0, 1], [1, 1]]}
+        g, k = instance_from_dict(d)
+        assert g == triangle and k == (2, 1, 3)
+        assert instance_to_dict(g, k) == {"n": 3, "edges": d["edges"], "thresholds": [2, 1, 3]}
 
     def test_missing_keys(self):
         with pytest.raises(BadParameterError):
@@ -561,10 +564,9 @@ class TestLoaderEquivalence:
             expected = _outcome(oracle_build_graph, n, rows)
             assert _outcome(lambda: instance_from_dict(d)[0]) == expected
             if isinstance(expected[0], tuple):  # a graph, not an error
-                g, q = instance_from_dict(d)
-                assert q == tuple(Fraction(p, den) for p, den in types)
-                assert types_to_thresholds(g, q) == tuple(
-                    math.floor(qi * di) + 1 for qi, di in zip(q, g.degrees))
+                g, k = instance_from_dict(d)
+                q = [Fraction(p, den) for p, den in types]
+                assert k == tuple(math.floor(qi * di) + 1 for qi, di in zip(q, g.degrees))
 
     @pytest.mark.parametrize(
         "n, edges, loops, error, message",

@@ -13,13 +13,11 @@ from threshold_lab import (
     ResilienceResult,
     check_recovery,
     greedy_upper_bound_q,
-    recovery_problem,
     resilience_bruteforce,
     resilience_closed_form,
     step,
     step_types,
     types_to_thresholds,
-    verify_bounds,
 )
 from threshold_lab.instances import (
     complete_graph,
@@ -31,6 +29,11 @@ from threshold_lab.instances import (
 from threshold_lab.resilience import _check_recovery_counted, _failure_box, _seed_list
 
 H = Fraction(1, 2)
+
+
+def type_grid(g):
+    """The quantized types q_i in {0, 1/d_i, ..., 1} of each node."""
+    return [tuple(Fraction(m, d or 1) for m in range(d + 1)) for d in g.degrees]
 
 
 def reference_recovers(g, q, K):
@@ -48,13 +51,13 @@ def reference_recovers(g, q, K):
 
 def reference_resilience(g, K):
     """Least (||q||_1, digits) over every grid point that recovers."""
-    prob = recovery_problem(g, K)
+    grid = type_grid(g)
     points = []
-    for digits in product(*(range(len(c)) for c in prob.grid)):
-        q = tuple(prob.grid[i][m] for i, m in enumerate(digits))
+    for digits in product(*(range(len(c)) for c in grid)):
+        q = tuple(grid[i][m] for i, m in enumerate(digits))
         points.append((sum(q, Fraction(0)), digits, q))
     for total, _, q in sorted(points):
-        if reference_recovers(g, q, prob.budget):
+        if reference_recovers(g, q, K):
             return total, q
     raise AssertionError("q == 1 everywhere always recovers")
 
@@ -62,8 +65,8 @@ def reference_resilience(g, K):
 def reference_best_first(g, K):
     """The search that preceded the A* one: every candidate in (key,
     digits) order, pruned only by the greedy bound, checked in full."""
-    prob = recovery_problem(g, K)
-    seeds = _seed_list(g.n, prob.budget, 1 << g.n)
+    grid = type_grid(g)
+    seeds = _seed_list(g.n, K, 1 << g.n)
     L = lcm(*(d for d in g.degrees if d))
     weights = [L // d if d else 0 for d in g.degrees]
     evaluations = 0
@@ -85,11 +88,11 @@ def reference_best_first(g, K):
             ok, _, n_checked = _check_recovery_counted(g, [m + 1 for m in digits], seeds)
             evaluations += n_checked
             if ok:
-                q = tuple(prob.grid[j][m] for j, m in enumerate(digits))
+                q = tuple(grid[j][m] for j, m in enumerate(digits))
                 return ResilienceResult(mu=Fraction(key, L), witness_q=q, evaluations=evaluations)
             continue
         w = weights[i]
-        for m in range(len(prob.grid[i])):
+        for m in range(len(grid[i])):
             s = key + m * w
             if s > bound:
                 break
@@ -130,9 +133,10 @@ class TestCheckRecovery:
             check_recovery(four_cycle, (0, 0, 0, 0), 2, max_seeds=10)
 
     def test_grid_problem_shape(self, four_cycle):
-        prob = recovery_problem(four_cycle, 9)
-        assert prob.budget == 4  # clamped to n
-        assert prob.grid[0] == (Fraction(0), H, Fraction(1))
+        # the budget is clamped to n, and the witness lies on the grid
+        res = resilience_bruteforce(four_cycle, 9)
+        assert res == resilience_bruteforce(four_cycle, 4)
+        assert set(res.witness_q) <= {Fraction(0), H, Fraction(1)}
 
 
 class TestClosedForms:
@@ -266,9 +270,9 @@ class TestBruteForce:
         res = resilience_bruteforce(g, 1)
         from itertools import product
 
-        prob = recovery_problem(g, 1)
-        for digits in product(*(range(len(c)) for c in prob.grid)):
-            q = tuple(prob.grid[i][m] for i, m in enumerate(digits))
+        grid = type_grid(g)
+        for digits in product(*(range(len(c)) for c in grid)):
+            q = tuple(grid[i][m] for i, m in enumerate(digits))
             if sum(q, Fraction(0)) < res.mu:
                 ok, _ = check_recovery(g, q, 1)
                 assert not ok
@@ -294,22 +298,22 @@ class TestGreedyAllocation:
 
 
 class TestBounds:
+    """1 <= mu <= n/2 for n >= 2."""
+
     def test_star_tight_low(self):
-        report = verify_bounds(star_graph(4), 2)
-        assert report.mu == report.lower == 1
+        assert resilience_bruteforce(star_graph(4), 2).mu == 1
 
     def test_cycle_tight_high(self):
-        report = verify_bounds(cycle_graph(4), 2)
-        assert report.mu == report.upper == 2
+        assert resilience_bruteforce(cycle_graph(4), 2).mu == 2
 
     def test_path_strictly_between(self):
-        report = verify_bounds(path_graph(5), 1)
-        assert report.lower < report.mu < report.upper
-        assert report.mu == Fraction(3, 2)
+        mu = resilience_bruteforce(path_graph(5), 1).mu
+        assert 1 < mu < Fraction(5, 2)
+        assert mu == Fraction(3, 2)
 
     def test_random_graphs_in_bounds(self, rng):
         for _ in range(8):
             g = random_connected_graph(rng.randint(2, 5), rng)
             K = rng.randint(1, g.n)
-            report = verify_bounds(g, K)
-            assert 1 <= report.mu <= Fraction(g.n, 2)
+            mu = resilience_bruteforce(g, K).mu
+            assert 1 <= mu <= Fraction(g.n, 2)

@@ -18,7 +18,11 @@ under ``runs``, and each metric is summarised per side as median and
 quartiles, with ``change_wins``: the pairs in which the change is
 strictly better in the direction ``BENCHMARK.json`` gives, and
 ``ratio``: median and quartiles of change/parent over the pairs whose
-parent value is not 0 (None if there are none).
+parent value is not 0 (None if there are none). Each metric also keeps
+its ``BENCHMARK.json`` ``bound`` and is ``unresolved`` when the parent's
+quartile spread (q3 - q1) / median exceeds that bound, unless every
+change run beats every parent run: such a metric is too noisy to show
+either a gain or a loss of the bound's size.
 Each checkout also makes one traced run per workload at seed 7, the
 seed of every traced comparison in the project's notes, and its non-zero
 per-layer metrics are recorded. Any failed run stops the tool.
@@ -50,23 +54,44 @@ def quartiles(values: list[float]) -> dict:
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def spread(values: list[float]) -> float:
+    """(q3 - q1) / median with inclusive quartiles; infinite when the
+    median is 0 and the quartiles differ."""
+    if len(values) == 1:
+        return 0.0
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    if med == 0:
+        return 0.0 if q3 == q1 else float("inf")
+    return (q3 - q1) / abs(med)
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """One workload's record from its pairs.
 
     Each pair is {"seed", "first", "parent": {metric: value},
     "change": {metric: value}}; ``better`` maps each end-to-end metric
-    to "lower" or "higher". Ties count as no win.
+    to "lower" or "higher", and ``bounds`` to its bound. Ties count as
+    no win. ``unresolved`` is None for a metric without a bound.
     """
     metrics = {}
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
         wins = sum(1 for p in pairs if sign * (p["change"][name] - p["parent"][name]) > 0)
         ratios = [p["change"][name] / p["parent"][name] for p in pairs if p["parent"][name]]
+        runs = {side: [p[side][name] for p in pairs] for side in SIDES}
+        bound = (bounds or {}).get(name)
+        unresolved = None
+        if bound is not None:
+            separated = all(sign * (c - q) > 0 for c in runs["change"] for q in runs["parent"])
+            unresolved = spread(runs["parent"]) > bound and not separated
         metrics[name] = {
             "better": direction,
+            "bound": bound,
             "change_wins": wins,
             "ratio": quartiles(ratios) if ratios else None,
-            **{side: quartiles([p[side][name] for p in pairs]) for side in SIDES},
+            "unresolved": unresolved,
+            **{side: quartiles(runs[side]) for side in SIDES},
         }
     return {
         "metrics": metrics,
@@ -117,6 +142,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     record = {"what": args.what, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
@@ -134,7 +160,7 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                 pairs[workload].append(pair)
         for workload in pairs:
-            record["workloads"][workload] = summarize(pairs[workload], better)
+            record["workloads"][workload] = summarize(pairs[workload], better, bounds)
             traced = {side: bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0]
                       for side in SIDES}
             keep = sorted(k for k in traced["parent"]
@@ -153,7 +179,9 @@ def main(argv=None) -> int:
                 "alternate which runs first in each pair; medians and inclusive quartiles are "
                 "over the runs of one side; change_wins counts pairs where the change is "
                 "strictly better; ratio is change/parent per pair, pairs with a parent value "
-                "of 0 skipped"),
+                "of 0 skipped; unresolved marks a metric whose parent quartile spread "
+                "(q3 - q1) / median exceeds its bound, unless every change run beats every "
+                "parent run"),
     )
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
