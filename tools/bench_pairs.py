@@ -62,7 +62,7 @@ def spread(values: list[float]) -> float:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     if med == 0:
         return 0.0 if q3 == q1 else float("inf")
-    return (q3 - q1) / abs(med)
+    return (q3 - q1) / med
 
 
 def summarize(pairs: list[dict], better: dict[str, str],
