@@ -38,6 +38,7 @@ from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
+    as_int,
     as_thresholds,
     instance_from_dict,
     validate_profile,
@@ -210,6 +211,7 @@ def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:
     about cycle lengths and is the reference the engine is tested
     against.
     """
+    guard = as_int(guard, "guard")
     if guard < 1:
         raise BadParameterError(f"guard must be >= 1, got {guard}")
     if isinstance(step_map, Rule):

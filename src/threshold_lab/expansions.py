@@ -422,36 +422,26 @@ def remove_constant_node(
     k = validate_thresholds(g, k)
     if not 0 <= i < g.n:
         raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
-    pin_b = c in (ACTION_B, 1)
-    if not pin_b and c not in (ACTION_W, 0):
-        raise BadParameterError(f"action {c!r} is not 'B' or 'W'")
-    remaining = [v for v in range(g.n) if v != i]
-    seen: set[int] = set()
+    if type(c) not in (str, int) or c not in (ACTION_B, ACTION_W, 1, 0):
+        raise BadParameterError(f"action {c!r} is not 'B', 'W', 1 or 0")
+    drop = set(g.adjacency[i]) if c in (ACTION_B, 1) else set()  # thresholds one lower
+    seen = {i}
     components = []
-    for start in remaining:
+    for start in range(g.n):
         if start in seen:
             continue
-        comp = [start]
         seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
+        comp = [start]
+        for u in comp:
             for v in g.adjacency[u]:
-                if v != i and v not in seen:
+                if v not in seen:
                     seen.add(v)
                     comp.append(v)
-                    stack.append(v)
         comp.sort()
         index = {old: new for new, old in enumerate(comp)}
-        edges = [
-            (index[u], index[v]) for u, v in g.edges if u in index and v in index
-        ]
-        sub = build_graph(len(comp), edges)
-        nbrs = set(g.adjacency[i])
-        sub_k = tuple(
-            max(k[old] - 1, 0) if (pin_b and old in nbrs) else k[old] for old in comp
-        )
-        components.append(ComponentInstance(graph=sub, thresholds=sub_k, nodes=tuple(comp)))
+        edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+        sub_k = tuple(max(k[old] - 1, 0) if old in drop else k[old] for old in comp)
+        components.append(ComponentInstance(build_graph(len(comp), edges), sub_k, tuple(comp)))
     return tuple(components)
 
 
@@ -462,15 +452,51 @@ def remove_constant_node(
 def instances_isomorphic(
     g1: Graph, k1: Sequence[int], g2: Graph, k2: Sequence[int]
 ) -> bool:
-    """Threshold-preserving graph isomorphism (VF2 with node attributes)."""
-    import networkx as nx
+    """Threshold-preserving isomorphism of two unweighted instances.
 
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+    Color refinement runs on the disjoint union (g2's nodes shifted by
+    n) from the thresholds as colors. While a cell holds more than one
+    node per side, its first side-1 node is individualized against each
+    of its side-2 nodes in turn, depth first on an explicit stack. An
+    equitable partition with one node per side in every cell is an
+    isomorphism, as no edge crosses the sides.
+    """
+    k1, k2 = validate_thresholds(g1, k1), validate_thresholds(g2, k2)
+    n = g1.n
+    if n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    if sorted(zip(g1.degrees, k1)) != sorted(zip(g2.degrees, k2)):
-        return False
-    h1, h2 = nx.Graph(), nx.Graph()
-    for h, g, k in ((h1, g1, k1), (h2, g2, k2)):
-        h.add_nodes_from((i, {"k": k[i]}) for i in range(g.n))
-        h.add_edges_from(g.edges)
-    return nx.is_isomorphic(h1, h2, node_match=lambda x, y: x["k"] == y["k"])
+    adj = g1.adjacency + tuple(tuple(v + n for v in nbrs) for nbrs in g2.adjacency)
+    # (colors, x, y): x and y get a cell of their own, unless x == y (the root)
+    stack = [(list(k1 + k2), 0, 0)]
+    while stack:
+        colors, x, y = stack.pop()
+        if x != y:
+            colors = colors.copy()
+            colors[x] = colors[y] = 2 * n
+        colors = _refine(adj, colors, n)
+        if colors is None:
+            continue
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        cell = next((c for c in cells.values() if len(c) > 2), None)
+        if cell is None:
+            return True
+        # a cell lists its side-1 nodes, then as many side-2 nodes
+        stack += [(colors, cell[0], y) for y in reversed(cell[len(cell) // 2:])]
+    return False
+
+
+def _refine(adj: tuple[tuple[int, ...], ...], colors: list[int], n: int) -> list[int] | None:
+    """The coarsest equitable partition finer than colors, as colors
+    below 2n, or None if a color counts differently on the two sides.
+    A round renames each node by the rank of its color with its
+    neighbors' sorted colors, so both sides get the same names."""
+    while True:
+        sigs = [(colors[v], tuple(sorted([colors[u] for u in nbrs])))
+                for v, nbrs in enumerate(adj)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        split = len(rank) > len(set(colors))
+        colors = [rank[s] for s in sigs]
+        if not split:  # a color counted unequally splits into one that still is
+            return colors if sorted(colors[:n]) == sorted(colors[n:]) else None

@@ -1,16 +1,17 @@
 """Instance generators for verification suites and experiments.
 
 Exhaustive families (all connected graphs up to isomorphism for n <= 7,
-all trees) come from networkx's graph atlas; named families and seeded
-random instances are built directly. All randomness flows through an
-explicit random.Random so runs are reproducible.
+all trees) are grown one node at a time, with duplicates dropped; named
+families and seeded random instances are built directly. All randomness
+flows through an explicit random.Random so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator
+from itertools import product
+from typing import Iterable, Iterator
 
 from .errors import BadParameterError
 from .graph_core import Graph, build_graph, require_unweighted
@@ -42,38 +43,75 @@ def complete_graph(n: int) -> Graph:
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n <= 7 nodes, one per isomorphism class."""
+    """All connected graphs on n <= 7 nodes, one per isomorphism class:
+    the first of each class among the graphs on n - 1 nodes with node
+    n - 1 joined to a nonempty set of their nodes (deleting a leaf of a
+    spanning tree leaves a connected graph). A graph is tested only
+    against kept graphs with its degrees and sorted neighbor degrees."""
     if not 1 <= n <= 7:
-        raise BadParameterError("the graph atlas covers 1 <= n <= 7")
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
+        raise BadParameterError(f"connected graphs are generated for 1 <= n <= 7, got {n}")
+    from .expansions import instances_isomorphic
 
-    out = []
-    for h in graph_atlas_g():
-        if h.number_of_nodes() != n:
-            continue
-        if nx.is_connected(h):
-            out.append(build_graph(n, list(h.edges())))
-    return out
+    level = [build_graph(1, [])]
+    for m in range(2, n + 1):
+        zeros = (0,) * m
+        buckets: dict[tuple, list[Graph]] = {}
+        for base in level:
+            for s in range(1, 1 << (m - 1)):
+                g = build_graph(m, base.edges + tuple((j, m - 1) for j in range(m - 1) if s >> j & 1))
+                key = tuple(sorted((d, tuple(sorted(g.degrees[u] for u in nbrs)))
+                                   for d, nbrs in zip(g.degrees, g.adjacency)))
+                same = buckets.setdefault(key, [])
+                if not any(instances_isomorphic(h, zeros, g, zeros) for h in same):
+                    same.append(g)
+        level = [g for same in buckets.values() for g in same]
+    return level
 
 
 def trees(n: int) -> list[Graph]:
-    """All trees on n nodes, one per isomorphism class."""
+    """All trees on n nodes, one per isomorphism class: the first of each
+    class among the trees on n - 1 nodes with a leaf n - 1 hung on one of
+    their nodes, told apart by ``_tree_code``."""
     if n < 1:
         raise BadParameterError("trees need n >= 1")
-    if n == 1:
-        return [build_graph(1, [])]
-    if n == 2:
-        return [path_graph(2)]
-    import networkx as nx
+    level: list[tuple[tuple[int, int], ...]] = [()]
+    for m in range(2, n + 1):
+        kept: dict[str, tuple[tuple[int, int], ...]] = {}
+        for edges in level:
+            for j in range(m - 1):
+                kept.setdefault(_tree_code(m, edges + ((j, m - 1),)), edges + ((j, m - 1),))
+        level = list(kept.values())
+    return [build_graph(n, edges) for edges in level]
 
-    return [build_graph(n, list(t.edges())) for t in nx.nonisomorphic_trees(n)]
+
+def _tree_code(n: int, edges: Iterable[tuple[int, int]]) -> str:
+    """The AHU code (Aho, Hopcroft & Ullman 1974) of the tree rooted at
+    its center, or at the edge joining its two centers: a node's code is
+    its children's codes, sorted, in parentheses. Two trees share a code
+    exactly when they are isomorphic."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degree = [len(nbrs) for nbrs in adj]
+    kids: list[list[str]] = [[] for _ in range(n)]
+    layer, left = [v for v in range(n) if degree[v] <= 1], n
+    while left > 2:  # peel off the leaves, layer by layer, down to the centers
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            degree[v] = 0
+            u = next(u for u in adj[v] if degree[u])  # v's one neighbor left in the tree
+            kids[u].append("(" + "".join(sorted(kids[v])) + ")")
+            degree[u] -= 1
+            if degree[u] == 1:
+                peeled.append(u)
+        layer = peeled
+    return "".join(sorted("(" + "".join(sorted(kids[v])) + ")" for v in layer))
 
 
 def all_threshold_vectors(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every k with k_i in 0..d_i+1; values above d_i+1 behave like d_i+1."""
-    from itertools import product
-
     return product(*(range(d + 2) for d in g.degrees))
 
 
@@ -126,10 +164,8 @@ def random_thresholds(g: Graph, rng: random.Random) -> tuple[int, ...]:
 
 def random_types(g: Graph, rng: random.Random) -> tuple[Fraction, ...]:
     """Uniform grid types m/d_i (degree-0 nodes get 0 or 1)."""
-    out = []
-    for d in g.degrees:
-        out.append(Fraction(rng.randint(0, d), d) if d else Fraction(rng.randint(0, 1)))
-    return tuple(out)
+    return tuple(Fraction(rng.randint(0, d), d) if d else Fraction(rng.randint(0, 1))
+                 for d in g.degrees)
 
 
 def random_weighted_instance(
@@ -158,16 +194,9 @@ def random_signed_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int
     (-d_i^- <= k_i <= d_i^+), as the signed simulation requires."""
     g = random_connected_graph(n, rng)
     edges = [(i, j, rng.choice((-1, 1))) for i, j in g.edges]
-    d_plus = [0] * n
-    d_minus = [0] * n
-    for i, j, w in edges:
-        if w > 0:
-            d_plus[i] += 1
-            d_plus[j] += 1
-        else:
-            d_minus[i] += 1
-            d_minus[j] += 1
-    k = tuple(rng.randint(-d_minus[i], d_plus[i]) for i in range(n))
+    d_plus = [sum(w > 0 for i, j, w in edges if v in (i, j)) for v in range(n)]
+    d_minus = [sum(w < 0 for i, j, w in edges if v in (i, j)) for v in range(n)]
+    k = tuple(rng.randint(-d_minus[v], d_plus[v]) for v in range(n))
     return build_graph(n, edges, weighted=True), k
 
 

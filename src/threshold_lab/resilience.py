@@ -23,7 +23,7 @@ from .errors import (
     InvariantViolationError,
     OutOfFormulaRangeError,
 )
-from .graph_core import Graph, require_unweighted, types_to_thresholds
+from .graph_core import Graph, as_int, require_unweighted, types_to_thresholds
 
 
 def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
@@ -56,7 +56,8 @@ def check_recovery(
     first failing seed, if any, in weight-then-value order.
     """
     k = types_to_thresholds(g, q)
-    ok, failing, _ = _check_recovery_counted(g, k, _seed_list(g.n, K, max_seeds))
+    seeds = _seed_list(g.n, as_int(K, "budget K"), max_seeds)
+    ok, failing, _ = _check_recovery_counted(g, k, seeds)
     return ok, failing
 
 
@@ -185,6 +186,7 @@ def resilience_bruteforce(
     popped before m*.
     """
     require_unweighted(g)
+    K = as_int(K, "budget K")
     if K < 1:
         raise BadParameterError(f"budget K must be >= 1, got {K}")
     n, degrees = g.n, g.degrees
@@ -325,6 +327,7 @@ def resilience_closed_form(family: str, n: int, K: int) -> Fraction:
     tight (the formula coincides there). complete:
     (K(K-1)/2 + K(n-K))/(n-1) for every K, clamped at K = n.
     """
+    n, K = as_int(n, "node count"), as_int(K, "budget K")
     if K < 1:
         raise BadParameterError(f"budget K must be >= 1, got {K}")
     if family == "star":

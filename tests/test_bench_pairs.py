@@ -84,3 +84,15 @@ def test_unresolved_when_the_parent_spread_exceeds_the_bound():
     m = bench_pairs.summarize(pairs([1.2] * 5), better, {"job_s_p50": 0.7})["metrics"]
     assert m["job_s_p50"]["unresolved"] is False
     assert (m["jobs_per_s"]["bound"], m["jobs_per_s"]["unresolved"]) == (None, None)
+
+
+def test_traced_metrics_take_the_median_of_the_runs():
+    runs = [{"dynamics.steps": 10.0, "resilience.us_per_evaluation": 8.2},
+            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 12.7},
+            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 8.4, "cli.errors": 1.0}]
+    assert bench_pairs.TRACE_RUNS == 3
+    assert bench_pairs.median_metrics(runs) == {
+        "cli.errors": 0.0,  # missing from two runs: 0 there
+        "dynamics.steps": 10.0,
+        "resilience.us_per_evaluation": 8.4,
+    }

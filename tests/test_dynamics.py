@@ -443,6 +443,42 @@ class TestStrictIntegers:
         with pytest.raises(BadParameterError):
             make_step(g, np.array([True, False]))
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 1.0, "1"])
+    def test_budgets_node_counts_and_guards(self, bad):
+        from threshold_lab import check_recovery, resilience_bruteforce, resilience_closed_form
+
+        c5 = cycle_graph(5)
+        q = (Fraction(1, 2),) * 5
+        calls = [lambda: resilience_bruteforce(c5, bad), lambda: check_recovery(c5, q, bad),
+                 lambda: resilience_closed_form("cycle", 5, bad),
+                 lambda: resilience_closed_form("cycle", bad, 1),
+                 lambda: limit_cycle(make_step(c5, (1,) * 5), 0, bad),
+                 lambda: limit_cycle(Rule.from_graph(c5, (1,) * 5), 0, bad)]
+        for call in calls:
+            with pytest.raises(BadParameterError, match="must be an integer"):
+                call()
+
+    def test_budgets_node_counts_and_guards_take_numpy_integers(self):
+        import numpy as np
+
+        from threshold_lab import resilience_closed_form
+
+        assert resilience_closed_form("cycle", np.int64(5), np.int32(1)) == 2
+        report = limit_cycle(make_step(cycle_graph(4), (1,) * 4), 0b0101, np.int64(10))
+        assert report.cycle == (0b0101, 0b1010)
+
+    @pytest.mark.parametrize("pin", [1.0, True, 0.0, False, "1", "b", None])
+    def test_pinned_action(self, pin):
+        from threshold_lab import remove_constant_node
+
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(BadParameterError, match="is not 'B', 'W', 1 or 0"):
+            remove_constant_node(g, (1, 2, 1), 0, pin)
+        for ok in ("B", 1):
+            assert remove_constant_node(g, (1, 2, 1), 0, ok)[0].thresholds == (1, 1)
+        for ok in ("W", 0):
+            assert remove_constant_node(g, (1, 2, 1), 0, ok)[0].thresholds == (2, 1)
+
 
 # ---------------------------------------------------------------------------
 # The Rule engine against the dict-loop reference

@@ -1,9 +1,14 @@
+import inspect
+import random
+import sys
+
 import pytest
 
 from threshold_lab import (
     AlreadySymmetricError,
     BadParameterError,
     GuardExceededError,
+    LengthMismatchError,
     ValidityViolatedError,
     WeightOutOfRangeError,
     bipartite_expansion,
@@ -474,6 +479,99 @@ class TestRemoveConstantNode:
                         sub_next = step(comp.graph, comp.thresholds, sub_a)
                         for new, old in enumerate(comp.nodes):
                             assert (sub_next >> new) & 1 == (frozen >> old) & 1
+
+
+class TestInstancesIsomorphic:
+    """Color refinement with individualization against the VF2 test
+    that networkx (a test dependency) provides."""
+
+    @staticmethod
+    def vf2(g1, k1, g2, k2):
+        import networkx as nx
+
+        if g1.n != g2.n or sorted(zip(g1.degrees, k1)) != sorted(zip(g2.degrees, k2)):
+            return False
+        h1, h2 = nx.Graph(), nx.Graph()
+        for h, g, k in ((h1, g1, k1), (h2, g2, k2)):
+            h.add_nodes_from((i, {"k": k[i]}) for i in range(g.n))
+            h.add_edges_from(g.edges)
+        return nx.is_isomorphic(h1, h2, node_match=lambda x, y: x["k"] == y["k"])
+
+    def test_agrees_with_vf2_on_random_pairs(self):
+        rng = random.Random(2024)
+        answers = []
+        for t in range(2000):
+            n = rng.randint(1, 9)
+            g = random_connected_graph(n, rng, rng.choice((0.1, 0.3, 0.6)))
+            k = tuple(rng.randint(0, 2) for _ in range(n))
+            perm = rng.sample(range(n), n)
+            h = build_graph(n, [(perm[i], perm[j]) for i, j in g.edges])
+            kh = [0] * n
+            for i in range(n):
+                kh[perm[i]] = k[i]
+            if t % 2 and rng.random() < 0.5:
+                kh[rng.randrange(n)] ^= 1  # one threshold changed
+            elif t % 2:  # an unrelated graph on as many nodes
+                h = random_connected_graph(n, rng, rng.choice((0.1, 0.3, 0.6)))
+                kh = [rng.randint(0, 2) for _ in range(n)]
+            answer = instances_isomorphic(g, k, h, kh)
+            assert answer == self.vf2(g, k, h, kh), (g.edges, k, h.edges, kh)
+            answers.append(answer)
+        assert 1000 < sum(answers) < 2000  # both answers are well represented
+
+    def test_agrees_with_vf2_on_combined_expansions(self):
+        rng = random.Random(77)
+        pairs = 0
+        while pairs < 12:
+            g = random_connected_graph(rng.randint(3, 6), rng, extra_edge_prob=0.5)
+            k = random_thresholds(g, rng)
+            if is_bipartite(g) or is_symmetric_model(g, k):
+                continue
+            bip, sym = bipartite_expansion(g, k), symmetric_expansion(g, k)
+            a = symmetric_expansion(bip.graph, bip.thresholds)
+            b = bipartite_expansion(sym.graph, sym.thresholds)
+            changed = list(b.thresholds)
+            i = rng.randrange(len(changed))
+            changed[i] += 1
+            for kb in (b.thresholds, changed):
+                assert instances_isomorphic(a.graph, a.thresholds, b.graph, kb) == self.vf2(
+                    a.graph, a.thresholds, b.graph, kb
+                ) == (kb is b.thresholds)
+            pairs += 1
+
+    def test_same_degrees_and_thresholds_yet_not_isomorphic(self):
+        # two 3-regular graphs on 6 nodes: the prism has triangles, K_{3,3} none
+        prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+        k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        assert not instances_isomorphic(prism, (2,) * 6, k33, (2,) * 6)
+        assert instances_isomorphic(k33, (2,) * 6, k33, (2,) * 6)
+
+    def test_twins_are_searched_without_recursion(self):
+        # 400 twin leaves force 400 nested individualizations
+        star = build_graph(401, [(0, i) for i in range(1, 401)])
+        k = (1,) * 401
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert instances_isomorphic(star, k, star, k)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_weighted_graphs_are_rejected(self):
+        # the weights 5 and -7, and the loop, used to be ignored
+        w1 = build_graph(3, [(0, 1, 1), (1, 2, 5)])
+        w2 = build_graph(3, [(0, 1, 1), (1, 2, -7)], [(0, 3)])
+        with pytest.raises(BadParameterError, match="unweighted"):
+            instances_isomorphic(w1, (0, 0, 0), w2, (0, 0, 0))
+
+    def test_thresholds_are_validated(self):
+        path = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(LengthMismatchError):
+            instances_isomorphic(path, (1,), path, (1,))
+        with pytest.raises(BadParameterError, match="must be an integer"):
+            instances_isomorphic(path, (1, 1, 1), path, (1, 1.0, True))
+        with pytest.raises(BadParameterError, match="negative"):
+            instances_isomorphic(path, (1, -1, 1), path, (1, -1, 1))
 
 
 class TestLiftComposition:

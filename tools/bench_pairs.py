@@ -23,9 +23,12 @@ its ``BENCHMARK.json`` ``bound`` and is ``unresolved`` when the parent's
 quartile spread (q3 - q1) / median exceeds that bound, unless every
 change run beats every parent run: such a metric is too noisy to show
 either a gain or a loss of the bound's size.
-Each checkout also makes one traced run per workload at seed 7, the
-seed of every traced comparison in the project's notes, and its non-zero
-per-layer metrics are recorded. Any failed run stops the tool.
+Each checkout also makes TRACE_RUNS traced runs per workload at seed 7,
+the seed of every traced comparison in the project's notes, alternating
+which side runs first; the median of each per-layer metric over those
+runs is recorded, for the metrics that are non-zero on either side, so
+that one slow traced run does not read as a per-layer change. Any failed
+run stops the tool.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 7
+TRACE_RUNS = 3
 
 
 def quartiles(values: list[float]) -> dict:
@@ -52,6 +56,13 @@ def quartiles(values: list[float]) -> dict:
     else:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def median_metrics(runs: list[dict]) -> dict:
+    """Each metric's median over runs; a metric missing from a run
+    counts as 0 there."""
+    names = sorted({k for run in runs for k in run})
+    return {k: statistics.median(run.get(k, 0.0) for run in runs) for k in names}
 
 
 def spread(values: list[float]) -> float:
@@ -161,8 +172,11 @@ def main(argv=None) -> int:
                 pairs[workload].append(pair)
         for workload in pairs:
             record["workloads"][workload] = summarize(pairs[workload], better, bounds)
-            traced = {side: bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0]
-                      for side in SIDES}
+            traced_runs = {side: [] for side in SIDES}
+            for i in range(TRACE_RUNS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    traced_runs[side].append(bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0])
+            traced = {side: median_metrics(traced_runs[side]) for side in SIDES}
             keep = sorted(k for k in traced["parent"]
                           if traced["parent"][k] or traced["change"].get(k))
             record[f"traced_seed{TRACE_SEED}"][workload] = {
@@ -181,7 +195,8 @@ def main(argv=None) -> int:
                 "strictly better; ratio is change/parent per pair, pairs with a parent value "
                 "of 0 skipped; unresolved marks a metric whose parent quartile spread "
                 "(q3 - q1) / median exceeds its bound, unless every change run beats every "
-                "parent run"),
+                f"parent run; each per-layer metric under traced_seed{TRACE_SEED} is the median of "
+                f"{TRACE_RUNS} traced runs per side, alternating which side runs first"),
     )
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
