@@ -10,6 +10,8 @@ Constructions favor transparency over size; outputs are not minimized.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .dynamics import StepMap, make_step, step_weighted
@@ -333,18 +335,12 @@ def integer_weights_to_unit(
     n = g.n
     rows = g.weighted_edges()
     radii = [abs(wt) for _, _, wt in rows]
-    total_blocks = 1
-    for r in radii:
-        total_blocks *= r
+    strides = list(accumulate(radii, mul, initial=1))  # products of the radii before each
+    total_blocks = strides.pop()
     if total_blocks * n > max_nodes:
         raise GuardExceededError(
             f"blowup needs {total_blocks * n} nodes, guard is {max_nodes}"
         )
-    strides = []
-    acc = 1
-    for r in radii:
-        strides.append(acc)
-        acc *= r
     edges2 = []
     for t, (i, j, wt) in enumerate(rows):
         r, stride = radii[t], strides[t]
@@ -466,8 +462,7 @@ def instances_isomorphic(
     if n != g2.n or len(g1.edges) != len(g2.edges):
         return False
     adj = g1.adjacency + tuple(tuple(v + n for v in nbrs) for nbrs in g2.adjacency)
-    # (colors, x, y): x and y get a cell of their own, unless x == y (the root)
-    stack = [(list(k1 + k2), 0, 0)]
+    stack = [(list(k1 + k2), 0, 0)]  # (colors, x, y): x, y get a new cell unless x == y
     while stack:
         colors, x, y = stack.pop()
         if x != y:
@@ -488,10 +483,10 @@ def instances_isomorphic(
 
 
 def _refine(adj: tuple[tuple[int, ...], ...], colors: list[int], n: int) -> list[int] | None:
-    """The coarsest equitable partition finer than colors, as colors
-    below 2n, or None if a color counts differently on the two sides.
-    A round renames each node by the rank of its color with its
-    neighbors' sorted colors, so both sides get the same names."""
+    """The coarsest equitable partition finer than colors, or None if the
+    sides count some color differently. Each round renames every node by
+    the rank of its color and its neighbors' sorted colors: below 2n, and
+    alike on both sides."""
     while True:
         sigs = [(colors[v], tuple(sorted([colors[u] for u in nbrs])))
                 for v, nbrs in enumerate(adj)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import BadParameterError
@@ -112,6 +111,8 @@ def _tree_code(n: int, edges: Iterable[tuple[int, int]]) -> str:
 
 def all_threshold_vectors(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every k with k_i in 0..d_i+1; values above d_i+1 behave like d_i+1."""
+    from itertools import product
+
     return product(*(range(d + 2) for d in g.degrees))
 
 
@@ -132,9 +133,7 @@ def classify_family(g: Graph) -> str | None:
         return "complete"
     if n >= 3 and degs == [2] * n:
         return "cycle"
-    if n >= 2 and degs == [1, 1] + [2] * (n - 2):
-        return "path"
-    if n == 1:
+    if n == 1 or degs == [1, 1] + [2] * (n - 2):
         return "path"
     return None
 
@@ -164,8 +163,10 @@ def random_thresholds(g: Graph, rng: random.Random) -> tuple[int, ...]:
 
 def random_types(g: Graph, rng: random.Random) -> tuple[Fraction, ...]:
     """Uniform grid types m/d_i (degree-0 nodes get 0 or 1)."""
-    return tuple(Fraction(rng.randint(0, d), d) if d else Fraction(rng.randint(0, 1))
-                 for d in g.degrees)
+    out = []
+    for d in g.degrees:
+        out.append(Fraction(rng.randint(0, d), d) if d else Fraction(rng.randint(0, 1)))
+    return tuple(out)
 
 
 def random_weighted_instance(
@@ -194,9 +195,16 @@ def random_signed_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int
     (-d_i^- <= k_i <= d_i^+), as the signed simulation requires."""
     g = random_connected_graph(n, rng)
     edges = [(i, j, rng.choice((-1, 1))) for i, j in g.edges]
-    d_plus = [sum(w > 0 for i, j, w in edges if v in (i, j)) for v in range(n)]
-    d_minus = [sum(w < 0 for i, j, w in edges if v in (i, j)) for v in range(n)]
-    k = tuple(rng.randint(-d_minus[v], d_plus[v]) for v in range(n))
+    d_plus = [0] * n
+    d_minus = [0] * n
+    for i, j, w in edges:
+        if w > 0:
+            d_plus[i] += 1
+            d_plus[j] += 1
+        else:
+            d_minus[i] += 1
+            d_minus[j] += 1
+    k = tuple(rng.randint(-d_minus[i], d_plus[i]) for i in range(n))
     return build_graph(n, edges, weighted=True), k
 
 

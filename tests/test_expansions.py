@@ -539,12 +539,25 @@ class TestInstancesIsomorphic:
                 ) == (kb is b.thresholds)
             pairs += 1
 
-    def test_same_degrees_and_thresholds_yet_not_isomorphic(self):
-        # two 3-regular graphs on 6 nodes: the prism has triangles, K_{3,3} none
+    def test_regular_graphs_need_the_search(self):
+        # refinement leaves a regular graph in one cell, so only the search
+        # tells these apart: the prism has triangles and K_{3,3} none
         prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
         k33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
         assert not instances_isomorphic(prism, (2,) * 6, k33, (2,) * 6)
         assert instances_isomorphic(k33, (2,) * 6, k33, (2,) * 6)
+        # a triangle plus a square, against the square first: the first
+        # candidate for node 0 lies on the square, so the search backtracks
+        def cycles(*lengths):
+            edges, start = [], 0
+            for m in lengths:
+                edges += [(start + i, start + (i + 1) % m) for i in range(m)]
+                start += m
+            return build_graph(start, edges, require_connected=False)
+
+        k = (1,) * 7
+        assert instances_isomorphic(cycles(3, 4), k, cycles(4, 3), k)
+        assert not instances_isomorphic(cycles(3, 4), k, cycles(7), k)
 
     def test_twins_are_searched_without_recursion(self):
         # 400 twin leaves force 400 nested individualizations
