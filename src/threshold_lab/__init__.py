@@ -91,11 +91,11 @@ _EXPORTS = {
         "symmetric_expansion",
     ),
     "enumeration": (
-        "BipartiteCycleCheck",
         "LimitCensus",
         "bipartite_cycle_identity",
         "build_extremal_cycle_instance",
         "count_fixed_points_backtracking",
+        "count_predecessors",
         "enumerate_limits",
         "is_reachable",
         "predecessors",
@@ -107,8 +107,6 @@ _EXPORTS = {
         "THREE_CNF",
         "Formula",
         "GadgetInstance",
-        "PredGadget",
-        "ReachablePredGadget",
         "count_sat",
         "fix_reduction",
         "formula_from_dict",

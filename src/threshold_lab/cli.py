@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     _bind("enumeration")
     g, k = instance_from_dict(read_json(args.input))
-    census = enumerate_limits(g, k, guard_n=args.guard_n, witnesses=False)
+    census = enumerate_limits(g, k, guard_n=args.guard_n, witness_cap=0)
     _emit(
         {
             "fixed_points": census.fixed_points,
@@ -219,14 +219,22 @@ def _cmd_reduce(args) -> int:
             sat = count_sat(f, guard_n=args.guard_n) > 0
             out["verification"] = {"reachable": reach, "satisfiable": sat, "match": reach == sat}
     elif args.kind == "reachable-pred":
-        gadget = reachable_pred_reduction(f, measure=args.verify, guard_n=args.guard_n)
+        if f.variant == MONOTONE_2CNF:
+            # the model count, and with --verify the scan of the whole
+            # gadget, are refused before the build
+            check_scan_size(f.num_vars, args.guard_n)
+            if args.verify:
+                check_scan_size(f.num_vars + len(f.clauses) + 1, args.guard_n)
+        gadget = reachable_pred_reduction(f)
         out = instance_to_dict(gadget.graph, gadget.thresholds)
         out["labels"] = list(gadget.labels)
         out["target"] = format_profile(gadget.target, gadget.graph.n)
-        out["claimed_predecessors"] = gadget.claimed_count
+        claimed = out["claimed_predecessors"] = count_sat(f, guard_n=args.guard_n)
         if args.verify:
-            out["measured_predecessors"] = gadget.measured_count
-            if gadget.measured_count != gadget.claimed_count:
+            measured = out["measured_predecessors"] = count_predecessors(
+                gadget.graph, gadget.thresholds, gadget.target, guard_n=args.guard_n
+            )
+            if measured != claimed:
                 out["discrepancy"] = CPRED_DISCREPANCY_NOTE
     else:
         raise InputError(f"unknown reduction kind {args.kind!r}")

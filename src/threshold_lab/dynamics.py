@@ -32,13 +32,13 @@ from .errors import (
     BadParameterError,
     GuardExceededError,
     InvariantViolationError,
-    NodeOutOfRangeError,
 )
 from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
     as_int,
+    as_node,
     as_thresholds,
     instance_from_dict,
     validate_profile,
@@ -84,8 +84,7 @@ def step_restricted(g: Graph, k: Sequence[int], a: int, p: Iterable[int]) -> int
     a = validate_profile(a, g.n)
     out = a
     for i in p:
-        if not 0 <= i < g.n:
-            raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+        i = as_node(g, i)
         if (a & g.neighbor_masks[i]).bit_count() >= k[i]:
             out |= 1 << i
         else:
@@ -338,8 +337,7 @@ def strong_assignments(
     from .enumeration import column_blocks, compile_kernel
 
     k = validate_thresholds(g, k)
-    if not 0 <= i < g.n:
-        raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+    i = as_node(g, i)
     region = {i}
     for j in g.adjacency[i]:
         region.add(j)
@@ -417,6 +415,7 @@ def ring_two_step(g: Graph, k: Sequence[int], a: int, i: int) -> int:
     a = validate_profile(a, g.n)
     if any(ki not in (1, 2) for ki in k):
         raise BadParameterError("ring table requires thresholds in {1, 2}")
+    i = as_node(g, i)
     succ, pred = ring_orientation(g)
     tau = tuple(_OR if ki == 1 else _AND for ki in k)
     key = (tau[pred[i]], tau[i], tau[succ[i]])

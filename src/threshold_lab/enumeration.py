@@ -25,11 +25,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import default_guard
 
-# the scan guard is defined in errors; DEFAULT_GUARD_N, MAX_SCAN_N and
-# check_scan_size stay importable from here
 from .errors import (
     DEFAULT_GUARD_N,
-    MAX_SCAN_N,
     BadParameterError,
     IdentityViolatedError,
     InvariantViolationError,
@@ -48,7 +45,7 @@ class LimitCensus(NamedTuple):
 
     cycle_classes == fixed_points + two_cycles. Witness lists are sorted
     by profile value (pairs by their smaller element) and truncated at
-    the cap; they are None when collection was disabled.
+    the cap; they are None when the cap is 0.
     """
 
     fixed_points: int
@@ -143,7 +140,6 @@ def enumerate_limits(
     k: Sequence[int],
     *,
     guard_n: int = DEFAULT_GUARD_N,
-    witnesses: bool = True,
     witness_cap: int = 1024,
 ) -> LimitCensus:
     """Scan all 2^n profiles and classify the limit structure.
@@ -158,13 +154,12 @@ def enumerate_limits(
     this instance rather than assuming them.
     """
     k = validate_thresholds(g, k)
-    witness_cap = as_int(witness_cap, "witness_cap")
-    if witness_cap < 0:
-        raise BadParameterError(f"witness_cap must be non-negative, got {witness_cap}")
+    cap = as_int(witness_cap, "witness_cap")
+    if cap < 0:
+        raise BadParameterError(f"witness_cap must be non-negative, got {cap}")
     check_scan_size(g.n, guard_n)
     kernel = compile_kernel(zip(k, g.adjacency))
     limit = min(1 << g.n, default_guard(g))
-    cap = witness_cap if witnesses else 0
     fixed = two = periodic = 0
     fw: list[int] = []
     tw: list[tuple[int, int]] = []
@@ -213,8 +208,8 @@ def enumerate_limits(
         fixed_points=fixed,
         two_cycles=two,
         cycle_classes=fixed + two,
-        fixed_witnesses=tuple(fw) if witnesses else None,
-        two_cycle_witnesses=tuple(tw) if witnesses else None,
+        fixed_witnesses=tuple(fw) if cap else None,
+        two_cycle_witnesses=tuple(tw) if cap else None,
     )
 
 
@@ -343,8 +338,12 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
 # Predecessors and reachability
 
 
-def _matches(g: Graph, k: Sequence[int], a: int) -> Iterator[tuple[int, int]]:
-    """Yield (base, mask) per block; bit x of mask is [step(base + x) == a]."""
+def _matches(g: Graph, k: Sequence[int], a: int, guard_n: int) -> Iterator[tuple[int, int]]:
+    """Yield (base, mask) per block; bit x of mask is [step(base + x) == a].
+    The inputs and the scan size are checked before the first block."""
+    k = validate_thresholds(g, k)
+    a = validate_profile(a, g.n)
+    check_scan_size(g.n, guard_n)
     kernel = compile_kernel(zip(k, g.adjacency))
     for base, full, cols in column_blocks(g.n):
         diff = 0
@@ -357,41 +356,36 @@ def predecessors(
     g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
 ) -> tuple[int, ...]:
     """All profiles b with step(b) == a, by scanning the 2^n space."""
-    k = validate_thresholds(g, k)
-    a = validate_profile(a, g.n)
-    check_scan_size(g.n, guard_n)
     found: list[int] = []
-    for base, mask in _matches(g, k, a):
+    for base, mask in _matches(g, k, a, guard_n):
         found += _set_bits(mask, base, 1 << g.n)
     return tuple(found)
+
+
+def count_predecessors(
+    g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
+) -> int:
+    """The number of profiles b with step(b) == a, counted per block, so
+    the predecessors themselves are never built."""
+    return sum(mask.bit_count() for _, mask in _matches(g, k, a, guard_n))
 
 
 def is_reachable(
     g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
 ) -> bool:
     """True iff a has at least one predecessor under step."""
-    k = validate_thresholds(g, k)
-    a = validate_profile(a, g.n)
-    check_scan_size(g.n, guard_n)
-    return any(mask for _, mask in _matches(g, k, a))
+    return any(mask for _, mask in _matches(g, k, a, guard_n))
 
 
 # ---------------------------------------------------------------------------
 # The fixed-point / cycle-class identity on bipartite instances
 
 
-class BipartiteCycleCheck(NamedTuple):
-    fixed_points: int
-    two_cycles: int
-    cycle_classes: int
-    predicted_classes: int
-    pairing_verified: bool
-
-
 def bipartite_cycle_identity(
     g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N
-) -> BipartiteCycleCheck:
-    """Check cycle_classes == F(F-1)/2 + F on a bipartite instance.
+) -> LimitCensus:
+    """Check cycle_classes == F(F-1)/2 + F on a bipartite instance and
+    return the census checked, with every witness.
 
     F and the class count are computed independently by the census; the
     constructive pairing (splice two distinct fixed points along the
@@ -401,7 +395,7 @@ def bipartite_cycle_identity(
     """
     k = validate_thresholds(g, k)
     part = two_partition(g)  # rejects non-bipartite inputs with a witness
-    census = enumerate_limits(g, k, guard_n=guard_n, witnesses=True, witness_cap=1 << g.n)
+    census = enumerate_limits(g, k, guard_n=guard_n, witness_cap=1 << g.n)
     f = census.fixed_points
     predicted = f * (f - 1) // 2 + f
     if census.cycle_classes != predicted:
@@ -410,23 +404,15 @@ def bipartite_cycle_identity(
         )
     odd_mask = sum(1 << i for i in part.p_odd)
     even_mask = sum(1 << i for i in part.p_even)
-    fixed = census.fixed_witnesses or ()
+    fixed = census.fixed_witnesses
     spliced = set()
     for x, a1 in enumerate(fixed):
         for a2 in fixed[x + 1 :]:
             lo_hi = sorted(((a2 & odd_mask) | (a1 & even_mask), (a1 & odd_mask) | (a2 & even_mask)))
             spliced.add(tuple(lo_hi))
-    actual = set(census.two_cycle_witnesses or ())
-    pairing_ok = spliced == actual
-    if not pairing_ok:
+    if spliced != set(census.two_cycle_witnesses):
         raise IdentityViolatedError("fixed-point splicing did not generate the 2-cycles")
-    return BipartiteCycleCheck(
-        fixed_points=f,
-        two_cycles=census.two_cycles,
-        cycle_classes=census.cycle_classes,
-        predicted_classes=predicted,
-        pairing_verified=pairing_ok,
-    )
+    return census
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .errors import (
     AlreadySymmetricError,
     BadParameterError,
     GuardExceededError,
-    NodeOutOfRangeError,
     ValidityViolatedError,
     WeightOutOfRangeError,
 )
@@ -27,6 +26,7 @@ from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
+    as_node,
     as_thresholds,
     build_graph,
     instance_to_dict,
@@ -416,8 +416,7 @@ def remove_constant_node(
     restricted to that component with node i frozen at c.
     """
     k = validate_thresholds(g, k)
-    if not 0 <= i < g.n:
-        raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+    i = as_node(g, i)
     if type(c) not in (str, int) or c not in (ACTION_B, ACTION_W, 1, 0):
         raise BadParameterError(f"action {c!r} is not 'B', 'W', 1 or 0")
     drop = set(g.adjacency[i]) if c in (ACTION_B, 1) else set()  # thresholds one lower

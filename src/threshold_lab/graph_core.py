@@ -218,6 +218,14 @@ def as_int(x, what: str) -> int:
     raise BadParameterError(f"{what} must be an integer, got {x!r}")
 
 
+def as_node(g: Graph, i) -> int:
+    """i as a node id of g: an integer, as ``as_int`` takes it, in 0..n-1."""
+    i = as_int(i, "node")
+    if not 0 <= i < g.n:
+        raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+    return i
+
+
 def require_unweighted(g: Graph) -> None:
     """Reject a weighted graph where only the unit-weight rule is defined."""
     if g.weights is not None:
@@ -289,8 +297,8 @@ def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
 
 def is_valid_node(g: Graph, k: Sequence[int], i: int) -> bool:
     """A node is valid iff 1 <= k_i <= d_i; otherwise its action is pinned."""
-    if not (0 <= i < g.n):
-        raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+    k = validate_thresholds(g, k)
+    i = as_node(g, i)
     return 1 <= k[i] <= g.degrees[i]
 
 

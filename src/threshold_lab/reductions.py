@@ -7,17 +7,19 @@ structure encodes satisfying assignments:
   pred_reduction           3-CNF -> reachability of a target profile
   reachable_pred_reduction monotone 2-CNF -> predecessor counting
 
-Node ids are assigned in a documented, byte-reproducible order and each
-builder returns a human-readable label per node. Literals are DIMACS
-style: +-(variable index + 1), negation only in 3-CNF. ``count_sat``
-counts on Python-int truth tables and never loads numpy.
+Node ids are assigned in a documented, byte-reproducible order. Each
+builder only builds, at any size, and returns one ``GadgetInstance``
+with a human-readable label per node; the oracles that check a gadget
+are run by its callers. Literals are DIMACS style: +-(variable index +
+1), negation only in 3-CNF. ``count_sat`` counts on Python-int truth
+tables and never loads numpy.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import _matches, column_blocks
+from .enumeration import column_blocks
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
@@ -129,14 +131,19 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     return count
 
 
-# ---------------------------------------------------------------------------
-# Fixed-point counting gadget (monotone 2-DNF)
-
-
 class GadgetInstance(NamedTuple):
+    """What every builder returns: the instance, a label per node, and
+    the target profile of the reachability and predecessor gadgets
+    (None for the fixed-point gadget)."""
+
     graph: Graph
     thresholds: tuple[int, ...]
     labels: tuple[str, ...]
+    target: int | None = None
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point counting gadget (monotone 2-DNF)
 
 
 def fix_reduction(f: Formula) -> GadgetInstance:
@@ -230,14 +237,7 @@ def recover_sat_count(fixed_point_count: int, num_vars: int) -> tuple[int, int]:
 # Reachability gadget (3-CNF)
 
 
-class PredGadget(NamedTuple):
-    graph: Graph
-    thresholds: tuple[int, ...]
-    target: int
-    labels: tuple[str, ...]
-
-
-def pred_reduction(f: Formula) -> PredGadget:
+def pred_reduction(f: Formula) -> GadgetInstance:
     """Instance whose target profile is reachable iff the 3-CNF formula
     is satisfiable.
 
@@ -277,7 +277,7 @@ def pred_reduction(f: Formula) -> PredGadget:
     g = build_graph(size, edges)
     k = tuple(2 if 3 * n <= node < 4 * n else 1 for node in range(size))
     target = ((1 << size) - 1) ^ (((1 << n) - 1) << 3 * n)
-    return PredGadget(graph=g, thresholds=k, target=target, labels=tuple(labels))
+    return GadgetInstance(g, k, tuple(labels), target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -291,41 +291,21 @@ CPRED_DISCREPANCY_NOTE = (
 )
 
 
-class ReachablePredGadget(NamedTuple):
-    graph: Graph
-    thresholds: tuple[int, ...]
-    target: int
-    labels: tuple[str, ...]
-    claimed_count: int
-    measured_count: int | None
-
-    @property
-    def matches_claim(self) -> bool | None:
-        if self.measured_count is None:
-            return None
-        return self.measured_count == self.claimed_count
-
-
-def reachable_pred_reduction(
-    f: Formula, *, measure: bool = True, guard_n: int = DEFAULT_GUARD_N
-) -> ReachablePredGadget:
-    """Build the predecessor-counting gadget verbatim and measure it.
+def reachable_pred_reduction(f: Formula) -> GadgetInstance:
+    """Build the predecessor-counting gadget verbatim.
 
     Nodes v_p per variable, u_c per clause, and a hub d; u_c is adjacent
     to the variables of clause c and d to every v_p; all thresholds 1;
     target all-B (a fixed point, hence reachable). The construction is
-    intended to have exactly #sat predecessors, but the measured count
-    generally disagrees (e.g. 9 vs 3 on x1 OR x2), so both numbers are
-    returned and never silently reconciled.
+    intended to have exactly #sat predecessors (``count_sat``), but the
+    count that ``enumeration.count_predecessors`` measures generally
+    disagrees (e.g. 9 vs 3 on x1 OR x2); callers report both numbers
+    and never silently reconcile them.
     """
     if f.variant != MONOTONE_2CNF:
         raise BadParameterError(f"reachable_pred_reduction needs a {MONOTONE_2CNF} formula")
     n, m = f.num_vars, len(f.clauses)
     size = n + m + 1
-    # both scans are refused before the gadget is built
-    check_scan_size(n, guard_n)
-    if measure:
-        check_scan_size(size, guard_n)
     d = n + m
     labels = (
         [f"v_x{p + 1}" for p in range(n)] + [f"u_c{c + 1}" for c in range(m)] + ["d"]
@@ -337,18 +317,4 @@ def reachable_pred_reduction(
     for p in range(n):
         edges.append((d, p))
     g = build_graph(size, edges)
-    k = (1,) * size
-    target = (1 << size) - 1
-    claimed = count_sat(f, guard_n=guard_n)
-    measured = None
-    if measure:
-        # count per block: the predecessors themselves are never built
-        measured = sum(mask.bit_count() for _, mask in _matches(g, k, target))
-    return ReachablePredGadget(
-        graph=g,
-        thresholds=k,
-        target=target,
-        labels=tuple(labels),
-        claimed_count=claimed,
-        measured_count=measured,
-    )
+    return GadgetInstance(g, (1,) * size, tuple(labels), target=(1 << size) - 1)

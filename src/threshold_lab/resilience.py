@@ -57,37 +57,39 @@ def check_recovery(
     """
     k = types_to_thresholds(g, q)
     seeds = _seed_list(g.n, as_int(K, "budget K"), max_seeds)
-    ok, failing, _ = _check_recovery_counted(g, k, seeds)
-    return ok, failing
+    ok, walk, _ = _check_recovery_counted(g, k, seeds)
+    return ok, walk[0] if walk else None
 
 
 def _check_recovery_counted(
     g: Graph, k: Sequence[int], seeds: Sequence[int]
-) -> tuple[bool, int | None, int]:
+) -> tuple[bool, list[int] | None, int]:
     """Recovery under integer thresholds k, all >= 1 so that all-W is a
     fixed point; also returns how many seeds were checked. The search
-    builds k itself, so it skips threshold validation."""
+    builds k itself, so it skips threshold validation.
+
+    The check stops at the first failing seed, so every profile cached
+    before it recovers. A walk that reaches the cache recovers; one that
+    revisits itself has found a new cycle, which cannot hold the fixed
+    point all-W, so its seed fails. On failure the second value is that
+    walk, up to and including its first repeated profile.
+    """
     step = _bitcount_step(g, k)
-    verdict: dict[int, bool] = {0: True}
-    checked = 0
-    for seed in seeds:
-        checked += 1
-        if seed not in verdict:
-            path: list[int] = []
-            on_path: set[int] = set()
-            cur = seed
-            while cur not in verdict and cur not in on_path:
-                path.append(cur)
-                on_path.add(cur)
-                cur = step(cur)
-            # Revisiting the walk means a new cycle; all-W is a fixed point,
-            # so that cycle cannot contain it and the seed is lost.
-            ok = verdict[cur] if cur in verdict else False
-            for a in path:
-                verdict[a] = ok
-        if not verdict[seed]:
-            return False, seed, checked
-    return True, None, checked
+    recovers = {0}
+    for checked, seed in enumerate(seeds, 1):
+        if seed in recovers:
+            continue
+        path: list[int] = []
+        on_path: set[int] = set()
+        cur = seed
+        while cur not in recovers and cur not in on_path:
+            path.append(cur)
+            on_path.add(cur)
+            cur = step(cur)
+        if cur not in recovers:
+            return False, path + [cur], checked
+        recovers.update(path)
+    return True, None, len(seeds)
 
 
 class ResilienceResult(NamedTuple):
@@ -95,9 +97,9 @@ class ResilienceResult(NamedTuple):
 
     ``evaluations`` counts the (candidate q, seed) recovery checks made
     during the search: the greedy allocation's, then those of every full
-    candidate the search evaluated. The walks that learn failure boxes
-    are not counted, and candidates inside a learned box are skipped
-    without a check.
+    candidate the search evaluated. A failure box is learned from the
+    failing check's own walk, and candidates inside a learned box are
+    skipped without a check.
     """
 
     mu: Fraction
@@ -105,16 +107,16 @@ class ResilienceResult(NamedTuple):
     evaluations: int
 
 
-def _failure_box(g: Graph, k: Sequence[int], seed: int) -> tuple[int, ...]:
-    """Digit upper bounds of the failure box learned from a seed that
-    does not recover under thresholds k.
+def _failure_box(g: Graph, walk: Sequence[int]) -> tuple[int, ...]:
+    """Digit upper bounds of the failure box learned from the walk of a
+    seed that does not recover under thresholds k.
 
-    The walk from the seed runs until a profile repeats, so it covers
-    every step of the trajectory. For each node i that some step sets to
-    B, c_i is the least B-neighbour count at such a step, and the box
-    bounds the digit by c_i - 1; every other node keeps the bound d_i,
-    which is no constraint. As k_i <= c_i, the digits k - 1 lie in the
-    box.
+    The walk runs from the seed to its first repeated profile, so it
+    covers every step of the trajectory. For each node i that some step
+    sets to B, c_i is the least B-neighbour count at such a step, and
+    the box bounds the digit by c_i - 1; every other node keeps the
+    bound d_i, which is no constraint. As k_i <= c_i, the digits k - 1
+    lie in the box.
 
     Soundness: every m' in the box fails from the same seed. Let x_t be
     the walk under k and x'_t the walk under k' = m' + 1 from the same
@@ -127,18 +129,10 @@ def _failure_box(g: Graph, k: Sequence[int], seed: int) -> tuple[int, ...]:
     """
     masks = g.neighbor_masks
     ub = list(g.degrees)
-    seen: set[int] = set()
-    a = seed
-    while a not in seen:
-        seen.add(a)
-        nxt = 0
+    for a, b in zip(walk, walk[1:]):
         for i, mask in enumerate(masks):
-            c = (a & mask).bit_count()
-            if c >= k[i]:
-                nxt |= 1 << i
-                if c <= ub[i]:
-                    ub[i] = c - 1
-        a = nxt
+            if b >> i & 1:
+                ub[i] = min(ub[i], (a & mask).bit_count() - 1)
     return tuple(ub)
 
 
@@ -165,7 +159,8 @@ def resilience_bruteforce(
     can be escaped only by some free node j >= i with a digit above its
     bound, which adds at least (ub_j + 1) * w_j to the key. h(p) is the
     largest such cheapest escape over the boxes p has not escaped; a box
-    that bounds no free node holds every completion of p, so p is dead.
+    that bounds no free node holds every completion of p, so its escape
+    costs n * L + 1, above any bound, and p is pruned.
     Boxes only accumulate, so an entry's h is recomputed when it is
     popped after new boxes were learned, and the entry is pushed back if
     h rose; a full candidate has h = 0 unless it is inside a box.
@@ -176,7 +171,7 @@ def resilience_bruteforce(
     it lies in no box. Every prefix p of m* has key(p) + h(p) <=
     key(m*), because m* escapes every box that p has not escaped at
     some free node, at a cost of at least h(p) on top of key(p). Hence
-    no prefix of m* is pruned or dead, and until m* is popped the heap
+    no prefix of m* is pruned, and until m* is popped the heap
     holds one prefix of m*: the root starts there, and popping a prefix
     either pushes it back or pushes its next prefix. A proper prefix
     sorts before m* (its priority is at most key(m*) and its digits are
@@ -201,41 +196,37 @@ def resilience_bruteforce(
     evaluations = 0
 
     # Box b is bit b of every mask. esc[j][m] holds the boxes that digit
-    # m at node j escapes. A prefix of length i is dead if it has not
-    # escaped a box in dead[i]; levels[i] lists, by descending cost, the
-    # boxes whose cheapest escape over the nodes j >= i has that cost.
+    # m at node j escapes. levels[i] holds, by descending cost, one
+    # [cost, boxes] entry per cost: the boxes whose cheapest escape over
+    # the nodes j >= i has that cost, kept current in place; a box that
+    # bounds no node j >= i has cost n * L + 1, above any bound.
     esc = [[0] * (d + 1) for d in degrees]
-    dead = [0] * (n + 1)
-    by_cost: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    by_cost: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    levels: list[list[list[int]]] = [[] for _ in range(n + 1)]
     boxes = 0
 
-    def learn(k: Sequence[int], seed: int) -> None:
+    def learn(walk: Sequence[int]) -> None:
         nonlocal boxes
-        ub = _failure_box(g, k, seed)
+        ub = _failure_box(g, walk)
         bit = 1 << boxes
         boxes += 1
-        cheapest = None
+        cheapest = n * L + 1
         for i in range(n, -1, -1):
             if i < n and ub[i] < degrees[i]:
                 row = esc[i]
                 for m in range(ub[i] + 1, len(row)):
                     row[m] |= bit
-                cost = (ub[i] + 1) * weights[i]
-                if cheapest is None or cost < cheapest:
-                    cheapest = cost
-            if cheapest is None:
-                dead[i] |= bit
-            else:
-                level = by_cost[i]
-                level[cheapest] = level.get(cheapest, 0) | bit
-                levels[i] = sorted(level.items(), reverse=True)
+                cheapest = min(cheapest, (ub[i] + 1) * weights[i])
+            level = by_cost[i]
+            entry = level.get(cheapest)
+            if entry is None:
+                entry = level[cheapest] = [cheapest, 0]
+                levels[i] = sorted(level.values(), reverse=True)
+            entry[1] |= bit
 
-    def estimate(i: int, escaped: int) -> int | None:
-        """h of a length-i prefix that escaped these boxes; None if dead."""
+    def estimate(i: int, escaped: int) -> int:
+        """h of a length-i prefix that escaped these boxes."""
         open_boxes = ~escaped
-        if dead[i] & open_boxes:
-            return None
         for cost, mask in levels[i]:
             if mask & open_boxes:
                 return cost
@@ -244,12 +235,12 @@ def resilience_bruteforce(
     bound = n * L  # q == 1 everywhere always recovers
     greedy = _greedy_digits(g)
     greedy_k = [m + 1 for m in greedy]
-    ok, failing, n_checked = _check_recovery_counted(g, greedy_k, seeds)
+    ok, walk, n_checked = _check_recovery_counted(g, greedy_k, seeds)
     evaluations += n_checked
     if ok:
         bound = min(bound, sum(m * w for m, w in zip(greedy, weights)))
     else:
-        learn(greedy_k, failing)
+        learn(walk)
 
     # (key + h, digits, key, boxes escaped, boxes known when pushed)
     heap: list[tuple[int, tuple[int, ...], int, int, int]] = [(0, (), 0, 0, 0)]
@@ -260,19 +251,18 @@ def resilience_bruteforce(
             for j, m in enumerate(digits):
                 escaped |= esc[j][m]
             h = estimate(i, escaped)
-            if h is None or key + h > bound:
+            if key + h > bound:
                 continue
             if key + h > priority:
                 heapq.heappush(heap, (key + h, digits, key, escaped, boxes))
                 continue
         if i == n:
-            k = [m + 1 for m in digits]
-            ok, failing, n_checked = _check_recovery_counted(g, k, seeds)
+            ok, walk, n_checked = _check_recovery_counted(g, [m + 1 for m in digits], seeds)
             evaluations += n_checked
             if ok:
                 return ResilienceResult(mu=Fraction(key, L), witness_q=_types(g, digits),
                                         evaluations=evaluations)
-            learn(k, failing)
+            learn(walk)
             continue
         w, row = weights[i], esc[i]
         for m, escapes in enumerate(row):
@@ -281,7 +271,7 @@ def resilience_bruteforce(
                 break
             child_escaped = escaped | escapes
             h = estimate(i + 1, child_escaped)
-            if h is not None and s + h <= bound:
+            if s + h <= bound:
                 heapq.heappush(heap, (s + h, digits + (m,), s, child_escaped, boxes))
     raise InvariantViolationError("no recovering type distribution found on the grid")
 

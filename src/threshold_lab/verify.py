@@ -14,7 +14,7 @@ from functools import partial
 from itertools import product
 
 from . import dynamics, enumeration, expansions, instances, reductions, resilience
-from .errors import InvariantViolationError, ThresholdLabError
+from .errors import DEFAULT_GUARD_N, InvariantViolationError, ThresholdLabError
 from .graph_core import (
     build_graph,
     is_bipartite,
@@ -25,7 +25,7 @@ from .graph_core import (
 Result = tuple[str, bool, str]
 
 
-def run_all(seed: int = 0, guard_n: int = enumeration.DEFAULT_GUARD_N) -> list[Result]:
+def run_all(seed: int = 0, guard_n: int = DEFAULT_GUARD_N) -> list[Result]:
     """Run every suite; guard_n bounds each suite's 2^n scans, so a
     suite whose instances exceed it fails with the guard's message."""
     checks = [
@@ -108,10 +108,10 @@ def _check_cycle_length_bound(rng, guard_n) -> str:
     for n in (1, 2, 3, 4):
         for g in instances.connected_graphs(n):
             for k in instances.all_threshold_vectors(g):
-                enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
+                enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
                 total += 1
     for g, k in _random_instances(rng, 25, 7):
-        enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
+        enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
         total += 1
     return f"{total} instances, every limit cycle has length <= 2"
 
@@ -271,7 +271,7 @@ def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
 
 def _check_census_backtracking_agreement(rng, guard_n) -> str:
     for g, k in _random_instances(rng, 30, 9):
-        census = enumeration.enumerate_limits(g, k, guard_n=guard_n, witnesses=False)
+        census = enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
         _require(enumeration.count_fixed_points_backtracking(g, k) == census.fixed_points,
                  "backtracking disagrees with the scan on %s k=%s", g.edges, k)
     return "30 instances agree"
@@ -345,10 +345,13 @@ def _check_pred_gadget(rng, guard_n) -> str:
 
 def _check_reachable_pred_gadget(rng, guard_n) -> str:
     f = reductions.Formula(reductions.MONOTONE_2CNF, 2, ((1, 2),))
-    gadget = reductions.reachable_pred_reduction(f, guard_n=guard_n)
-    _require(gadget.claimed_count == 3 and gadget.measured_count == 9,
-             "expected the documented 9-vs-3 discrepancy, got %s vs %s",
-             gadget.measured_count, gadget.claimed_count)
+    gadget = reductions.reachable_pred_reduction(f)
+    claimed = reductions.count_sat(f, guard_n=guard_n)
+    measured = enumeration.count_predecessors(
+        gadget.graph, gadget.thresholds, gadget.target, guard_n=guard_n
+    )
+    _require(claimed == 3 and measured == 9,
+             "expected the documented 9-vs-3 discrepancy, got %s vs %s", measured, claimed)
     return "documented 9-vs-3 discrepancy reproduced"
 
 
@@ -414,9 +417,10 @@ def _check_resilience_monotone(rng, guard_n) -> str:
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
         k = [rng.randint(0, d) + 1 for d in g.degrees]
         seed = rng.randrange(1, 1 << g.n)
-        if _recovers_from(g, k, seed):
+        ok, walk, _ = resilience._check_recovery_counted(g, k, [seed])
+        if ok:
             continue
-        box = resilience._failure_box(g, k, seed)
+        box = resilience._failure_box(g, walk)
         for m in product(*(range(ub + 1) for ub in box)):
             _require(not _recovers_from(g, [x + 1 for x in m], seed),
                      "digits %s in the box %s of seed %s recover on %s", m, box, seed, g.edges)

@@ -828,7 +828,7 @@ def test_exported_records_are_tuples():
 
     values = [getattr(threshold_lab, name) for name in threshold_lab.__all__]
     records = [v for v in values if isinstance(v, type) and not issubclass(v, Exception)]
-    assert len(records) == 14
+    assert len(records) == 11
     assert [r.__name__ for r in records if not issubclass(r, tuple)] == []
 
 

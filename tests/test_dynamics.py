@@ -11,6 +11,7 @@ from threshold_lab import (
     InvariantViolationError,
     LengthMismatchError,
     LimitReport,
+    NodeOutOfRangeError,
     Rule,
     build_graph,
     conflict_links,
@@ -466,6 +467,25 @@ class TestStrictIntegers:
         assert resilience_closed_form("cycle", np.int64(5), np.int32(1)) == 2
         report = limit_cycle(make_step(cycle_graph(4), (1,) * 4), 0b0101, np.int64(10))
         assert report.cycle == (0b0101, 0b1010)
+
+    def test_node_ids(self):
+        import numpy as np
+
+        from threshold_lab import is_valid_node, remove_constant_node
+
+        c5, k = cycle_graph(5), (1, 2, 1, 2, 1)
+        for i in (-1, 5, 9):
+            with pytest.raises(NodeOutOfRangeError, match=f"node {i} outside 0..4"):
+                ring_two_step(c5, k, 3, i)
+        calls = [lambda: is_valid_node(c5, k, True), lambda: strong_assignments(c5, k, 1.0),
+                 lambda: step_restricted(c5, k, 3, [1.0]), lambda: step_restricted(c5, k, 3, [True]),
+                 lambda: remove_constant_node(c5, k, True, "B")]
+        for call in calls:
+            with pytest.raises(BadParameterError, match="node must be an integer"):
+                call()
+        with pytest.raises(LengthMismatchError):
+            is_valid_node(c5, (1,), 3)
+        assert is_valid_node(c5, k, np.int64(1)) and ring_two_step(c5, k, 3, np.int32(4)) in (0, 1)
 
     @pytest.mark.parametrize("pin", [1.0, True, 0.0, False, "1", "b", None])
     def test_pinned_action(self, pin):

@@ -10,6 +10,7 @@ from threshold_lab import (
     build_extremal_cycle_instance,
     build_graph,
     count_fixed_points_backtracking,
+    count_predecessors,
     enumerate_limits,
     is_reachable,
     parse_profile,
@@ -114,6 +115,8 @@ class TestEnumerateLimits:
     def test_witness_cap(self, four_cycle):
         census = enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=1)
         assert len(census.fixed_witnesses) == 1
+        census = enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=0)
+        assert census.fixed_witnesses is census.two_cycle_witnesses is None
         # never coerced: a bool, a float or a negative cap is an input error
         for cap in (-1, True, 2.5):
             with pytest.raises(BadParameterError, match="witness_cap"):
@@ -156,6 +159,7 @@ class TestEnumerateLimits:
             for target in (succ[0], rng.randrange(1 << g.n)):
                 preds = tuple(a for a, b in enumerate(succ) if b == target)
                 assert predecessors(g, k, target) == preds
+                assert count_predecessors(g, k, target) == len(preds)
                 assert is_reachable(g, k, target) == bool(preds)
 
     def test_planted_three_cycle_is_caught(self, four_cycle, monkeypatch):
@@ -272,14 +276,14 @@ class TestBacktrackingCounter:
         for _ in range(150):
             g = random_connected_graph(rng.randint(2, 9), rng)
             k = random_thresholds(g, rng)
-            census = enumerate_limits(g, k, witnesses=False)
+            census = enumerate_limits(g, k, witness_cap=0)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_agrees_with_scan_at_scale(self, rng):
         # one full-width cross-check: 2^20 profiles against backtracking
         g = random_connected_graph(20, rng, extra_edge_prob=0.1)
         k = random_thresholds(g, rng)
-        census = enumerate_limits(g, k, witnesses=False)
+        census = enumerate_limits(g, k, witness_cap=0)
         assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_scales_past_the_scan(self):
@@ -306,7 +310,7 @@ class TestBacktrackingCounter:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
             g = build_graph(n, edges, require_connected=False)
             k = random_thresholds(g, rng)
-            census = enumerate_limits(g, k, witnesses=False)
+            census = enumerate_limits(g, k, witness_cap=0)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points, (edges, k)
             pinned_b += 0 in k
             pinned_w += any(ki > d for ki, d in zip(k, g.degrees))
@@ -345,16 +349,15 @@ class TestPredecessors:
 
 class TestBipartiteCycleIdentity:
     def test_four_cycle(self, four_cycle):
-        check = bipartite_cycle_identity(four_cycle, (1, 1, 1, 1))
-        assert check.fixed_points == 2
-        assert check.cycle_classes == 3
-        assert check.predicted_classes == 3
-        assert check.pairing_verified
+        census = bipartite_cycle_identity(four_cycle, (1, 1, 1, 1))
+        assert census.fixed_points == 2
+        assert census.cycle_classes == 2 * 1 // 2 + 2 == 3
+        assert census == enumerate_limits(four_cycle, (1, 1, 1, 1))
 
     def test_path(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        check = bipartite_cycle_identity(g, (1, 1, 1))
-        assert check.cycle_classes == check.fixed_points * (check.fixed_points - 1) // 2 + check.fixed_points
+        census = bipartite_cycle_identity(g, (1, 1, 1))
+        assert census.cycle_classes == census.fixed_points * (census.fixed_points - 1) // 2 + census.fixed_points
 
     def test_rejects_non_bipartite(self, triangle):
         with pytest.raises(NotBipartiteError):
@@ -364,10 +367,10 @@ class TestBipartiteCycleIdentity:
         # two disjoint edges under k = 1: F = 2 * 2 fixed points, and
         # every 2-cycle is a splice across the partition of both edges
         g = build_graph(4, [(0, 1), (2, 3)], require_connected=False)
-        check = bipartite_cycle_identity(g, (1, 1, 1, 1))
-        assert check.fixed_points == 4
-        assert check.cycle_classes == check.predicted_classes == 10
-        assert check.pairing_verified
+        census = bipartite_cycle_identity(g, (1, 1, 1, 1))
+        assert census.fixed_points == 4
+        assert census.cycle_classes == 4 * 3 // 2 + 4 == 10
+        assert len(census.two_cycle_witnesses) == census.two_cycles
 
     def test_holds_on_random_bipartite(self, rng):
         checked = 0

@@ -12,6 +12,7 @@ from threshold_lab import (
     THREE_CNF,
     VariableMissingError,
     count_fixed_points_backtracking,
+    count_predecessors,
     count_sat,
     enumerate_limits,
     fix_reduction,
@@ -183,6 +184,7 @@ class TestFixReduction:
         f = Formula(MONOTONE_2DNF, 2, ((1, 2),))
         gadget = fix_reduction(f)
         assert gadget.graph.n == 18  # 3 * (2 + 3*1 + 1)
+        assert gadget.target is None
         assert count_fixed_points_backtracking(gadget.graph, gadget.thresholds) == 18
 
     def test_structure(self, rng):
@@ -323,14 +325,13 @@ class TestReachablePredReduction:
         f = Formula(MONOTONE_2CNF, 2, ((1, 2),))
         gadget = reachable_pred_reduction(f)
         assert gadget.graph.n == 4
-        assert gadget.claimed_count == 3
-        assert gadget.measured_count == 9
-        assert gadget.matches_claim is False
+        assert count_sat(f) == 3
+        assert count_predecessors(gadget.graph, gadget.thresholds, gadget.target) == 9
 
     def test_target_is_reachable_fixed_point(self, rng):
         for _ in range(20):
             f = random_monotone_2cnf(rng)
-            gadget = reachable_pred_reduction(f, measure=False)
+            gadget = reachable_pred_reduction(f)
             # all-B is a fixed point: every node has at least one B neighbor
             from threshold_lab import step
 
@@ -354,7 +355,8 @@ class TestReachablePredReduction:
                         ok = False
                         break
                 coverage += ok
-            assert gadget.measured_count == brute_sat_count(f) * coverage
+            measured = count_predecessors(gadget.graph, gadget.thresholds, gadget.target)
+            assert measured == brute_sat_count(f) * coverage
 
 
 def random_monotone_2cnf(rng):

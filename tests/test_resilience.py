@@ -244,11 +244,33 @@ class TestBruteForce:
             seed = rng.randrange(1, 1 << g.n)
             if recovers_from(g, k, seed):
                 continue
-            ub = _failure_box(g, k, seed)
+            _, walk, _ = _check_recovery_counted(g, k, [seed])
+            ub = _failure_box(g, walk)
             assert all(x <= u <= d for x, u, d in zip(m, ub, g.degrees)), (m, ub)
             for box_m in product(*(range(u + 1) for u in ub)):
                 assert not recovers_from(g, [x + 1 for x in box_m], seed), (g.edges, ub, box_m)
             boxes += 1
+
+    def test_failing_walk_is_the_seed_trajectory(self, rng):
+        """The check returns the first failing seed's trajectory up to its
+        first repeated profile, recomputed here with dynamics.step."""
+        failures = 0
+        while failures < 200:
+            g = random_connected_graph(rng.randint(2, 8), rng)
+            k = [rng.randint(0, d) + 1 for d in g.degrees]
+            seeds = _seed_list(g.n, rng.randint(1, 3), 1 << g.n)
+            ok, walk, checked = _check_recovery_counted(g, k, seeds)
+            first = next((s for s in seeds if not recovers_from(g, k, s)), None)
+            if first is None:
+                assert (ok, walk, checked) == (True, None, len(seeds))
+                continue
+            trajectory, seen = [first], {first}
+            while (a := step(g, k, trajectory[-1])) not in seen:
+                trajectory.append(a)
+                seen.add(a)
+            trajectory.append(a)
+            assert (ok, walk, checked) == (False, trajectory, seeds.index(first) + 1)
+            failures += 1
 
     @pytest.mark.parametrize(
         "family, n, K", [("cycle", 12, 3), ("cycle", 13, 2), ("path", 14, 2), ("cycle", 15, 4)]
