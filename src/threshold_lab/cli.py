@@ -186,13 +186,14 @@ def _cmd_reduce(args) -> int:
     _bind("enumeration", "reductions")
     f = formula_from_dict(read_json(args.formula))
     if args.kind == "fix":
+        if args.verify and f.variant == MONOTONE_2DNF:
+            # the model-count oracle below scans 2^num_vars; refuse it
+            # before the build
+            check_scan_size(f.num_vars, args.guard_n)
         gadget = fix_reduction(f)
         out = instance_to_dict(gadget.graph, gadget.thresholds)
         out["labels"] = list(gadget.labels)
         if args.verify:
-            # the model-count oracle below scans 2^num_vars; refuse it
-            # before the counter runs
-            check_scan_size(f.num_vars, args.guard_n)
             fcount = count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
             sat, nsat = recover_sat_count(fcount, f.num_vars)
             oracle = count_sat(f, guard_n=args.guard_n)

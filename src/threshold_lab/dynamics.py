@@ -323,45 +323,32 @@ def conflict_links(g: Graph, a: int) -> int:
 # Strong assignments
 
 
-def strong_assignments(
-    g: Graph, k: Sequence[int], i: int, *, guard_states: int = 1 << 22
-) -> frozenset[str]:
+def strong_assignments(g: Graph, k: Sequence[int], i: int) -> frozenset[str]:
     """Actions that, once played by node i, recur every two steps no
     matter what the neighbors do.
 
-    The two-step value of node i depends only on its closed radius-2
-    neighborhood, so only those nodes are enumerated, as bit-sliced
-    columns through two compiled column kernels: the neighbors' step,
-    then node i's; the guard caps the local state count.
-    """
-    from .enumeration import column_blocks, compile_kernel
+    B is strong iff f^2(a)_i = B for every profile a in which i plays B,
+    and W is strong iff f^2(a)_i = W for every a in which i plays W. Two
+    extreme profiles decide both, so the check costs O(d_i).
 
+    Proof: the step is monotone in the profile. If a contains a' and
+    |N(j) & a'| >= k_j, then |N(j) & a| >= k_j, so f(a) contains f(a'),
+    and f^2(a) contains f^2(a'). Every a in which i plays B contains
+    {i}, so B is strong iff f^2({i})_i = B. Under {i} a neighbor j of i
+    counts one B neighbor and plays B iff k_j <= 1, so B is strong iff
+    at least k_i neighbors have k_j <= 1. Every a in which i plays W
+    lies in V - {i}, so W is strong iff f^2(V - {i})_i = W. Under
+    V - {i} a neighbor j counts d_j - 1 B neighbors and plays B iff
+    k_j <= d_j - 1, so W is strong iff fewer than k_i neighbors do.
+    """
     k = validate_thresholds(g, k)
     i = as_node(g, i)
-    region = {i}
-    for j in g.adjacency[i]:
-        region.add(j)
-        region.update(g.adjacency[j])
-    free = sorted(region - {i})
-    if 1 << len(free) > guard_states:
-        raise GuardExceededError(
-            f"radius-2 neighborhood of node {i} needs 2^{len(free)} local states"
-        )
-    # local column x is free node free[x]; node i is the last column
-    local = {v: x for x, v in enumerate(free)}
-    local[i] = len(free)
-    nbrs = g.adjacency[i]
-    first = compile_kernel((k[j], [local[v] for v in g.adjacency[j]]) for j in nbrs)
-    second = compile_kernel([(k[i], range(len(nbrs)))])
+    nbrs, degrees = g.adjacency[i], g.degrees
     result = set()
-    for action, bit in ((ACTION_B, 1), (ACTION_W, 0)):
-        # strong iff node i's column of f^2 equals its own constant column
-        for _, full, cols in column_blocks(len(free)):
-            own = full if bit else 0
-            if second(full, first(full, cols + [own]))[0] != own:
-                break
-        else:
-            result.add(action)
+    if sum(k[j] <= 1 for j in nbrs) >= k[i]:
+        result.add(ACTION_B)
+    if sum(k[j] <= degrees[j] - 1 for j in nbrs) < k[i]:
+        result.add(ACTION_W)
     return frozenset(result)
 
 

@@ -8,10 +8,9 @@ into one straight-line Python function that maps profile columns to
 successor columns with & and | alone, so each big-int operation
 updates one node over the whole block; every scan compiles its kernel
 once, after the size check, and reuses it for every block and pass.
-The census, its period check, the predecessor and reachability scans,
-``dynamics.strong_assignments`` and ``reductions.count_sat`` all run
-block by block, so scan memory does not grow with 2^n, and none of
-them needs numpy.
+The census, its period check, the predecessor and reachability scans
+and ``reductions.count_sat`` all run block by block, so scan memory
+does not grow with 2^n, and none of them needs numpy.
 
 Fixed points can also be counted without a scan, in pure Python: a
 depth-first search that propagates each node's threshold constraint

@@ -10,6 +10,7 @@ Constructions favor transparency over size; outputs are not minimized.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -451,22 +452,32 @@ def instances_isomorphic(
 
     Color refinement runs on the disjoint union (g2's nodes shifted by
     n) from the thresholds as colors. While a cell holds more than one
-    node per side, its first side-1 node is individualized against each
-    of its side-2 nodes in turn, depth first on an explicit stack. An
-    equitable partition with one node per side in every cell is an
-    isomorphism, as no edge crosses the sides.
+    node per side, its first side-1 node x is individualized against one
+    side-2 node y of each twin class in the cell, depth first on an
+    explicit stack. Twins have the same open or the same closed
+    neighborhood, and swapping two is an automorphism that keeps every
+    color, so x's whole twin class in the cell goes against y's, paired
+    in node order. An equitable partition with one node per side in
+    every cell is an isomorphism, as no edge crosses the sides.
     """
     k1, k2 = validate_thresholds(g1, k1), validate_thresholds(g2, k2)
     n = g1.n
     if n != g2.n or len(g1.edges) != len(g2.edges):
         return False
     adj = g1.adjacency + tuple(tuple(v + n for v in nbrs) for nbrs in g2.adjacency)
-    stack = [(list(k1 + k2), 0, 0)]  # (colors, x, y): x, y get a new cell unless x == y
+    # twin class key: the open neighborhood if another node shares it,
+    # else the closed one. No node has twins of both kinds, and no open
+    # key equals a closed key; the sides share only the empty open key,
+    # and the search compares keys within one side.
+    opened = [frozenset(nbrs) for nbrs in adj]
+    shared = Counter(opened)
+    twin = [s if shared[s] > 1 else s | {v} for v, s in enumerate(opened)]
+    stack = [(list(k1 + k2), ())]  # (colors, (x, y) pairs that get new cells)
     while stack:
-        colors, x, y = stack.pop()
-        if x != y:
-            colors = colors.copy()
-            colors[x] = colors[y] = 2 * n
+        colors, pairs = stack.pop()
+        colors = colors.copy()
+        for c, (x, y) in enumerate(pairs, 2 * n):
+            colors[x] = colors[y] = c
         colors = _refine(adj, colors, n)
         if colors is None:
             continue
@@ -477,7 +488,13 @@ def instances_isomorphic(
         if cell is None:
             return True
         # a cell lists its side-1 nodes, then as many side-2 nodes
-        stack += [(colors, cell[0], y) for y in reversed(cell[len(cell) // 2:])]
+        half = len(cell) // 2
+        xs = [v for v in cell[:half] if twin[v] == twin[cell[0]]]
+        classes: dict[frozenset, list[int]] = {}
+        for y in cell[half:]:
+            classes.setdefault(twin[y], []).append(y)
+        stack += [(colors, tuple(zip(xs, ys)))
+                  for ys in reversed(classes.values()) if len(ys) == len(xs)]
     return False
 
 

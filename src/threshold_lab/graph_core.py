@@ -335,26 +335,13 @@ def two_partition(g: Graph) -> TwoPartition:
 
 
 def _odd_cycle_witness(parent, u, v) -> tuple[int, ...]:
-    # Walk both endpoints up to their lowest common ancestor in the BFS tree.
+    # u and v are adjacent with one color, so BFS put them at one depth:
+    # walk both up in lockstep to their lowest common ancestor.
     path_u, path_v = [u], [v]
-    su, sv = {u}, {v}
-    while True:
-        if path_u[-1] in sv:
-            meet = path_u[-1]
-            break
-        if path_v[-1] in su:
-            meet = path_v[-1]
-            break
-        pu, pv = parent[path_u[-1]], parent[path_v[-1]]
-        if pu != -1:
-            path_u.append(pu)
-            su.add(pu)
-        if pv != -1:
-            path_v.append(pv)
-            sv.add(pv)
-    cyc_u = path_u[: path_u.index(meet) + 1]
-    cyc_v = path_v[: path_v.index(meet)]
-    cycle = cyc_u + list(reversed(cyc_v))
+    while path_u[-1] != path_v[-1]:
+        path_u.append(parent[path_u[-1]])
+        path_v.append(parent[path_v[-1]])
+    cycle = path_u + path_v[-2::-1]
     # Canonical rotation: smallest node first, smaller second element.
     m = cycle.index(min(cycle))
     cycle = cycle[m:] + cycle[:m]

@@ -169,24 +169,15 @@ def random_types(g: Graph, rng: random.Random) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def random_weighted_instance(
-    n: int,
-    rng: random.Random,
-    *,
-    weight_choices: tuple[int, ...] = (-2, -1, 1, 2),
-    self_loop_prob: float = 0.3,
-    threshold_range: tuple[int, int] = (-4, 4),
-    extra_edge_prob: float = 0.3,
-) -> tuple[Graph, tuple[int, ...]]:
-    """(Graph, thresholds) with random signed weights, self-loops and
-    thresholds of either sign."""
-    g = random_connected_graph(n, rng, extra_edge_prob)
-    edges = [(i, j, rng.choice(weight_choices)) for i, j in g.edges]
-    loops = [
-        (i, rng.choice(weight_choices)) for i in range(n) if rng.random() < self_loop_prob
-    ]
-    lo, hi = threshold_range
-    k = tuple(rng.randint(lo, hi) for _ in range(n))
+def random_weighted_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
+    """(Graph, thresholds) with random weights in {-2, -1, 1, 2}, a
+    self-loop on each node with probability 0.3, and thresholds in
+    -4..4."""
+    g = random_connected_graph(n, rng)
+    weights = (-2, -1, 1, 2)
+    edges = [(i, j, rng.choice(weights)) for i, j in g.edges]
+    loops = [(i, rng.choice(weights)) for i in range(n) if rng.random() < 0.3]
+    k = tuple(rng.randint(-4, 4) for _ in range(n))
     return build_graph(n, edges, loops, weighted=True), k
 
 
@@ -208,16 +199,14 @@ def random_signed_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int
     return build_graph(n, edges, weighted=True), k
 
 
-def random_small_blowup_instance(
-    n: int, rng: random.Random, *, max_blocks: int = 64
-) -> tuple[Graph, tuple[int, ...]]:
-    """Loop-free integer-weighted instance whose |w| product stays small
-    enough for the unit-weight blowup guard."""
+def random_small_blowup_instance(n: int, rng: random.Random) -> tuple[Graph, tuple[int, ...]]:
+    """Loop-free integer-weighted instance whose |w| product stays at
+    most 64, within the unit-weight blowup guard."""
     g = random_connected_graph(n, rng)
     edges = []
     blocks = 1
     for i, j in g.edges:
-        mag = rng.choice((1, 1, 2)) if blocks * 2 <= max_blocks else 1
+        mag = rng.choice((1, 1, 2)) if blocks <= 32 else 1
         blocks *= mag
         edges.append((i, j, mag * rng.choice((-1, 1))))
     k = tuple(rng.randint(-2, 3) for _ in range(n))

@@ -436,6 +436,29 @@ class TestReduce:
         assert "n = 28 exceeds the 2^n scan guard 20" in captured.err
         assert elapsed < 1.0
 
+    def test_fix_verify_guard_before_build(self, capsys, tmp_path, monkeypatch):
+        # the chain 2-DNF on 5,000 variables would build a 60,003-node
+        # gadget; its 2^5000 model count is refused before the build
+        import threshold_lab.cli as cli
+
+        clauses = [[i, i + 1] for i in range(1, 5000)]
+        path = write(tmp_path / "chain.json",
+                     {"variant": "monotone-2dnf", "n": 5000, "clauses": clauses})
+        # a formula of the wrong variant is still refused by the builder
+        wrong = write(tmp_path / "wrong.json", {"variant": "3cnf", "n": 5000, "clauses": [[1, 2, 3]]})
+        assert main(["reduce", "--formula", wrong, "--kind", "fix", "--verify"]) == 2
+        assert "needs a monotone-2dnf formula" in capsys.readouterr().err
+
+        def unreachable(f):
+            raise AssertionError("the gadget was built before the size check")
+
+        monkeypatch.setattr(cli, "fix_reduction", unreachable)
+        code = main(["reduce", "--formula", path, "--kind", "fix", "--verify"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "n = 5000 exceeds 32" in captured.err
+
     def test_fix_verify_oracle_scans_under_the_guard_flag(self, capsys, tmp_path, monkeypatch):
         # --guard-n 25 admits the 25-variable model count, so the oracle
         # must run under that guard and not the default 24

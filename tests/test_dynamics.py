@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -260,10 +264,40 @@ class TestStrongAssignments:
                 for i in range(n):
                     assert strong_assignments(g, k, i)
 
-    def test_local_state_guard(self):
+    def test_no_local_state_limit(self):
+        # K_24 has a radius-2 region of 23 nodes; the check reads only N(i)
         g = build_graph(24, [(i, j) for i in range(24) for j in range(i + 1, 24)])
-        with pytest.raises(GuardExceededError):
-            strong_assignments(g, (1,) * 24, 0)
+        assert strong_assignments(g, (1,) * 24, 0) == {"B"}
+        # every node of a 2,000-node tree, in a fresh interpreter that never
+        # loads the 2^n engine
+        probe = (
+            "import random, sys\n"
+            "from threshold_lab import build_graph, strong_assignments\n"
+            "rng = random.Random(3)\n"
+            "g = build_graph(2000, [(rng.randrange(v), v) for v in range(1, 2000)])\n"
+            "k = [rng.randint(0, d + 1) for d in g.degrees]\n"
+            "res = [strong_assignments(g, k, i) for i in range(g.n)]\n"
+            "print(len(res), 'threshold_lab.enumeration' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=120, env=env)
+        assert out.stdout.split() == ["2000", "False"], out.stderr
+
+    def test_matches_brute_force_two_steps(self, rng):
+        # f^2 over every profile, from the independent slow_step
+        for _ in range(500):
+            g = random_connected_graph(rng.randint(1, 8), rng)
+            k = random_thresholds(g, rng)
+            seen = [set() for _ in range(g.n)]  # (a_i, f^2(a)_i) pairs per node
+            for a in product((False, True), repeat=g.n):
+                b = slow_step(g.adjacency, k, slow_step(g.adjacency, k, a))
+                for i in range(g.n):
+                    seen[i].add((a[i], b[i]))
+            for i in range(g.n):
+                want = {action for action, bit in (("B", True), ("W", False))
+                        if (bit, not bit) not in seen[i]}
+                assert strong_assignments(g, k, i) == want, (g.edges, k, i)
 
     def test_matches_per_pattern_definition_on_wide_regions(self, rng):
         # the definition, pattern by pattern: node i's two-step value over
@@ -525,7 +559,7 @@ def rule_case(draw):
     kind = draw(st.sampled_from(["threshold", "types", "inverted", "weighted"]))
     if kind == "weighted":
         scale = draw(st.sampled_from(_SCALES))
-        g, k = random_weighted_instance(n, rng, weight_choices=(-2, -1, 1, 2))
+        g, k = random_weighted_instance(n, rng)
         g = build_graph(
             n,
             [(i, j, wt * scale) for i, j, wt in g.weighted_edges()],

@@ -570,6 +570,23 @@ class TestInstancesIsomorphic:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_twin_classes_are_individualized_at_once(self, monkeypatch):
+        # the 1,000 leaves of a star are one twin class: after the first
+        # refinement, one individualization of the whole class decides it
+        import threshold_lab.expansions as expansions
+
+        calls = []
+        refine = expansions._refine
+
+        def counted(*args):
+            calls.append(1)
+            return refine(*args)
+
+        monkeypatch.setattr(expansions, "_refine", counted)
+        star = build_graph(1001, [(0, i) for i in range(1, 1001)])
+        assert instances_isomorphic(star, (1,) * 1001, star, (1,) * 1001)
+        assert len(calls) <= 3
+
     def test_weighted_graphs_are_rejected(self):
         # the weights 5 and -7, and the loop, used to be ignored
         w1 = build_graph(3, [(0, 1, 1), (1, 2, 5)])

@@ -192,6 +192,15 @@ class TestTwoPartition:
             two_partition(triangle)
         assert err.value.witness == (0, 1, 2)
 
+    def test_chorded_cycle_witness(self):
+        # a relabelled 15-cycle with one chord: the walks up the BFS tree
+        # meet at node 0 and close the 9-cycle through the chord (14, 3)
+        order = [(7 * i) % 15 for i in range(15)]
+        edges = [(order[i], order[(i + 1) % 15]) for i in range(15)] + [(order[2], order[9])]
+        with pytest.raises(NotBipartiteError) as err:
+            two_partition(build_graph(15, edges))
+        assert err.value.witness == (0, 7, 14, 3, 10, 2, 9, 1, 8)
+
     def test_witness_is_an_odd_cycle(self, rng):
         for _ in range(50):
             g = random_connected_graph(rng.randint(3, 8), rng, extra_edge_prob=0.4)
