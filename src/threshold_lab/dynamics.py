@@ -307,10 +307,9 @@ def _rule_limit_cycle(rule: Rule, a: int, guard: int) -> LimitReport:
         cand = {i for j in moved for i, _ in readers[j]}
 
 
-def convergence_time(g: Graph, k: Sequence[int], a: int, guard: int | None = None) -> int:
-    if guard is None:
-        guard = default_guard(g)
-    return limit_cycle(Rule.from_graph(g, k), a, guard).transient
+def convergence_time(g: Graph, k: Sequence[int], a: int) -> int:
+    """Steps from a to its limit cycle, under ``default_guard(g)``."""
+    return limit_cycle(Rule.from_graph(g, k), a, default_guard(g)).transient
 
 
 def conflict_links(g: Graph, a: int) -> int:

@@ -20,6 +20,7 @@ graphs.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .dynamics import default_guard
@@ -42,9 +43,10 @@ _BLOCK_BITS = 16
 class LimitCensus(NamedTuple):
     """Counts of fixed points and 2-cycles, with optional witnesses.
 
-    cycle_classes == fixed_points + two_cycles. Witness lists are sorted
-    by profile value (pairs by their smaller element) and truncated at
-    the cap; they are None when the cap is 0.
+    cycle_classes == fixed_points + two_cycles, and two_cycles is half
+    the number of profiles on 2-cycles. Witness lists are sorted by
+    profile value (pairs by their smaller element) and truncated at the
+    cap; they are None when the cap is 0.
     """
 
     fixed_points: int
@@ -123,15 +125,13 @@ def compile_kernel(
     return namespace["kernel"]
 
 
-def _set_bits(mask: int, base: int, cap: int) -> list[int]:
-    """base + x for the first ``cap`` set bits x of mask, ascending."""
+def _set_bits(mask: int, base: int) -> Iterator[int]:
+    """base + x for each set bit x of mask, ascending."""
     bits = bin(mask)[:1:-1]  # bits[x] is bit x
-    out = []
     x = bits.find("1")
-    while x >= 0 and len(out) < cap:
-        out.append(base + x)
+    while x >= 0:
+        yield base + x
         x = bits.find("1", x + 1)
-    return out
 
 
 def enumerate_limits(
@@ -145,8 +145,10 @@ def enumerate_limits(
 
     A profile a is a fixed point iff step(a) == a; an unordered pair
     {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. Per
-    block, the masks come from f = step and f^2 applied to the columns,
-    and a < f(a) from one comparator pass, most significant node first.
+    block, the masks come from f = step and f^2 applied to the columns.
+    The 2-cycle ends E = {a : f(f(a)) = a != f(a)} satisfy f(E) = E,
+    and f pairs them off, so there are |E| / 2 2-cycles; a witness pair
+    is an end a < f(a), with f(a) read from the block's columns of f.
     The scan also verifies that every profile reaches a cycle of length
     <= 2 within min(2^n, dynamics.default_guard(g)) steps,
     re-establishing the length-2 bound and the transient envelope on
@@ -159,34 +161,30 @@ def enumerate_limits(
     check_scan_size(g.n, guard_n)
     kernel = compile_kernel(zip(k, g.adjacency))
     limit = min(1 << g.n, default_guard(g))
-    fixed = two = periodic = 0
+    fixed = ends = 0
     fw: list[int] = []
     tw: list[tuple[int, int]] = []
     for base, full, x in column_blocks(g.n):
         f1 = kernel(full, x)
         f2 = kernel(full, f1)
-        moved = returned = less = 0
-        equal = full  # profiles whose nodes above the current one agree with f
-        for xi, yi, zi in zip(reversed(x), reversed(f1), reversed(f2)):
+        moved = returned = 0  # returned: bits where f^2(a) != a
+        for xi, yi, zi in zip(x, f1, f2):
+            moved |= xi ^ yi
             returned |= xi ^ zi
-            diff = xi ^ yi
-            moved |= diff
-            split = equal & diff
-            less |= split & yi
-            equal ^= split
         fixed_mask = full ^ moved
-        periodic_mask = full ^ returned
-        two_mask = periodic_mask & less
+        end_mask = moved & ~returned
         fixed += fixed_mask.bit_count()
-        periodic += periodic_mask.bit_count()
-        two += two_mask.bit_count()
+        ends += end_mask.bit_count()
         if len(fw) < cap and fixed_mask:
-            fw += _set_bits(fixed_mask, base, cap - len(fw))
-        if len(tw) < cap and two_mask:
+            fw += islice(_set_bits(fixed_mask, base), cap - len(fw))
+        if len(tw) < cap and end_mask:
             rows = [bin(c)[:1:-1] for c in f1]
-            for a in _set_bits(two_mask, 0, cap - len(tw)):
+            for a in _set_bits(end_mask, 0):
                 b = sum(1 << i for i, row in enumerate(rows) if a < len(row) and row[a] == "1")
-                tw.append((base + a, b))
+                if base + a < b:
+                    tw.append((base + a, b))
+                    if len(tw) == cap:
+                        break
         # f^(t+2) == f^t on the whole block iff every profile reaches a cycle
         # of length <= 2 within t steps. Transients are shorter than 2^n, so
         # at limit 2^n only a longer cycle fails; a smaller limit also bounds
@@ -201,12 +199,10 @@ def enumerate_limits(
                     "both indicate an implementation bug"
                 )
             before, now, t = (before[1], now), kernel(full, now), t + 1
-    if periodic != fixed + 2 * two:
-        raise InvariantViolationError("census does not account for every periodic profile")
     return LimitCensus(
         fixed_points=fixed,
-        two_cycles=two,
-        cycle_classes=fixed + two,
+        two_cycles=ends // 2,
+        cycle_classes=fixed + ends // 2,
         fixed_witnesses=tuple(fw) if cap else None,
         two_cycle_witnesses=tuple(tw) if cap else None,
     )
@@ -234,7 +230,10 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
       W, lo == k - 1             every unassigned neighbor forced W
 
     Propagation starts from the nodes that thresholds alone decide
-    (k = 0 is B, k > d is W). The search branches on the unassigned node
+    (k = 0 is B, k > d is W), and that first propagation cannot fail:
+    the step is monotone, so it has a fixed point (Knaster-Tarski), and
+    every fixed point takes the decided values and everything the rules
+    propagate from them. The search branches on the unassigned node
     with the most assigned neighbors, ties going to the higher degree,
     then the lower id, and runs on an explicit stack, so its depth is
     not bounded by the interpreter's recursion limit. Scales well past
@@ -255,8 +254,9 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
         while pending:
             v, b = pending.pop()
             if value[v] != -1:
-                if value[v] != b:
-                    return False
+                # then value[v] == b: a rule on v or a neighbour pushed (v, b),
+                # and its condition only tightens (lo grows, hi shrinks), so
+                # had v taken 1 - b, that node's rule would have failed then
                 continue
             value[v] = b
             trail.append(v)
@@ -307,8 +307,7 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
 
     decided = [(v, 1) for v in range(n) if k[v] == 0]
     decided += [(v, 0) for v in range(n) if k[v] > degrees[v]]
-    if not assign(decided, []):
-        return 0
+    assign(decided, [])  # never fails; see the docstring
     u = branch_node()
     if u == -1:
         return 1
@@ -357,7 +356,7 @@ def predecessors(
     """All profiles b with step(b) == a, by scanning the 2^n space."""
     found: list[int] = []
     for base, mask in _matches(g, k, a, guard_n):
-        found += _set_bits(mask, base, 1 << g.n)
+        found += _set_bits(mask, base)
     return tuple(found)
 
 

@@ -35,6 +35,10 @@ from .graph_core import (
     validate_thresholds,
 )
 
+_MAX_SYMMETRIC_NODES = 100_000  # nodes of a symmetric expansion
+_MAX_BLOWUP_NODES = 4096  # nodes of a unit-weight blowup
+
+
 class ProfileLift(NamedTuple):
     """Injective map from source profiles to target profiles.
 
@@ -184,9 +188,7 @@ def one_step_symmetric_expansion(
     return _attach_y_gadgets(g, k, [pivot])
 
 
-def symmetric_expansion(
-    g: Graph, k: Sequence[int], *, max_nodes: int = 100_000
-) -> ExpansionResult:
+def symmetric_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """Iterate one-step expansions, pivot = lowest eligible node, until
     every node has odd degree and the majority threshold.
 
@@ -203,8 +205,8 @@ def symmetric_expansion(
         node_map = tuple({"role": "original", "source": i} for i in range(g.n))
         return ExpansionResult(graph=g, thresholds=k, lift=identity_lift(g.n), node_map=node_map)
     size = g.n + sum(3 * (g.degrees[p] + 1) for p in pivots)
-    if size > max_nodes:
-        raise GuardExceededError(f"symmetric expansion exceeded {max_nodes} nodes")
+    if size > _MAX_SYMMETRIC_NODES:
+        raise GuardExceededError(f"symmetric expansion exceeded {_MAX_SYMMETRIC_NODES} nodes")
     return _attach_y_gadgets(g, k, pivots)
 
 
@@ -318,9 +320,7 @@ def _weighted_input(g: Graph, k: Sequence[int], what: str) -> tuple[int, ...]:
 # Integer weights to unit weights
 
 
-def integer_weights_to_unit(
-    g: Graph, k: Sequence[int], *, max_nodes: int = 4096
-) -> ExpansionResult:
+def integer_weights_to_unit(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """Blow a loop-free integer-weighted instance up to unit weights.
 
     With N = product of |w_e| over all edges, the target has N * n nodes
@@ -338,9 +338,9 @@ def integer_weights_to_unit(
     radii = [abs(wt) for _, _, wt in rows]
     strides = list(accumulate(radii, mul, initial=1))  # products of the radii before each
     total_blocks = strides.pop()
-    if total_blocks * n > max_nodes:
+    if total_blocks * n > _MAX_BLOWUP_NODES:
         raise GuardExceededError(
-            f"blowup needs {total_blocks * n} nodes, guard is {max_nodes}"
+            f"blowup needs {total_blocks * n} nodes, guard is {_MAX_BLOWUP_NODES}"
         )
     edges2 = []
     for t, (i, j, wt) in enumerate(rows):

@@ -25,8 +25,11 @@ from .errors import (
 )
 from .graph_core import Graph, as_int, require_unweighted, types_to_thresholds
 
+_MAX_SEEDS = 2_000_000  # seed profiles per recovery check
+_MAX_GRID = 1 << 24  # digit vectors on the quantized grid
 
-def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
+
+def _seed_list(n: int, K: int) -> list[int]:
     """Every profile with at most K B-nodes, after the seed-count guard.
 
     Weight-ascending, then lexicographic by node set: deterministic, so
@@ -36,8 +39,8 @@ def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
     if K < 1:
         raise BadParameterError(f"budget K must be >= 1, got {K}")
     seed_count = sum(comb(n, j) for j in range(K + 1))
-    if seed_count > max_seeds:
-        raise GuardExceededError(f"{seed_count} seed profiles exceed guard {max_seeds}")
+    if seed_count > _MAX_SEEDS:
+        raise GuardExceededError(f"{seed_count} seed profiles exceed guard {_MAX_SEEDS}")
     return [
         sum(1 << i for i in nodes)
         for size in range(K + 1)
@@ -45,9 +48,7 @@ def _seed_list(n: int, K: int, max_seeds: int) -> list[int]:
     ]
 
 
-def check_recovery(
-    g: Graph, q: Sequence, K: int, *, max_seeds: int = 2_000_000
-) -> tuple[bool, int | None]:
+def check_recovery(g: Graph, q: Sequence, K: int) -> tuple[bool, int | None]:
     """Does q pull every profile with <= K B-nodes back to all-W?
 
     All-W is always a fixed point of the type rule (zero B-neighbors
@@ -56,7 +57,7 @@ def check_recovery(
     first failing seed, if any, in weight-then-value order.
     """
     k = types_to_thresholds(g, q)
-    seeds = _seed_list(g.n, as_int(K, "budget K"), max_seeds)
+    seeds = _seed_list(g.n, as_int(K, "budget K"))
     ok, walk, _ = _check_recovery_counted(g, k, seeds)
     return ok, walk[0] if walk else None
 
@@ -136,9 +137,7 @@ def _failure_box(g: Graph, walk: Sequence[int]) -> tuple[int, ...]:
     return tuple(ub)
 
 
-def resilience_bruteforce(
-    g: Graph, K: int, *, max_grid: int = 1 << 24, max_seeds: int = 2_000_000
-) -> ResilienceResult:
+def resilience_bruteforce(g: Graph, K: int) -> ResilienceResult:
     """Exact minimum of ||q||_1 over the quantized grid, with the least
     optimal digit vector as witness.
 
@@ -146,8 +145,21 @@ def resilience_bruteforce(
     is the threshold rule with k_i = m_i + 1. Scaled by L = lcm of the
     degrees, ||q||_1 is the integer key sum of m_i * (L / d_i), so
     (key, digits) orders candidates exactly as (||q||_1, digits) does.
-    The greedy allocation gives a recovering upper bound on the key up
-    front; q == 1 everywhere always recovers, so one exists.
+    The greedy allocation's key is the initial bound: its digits recover
+    for every K. Rank the nodes by (degree, id); the greedy digit m_v
+    counts v's lower-ranked neighbours, so under k = m + 1 a node plays
+    B only if a higher-ranked neighbour played B the step before. The
+    highest rank among the B nodes drops at every step, so every profile
+    reaches all-W within n steps. The greedy check still runs (its seeds
+    count in ``evaluations``); a failure raises InvariantViolationError.
+
+    Guards: the grid of digit vectors, prod (d_i + 1), is refused past
+    _MAX_GRID, and the seed count past _MAX_SEEDS. At these limits the
+    seed guard can fire only on a disconnected graph. A connected graph
+    on n >= 2 nodes has degrees d_i >= 1 summing to at least 2(n - 1);
+    as log(d + 1) is concave, prod (d_i + 1) is least when all but one
+    d_i are 1, which is the star's n 2^(n-1). So the grid guard admits
+    n <= 20, and at most 2^20 < _MAX_SEEDS seeds.
 
     Failure boxes. Each full candidate that fails from a seed yields a
     box of digit vectors that all fail from that seed (``_failure_box``
@@ -188,12 +200,11 @@ def resilience_bruteforce(
     grid_size = 1
     for d in degrees:
         grid_size *= d + 1
-        if grid_size > max_grid:
-            raise GuardExceededError(f"type grid exceeds guard {max_grid}")
-    seeds = _seed_list(n, K, max_seeds)
+        if grid_size > _MAX_GRID:
+            raise GuardExceededError(f"type grid exceeds guard {_MAX_GRID}")
+    seeds = _seed_list(n, K)
     L = lcm(*(d for d in degrees if d))
     weights = [L // d if d else 0 for d in degrees]
-    evaluations = 0
 
     # Box b is bit b of every mask. esc[j][m] holds the boxes that digit
     # m at node j escapes. levels[i] holds, by descending cost, one
@@ -232,15 +243,11 @@ def resilience_bruteforce(
                 return cost
         return 0
 
-    bound = n * L  # q == 1 everywhere always recovers
     greedy = _greedy_digits(g)
-    greedy_k = [m + 1 for m in greedy]
-    ok, walk, n_checked = _check_recovery_counted(g, greedy_k, seeds)
-    evaluations += n_checked
-    if ok:
-        bound = min(bound, sum(m * w for m, w in zip(greedy, weights)))
-    else:
-        learn(walk)
+    ok, _walk, evaluations = _check_recovery_counted(g, [m + 1 for m in greedy], seeds)
+    if not ok:
+        raise InvariantViolationError("the greedy allocation failed to recover")
+    bound = sum(m * w for m, w in zip(greedy, weights))
 
     # (key + h, digits, key, boxes escaped, boxes known when pushed)
     heap: list[tuple[int, tuple[int, ...], int, int, int]] = [(0, (), 0, 0, 0)]

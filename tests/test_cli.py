@@ -376,8 +376,11 @@ class TestReduce:
 
     def test_reachable_pred_guard_before_build(self, capsys, tmp_path):
         # 200,000 declared variables, one used: the 2^n scans are refused
-        # before any of the 200,002 gadget nodes is built
+        # before any of the 200,002 gadget nodes is built. The modules are
+        # imported first, so the bound measures the refused build alone.
         import tracemalloc
+
+        import threshold_lab.reductions  # noqa: F401
 
         path = write(tmp_path / "wide.json",
                      {"variant": "monotone-2cnf", "n": 200000, "clauses": [[1]]})
@@ -393,8 +396,10 @@ class TestReduce:
 
     def test_pred_guard_before_build(self, capsys, tmp_path):
         # 100,000 declared variables, one clause: the 400,002-node gadget
-        # is refused before it is built
+        # is refused before it is built; the modules are imported first
         import tracemalloc
+
+        import threshold_lab.reductions  # noqa: F401
 
         path = write(tmp_path / "wide.json", {"variant": "3cnf", "n": 100000, "clauses": [[1, 2, 3]]})
         tracemalloc.start()
@@ -548,6 +553,18 @@ class TestResilience:
             assert main(["resilience", "--input", path, "--K", "1", "--mode", "brute"]) == 2
             assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, edges, K, family, mu", [
+        (4, [[0, 1], [0, 2], [0, 3]], 2, "star", [1, 1]),
+        (4, [[i, j] for i in range(4) for j in range(i + 1, 4)], 2, "complete", [5, 3]),
+        (5, [[i, i + 1] for i in range(4)], 1, "path", [3, 2]),
+    ])
+    def test_closed_form_families(self, capsys, tmp_path, n, edges, K, family, mu):
+        path = write(tmp_path / "g.json", {"n": n, "edges": edges, "thresholds": [1] * n})
+        code, out = run(capsys, ["resilience", "--input", path, "--K", str(K),
+                                 "--mode", "closed-form"])
+        assert code == 0
+        assert (out["family"], out["mu"]) == (family, mu)
+
     def test_closed_form_rejects_odd_graph(self, capsys, tmp_path):
         path = write(
             tmp_path / "kite.json",
@@ -581,6 +598,55 @@ class TestVerify:
         )
         assert main(["verify"]) == 4
         assert "FAIL  stub" in capsys.readouterr().out
+
+
+C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "thresholds": [1, 1, 1, 1]}
+K9 = {"n": 9, "edges": [[i, j] for i in range(9) for j in range(i + 1, 9)], "thresholds": [1] * 9}
+
+
+def types_file(types):
+    return {"n": 3, "edges": [[0, 1], [1, 2]], "types": types}
+
+
+def formula(**kw):
+    return dict({"variant": "3cnf", "n": 3, "clauses": [[1, -2, 3]]}, **kw)
+
+
+class TestInputErrors:
+    """Each rejected flag or file exits 2 with its own message."""
+
+    @pytest.mark.parametrize("data, argv, message", [
+        (C4, ["simulate", "--initial", "BWBW", "--max-states", "0"],
+         "--max-states must be >= 1, got 0"),
+        (C4, ["simulate", "--initial", "BWB"], "profile string has length 3, expected 4"),
+        (C4, ["enumerate", "--guard-n", "0"], "--guard-n must be positive, got 0"),
+        (C4, ["resilience"], "resilience needs --K"),
+        # K_9's grid is past its guard, so only the search's own budget
+        # check stands before exit 3
+        (K9, ["resilience", "--K", "0"], "budget K must be >= 1, got 0"),
+        (C4, ["resilience", "--K", "0", "--mode", "closed-form"], "budget K must be >= 1, got 0"),
+        ({"edges": [[0, 1]], "thresholds": [1, 1]}, ["enumerate"], "malformed instance: 'n'"),
+        (types_file([[3, 2], [1, 2], [1, 1]]), ["enumerate"], "type value 3/2 outside [0, 1]"),
+        (types_file([[1, 2], [1, 1]]), ["enumerate"], "type vector has length 2, expected 3"),
+    ])
+    def test_instance_flags_and_files(self, capsys, tmp_path, data, argv, message):
+        path = write(tmp_path / "inst.json", data)
+        assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data, kind, message", [
+        (formula(variant="4cnf"), "pred", "unknown formula variant '4cnf'"),
+        (formula(n=0), "pred", "formula needs at least one variable"),
+        (formula(clauses=[]), "pred", "formula needs at least one clause"),
+        (formula(clauses=[[]]), "pred", "empty clause"),
+        (formula(clauses=[[1, 4]]), "pred", "literal 4 out of range"),
+        ({"variant": "3cnf", "n": 3}, "pred", "malformed formula: 'clauses'"),
+        (formula(), "reachable-pred", "reachable_pred_reduction needs a monotone-2cnf formula"),
+    ])
+    def test_formula_files(self, capsys, tmp_path, data, kind, message):
+        path = write(tmp_path / "f.json", data)
+        assert main(["reduce", "--formula", path, "--kind", kind]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestFlags:

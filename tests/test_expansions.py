@@ -37,6 +37,7 @@ from threshold_lab.instances import (
     random_small_blowup_instance,
     random_thresholds,
     random_weighted_instance,
+    star_graph,
 )
 
 from conftest import inverted_step
@@ -214,9 +215,10 @@ class TestSymmetricExpansion:
             )
             assert ok, f"counterexample {bad}"
 
-    def test_node_guard(self, triangle):
-        with pytest.raises(GuardExceededError):
-            symmetric_expansion(triangle, (1, 1, 2), max_nodes=10)
+    def test_node_guard(self):
+        # every node is an eligible pivot: 199,994 nodes in all
+        with pytest.raises(GuardExceededError, match="exceeded 100000 nodes"):
+            symmetric_expansion(star_graph(20000), (1,) + (2,) * 19999)
 
     def test_pivot_order_isomorphic(self, rng):
         # expanding with a non-canonical pivot order gives an isomorphic model
@@ -405,8 +407,9 @@ class TestIntegerWeightBlowup:
             assert ok, f"counterexample {bad}"
 
     def test_guard(self):
-        with pytest.raises(GuardExceededError):
-            integer_weights_to_unit(build_graph(2, [(0, 1, 100)]), (0, 0), max_nodes=64)
+        # one edge of weight 5000 needs 5000 blocks of 2 nodes
+        with pytest.raises(GuardExceededError, match="needs 10000 nodes"):
+            integer_weights_to_unit(build_graph(2, [(0, 1, 5000)]), (0, 0))
 
     def test_rejects_unweighted_graph(self, triangle):
         for transform in (integer_weights_to_unit, remove_self_loops):

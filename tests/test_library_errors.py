@@ -1,0 +1,71 @@
+"""Library calls that reject their arguments, each with its own error
+and message."""
+
+import random
+
+import pytest
+
+from threshold_lab import (
+    BadParameterError,
+    InconsistentCountError,
+    LengthMismatchError,
+    build_graph,
+    compose_lifts,
+    format_profile,
+    identity_lift,
+    integer_weights_to_unit,
+    limit_cycle,
+    one_step_symmetric_expansion,
+    recover_sat_count,
+    resilience_closed_form,
+    ring_two_step,
+    signed_to_primary,
+)
+from threshold_lab.instances import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
+
+LOOPED = build_graph(2, [(0, 1, 1)], loops=[(0, 1)], weighted=True)
+PATH3 = build_graph(3, [(0, 1), (1, 2)])
+
+CASES = [
+    (lambda: build_graph(0, []), BadParameterError, "node count must be positive, got 0"),
+    (lambda: format_profile(8, 3), LengthMismatchError, "profile 8 does not fit in 3 bits"),
+    (lambda: limit_cycle(lambda a: a, 0, 0), BadParameterError, "guard must be >= 1, got 0"),
+    (lambda: ring_two_step(cycle_graph(4), (1, 1, 3, 1), 0, 0), BadParameterError,
+     "ring table requires thresholds in {1, 2}"),
+    (lambda: compose_lifts(identity_lift(2), identity_lift(3)), BadParameterError,
+     "lift composition size mismatch"),
+    # node 0 already has odd degree and the majority threshold; node 1 does not
+    (lambda: one_step_symmetric_expansion(PATH3, (1, 1, 1), 0), BadParameterError,
+     "node 0 is not an eligible pivot"),
+    (lambda: signed_to_primary(LOOPED, (0, 0)), BadParameterError,
+     "signed simulation requires a loop-free instance"),
+    (lambda: integer_weights_to_unit(LOOPED, (0, 0)), BadParameterError,
+     "unit-weight blowup requires a loop-free instance"),
+    (lambda: cycle_graph(2), BadParameterError, "cycle graph needs n >= 3"),
+    (lambda: path_graph(0), BadParameterError, "path graph needs n >= 1"),
+    (lambda: star_graph(1), BadParameterError, "star graph needs n >= 2"),
+    (lambda: complete_graph(0), BadParameterError, "complete graph needs n >= 1"),
+    (lambda: random_connected_graph(0, random.Random(0)), BadParameterError,
+     "graph needs n >= 1"),
+    (lambda: resilience_closed_form("star", 1, 1), BadParameterError, "star needs n >= 2"),
+    (lambda: resilience_closed_form("path", 1, 1), BadParameterError, "path needs n >= 2"),
+    (lambda: resilience_closed_form("cycle", 2, 1), BadParameterError, "cycle needs n >= 3"),
+    (lambda: resilience_closed_form("complete", 1, 1), BadParameterError,
+     "complete graph needs n >= 2"),
+    # 2 fixed points cannot come from a 4-variable fix gadget
+    (lambda: recover_sat_count(2, 4), InconsistentCountError,
+     "F = 2 yields negative counts for n = 4"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", CASES)
+def test_rejected_with_its_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -11,6 +11,7 @@ from threshold_lab import (
     InvariantViolationError,
     OutOfFormulaRangeError,
     ResilienceResult,
+    build_graph,
     check_recovery,
     greedy_upper_bound_q,
     resilience_bruteforce,
@@ -66,7 +67,7 @@ def reference_best_first(g, K):
     """The search that preceded the A* one: every candidate in (key,
     digits) order, pruned only by the greedy bound, checked in full."""
     grid = type_grid(g)
-    seeds = _seed_list(g.n, K, 1 << g.n)
+    seeds = _seed_list(g.n, K)
     L = lcm(*(d for d in g.degrees if d))
     weights = [L // d if d else 0 for d in g.degrees]
     evaluations = 0
@@ -129,8 +130,9 @@ class TestCheckRecovery:
     def test_zero_budget_and_seed_guard(self, four_cycle):
         with pytest.raises(BadParameterError):
             check_recovery(four_cycle, (0, 0, 0, 0), 0)
-        with pytest.raises(GuardExceededError):
-            check_recovery(four_cycle, (0, 0, 0, 0), 2, max_seeds=10)
+        # 2,369,936 profiles with at most 5 of 50 nodes playing B
+        with pytest.raises(GuardExceededError, match="2369936 seed profiles"):
+            check_recovery(path_graph(50), (0,) * 50, 5)
 
     def test_grid_problem_shape(self, four_cycle):
         # the budget is clamped to n, and the witness lies on the grid
@@ -258,7 +260,7 @@ class TestBruteForce:
         while failures < 200:
             g = random_connected_graph(rng.randint(2, 8), rng)
             k = [rng.randint(0, d) + 1 for d in g.degrees]
-            seeds = _seed_list(g.n, rng.randint(1, 3), 1 << g.n)
+            seeds = _seed_list(g.n, rng.randint(1, 3))
             ok, walk, checked = _check_recovery_counted(g, k, seeds)
             first = next((s for s in seeds if not recovers_from(g, k, s)), None)
             if first is None:
@@ -283,8 +285,16 @@ class TestBruteForce:
         assert check_recovery(g, res.witness_q, K) == (True, None)
 
     def test_seed_guard_applies_to_search(self):
-        with pytest.raises(GuardExceededError):
-            resilience_bruteforce(cycle_graph(6), 2, max_seeds=21)
+        # 12 disjoint edges: the grid is exactly 2^24, within its guard,
+        # and 2,579,130 seed profiles have at most 9 B-nodes
+        g = build_graph(24, [(2 * i, 2 * i + 1) for i in range(12)], require_connected=False)
+        with pytest.raises(GuardExceededError, match="2579130 seed profiles"):
+            resilience_bruteforce(g, 9)
+
+    def test_grid_guard(self):
+        # K_9 has a grid of 9^9 digit vectors, past 2^24
+        with pytest.raises(GuardExceededError, match="type grid"):
+            resilience_bruteforce(complete_graph(9), 1)
 
     def test_no_smaller_grid_point_recovers(self, rng):
         # exhaustively confirm optimality of the reported mu on a small case
