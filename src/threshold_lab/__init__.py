@@ -16,26 +16,12 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "errors": (
-        "AlreadySymmetricError",
         "BadParameterError",
         "DEFAULT_GUARD_N",
-        "DisconnectedError",
-        "DuplicateEdgeError",
         "GuardExceededError",
-        "IdentityViolatedError",
-        "InconsistentCountError",
-        "InputError",
         "InvariantViolationError",
-        "LengthMismatchError",
-        "NodeOutOfRangeError",
         "NotBipartiteError",
-        "OutOfFormulaRangeError",
-        "ResourceLimitError",
-        "SelfLoopError",
         "ThresholdLabError",
-        "ValidityViolatedError",
-        "VariableMissingError",
-        "WeightOutOfRangeError",
     ),
     "graph_core": (
         "ACTION_B",

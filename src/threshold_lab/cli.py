@@ -3,9 +3,16 @@
 Subcommands: simulate, enumerate, expand, reduce, resilience, verify.
 All output is canonical JSON (sorted keys, exact rationals as
 [numerator, denominator]), so identical inputs and seeds produce
-byte-identical results. Exit codes: 0 success, 2 invalid input, 3 guard
-exceeded, 4 invariant violation (a failed verify suite, or a
-failed energy certificate in simulate).
+byte-identical results. Exit codes, one per class in ``errors``:
+
+  0  success
+  2  invalid input (BadParameterError), or a file that cannot be read
+  3  guard exceeded (GuardExceededError)
+  4  invariant violation (InvariantViolationError): a failed verify
+     suite, a failed energy certificate in simulate, the census period
+     check in enumerate, a fixed-point count with no #sat preimage in
+     reduce --kind fix --verify, or the greedy or exhausted-heap
+     invariant of the resilience search
 
 Start-up loads only what every subcommand shares: ``errors``,
 ``graph_core`` and ``dynamics``, with argparse and json. Each subcommand
@@ -41,9 +48,9 @@ from .dynamics import Rule, default_guard, limit_cycle
 from .errors import (
     DEFAULT_GUARD_N,
     MAX_SCAN_N,
-    InputError,
+    BadParameterError,
+    GuardExceededError,
     InvariantViolationError,
-    ResourceLimitError,
     ThresholdLabError,
     check_scan_size,
 )
@@ -96,8 +103,11 @@ def _default_guard_n() -> int:
     if not env:
         return DEFAULT_GUARD_N
     if not _is_decimal(env):
-        raise InputError(f"THRESHOLD_LAB_GUARD_N must be an integer, got {env!r}")
-    return int(env)
+        raise BadParameterError(f"THRESHOLD_LAB_GUARD_N must be an integer, got {env!r}")
+    guard_n = int(env)
+    if guard_n <= 0:
+        raise BadParameterError(f"THRESHOLD_LAB_GUARD_N must be positive, got {guard_n}")
+    return guard_n
 
 
 def _emit(obj) -> None:
@@ -115,7 +125,7 @@ def _frac(f) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     if args.max_states is not None and args.max_states < 1:
-        raise InputError(f"--max-states must be >= 1, got {args.max_states}")
+        raise BadParameterError(f"--max-states must be >= 1, got {args.max_states}")
     g, k = instance_from_dict(read_json(args.input))
     rule = Rule.from_graph(g, k)
     a = parse_profile(args.initial, g.n)
@@ -165,7 +175,7 @@ def _cmd_expand(args) -> int:
         res = remove_self_loops(g, k)
     else:  # remove-node; argparse choices admit no other kind
         if args.node is None or args.pin is None:
-            raise InputError("--kind remove-node needs --node and --pin")
+            raise BadParameterError("--kind remove-node needs --node and --pin")
         comps = remove_constant_node(g, k, args.node, args.pin)
         _emit(
             {
@@ -243,7 +253,7 @@ def _cmd_resilience(args) -> int:
     _bind("resilience")
     g, _k = instance_from_dict(read_json(args.input))
     if args.K is None:
-        raise InputError("resilience needs --K")
+        raise BadParameterError("resilience needs --K")
     if args.mode == "brute":
         res = resilience_bruteforce(g, args.K)
         _emit(
@@ -268,7 +278,7 @@ def _cmd_resilience(args) -> int:
 
         family = classify_family(g)
         if family is None:
-            raise InputError("closed-form mode needs a star, path, cycle, or complete graph")
+            raise BadParameterError("closed-form mode needs a star, path, cycle, or complete graph")
         mu = resilience_closed_form(family, g.n, args.K)
         _emit({"mode": "closed-form", "family": family, "mu": _frac(mu)})
     return EXIT_OK
@@ -356,16 +366,16 @@ def main(argv=None) -> int:
         if "guard_n" in args:
             if args.guard_n is None:
                 args.guard_n = _default_guard_n()
-            if args.guard_n <= 0:
-                raise InputError(f"--guard-n must be positive, got {args.guard_n}")
+            elif args.guard_n <= 0:
+                raise BadParameterError(f"--guard-n must be positive, got {args.guard_n}")
         return args.fn(args)
-    except ResourceLimitError as exc:
+    except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (InputError, ThresholdLabError, OSError, ValueError) as exc:
+    except (ThresholdLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

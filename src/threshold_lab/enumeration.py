@@ -28,7 +28,6 @@ from .dynamics import default_guard
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
-    IdentityViolatedError,
     InvariantViolationError,
     check_scan_size,
 )
@@ -388,7 +387,7 @@ def bipartite_cycle_identity(
     F and the class count are computed independently by the census; the
     constructive pairing (splice two distinct fixed points along the
     2-partition) is then replayed to confirm it generates every 2-cycle.
-    Raises IdentityViolatedError on mismatch, which would indicate an
+    Raises InvariantViolationError on mismatch, which would indicate an
     implementation bug rather than bad input.
     """
     k = validate_thresholds(g, k)
@@ -397,7 +396,7 @@ def bipartite_cycle_identity(
     f = census.fixed_points
     predicted = f * (f - 1) // 2 + f
     if census.cycle_classes != predicted:
-        raise IdentityViolatedError(
+        raise InvariantViolationError(
             f"cycle classes {census.cycle_classes} != F(F-1)/2 + F = {predicted}"
         )
     odd_mask = sum(1 << i for i in part.p_odd)
@@ -409,7 +408,7 @@ def bipartite_cycle_identity(
             lo_hi = sorted(((a2 & odd_mask) | (a1 & even_mask), (a1 & odd_mask) | (a2 & even_mask)))
             spliced.add(tuple(lo_hi))
     if spliced != set(census.two_cycle_witnesses):
-        raise IdentityViolatedError("fixed-point splicing did not generate the 2-cycles")
+        raise InvariantViolationError("fixed-point splicing did not generate the 2-cycles")
     return census
 
 

@@ -1,8 +1,17 @@
-"""Exception hierarchy for threshold_lab, and the 2^n scan guard.
+"""Exception classes for threshold_lab, one per exit code, and the 2^n
+scan guard.
 
-Every library error derives from ThresholdLabError. Input-validation
-errors and guard errors are kept in separate branches so callers
-(notably the CLI) can map them to distinct exit codes.
+Every library error is a ThresholdLabError, and the class says how a
+caller handles it:
+
+  BadParameterError        exit 2  invalid instance, formula, profile,
+                                   parameter or option; the message
+                                   names the value
+  NotBipartiteError        exit 2  a BadParameterError that carries an
+                                   odd-cycle witness in ``.witness``
+  GuardExceededError       exit 3  a guard stopped the computation
+  InvariantViolationError  exit 4  a machine-checked invariant failed:
+                                   an implementation bug, not bad input
 
 The scan guard lives here, beside the error it raises, so that every
 module can apply it and the CLI can show its defaults without loading
@@ -17,27 +26,11 @@ class ThresholdLabError(Exception):
     """Base class for all threshold_lab errors."""
 
 
-class InputError(ThresholdLabError):
+class BadParameterError(ThresholdLabError):
     """Invalid instance, formula, profile, or parameter."""
 
 
-class SelfLoopError(InputError):
-    pass
-
-
-class DuplicateEdgeError(InputError):
-    pass
-
-
-class DisconnectedError(InputError):
-    pass
-
-
-class NodeOutOfRangeError(InputError):
-    pass
-
-
-class NotBipartiteError(InputError):
+class NotBipartiteError(BadParameterError):
     """Raised with an odd-cycle witness in ``.witness``."""
 
     def __init__(self, message, witness=None):
@@ -45,53 +38,12 @@ class NotBipartiteError(InputError):
         self.witness = witness
 
 
-class LengthMismatchError(InputError):
-    pass
-
-
-class WeightOutOfRangeError(InputError):
-    pass
-
-
-class ValidityViolatedError(InputError):
-    pass
-
-
-class AlreadySymmetricError(InputError):
-    pass
-
-
-class BadParameterError(InputError):
-    pass
-
-
-class VariableMissingError(InputError):
-    pass
-
-
-class OutOfFormulaRangeError(InputError):
-    pass
-
-
-class ResourceLimitError(ThresholdLabError):
+class GuardExceededError(ThresholdLabError):
     """A guard stopped the computation."""
-
-
-class GuardExceededError(ResourceLimitError):
-    pass
 
 
 class InvariantViolationError(ThresholdLabError):
     """A machine-checked invariant failed; signals a bug, not bad input."""
-
-
-class IdentityViolatedError(InvariantViolationError):
-    """The fixed-point/cycle-count identity failed on a bipartite instance."""
-
-
-class InconsistentCountError(InvariantViolationError):
-    """A fixed-point count has no (#sat, #nsat) preimage: a gadget or
-    counter bug."""
 
 
 def check_scan_size(n: int, guard_n: int) -> None:

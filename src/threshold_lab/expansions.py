@@ -16,13 +16,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .dynamics import StepMap, make_step, step_weighted
-from .errors import (
-    AlreadySymmetricError,
-    BadParameterError,
-    GuardExceededError,
-    ValidityViolatedError,
-    WeightOutOfRangeError,
-)
+from .errors import BadParameterError, GuardExceededError
 from .graph_core import (
     ACTION_B,
     ACTION_W,
@@ -180,7 +174,7 @@ def one_step_symmetric_expansion(
     k = validate_thresholds(g, k)
     eligible = _eligible_pivots(g, k)
     if not eligible:
-        raise AlreadySymmetricError("instance is already a symmetric model")
+        raise BadParameterError("instance is already a symmetric model")
     if pivot is None:
         pivot = eligible[0]
     elif pivot not in eligible:
@@ -284,7 +278,7 @@ def signed_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
     rows = g.weighted_edges()
     for i, j, wt in rows:
         if wt not in (-1, 1):
-            raise WeightOutOfRangeError(f"edge ({i},{j}) has weight {wt}, expected -1 or +1")
+            raise BadParameterError(f"edge ({i},{j}) has weight {wt}, expected -1 or +1")
     n = g.n
     d_plus = [0] * n
     d_minus = [0] * n
@@ -300,7 +294,7 @@ def signed_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
             edges += [(i, n + j), (j, n + i)]
     for i in range(n):
         if not (-d_minus[i] <= k[i] <= d_plus[i]):
-            raise ValidityViolatedError(
+            raise BadParameterError(
                 f"node {i}: threshold {k[i]} outside [-d^-, d^+] = "
                 f"[{-d_minus[i]}, {d_plus[i]}]"
             )

@@ -19,16 +19,7 @@ from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    BadParameterError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    LengthMismatchError,
-    NodeOutOfRangeError,
-    NotBipartiteError,
-    SelfLoopError,
-    WeightOutOfRangeError,
-)
+from .errors import BadParameterError, NotBipartiteError
 
 ACTION_B = "B"
 ACTION_W = "W"
@@ -131,14 +122,14 @@ def build_graph(
             w = as_int(fields[2], "edge weight")
             weighted = True
         if not (0 <= i < n) or not (0 <= j < n):
-            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
+            raise BadParameterError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         if i == j:
-            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+            raise BadParameterError(f"self-loop at node {i}: self-loops go in the loops argument")
         if w == 0:
-            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
+            raise BadParameterError(f"edge ({i},{j}) has zero weight")
         e = (i, j) if i < j else (j, i)
         if e in weight_of:
-            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+            raise BadParameterError(f"duplicate edge ({e[0]},{e[1]})")
         weight_of[e] = w
     loop_of: dict[int, int] = {}
     for row in loops:
@@ -147,11 +138,11 @@ def build_graph(
         w = as_int(w, "self-loop weight")
         weighted = True
         if not 0 <= i < n:
-            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+            raise BadParameterError(f"self-loop at node {i} outside 0..{n - 1}")
         if w == 0:
-            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+            raise BadParameterError(f"self-loop at node {i} has zero weight")
         if i in loop_of:
-            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
+            raise BadParameterError(f"duplicate self-loop at node {i}")
         loop_of[i] = w
     # neighbors of the nodes on some edge only: connectivity is checked
     # on this before anything is allocated per node, so a huge n with
@@ -187,7 +178,7 @@ def _fields(row, widths: tuple[int, ...], what: str) -> list:
 
 
 def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
-    """Raise DisconnectedError naming the smallest node that node 0 does
+    """Raise BadParameterError naming the smallest node that node 0 does
     not reach. ``nbrs_of`` holds the neighbor lists of the nodes on some
     edge only. Work and memory are linear in the nodes reached and their
     edges."""
@@ -201,7 +192,7 @@ def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
     if len(seen) < n:
         # the smallest unreached node is at most len(seen)
         unreached = next(v for v in range(n) if v not in seen)
-        raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
+        raise BadParameterError(f"graph is not connected: node {unreached} unreachable from node 0")
 
 
 def as_int(x, what: str) -> int:
@@ -222,7 +213,7 @@ def as_node(g: Graph, i) -> int:
     """i as a node id of g: an integer, as ``as_int`` takes it, in 0..n-1."""
     i = as_int(i, "node")
     if not 0 <= i < g.n:
-        raise NodeOutOfRangeError(f"node {i} outside 0..{g.n - 1}")
+        raise BadParameterError(f"node {i} outside 0..{g.n - 1}")
     return i
 
 
@@ -236,7 +227,7 @@ def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """k as a tuple of g.n ints, of any sign."""
     k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
-        raise LengthMismatchError(f"threshold vector has length {len(k)}, expected {g.n}")
+        raise BadParameterError(f"threshold vector has length {len(k)}, expected {g.n}")
     return k
 
 
@@ -291,7 +282,7 @@ def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
             raise BadParameterError(f"type value {f} outside [0, 1]")
         out.append(f)
     if len(out) != g.n:
-        raise LengthMismatchError(f"type vector has length {len(out)}, expected {g.n}")
+        raise BadParameterError(f"type vector has length {len(out)}, expected {g.n}")
     return tuple(out)
 
 
@@ -383,7 +374,7 @@ _TO_ACTIONS = str.maketrans("10", ACTION_B + ACTION_W)
 def parse_profile(text: str, n: int | None = None) -> int:
     """Parse a 'B'/'W' string into a profile int (bit i = node i)."""
     if n is not None and len(text) != n:
-        raise LengthMismatchError(f"profile string has length {len(text)}, expected {n}")
+        raise BadParameterError(f"profile string has length {len(text)}, expected {n}")
     if text.count(ACTION_B) + text.count(ACTION_W) != len(text):
         i, ch = next((i, ch) for i, ch in enumerate(text) if ch not in (ACTION_B, ACTION_W))
         raise BadParameterError(f"profile character {ch!r} at position {i} is not 'B' or 'W'")
@@ -392,7 +383,7 @@ def parse_profile(text: str, n: int | None = None) -> int:
 
 def format_profile(a: int, n: int) -> str:
     if not 0 <= a < (1 << n):
-        raise LengthMismatchError(f"profile {a} does not fit in {n} bits")
+        raise BadParameterError(f"profile {a} does not fit in {n} bits")
     # a sentinel bit above node n - 1 pins the digit count at n
     return bin(a | 1 << n)[:2:-1].translate(_TO_ACTIONS)
 
@@ -400,7 +391,7 @@ def format_profile(a: int, n: int) -> str:
 def validate_profile(a: int, n: int) -> int:
     a = as_int(a, "profile")
     if not 0 <= a < (1 << n):
-        raise LengthMismatchError(f"profile {a} does not fit in {n} bits")
+        raise BadParameterError(f"profile {a} does not fit in {n} bits")
     return a
 
 

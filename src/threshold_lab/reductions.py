@@ -23,8 +23,7 @@ from .enumeration import column_blocks
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
-    InconsistentCountError,
-    VariableMissingError,
+    InvariantViolationError,
     check_scan_size,
 )
 from .graph_core import Graph, as_int, build_graph
@@ -78,7 +77,7 @@ class Formula(_FormulaFields):
                 seen_vars.add(abs(lit) - 1)
         if variant == MONOTONE_2DNF and len(seen_vars) != num_vars:
             missing = sorted(set(range(num_vars)) - seen_vars)
-            raise VariableMissingError(
+            raise BadParameterError(
                 f"variables {[v + 1 for v in missing]} never appear in the 2-DNF formula"
             )
         return super().__new__(cls, variant, num_vars, clauses)
@@ -215,19 +214,19 @@ def recover_sat_count(fixed_point_count: int, num_vars: int) -> tuple[int, int]:
     """Invert the fixed-point count back to (#sat, #nsat).
 
     Solves #sat + #nsat = 2^n and #sat + 8*(#nsat - 1) + 1 = F exactly;
-    raises InconsistentCountError when no non-negative integer solution
+    raises InvariantViolationError when no non-negative integer solution
     exists (which signals a gadget or counting bug).
     """
     total = 1 << num_vars
     numerator = fixed_point_count + 7 - total
     if numerator % 7 != 0:
-        raise InconsistentCountError(
+        raise InvariantViolationError(
             f"F = {fixed_point_count} has no integral solution for n = {num_vars}"
         )
     nsat = numerator // 7
     sat = total - nsat
     if nsat < 0 or sat < 0:
-        raise InconsistentCountError(
+        raise InvariantViolationError(
             f"F = {fixed_point_count} yields negative counts for n = {num_vars}"
         )
     return sat, nsat

@@ -17,12 +17,7 @@ from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 from .dynamics import _bitcount_step
-from .errors import (
-    BadParameterError,
-    GuardExceededError,
-    InvariantViolationError,
-    OutOfFormulaRangeError,
-)
+from .errors import BadParameterError, GuardExceededError, InvariantViolationError
 from .graph_core import Graph, as_int, require_unweighted, types_to_thresholds
 
 _MAX_SEEDS = 2_000_000  # seed profiles per recovery check
@@ -335,7 +330,7 @@ def resilience_closed_form(family: str, n: int, K: int) -> Fraction:
         if n < 2:
             raise BadParameterError("path needs n >= 2")
         if K >= (n + 1) // 2:
-            raise OutOfFormulaRangeError(
+            raise BadParameterError(
                 f"path formula holds only for K < ceil(n/2) = {(n + 1) // 2}"
             )
         return Fraction(n - 1 - (n - 1) // (2 * K + 1), 2)

@@ -186,6 +186,19 @@ class TestEnumerate:
         assert (f"THRESHOLD_LAB_GUARD_N must be an integer, got {value!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_guard_names_its_source(self, capsys, four_cycle_file, monkeypatch,
+                                                 command, value):
+        argv = [command, "--input", four_cycle_file] if command == "enumerate" else [command]
+        monkeypatch.delenv("THRESHOLD_LAB_GUARD_N", raising=False)
+        assert main(argv + ["--guard-n", value]) == 2
+        assert capsys.readouterr().err == f"error: --guard-n must be positive, got {value}\n"
+        monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", value)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: THRESHOLD_LAB_GUARD_N must be positive, got {value}\n")
+
     @pytest.mark.parametrize("value", ["1_0", " 10", "10 ", "+10", "\u0661\u0660"])
     def test_guard_flag_takes_plain_decimals_only(self, capsys, four_cycle_file, value):
         with pytest.raises(SystemExit) as exc:

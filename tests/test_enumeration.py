@@ -2,7 +2,6 @@ import pytest
 
 from threshold_lab import (
     BadParameterError,
-    DisconnectedError,
     GuardExceededError,
     InvariantViolationError,
     NotBipartiteError,
@@ -316,7 +315,7 @@ class TestBacktrackingCounter:
             pinned_w += any(ki > d for ki, d in zip(k, g.degrees))
             try:
                 build_graph(n, edges)
-            except DisconnectedError:
+            except BadParameterError:
                 disconnected += 1
         assert min(pinned_b, pinned_w, disconnected) > 20
 

@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from threshold_lab import (
     BadParameterError,
-    DisconnectedError,
-    DuplicateEdgeError,
     Graph,
-    InputError,
-    NodeOutOfRangeError,
     NotBipartiteError,
-    SelfLoopError,
-    WeightOutOfRangeError,
     bipartite_expansion,
     build_graph,
     count_fixed_points_backtracking,
@@ -53,7 +47,8 @@ class TestBuildGraph:
         assert g.degrees == (1, 1)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError, match="node 2"):
+        with pytest.raises(BadParameterError, match=re.escape(
+                "graph is not connected: node 2 unreachable from node 0")):
             build_graph(3, [(0, 1)])
 
     @pytest.mark.parametrize(
@@ -68,7 +63,8 @@ class TestBuildGraph:
 
         tracemalloc.start()
         try:
-            with pytest.raises(DisconnectedError, match="node 1 unreachable"):
+            with pytest.raises(BadParameterError, match=re.escape(
+                    "graph is not connected: node 1 unreachable from node 0")):
                 instance_from_dict(d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -77,7 +73,8 @@ class TestBuildGraph:
 
     def test_disconnected_with_enough_edges_rejected(self):
         # a triangle plus an isolated node: n - 1 edges, still disconnected
-        with pytest.raises(DisconnectedError, match="node 3 unreachable"):
+        with pytest.raises(BadParameterError, match=re.escape(
+                "graph is not connected: node 3 unreachable from node 0")):
             build_graph(4, [(0, 1), (1, 2), (0, 2)])
 
     def test_random_graphs_against_brute_force(self):
@@ -96,19 +93,23 @@ class TestBuildGraph:
                 nbrs = [sorted(v for e in edges if u in e for v in e if v != u) for u in range(n)]
                 assert build_graph(n, edges).adjacency == tuple(map(tuple, nbrs))
                 continue
-            with pytest.raises(DisconnectedError, match=f"node {min(set(range(n)) - reached)} "):
+            unreached = min(set(range(n)) - reached)
+            with pytest.raises(BadParameterError, match=re.escape(
+                    f"graph is not connected: node {unreached} unreachable from node 0")):
                 build_graph(n, edges)
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError, match="node 1"):
+        with pytest.raises(BadParameterError, match=re.escape(
+                "self-loop at node 1: self-loops go in the loops argument")):
             build_graph(3, [(0, 1), (1, 1), (1, 2)])
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdgeError, match=r"\(0,1\)"):
+        with pytest.raises(BadParameterError, match=re.escape("duplicate edge (0,1)")):
             build_graph(2, [(0, 1), (1, 0)])
 
     def test_node_out_of_range(self):
-        with pytest.raises(NodeOutOfRangeError, match=r"\(1,3\)"):
+        with pytest.raises(BadParameterError,
+                           match=re.escape("edge (1,3) references a node outside 0..2")):
             build_graph(3, [(0, 1), (1, 3)])
 
     def test_single_node(self):
@@ -124,19 +125,20 @@ class TestBuildGraph:
         assert build_graph(2, [(0, 1)], [(0, 1)]).weights == (1,)
 
     @pytest.mark.parametrize(
-        "edges, loops, error",
+        "edges, loops, message",
         [
-            ([(0, 1, 0)], (), WeightOutOfRangeError),
-            ([(0, 1)], [(0, 0)], WeightOutOfRangeError),
-            ([(0, 1)], [(0, 1), (0, 2)], DuplicateEdgeError),
-            ([(0, 1)], [(2, 1)], NodeOutOfRangeError),
-            ([(0, 1, 1, 1)], (), BadParameterError),
-            ([(0, 1)], [(0,)], BadParameterError),
-            ([0], (), BadParameterError),
+            ([(0, 1, 0)], (), "edge (0,1) has zero weight"),
+            ([(0, 1)], [(0, 0)], "self-loop at node 0 has zero weight"),
+            ([(0, 1)], [(0, 1), (0, 2)], "duplicate self-loop at node 0"),
+            ([(0, 1)], [(2, 1)], "self-loop at node 2 outside 0..1"),
+            ([(0, 1, 1, 1)], (), "edge row (0, 1, 1, 1) must have 2 or 3 entries"),
+            ([(0, 1)], [(0,)], "self-loop row (0,) must have 2 entries"),
+            ([0], (), "edge row 0 must have 2 or 3 entries"),
         ],
+        ids=lambda v: "BadParameterError" if isinstance(v, str) else None,  # the class raised
     )
-    def test_bad_weighted_rows(self, edges, loops, error):
-        with pytest.raises(error):
+    def test_bad_weighted_rows(self, edges, loops, message):
+        with pytest.raises(BadParameterError, match=re.escape(message)):
             build_graph(2, edges, loops)
 
 
@@ -446,7 +448,7 @@ def _oracle_check_connected(n, nbrs_of):
                 queue.append(v)
     if len(seen) < n:
         unreached = next(v for v in range(n) if v not in seen)
-        raise DisconnectedError(f"graph is not connected: node {unreached} unreachable from node 0")
+        raise BadParameterError(f"graph is not connected: node {unreached} unreachable from node 0")
 
 
 def oracle_build_graph(n, edges, loops=(), *, weighted=False, require_connected=True):
@@ -463,14 +465,14 @@ def oracle_build_graph(n, edges, loops=(), *, weighted=False, require_connected=
             w = as_int(fields[2], "edge weight")
             weighted = True
         if not (0 <= i < n) or not (0 <= j < n):
-            raise NodeOutOfRangeError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
+            raise BadParameterError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         if i == j:
-            raise SelfLoopError(f"self-loop at node {i}: self-loops go in the loops argument")
+            raise BadParameterError(f"self-loop at node {i}: self-loops go in the loops argument")
         if w == 0:
-            raise WeightOutOfRangeError(f"edge ({i},{j}) has zero weight")
+            raise BadParameterError(f"edge ({i},{j}) has zero weight")
         e = (i, j) if i < j else (j, i)
         if e in weight_of:
-            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+            raise BadParameterError(f"duplicate edge ({e[0]},{e[1]})")
         weight_of[e] = w
     loop_of = {}
     for row in loops:
@@ -479,11 +481,11 @@ def oracle_build_graph(n, edges, loops=(), *, weighted=False, require_connected=
         w = as_int(w, "self-loop weight")
         weighted = True
         if not 0 <= i < n:
-            raise NodeOutOfRangeError(f"self-loop at node {i} outside 0..{n - 1}")
+            raise BadParameterError(f"self-loop at node {i} outside 0..{n - 1}")
         if w == 0:
-            raise WeightOutOfRangeError(f"self-loop at node {i} has zero weight")
+            raise BadParameterError(f"self-loop at node {i} has zero weight")
         if i in loop_of:
-            raise DuplicateEdgeError(f"duplicate self-loop at node {i}")
+            raise BadParameterError(f"duplicate self-loop at node {i}")
         loop_of[i] = w
     canon = sorted(weight_of)
     nbrs_of = {}
@@ -507,7 +509,7 @@ def _outcome(build, *args, **kwargs):
     """The Graph's fields, or the exception class and message."""
     try:
         g = build(*args, **kwargs)
-    except InputError as exc:
+    except BadParameterError as exc:
         return type(exc), str(exc)
     return tuple(g), g.neighbor_masks
 
@@ -578,43 +580,28 @@ class TestLoaderEquivalence:
                 assert k == tuple(math.floor(qi * di) + 1 for qi, di in zip(q, g.degrees))
 
     @pytest.mark.parametrize(
-        "n, edges, loops, error, message",
+        "n, edges, loops, message",
         [
-            (3, [(0, 1), (1, 3)], (), NodeOutOfRangeError,
-             "edge (1,3) references a node outside 0..2"),
-            (3, [(0, 1), (1, 2)], [(3, 1)], NodeOutOfRangeError,
-             "self-loop at node 3 outside 0..2"),
-            (3, [(0, 1), (1, 1), (1, 2)], (), SelfLoopError,
+            (3, [(0, 1), (1, 3)], (), "edge (1,3) references a node outside 0..2"),
+            (3, [(0, 1), (1, 2)], [(3, 1)], "self-loop at node 3 outside 0..2"),
+            (3, [(0, 1), (1, 1), (1, 2)], (),
              "self-loop at node 1: self-loops go in the loops argument"),
-            (3, [(0, 1, 2), (2, 1, 0)], (), WeightOutOfRangeError,
-             "edge (2,1) has zero weight"),
-            (3, [(0, 1), (1, 2)], [(2, 0)], WeightOutOfRangeError,
-             "self-loop at node 2 has zero weight"),
-            (3, [(0, 1), (1, 2), (1, 0)], (), DuplicateEdgeError, "duplicate edge (0,1)"),
-            (3, [(0, 1), (1, 2)], [(1, 5), (0, 1), (1, -1)], DuplicateEdgeError,
-             "duplicate self-loop at node 1"),
-            (3, [(0, 1), (1, True)], (), BadParameterError,
-             "edge endpoint must be an integer, got True"),
-            (3, [(0, 1, True), (1, 2)], (), BadParameterError,
-             "edge weight must be an integer, got True"),
-            (3, [(0, 1), (1, 2)], [(False, 1)], BadParameterError,
-             "self-loop node must be an integer, got False"),
-            (3, [(0, 1), (1, 2.0)], (), BadParameterError,
-             "edge endpoint must be an integer, got 2.0"),
-            (3, [(0, 1), (1, 2)], [(1, 1.5)], BadParameterError,
-             "self-loop weight must be an integer, got 1.5"),
-            (3, [(0, "1"), (1, 2)], (), BadParameterError,
-             "edge endpoint must be an integer, got '1'"),
-            (3.0, [(0, 1), (1, 2)], (), BadParameterError,
-             "node count must be an integer, got 3.0"),
-            (3, [(0, 1), (1, 2, 3, 4)], (), BadParameterError,
-             "edge row (1, 2, 3, 4) must have 2 or 3 entries"),
-            (3, [(0, 1), 2], (), BadParameterError, "edge row 2 must have 2 or 3 entries"),
-            (3, [(0, 1), (1, 2)], [(1,)], BadParameterError,
-             "self-loop row (1,) must have 2 entries"),
-            (3, [(0, 1)], (), DisconnectedError,
-             "graph is not connected: node 2 unreachable from node 0"),
-            (4, [(0, 1), (1, 2), (0, 2)], (), DisconnectedError,
+            (3, [(0, 1, 2), (2, 1, 0)], (), "edge (2,1) has zero weight"),
+            (3, [(0, 1), (1, 2)], [(2, 0)], "self-loop at node 2 has zero weight"),
+            (3, [(0, 1), (1, 2), (1, 0)], (), "duplicate edge (0,1)"),
+            (3, [(0, 1), (1, 2)], [(1, 5), (0, 1), (1, -1)], "duplicate self-loop at node 1"),
+            (3, [(0, 1), (1, True)], (), "edge endpoint must be an integer, got True"),
+            (3, [(0, 1, True), (1, 2)], (), "edge weight must be an integer, got True"),
+            (3, [(0, 1), (1, 2)], [(False, 1)], "self-loop node must be an integer, got False"),
+            (3, [(0, 1), (1, 2.0)], (), "edge endpoint must be an integer, got 2.0"),
+            (3, [(0, 1), (1, 2)], [(1, 1.5)], "self-loop weight must be an integer, got 1.5"),
+            (3, [(0, "1"), (1, 2)], (), "edge endpoint must be an integer, got '1'"),
+            (3.0, [(0, 1), (1, 2)], (), "node count must be an integer, got 3.0"),
+            (3, [(0, 1), (1, 2, 3, 4)], (), "edge row (1, 2, 3, 4) must have 2 or 3 entries"),
+            (3, [(0, 1), 2], (), "edge row 2 must have 2 or 3 entries"),
+            (3, [(0, 1), (1, 2)], [(1,)], "self-loop row (1,) must have 2 entries"),
+            (3, [(0, 1)], (), "graph is not connected: node 2 unreachable from node 0"),
+            (4, [(0, 1), (1, 2), (0, 2)], (),
              "graph is not connected: node 3 unreachable from node 0"),
         ],
         ids=["edge-range", "loop-range", "self-loop", "zero-weight", "zero-loop-weight",
@@ -622,6 +609,6 @@ class TestLoaderEquivalence:
              "float", "float-loop-weight", "string", "float-n", "wide-row", "scalar-row",
              "short-loop-row", "disconnected-few-edges", "disconnected"],
     )
-    def test_single_defect_messages(self, n, edges, loops, error, message):
-        assert _outcome(build_graph, n, edges, loops) == (error, message)
-        assert _outcome(oracle_build_graph, n, edges, loops) == (error, message)
+    def test_single_defect_messages(self, n, edges, loops, message):
+        assert _outcome(build_graph, n, edges, loops) == (BadParameterError, message)
+        assert _outcome(oracle_build_graph, n, edges, loops) == (BadParameterError, message)

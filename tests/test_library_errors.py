@@ -7,8 +7,7 @@ import pytest
 
 from threshold_lab import (
     BadParameterError,
-    InconsistentCountError,
-    LengthMismatchError,
+    InvariantViolationError,
     build_graph,
     compose_lifts,
     format_profile,
@@ -34,7 +33,7 @@ PATH3 = build_graph(3, [(0, 1), (1, 2)])
 
 CASES = [
     (lambda: build_graph(0, []), BadParameterError, "node count must be positive, got 0"),
-    (lambda: format_profile(8, 3), LengthMismatchError, "profile 8 does not fit in 3 bits"),
+    (lambda: format_profile(8, 3), BadParameterError, "profile 8 does not fit in 3 bits"),
     (lambda: limit_cycle(lambda a: a, 0, 0), BadParameterError, "guard must be >= 1, got 0"),
     (lambda: ring_two_step(cycle_graph(4), (1, 1, 3, 1), 0, 0), BadParameterError,
      "ring table requires thresholds in {1, 2}"),
@@ -59,7 +58,7 @@ CASES = [
     (lambda: resilience_closed_form("complete", 1, 1), BadParameterError,
      "complete graph needs n >= 2"),
     # 2 fixed points cannot come from a 4-variable fix gadget
-    (lambda: recover_sat_count(2, 4), InconsistentCountError,
+    (lambda: recover_sat_count(2, 4), InvariantViolationError,
      "F = 2 yields negative counts for n = 4"),
 ]
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -6,11 +7,10 @@ from threshold_lab import (
     BadParameterError,
     Formula,
     GuardExceededError,
-    InconsistentCountError,
+    InvariantViolationError,
     MONOTONE_2CNF,
     MONOTONE_2DNF,
     THREE_CNF,
-    VariableMissingError,
     count_fixed_points_backtracking,
     count_predecessors,
     count_sat,
@@ -71,7 +71,8 @@ class TestFormula:
             Formula(MONOTONE_2CNF, 2, ((1, -2),))
 
     def test_2dnf_requires_all_variables(self):
-        with pytest.raises(VariableMissingError):
+        with pytest.raises(BadParameterError,
+                           match=re.escape("variables [3] never appear in the 2-DNF formula")):
             Formula(MONOTONE_2DNF, 3, ((1, 2),))
 
     def test_3cnf_allows_negation(self):
@@ -267,11 +268,13 @@ class TestRecoverSatCount:
         assert recover_sat_count(18, 2) == (1, 3)
 
     def test_inconsistent(self):
-        with pytest.raises(InconsistentCountError):
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("F = 17 has no integral solution for n = 2")):
             recover_sat_count(17, 2)
 
     def test_negative_solution_rejected(self):
-        with pytest.raises(InconsistentCountError):
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("F = 1 has no integral solution for n = 2")):
             recover_sat_count(1, 2)  # would need #nsat = 4/7
 
 

@@ -1,4 +1,5 @@
 import heapq
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -9,7 +10,6 @@ from threshold_lab import (
     BadParameterError,
     GuardExceededError,
     InvariantViolationError,
-    OutOfFormulaRangeError,
     ResilienceResult,
     build_graph,
     check_recovery,
@@ -159,7 +159,8 @@ class TestClosedForms:
                 assert resilience_closed_form("star", n, K) == 1
 
     def test_path_out_of_range(self):
-        with pytest.raises(OutOfFormulaRangeError):
+        with pytest.raises(BadParameterError,
+                           match=re.escape("path formula holds only for K < ceil(n/2) = 3")):
             resilience_closed_form("path", 5, 3)
 
     def test_unknown_family(self):
