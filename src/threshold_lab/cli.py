@@ -254,6 +254,8 @@ def _cmd_resilience(args) -> int:
     g, _k = instance_from_dict(read_json(args.input))
     if args.K is None:
         raise BadParameterError("resilience needs --K")
+    if args.K < 1:
+        raise BadParameterError(f"budget K must be >= 1, got {args.K}")
     if args.mode == "brute":
         res = resilience_bruteforce(g, args.K)
         _emit(
@@ -287,7 +289,7 @@ def _cmd_resilience(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(seed=args.seed, guard_n=args.guard_n)
+    results = run_all(seed=args.seed)
     failures = 0
     for name, ok, detail in results:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
@@ -354,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--seed", type=_int_arg, default=0, help="seed for randomized suites")
-    add_guard_n(p)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -378,9 +378,7 @@ def is_reachable(
 # The fixed-point / cycle-class identity on bipartite instances
 
 
-def bipartite_cycle_identity(
-    g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N
-) -> LimitCensus:
+def bipartite_cycle_identity(g: Graph, k: Sequence[int]) -> LimitCensus:
     """Check cycle_classes == F(F-1)/2 + F on a bipartite instance and
     return the census checked, with every witness.
 
@@ -392,7 +390,7 @@ def bipartite_cycle_identity(
     """
     k = validate_thresholds(g, k)
     part = two_partition(g)  # rejects non-bipartite inputs with a witness
-    census = enumerate_limits(g, k, guard_n=guard_n, witness_cap=1 << g.n)
+    census = enumerate_limits(g, k, witness_cap=1 << g.n)
     f = census.fixed_points
     predicted = f * (f - 1) // 2 + f
     if census.cycle_classes != predicted:

@@ -434,19 +434,28 @@ def _list(values, what: str, width: int | None = None) -> list:
     return values
 
 
+_EXCLUSIVE_KEYS = (("edges", "weighted_edges"), ("thresholds", "types"),
+                   ("weighted_edges", "types"), ("edges", "self_loops"))
+
+
 def instance_from_dict(d: dict):
     """Decode an instance dict of either format to (Graph, thresholds).
 
     Types, given instead of thresholds on an unweighted instance, are
     converted by ``types_to_thresholds``. A weighted instance without
-    thresholds gets all-zero ones. This checks the JSON shape only: keys,
-    lists, and row widths per format (2 for ``edges`` and ``self_loops``,
-    3 for ``weighted_edges``). Each number is checked once, where it is
-    taken: n, edges and self-loops in ``build_graph``, thresholds in
-    ``as_thresholds`` and types in ``validate_types``. Floats, booleans
-    and strings are rejected there, never coerced.
+    thresholds gets all-zero ones. Each pair in ``_EXCLUSIVE_KEYS`` is a
+    key the decoder would drop for the other, so an instance holding
+    both is rejected; other extra keys are ignored. This checks the JSON
+    shape only: keys, lists, and row widths per format (2 for ``edges``
+    and ``self_loops``, 3 for ``weighted_edges``). Each number is checked
+    once, where it is taken: n, edges and self-loops in ``build_graph``,
+    thresholds in ``as_thresholds`` and types in ``validate_types``.
+    Floats, booleans and strings are rejected there, never coerced.
     """
     weighted = isinstance(d, dict) and "weighted_edges" in d
+    for a, b in _EXCLUSIVE_KEYS if isinstance(d, dict) else ():
+        if a in d and b in d:
+            raise BadParameterError(f"instance has both {a!r} and {b!r}")
     try:
         n = d["n"]
         edges = d["weighted_edges" if weighted else "edges"]

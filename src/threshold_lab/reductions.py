@@ -158,55 +158,28 @@ def fix_reduction(f: Formula) -> GadgetInstance:
     """
     if f.variant != MONOTONE_2DNF:
         raise BadParameterError(f"fix_reduction needs a {MONOTONE_2DNF} formula")
-    n, m = f.num_vars, len(f.clauses)
-    # y_c/z_c: the clause's two variable occurrences (0-based)
-    occ = []
-    for clause in f.clauses:
-        ys = [lit - 1 for lit in clause]
-        if len(ys) == 1:
-            ys = ys * 2
-        occ.append((ys[0], ys[1]))
+    labels: list[str] = []
 
-    def s_node(p, l):
-        return 3 * p + l
+    def triple(name: str, owner: str = "") -> range:
+        """The next three node ids, levels 1-3, labelled as they are
+        handed out."""
+        first = len(labels)
+        labels.extend(f"{name}{l}{owner}" for l in (1, 2, 3))
+        return range(first, first + 3)
 
-    def y_node(c, l):
-        return 3 * n + 6 * c + l
-
-    def z_node(c, l):
-        return 3 * n + 6 * c + 3 + l
-
-    def b_node(c, l):
-        return 3 * n + 6 * m + 3 * c + l
-
-    def d_node(l):
-        return 3 * n + 9 * m + l
-
-    size = 3 * (n + 3 * m + 1)
-    labels = [""] * size
-    for p in range(n):
-        for l in range(3):
-            labels[s_node(p, l)] = f"s{l + 1}_x{p + 1}"
-    for c in range(m):
-        for l in range(3):
-            labels[y_node(c, l)] = f"y{l + 1}_c{c + 1}"
-            labels[z_node(c, l)] = f"z{l + 1}_c{c + 1}"
-            labels[b_node(c, l)] = f"b{l + 1}_c{c + 1}"
-    for l in range(3):
-        labels[d_node(l)] = f"d{l + 1}"
-
+    s = [triple("s", f"_x{p + 1}") for p in range(f.num_vars)]
+    yz = [(triple("y", f"_c{c}"), triple("z", f"_c{c}")) for c in range(1, len(f.clauses) + 1)]
+    b = [triple("b", f"_c{c}") for c in range(1, len(f.clauses) + 1)]
+    d = triple("d")
     edges = []
-    for c in range(m):
-        yc, zc = occ[c]
+    for clause, (y, z), bc in zip(f.clauses, yz, b):
+        # y and z read the clause's two variables; a single x reads twice
+        sy, sz = s[clause[0] - 1], s[clause[-1] - 1]
         for l in range(3):
-            edges.append((b_node(c, l), y_node(c, l)))
-            edges.append((b_node(c, l), z_node(c, l)))
-            edges.append((d_node(l), b_node(c, l)))
-            for l2 in range(3):
-                edges.append((s_node(yc, l), y_node(c, l2)))
-                edges.append((s_node(zc, l), z_node(c, l2)))
-    g = build_graph(size, edges)
-    k = tuple(1 if v >= d_node(0) else 2 for v in range(size))
+            edges += [(bc[l], y[l]), (bc[l], z[l]), (d[l], bc[l])]
+            edges += [(sy[l], v) for v in y] + [(sz[l], v) for v in z]
+    g = build_graph(len(labels), edges)
+    k = (2,) * d.start + (1, 1, 1)
     return GadgetInstance(graph=g, thresholds=k, labels=tuple(labels))
 
 

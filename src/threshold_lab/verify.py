@@ -4,6 +4,10 @@ Each suite re-verifies one family of structural claims on exhaustive
 small instances plus seeded random ones, and reports a single pass/fail
 line. These run at desk scale in well under a minute; the full-strength
 versions live in the acceptance test suite.
+
+A suite is a function named ``_check_*`` or ``_probe_*`` that takes a
+seeded ``random.Random``; ``run_all`` finds the suites by name and runs
+them in definition order. No 2^n scan here passes the default guard.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import partial
 from itertools import product
 
 from . import dynamics, enumeration, expansions, instances, reductions, resilience
-from .errors import DEFAULT_GUARD_N, InvariantViolationError, ThresholdLabError
+from .errors import InvariantViolationError, ThresholdLabError
 from .graph_core import (
     build_graph,
     is_bipartite,
@@ -25,36 +29,15 @@ from .graph_core import (
 Result = tuple[str, bool, str]
 
 
-def run_all(seed: int = 0, guard_n: int = DEFAULT_GUARD_N) -> list[Result]:
-    """Run every suite; guard_n bounds each suite's 2^n scans, so a
-    suite whose instances exceed it fails with the guard's message."""
-    checks = [
-        _check_type_threshold_equivalence,
-        _check_two_step_table,
-        _check_cycle_length_bound,
-        _check_inverted_and_weighted_cycles,
-        _check_decoupling_identities,
-        _check_conflict_potential,
-        _check_fixed_point_coincidence,
-        _check_expansion_commutation,
-        _check_combined_expansion_isomorphism,
-        _check_census_backtracking_agreement,
-        _check_bipartite_cycle_identity,
-        _check_extremal_instances,
-        _check_fix_gadget,
-        _check_pred_gadget,
-        _check_reachable_pred_gadget,
-        _check_convergence_time_bounds,
-        _check_resilience_closed_forms,
-        _check_resilience_monotone,
-        _check_greedy_recovery,
-        _probe_bipartite_linear_time,
-    ]
+def run_all(seed: int = 0) -> list[Result]:
+    """Run every suite, each with a fresh rng from seed."""
     results = []
-    for check in checks:
-        name = check.__name__.strip("_").removeprefix("check_").replace("_", "-")
+    for name, check in list(globals().items()):
+        if not name.startswith(("_check_", "_probe_")):
+            continue
+        name = name.strip("_").removeprefix("check_").replace("_", "-")
         try:
-            detail = check(random.Random(seed), guard_n)
+            detail = check(random.Random(seed))
             results.append((name, True, detail or ""))
         except ThresholdLabError as exc:
             results.append((name, False, str(exc)))
@@ -75,7 +58,7 @@ def _random_instances(rng, count, max_n):
         yield g, instances.random_thresholds(g, rng)
 
 
-def _check_type_threshold_equivalence(rng, guard_n) -> str:
+def _check_type_threshold_equivalence(rng) -> str:
     cases = 0
     for _ in range(40):
         g = instances.random_connected_graph(rng.randint(2, 5), rng)
@@ -89,7 +72,7 @@ def _check_type_threshold_equivalence(rng, guard_n) -> str:
     return f"{cases} profile updates compared"
 
 
-def _check_two_step_table(rng, guard_n) -> str:
+def _check_two_step_table(rng) -> str:
     cases = 0
     for n in (4, 5, 6):
         g = instances.cycle_graph(n)
@@ -103,20 +86,20 @@ def _check_two_step_table(rng, guard_n) -> str:
     return f"{cases} table entries checked"
 
 
-def _check_cycle_length_bound(rng, guard_n) -> str:
+def _check_cycle_length_bound(rng) -> str:
     total = 0
     for n in (1, 2, 3, 4):
         for g in instances.connected_graphs(n):
             for k in instances.all_threshold_vectors(g):
-                enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
+                enumeration.enumerate_limits(g, k, witness_cap=0)
                 total += 1
     for g, k in _random_instances(rng, 25, 7):
-        enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
+        enumeration.enumerate_limits(g, k, witness_cap=0)
         total += 1
     return f"{total} instances, every limit cycle has length <= 2"
 
 
-def _check_inverted_and_weighted_cycles(rng, guard_n) -> str:
+def _check_inverted_and_weighted_cycles(rng) -> str:
     """The Rule engine, with its energy certificate, returns the dict
     loop's report from every start profile; every cycle has length <= 2."""
     runs = 0
@@ -159,7 +142,7 @@ def _bipartite_sample(rng, count, max_n):
     return out
 
 
-def _check_decoupling_identities(rng, guard_n) -> str:
+def _check_decoupling_identities(rng) -> str:
     cases = 0
     for g, k in _bipartite_sample(rng, 25, 7):
         part = two_partition(g)
@@ -187,7 +170,7 @@ def _symmetric_bipartite_sample(rng, count):
     return out
 
 
-def _check_conflict_potential(rng, guard_n) -> str:
+def _check_conflict_potential(rng) -> str:
     cases = 0
     for g, k in _symmetric_bipartite_sample(rng, 6):
         _require(expansions.is_symmetric_model(g, k), "symmetric expansion is not symmetric")
@@ -203,7 +186,7 @@ def _check_conflict_potential(rng, guard_n) -> str:
     return f"{cases} sequential moves match the potential"
 
 
-def _check_fixed_point_coincidence(rng, guard_n) -> str:
+def _check_fixed_point_coincidence(rng) -> str:
     cases = 0
     for g, k in _bipartite_sample(rng, 15, 7):
         part = two_partition(g)
@@ -218,7 +201,7 @@ def _check_fixed_point_coincidence(rng, guard_n) -> str:
     return f"{cases} fixed-point equivalences checked"
 
 
-def _check_expansion_commutation(rng, guard_n) -> str:
+def _check_expansion_commutation(rng) -> str:
     trials = 0
     for g, k in _random_instances(rng, 12, 5):
         profiles = range(1 << g.n)
@@ -252,7 +235,7 @@ def _check_expansion_commutation(rng, guard_n) -> str:
     return f"{trials} expansion squares commute"
 
 
-def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
+def _check_combined_expansion_isomorphism(rng) -> str:
     checked = 0
     for _ in range(6):
         g = instances.random_connected_graph(rng.randint(3, 5), rng, extra_edge_prob=0.5)
@@ -269,31 +252,31 @@ def _check_combined_expansion_isomorphism(rng, guard_n) -> str:
     return f"{checked} composition pairs isomorphic"
 
 
-def _check_census_backtracking_agreement(rng, guard_n) -> str:
+def _check_census_backtracking_agreement(rng) -> str:
     for g, k in _random_instances(rng, 30, 9):
-        census = enumeration.enumerate_limits(g, k, guard_n=guard_n, witness_cap=0)
+        census = enumeration.enumerate_limits(g, k, witness_cap=0)
         _require(enumeration.count_fixed_points_backtracking(g, k) == census.fixed_points,
                  "backtracking disagrees with the scan on %s k=%s", g.edges, k)
     return "30 instances agree"
 
 
-def _check_bipartite_cycle_identity(rng, guard_n) -> str:
+def _check_bipartite_cycle_identity(rng) -> str:
     for g, k in _bipartite_sample(rng, 20, 8):
-        enumeration.bipartite_cycle_identity(g, k, guard_n=guard_n)
+        enumeration.bipartite_cycle_identity(g, k)
     return "F(F-1)/2 + F matched on 20 bipartite instances"
 
 
-def _check_extremal_instances(rng, guard_n) -> str:
+def _check_extremal_instances(rng) -> str:
     g, k = enumeration.build_extremal_cycle_instance(5, "min")
-    census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
+    census = enumeration.enumerate_limits(g, k, witness_cap=0)
     _require(census.fixed_points == 2 and census.two_cycles == 0, "min instance census %s", census)
     g, k = enumeration.build_extremal_cycle_instance(6, "max")
-    census = enumeration.enumerate_limits(g, k, guard_n=guard_n)
+    census = enumeration.enumerate_limits(g, k, witness_cap=0)
     _require(census.fixed_points >= 4 and census.two_cycles >= 3, "max instance census %s", census)
     return "min/max counting instances behave as constructed"
 
 
-def _check_fix_gadget(rng, guard_n) -> str:
+def _check_fix_gadget(rng) -> str:
     f = reductions.Formula(reductions.MONOTONE_2DNF, 2, ((1, 2),))
     gadget = reductions.fix_reduction(f)
     count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
@@ -305,7 +288,7 @@ def _check_fix_gadget(rng, guard_n) -> str:
         _require(is_bipartite(gadget.graph), "fix gadget of %s is not bipartite", f.clauses)
         count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
         sat, _nsat = reductions.recover_sat_count(count, f.num_vars)
-        _require(sat == reductions.count_sat(f, guard_n=guard_n),
+        _require(sat == reductions.count_sat(f),
                  "fix gadget of %s recovers #sat = %s", f.clauses, sat)
     return "fixed-point counts invert to #sat"
 
@@ -322,7 +305,7 @@ def _random_2dnf(rng) -> reductions.Formula:
             return reductions.Formula(reductions.MONOTONE_2DNF, n, clauses)
 
 
-def _check_pred_gadget(rng, guard_n) -> str:
+def _check_pred_gadget(rng) -> str:
     for _ in range(15):
         n = rng.randint(1, 3)
         m = rng.randint(1, 2)
@@ -335,51 +318,47 @@ def _check_pred_gadget(rng, guard_n) -> str:
             clauses.append(lits)
         f = reductions.Formula(reductions.THREE_CNF, n, tuple(clauses))
         gadget = reductions.pred_reduction(f)
-        reachable = enumeration.is_reachable(
-            gadget.graph, gadget.thresholds, gadget.target, guard_n=guard_n
-        )
-        _require(reachable == (reductions.count_sat(f, guard_n=guard_n) > 0),
+        reachable = enumeration.is_reachable(gadget.graph, gadget.thresholds, gadget.target)
+        _require(reachable == (reductions.count_sat(f) > 0),
                  "PRED mismatch on %s", f.clauses)
     return "reachability matches satisfiability on 15 formulas"
 
 
-def _check_reachable_pred_gadget(rng, guard_n) -> str:
+def _check_reachable_pred_gadget(rng) -> str:
     f = reductions.Formula(reductions.MONOTONE_2CNF, 2, ((1, 2),))
     gadget = reductions.reachable_pred_reduction(f)
-    claimed = reductions.count_sat(f, guard_n=guard_n)
-    measured = enumeration.count_predecessors(
-        gadget.graph, gadget.thresholds, gadget.target, guard_n=guard_n
-    )
+    claimed = reductions.count_sat(f)
+    measured = enumeration.count_predecessors(gadget.graph, gadget.thresholds, gadget.target)
     _require(claimed == 3 and measured == 9,
              "expected the documented 9-vs-3 discrepancy, got %s vs %s", measured, claimed)
     return "documented 9-vs-3 discrepancy reproduced"
 
 
-def _check_convergence_time_bounds(rng, guard_n) -> str:
+def _check_convergence_time_bounds(rng) -> str:
     for n in (4, 6):
         g = instances.cycle_graph(n)
         for _ in range(60):
             k = instances.random_thresholds(g, rng)
             a = rng.randrange(1 << n)
-            report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-            _require(report.transient <= n, "even cycle transient %s > %s", report.transient, n)
+            transient = dynamics.convergence_time(g, k, a)
+            _require(transient <= n, "even cycle transient %s > %s", transient, n)
     for n in range(2, 7):
         for g in instances.trees(n):
             for _ in range(40):
                 k = instances.random_thresholds(g, rng)
                 a = rng.randrange(1 << n)
-                report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-                _require(report.transient <= n, "tree transient %s > %s", report.transient, n)
+                transient = dynamics.convergence_time(g, k, a)
+                _require(transient <= n, "tree transient %s > %s", transient, n)
     for g, k in _random_instances(rng, 25, 7):
         bound = dynamics.convergence_time_bound(g)
         for _ in range(30):
             a = rng.randrange(1 << g.n)
-            report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-            _require(report.transient <= bound, "transient %s > %s", report.transient, bound)
+            transient = dynamics.convergence_time(g, k, a)
+            _require(transient <= bound, "transient %s > %s", transient, bound)
     return "linear and quadratic convergence-time bounds hold"
 
 
-def _check_resilience_closed_forms(rng, guard_n) -> str:
+def _check_resilience_closed_forms(rng) -> str:
     pairs = []
     for n in (3, 4, 5):
         pairs.append((instances.star_graph(n), "star", range(1, n + 1)))
@@ -397,7 +376,7 @@ def _check_resilience_closed_forms(rng, guard_n) -> str:
     return "closed forms match brute force"
 
 
-def _check_resilience_monotone(rng, guard_n) -> str:
+def _check_resilience_monotone(rng) -> str:
     """The step is monotone in the profile and antitone in k: a within
     a' and k >= k' keep f_k^t(a) within f_k'^t(a') at every t. So every
     digit vector in a failure box the search learns fails from the
@@ -436,26 +415,7 @@ def _recovers_from(g, k, seed) -> bool:
     return cur == 0
 
 
-def _probe_bipartite_linear_time(rng, guard_n) -> str:
-    # Experimental probe only: a linear transient bound on general
-    # bipartite graphs is conjectured, not established. The probe reports
-    # the worst observed ratio and flags any violation as a finding
-    # rather than asserting it away.
-    worst = Fraction(0)
-    violations = 0
-    for g, k in _bipartite_sample(rng, 40, 8):
-        for _ in range(30):
-            a = rng.randrange(1 << g.n)
-            report = dynamics.limit_cycle(dynamics.make_step(g, k), a, dynamics.default_guard(g))
-            worst = max(worst, Fraction(report.transient, g.n))
-            violations += report.transient > g.n
-    note = f"worst transient/n = {worst} over 1200 bipartite trajectories"
-    if violations:
-        note += f"; {violations} exceeded n (conjecture counterexamples, please report)"
-    return note
-
-
-def _check_greedy_recovery(rng, guard_n) -> str:
+def _check_greedy_recovery(rng) -> str:
     for _ in range(15):
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
         q = resilience.greedy_upper_bound_q(g)
@@ -468,3 +428,22 @@ def _check_greedy_recovery(rng, guard_n) -> str:
         ok, seed = resilience.check_recovery(g, q, g.n)
         _require(ok, "greedy allocation failed to recover from seed %s", seed)
     return "greedy allocation recovers within n/2 on 15 graphs"
+
+
+def _probe_bipartite_linear_time(rng) -> str:
+    # Experimental probe only: a linear transient bound on general
+    # bipartite graphs is conjectured, not established. The probe reports
+    # the worst observed ratio and flags any violation as a finding
+    # rather than asserting it away.
+    worst = Fraction(0)
+    violations = 0
+    for g, k in _bipartite_sample(rng, 40, 8):
+        for _ in range(30):
+            a = rng.randrange(1 << g.n)
+            transient = dynamics.convergence_time(g, k, a)
+            worst = max(worst, Fraction(transient, g.n))
+            violations += transient > g.n
+    note = f"worst transient/n = {worst} over 1200 bipartite trajectories"
+    if violations:
+        note += f"; {violations} exceeded n (conjecture counterexamples, please report)"
+    return note

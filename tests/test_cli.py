@@ -186,11 +186,16 @@ class TestEnumerate:
         assert (f"THRESHOLD_LAB_GUARD_N must be an integer, got {value!r}"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command", ["enumerate", "verify"])
+    @pytest.mark.parametrize("command", ["enumerate", "reduce"])
     @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_non_positive_guard_names_its_source(self, capsys, four_cycle_file, monkeypatch,
-                                                 command, value):
-        argv = [command, "--input", four_cycle_file] if command == "enumerate" else [command]
+    def test_non_positive_guard_names_its_source(self, capsys, four_cycle_file, tmp_path,
+                                                 monkeypatch, command, value):
+        if command == "enumerate":
+            argv = [command, "--input", four_cycle_file]
+        else:
+            path = write(tmp_path / "f.json",
+                         {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]})
+            argv = [command, "--formula", path, "--kind", "fix", "--verify"]
         monkeypatch.delenv("THRESHOLD_LAB_GUARD_N", raising=False)
         assert main(argv + ["--guard-n", value]) == 2
         assert capsys.readouterr().err == f"error: --guard-n must be positive, got {value}\n"
@@ -521,6 +526,49 @@ class TestReduce:
         assert main(["reduce", "--formula", path, "--kind", "pred"]) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["fix", "pred", "reachable-pred"])
+    def test_pre_build_scan_size_is_the_builders(self, capsys, tmp_path, monkeypatch, kind, seed):
+        # _cmd_reduce sizes its largest 2^n scan before the build; that
+        # size must be the built gadget's n, or num_vars for the model
+        # count that fix --verify runs (its gadget is counted by
+        # backtracking, not scanned)
+        import random
+
+        import threshold_lab.cli as cli
+        from threshold_lab import reductions
+
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        variables = range(1, n + 1)
+        if kind == "fix":
+            # a chain over a shuffled order uses every variable
+            order = rng.sample(variables, n)
+            clauses = [order[i:i + 2] for i in range(n - 1)]
+            clauses += [rng.sample(variables, 2) for _ in range(rng.randint(0, 2))]
+            variant, builder = "monotone-2dnf", "fix_reduction"
+        elif kind == "pred":
+            clauses = [[v * rng.choice((1, -1)) for v in rng.sample(variables, rng.randint(1, min(3, n)))]
+                       for _ in range(rng.randint(1, 3))]
+            variant, builder = "3cnf", "pred_reduction"
+        else:
+            clauses = [rng.sample(variables, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            variant, builder = "monotone-2cnf", "reachable_pred_reduction"
+        data = {"variant": variant, "n": n, "clauses": clauses}
+        path = write(tmp_path / "f.json", data)
+        f = reductions.formula_from_dict(data)
+        size = n if kind == "fix" else getattr(reductions, builder)(f).graph.n
+
+        def unreachable(f):
+            raise AssertionError("the gadget was built before the size check")
+
+        argv = ["reduce", "--formula", path, "--kind", kind, "--verify", "--guard-n"]
+        monkeypatch.setattr(cli, builder, unreachable)
+        assert main(argv + [str(size - 1)]) == 3
+        assert f"n = {size} exceeds the 2^n scan guard {size - 1}" in capsys.readouterr().err
+        monkeypatch.setattr(cli, builder, getattr(reductions, builder))
+        assert main(argv + [str(size)]) == 0, capsys.readouterr().err
+
 
 class TestResilience:
     def test_brute_star(self, capsys, tmp_path):
@@ -595,13 +643,17 @@ class TestVerify:
         assert len(lines) == 20
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_verify_honours_guard(self, capsys):
-        # the suites' 2^n scans run under --guard-n, so a tiny guard fails them
-        assert main(["verify", "--guard-n", "3"]) == 4
-        out = capsys.readouterr().out
-        assert "FAIL  cycle-length-bound  (n = 4 exceeds the 2^n scan guard 3)" in out
-        assert "FAIL  pred-gadget" in out
-        assert "PASS  type-threshold-equivalence" in out
+    def test_verify_takes_no_scan_guard(self, capsys, monkeypatch):
+        # every suite scans at most 15 nodes, under the default guard, so
+        # verify reads neither --guard-n nor THRESHOLD_LAB_GUARD_N
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--guard-n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --guard-n 3" in capsys.readouterr().err
+        for value in ("3", "abc"):
+            monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", value)
+            assert main(["verify"]) == 0
+            assert capsys.readouterr().out.endswith("20/20 invariant suites passed\n")
 
     def test_verify_failure_exits_4(self, capsys, monkeypatch):
         from threshold_lab import verify as verify_mod
@@ -634,13 +686,16 @@ class TestInputErrors:
         (C4, ["simulate", "--initial", "BWB"], "profile string has length 3, expected 4"),
         (C4, ["enumerate", "--guard-n", "0"], "--guard-n must be positive, got 0"),
         (C4, ["resilience"], "resilience needs --K"),
-        # K_9's grid is past its guard, so only the search's own budget
-        # check stands before exit 3
+        # K_9's grid is past its guard; the CLI's budget check, with the
+        # search's own message, comes before the search and its exit 3
         (K9, ["resilience", "--K", "0"], "budget K must be >= 1, got 0"),
         (C4, ["resilience", "--K", "0", "--mode", "closed-form"], "budget K must be >= 1, got 0"),
         ({"edges": [[0, 1]], "thresholds": [1, 1]}, ["enumerate"], "malformed instance: 'n'"),
         (types_file([[3, 2], [1, 2], [1, 1]]), ["enumerate"], "type value 3/2 outside [0, 1]"),
         (types_file([[1, 2], [1, 1]]), ["enumerate"], "type vector has length 2, expected 3"),
+        (C4, ["resilience", "--K", "0", "--mode", "greedy"], "budget K must be >= 1, got 0"),
+        ({"n": 2, "edges": [[0, 1]], "self_loops": [[0, 5]], "thresholds": [1, 1]},
+         ["simulate", "--initial", "BW"], "instance has both 'edges' and 'self_loops'"),
     ])
     def test_instance_flags_and_files(self, capsys, tmp_path, data, argv, message):
         path = write(tmp_path / "inst.json", data)
@@ -989,3 +1044,29 @@ def test_each_subcommand_name_resolves_after_its_bind():
                    if name not in vars(cli) and not hasattr(builtins, name)]
         assert missing == [], command
     assert bound == {"enumeration", "reductions", "resilience"}
+
+
+def test_readme_synopsis_matches_the_parser():
+    """The sh block under README's ``## CLI`` lists, per subcommand, the
+    parser's options and choice lists, no more and no fewer."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    from threshold_lab.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    documented = {}
+    for line in block.splitlines():
+        _, command, *words = line.split()
+        options = set(re.findall(r"--[\w-]+", line))
+        choices = {frozenset(w.strip("[]").split("|")) for w in words if "|" in w}
+        documented[command] = (options, choices)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {}
+    for command, p in sub.choices.items():
+        actions = [a for a in p._actions if a.option_strings != ["-h", "--help"]]
+        parsed[command] = ({s for a in actions for s in a.option_strings},
+                           {frozenset(a.choices) for a in actions if a.choices})
+    assert documented == parsed

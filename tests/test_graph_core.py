@@ -333,6 +333,31 @@ class TestInstanceJson:
         with pytest.raises(BadParameterError):
             instance_from_dict({"n": 2, "edges": [[0, 1]]})
 
+    @pytest.mark.parametrize("d, pair", [
+        # each of these was read by dropping one key of the pair
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "types": [[1, 1], [1, 1]]},
+         ("weighted_edges", "types")),
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "thresholds": [1, 1], "types": [[1, 1], [1, 1]]},
+         ("thresholds", "types")),
+        ({"n": 2, "edges": [[0, 1]], "thresholds": [1, 1], "types": [[1, 1], [1, 1]]},
+         ("thresholds", "types")),
+        ({"n": 2, "edges": [[0, 1]], "weighted_edges": [[0, 1, 1]], "thresholds": [1, 1]},
+         ("edges", "weighted_edges")),
+        ({"n": 2, "edges": [[0, 1]], "self_loops": [[0, 5]], "thresholds": [1, 1]},
+         ("edges", "self_loops")),
+        ({"n": 2, "edges": [[0, 1]], "self_loops": [], "thresholds": [1, 1]},
+         ("edges", "self_loops")),
+    ])
+    def test_conflicting_keys_rejected(self, d, pair):
+        with pytest.raises(BadParameterError, match=re.escape(
+                f"instance has both {pair[0]!r} and {pair[1]!r}")):
+            instance_from_dict(d)
+
+    def test_other_extra_keys_ignored(self, four_cycle):
+        # expand writes a node_map next to the instance
+        d = dict(instance_to_dict(four_cycle, (1, 2, 1, 2)), node_map=[0, 1, 2, 3], note="x")
+        assert instance_from_dict(d) == (four_cycle, (1, 2, 1, 2))
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -16,6 +16,30 @@ def test_all_invariant_suites_pass():
     assert len(results) == 20
 
 
+SUITES = [
+    "type-threshold-equivalence", "two-step-table", "cycle-length-bound",
+    "inverted-and-weighted-cycles", "decoupling-identities", "conflict-potential",
+    "fixed-point-coincidence", "expansion-commutation", "combined-expansion-isomorphism",
+    "census-backtracking-agreement", "bipartite-cycle-identity", "extremal-instances",
+    "fix-gadget", "pred-gadget", "reachable-pred-gadget", "convergence-time-bounds",
+    "resilience-closed-forms", "resilience-monotone", "greedy-recovery",
+    "probe-bipartite-linear-time",
+]
+
+
+def test_suites_are_found_by_name_in_order(monkeypatch):
+    # run_all finds every _check_* and _probe_* function, and names a
+    # suite after its global, so a stub set here keeps the real name
+    seen = []
+    for name in dir(verify):
+        if name.startswith(("_check_", "_probe_")):
+            monkeypatch.setattr(verify, name, lambda rng, name=name: seen.append(name) or name)
+    results = verify.run_all(seed=3)
+    assert [r[0] for r in results] == SUITES
+    assert all(ok for _, ok, _ in results)
+    assert [r[2] for r in results] == seen
+
+
 def test_suites_are_seed_stable():
     first = verify.run_all(seed=7)
     second = verify.run_all(seed=7)
@@ -37,7 +61,7 @@ from threshold_lab import resilience, verify
 resilience.resilience_closed_form = lambda family, n, K: -1
 for name in dir(verify):
     if name.startswith(("_check_", "_probe_")) and name != "_check_resilience_closed_forms":
-        setattr(verify, name, lambda rng, guard_n: "")
+        setattr(verify, name, lambda rng: "")
 print(json.dumps([r for r in verify.run_all(seed=0) if r[0] == "resilience-closed-forms"]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parent.parent))
