@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
+from collections import defaultdict, deque
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,20 +108,33 @@ def build_graph(
     ``require_connected=False``, used by expansion transforms whose
     doubling constructions may legitimately split in two) disconnected
     graphs.
+
+    Nothing is allocated per node before the distinct edges number at
+    least n - 1: fewer cannot connect n nodes, so connectivity is then
+    refused on neighbor lists of the nodes on some edge only, and a huge
+    n with few rows costs time and memory linear in the rows.
     """
     n = as_int(n, "node count")
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
     weight_of: dict[tuple[int, int], int] = {}
     for row in edges:
-        fields = _fields(row, (2, 3), "edge row")
-        i = as_int(fields[0], "edge endpoint")
-        j = as_int(fields[1], "edge endpoint")
-        w = 1
-        if len(fields) == 3:
-            w = as_int(fields[2], "edge weight")
+        fields = row if type(row) is list or type(row) is tuple else _as_list(row)
+        if len(fields) == 2:
+            i, j = fields
+            w = 1
+        elif len(fields) == 3:
+            i, j, w = fields
             weighted = True
-        if not (0 <= i < n) or not (0 <= j < n):
+        else:
+            raise BadParameterError(f"edge row {row!r} must have 2 or 3 entries")
+        if type(i) is not int:
+            i = as_int(i, "edge endpoint")
+        if type(j) is not int:
+            j = as_int(j, "edge endpoint")
+        if type(w) is not int:
+            w = as_int(w, "edge weight")
+        if not (0 <= i < n and 0 <= j < n):
             raise BadParameterError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         if i == j:
             raise BadParameterError(f"self-loop at node {i}: self-loops go in the loops argument")
@@ -133,7 +146,10 @@ def build_graph(
         weight_of[e] = w
     loop_of: dict[int, int] = {}
     for row in loops:
-        i, w = _fields(row, (2,), "self-loop row")
+        fields = row if type(row) is list or type(row) is tuple else _as_list(row)
+        if len(fields) != 2:
+            raise BadParameterError(f"self-loop row {row!r} must have 2 entries")
+        i, w = fields
         i = as_int(i, "self-loop node")
         w = as_int(w, "self-loop weight")
         weighted = True
@@ -144,54 +160,52 @@ def build_graph(
         if i in loop_of:
             raise BadParameterError(f"duplicate self-loop at node {i}")
         loop_of[i] = w
-    # neighbors of the nodes on some edge only: connectivity is checked
-    # on this before anything is allocated per node, so a huge n with
-    # few edges is refused at a cost linear in the edge rows
     canon = sorted(weight_of)
-    nbrs_of: dict[int, list[int]] = {}
-    for i, j in canon:
-        nbrs_of.setdefault(i, []).append(j)
-        nbrs_of.setdefault(j, []).append(i)
-    if require_connected:
-        _check_connected(n, nbrs_of)
+    if require_connected and len(canon) < n - 1:
+        # disconnected for certain: _check_connected raises on these
+        nbrs, seen = defaultdict(list), defaultdict(int)
+    else:
+        nbrs, seen = [[] for _ in range(n)], bytearray(n)
     # canon is sorted, so every neighbor list is built in ascending order
-    adjacency = tuple(tuple(nbrs_of.get(i, ())) for i in range(n))
-    degrees = tuple(len(nbrs) for nbrs in adjacency)
+    for i, j in canon:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    if require_connected:
+        _check_connected(n, nbrs, seen)
+    adjacency = tuple(map(tuple, nbrs))
     return Graph(
         n=n,
         edges=tuple(canon),
         adjacency=adjacency,
-        degrees=degrees,
-        weights=tuple(weight_of[e] for e in canon) if weighted else None,
+        degrees=tuple(map(len, adjacency)),
+        weights=tuple(map(weight_of.__getitem__, canon)) if weighted else None,
         loops=tuple(sorted(loop_of.items())),
     )
 
 
-def _fields(row, widths: tuple[int, ...], what: str) -> list:
+def _as_list(row) -> list:
+    """row as a list, empty if row is not iterable."""
     try:
-        fields = list(row)
+        return list(row)
     except TypeError:
-        fields = None
-    if fields is None or len(fields) not in widths:
-        raise BadParameterError(f"{what} {row!r} must have {' or '.join(map(str, widths))} entries")
-    return fields
+        return []
 
 
-def _check_connected(n: int, nbrs_of: dict[int, list[int]]) -> None:
+def _check_connected(n: int, nbrs, seen) -> None:
     """Raise BadParameterError naming the smallest node that node 0 does
-    not reach. ``nbrs_of`` holds the neighbor lists of the nodes on some
-    edge only. Work and memory are linear in the nodes reached and their
-    edges."""
-    seen = {0}
+    not reach. ``nbrs[u]`` is node u's neighbor list and ``seen[u]`` is
+    0 for every u: lists and a bytearray, or defaultdicts, which keep work
+    and memory linear in the nodes reached and their edges."""
+    seen[0] = 1
     queue = [0]
     for u in queue:
-        for v in nbrs_of.get(u, ()):
-            if v not in seen:
-                seen.add(v)
+        for v in nbrs[u]:
+            if not seen[v]:
+                seen[v] = 1
                 queue.append(v)
-    if len(seen) < n:
-        # the smallest unreached node is at most len(seen)
-        unreached = next(v for v in range(n) if v not in seen)
+    if len(queue) < n:
+        # the smallest unreached node is at most len(queue)
+        unreached = next(v for v in range(n) if not seen[v])
         raise BadParameterError(f"graph is not connected: node {unreached} unreachable from node 0")
 
 
@@ -225,7 +239,9 @@ def require_unweighted(g: Graph) -> None:
 
 def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """k as a tuple of g.n ints, of any sign."""
-    k = tuple(as_int(x, "threshold") for x in k)
+    k = tuple(k)
+    if not {int}.issuperset(map(type, k)):
+        k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
         raise BadParameterError(f"threshold vector has length {len(k)}, expected {g.n}")
     return k
@@ -240,9 +256,9 @@ def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """
     require_unweighted(g)
     k = as_thresholds(g, k)
-    for i, ki in enumerate(k):
-        if ki < 0:
-            raise BadParameterError(f"threshold k_{i} = {ki} is negative")
+    if min(k, default=0) < 0:
+        i = next(i for i, ki in enumerate(k) if ki < 0)
+        raise BadParameterError(f"threshold k_{i} = {k[i]} is negative")
     return k
 
 
@@ -264,8 +280,10 @@ def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
                 and type(v[0]) is type(v[1]) is int and v[1]):
             key = (v[0], v[1])
             f = made.get(key)
-            if f is None:
-                f = made[key] = Fraction(*key)
+            if f is not None:  # checked when it was made
+                out.append(f)
+                continue
+            f = made[key] = Fraction(*key)
         elif type(v) is int:
             f = Fraction(v)
         elif isinstance(v, Fraction):
@@ -359,7 +377,18 @@ def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
     non-valid node that always plays W.
     """
     q = validate_types(g, q)
-    return tuple(f.numerator * d // f.denominator + 1 for f, d in zip(q, g.degrees))
+    # once per distinct (type, degree) pair: validate_types gives equal
+    # pairs one Fraction object, keyed here by identity because hashing a
+    # Fraction costs more than the formula
+    made: dict[tuple[int, int], int] = {}
+    k = []
+    for f, d in zip(q, g.degrees):
+        key = (id(f), d)
+        ki = made.get(key)
+        if ki is None:
+            ki = made[key] = f.numerator * d // f.denominator + 1
+        k.append(ki)
+    return tuple(k)
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +463,47 @@ def _list(values, what: str, width: int | None = None) -> list:
     return values
 
 
-_EXCLUSIVE_KEYS = (("edges", "weighted_edges"), ("thresholds", "types"),
-                   ("weighted_edges", "types"), ("edges", "self_loops"))
+# keys the package writes beside an instance or a formula: expand's
+# node_map, each remove-node component's nodes, and reduce's labels,
+# target and checks
+WRITTEN_KEYS = frozenset(("node_map", "nodes", "labels", "target", "verification",
+                          "claimed_predecessors", "measured_predecessors", "discrepancy"))
+_UNWEIGHTED_KEYS = WRITTEN_KEYS | {"n", "edges", "thresholds", "types"}
+_WEIGHTED_KEYS = WRITTEN_KEYS | {"n", "weighted_edges", "self_loops", "thresholds"}
+# pairs of keys the decoder would read one of, dropping the other
+_RIVAL_KEYS = (("edges", "weighted_edges"), ("thresholds", "types"),
+               ("weighted_edges", "types"), ("edges", "self_loops"))
+
+
+def check_keys(d: dict, known: frozenset, what: str) -> None:
+    """Reject the first key of d outside ``known``, naming it."""
+    for key in d:
+        if key not in known:
+            raise BadParameterError(f"{what} has unknown key {key!r}")
 
 
 def instance_from_dict(d: dict):
     """Decode an instance dict of either format to (Graph, thresholds).
 
     Types, given instead of thresholds on an unweighted instance, are
-    converted by ``types_to_thresholds``. A weighted instance without
-    thresholds gets all-zero ones. Each pair in ``_EXCLUSIVE_KEYS`` is a
-    key the decoder would drop for the other, so an instance holding
-    both is rejected; other extra keys are ignored. This checks the JSON
-    shape only: keys, lists, and row widths per format (2 for ``edges``
-    and ``self_loops``, 3 for ``weighted_edges``). Each number is checked
-    once, where it is taken: n, edges and self-loops in ``build_graph``,
-    thresholds in ``as_thresholds`` and types in ``validate_types``.
-    Floats, booleans and strings are rejected there, never coerced.
+    converted by ``types_to_thresholds``. A weighted instance without a
+    ``thresholds`` key gets all-zero thresholds. Each format reads its
+    own keys only, and accepts the ``WRITTEN_KEYS`` beside them: a pair
+    in ``_RIVAL_KEYS`` is rejected naming both keys, and any other key
+    naming it. This checks the JSON shape only: keys, lists, and row
+    widths per format (2 for ``edges`` and ``self_loops``, 3 for
+    ``weighted_edges``). Each number is checked once, where it is taken:
+    n, edges and self-loops in ``build_graph``, thresholds in
+    ``as_thresholds`` and types in ``validate_types``. Floats, booleans
+    and strings are rejected there, never coerced.
     """
-    weighted = isinstance(d, dict) and "weighted_edges" in d
-    for a, b in _EXCLUSIVE_KEYS if isinstance(d, dict) else ():
-        if a in d and b in d:
-            raise BadParameterError(f"instance has both {a!r} and {b!r}")
+    weighted = False
+    if isinstance(d, dict):
+        for a, b in _RIVAL_KEYS:
+            if a in d and b in d:
+                raise BadParameterError(f"instance has both {a!r} and {b!r}")
+        weighted = "weighted_edges" in d
+        check_keys(d, _WEIGHTED_KEYS if weighted else _UNWEIGHTED_KEYS, "instance")
     try:
         n = d["n"]
         edges = d["weighted_edges" if weighted else "edges"]
@@ -465,9 +513,7 @@ def instance_from_dict(d: dict):
         edges = _list(edges, "weighted_edges", 3)
         loops = _list(d.get("self_loops", []), "self_loops", 2)
         g = build_graph(n, edges, loops, weighted=True)
-        k = d.get("thresholds")
-        if k is None:
-            k = [0] * g.n
+        k = d["thresholds"] if "thresholds" in d else [0] * g.n
         return g, as_thresholds(g, _list(k, "thresholds"))
     g = build_graph(n, _list(edges, "edges", 2))
     if "thresholds" in d:

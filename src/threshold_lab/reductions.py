@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .enumeration import column_blocks
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
     InvariantViolationError,
     check_scan_size,
 )
-from .graph_core import Graph, as_int, build_graph
+from .graph_core import WRITTEN_KEYS, Graph, as_int, build_graph, check_keys
 
 MONOTONE_2DNF = "monotone-2dnf"
 THREE_CNF = "3cnf"
@@ -90,19 +89,26 @@ class Formula(_FormulaFields):
         }
 
 
+_FORMULA_KEYS = WRITTEN_KEYS | {"variant", "n", "clauses"}
+
+
 def formula_from_dict(d: dict) -> Formula:
-    """Decode a formula. This checks the JSON shape only (the keys, and
-    clauses as a list of lists); ``Formula`` checks every number."""
+    """Decode a formula. This checks the JSON shape only (the keys, the
+    variant as a string, and clauses as a list of lists); ``Formula``
+    checks every number and the variant's name, which is not case-folded."""
     try:
         variant, n, clauses = d["variant"], d["n"], d["clauses"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed formula: {exc}") from exc
+    check_keys(d, _FORMULA_KEYS, "formula")
+    if type(variant) is not str:
+        raise BadParameterError(f"formula variant must be a string, got {variant!r}")
     if type(clauses) is not list:
         raise BadParameterError(f"clauses must be a list, got {clauses!r}")
     for c in clauses:
         if type(c) is not list:
             raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
-    return Formula(str(variant).lower(), n, clauses)
+    return Formula(variant, n, clauses)
 
 
 def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
@@ -114,6 +120,8 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     negation is ^ full, and each block's models are counted with
     int.bit_count.
     """
+    from .enumeration import column_blocks  # not loaded to decode a formula
+
     n = f.num_vars
     check_scan_size(n, guard_n)
     is_dnf = f.variant == MONOTONE_2DNF

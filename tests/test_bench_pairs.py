@@ -96,3 +96,24 @@ def test_traced_metrics_take_the_median_of_the_runs():
         "dynamics.steps": 10.0,
         "resilience.us_per_evaluation": 8.4,
     }
+
+
+def test_machine_speed_takes_the_median_per_side_alternating():
+    calls = []
+
+    def timer(argv, cwd):
+        calls.append((cwd, tuple(argv[1:])))
+        return len(calls) / 1000  # each run slower than the last
+
+    dirs = {"parent": "P", "change": "C"}
+    speed = bench_pairs.machine_speed(dirs, runs=3, timer=timer)
+    probes = list(bench_pairs.SPEED_PROBES.values())
+    assert probes == [("-c", "pass"), ("-S", "-c", "pass")]
+    # run 0: parent then change; run 1: change then parent; run 2 as run 0
+    assert [cwd for cwd, _ in calls] == ["P", "P", "C", "C", "C", "C", "P", "P", "P", "P", "C", "C"]
+    assert [args for _, args in calls] == probes * 6
+    assert speed == {
+        "parent": {"python_c_pass_s": 0.007, "python_S_c_pass_s": 0.008},
+        "change": {"python_c_pass_s": 0.005, "python_S_c_pass_s": 0.006},
+    }
+    assert bench_pairs.SPEED_RUNS == 15

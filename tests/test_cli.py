@@ -696,6 +696,12 @@ class TestInputErrors:
         (C4, ["resilience", "--K", "0", "--mode", "greedy"], "budget K must be >= 1, got 0"),
         ({"n": 2, "edges": [[0, 1]], "self_loops": [[0, 5]], "thresholds": [1, 1]},
          ["simulate", "--initial", "BW"], "instance has both 'edges' and 'self_loops'"),
+        # each of these two printed BB and exited 0: the misspelt key was
+        # read as absent, and null as all-zero thresholds
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "threshold": [5, 5]},
+         ["simulate", "--initial", "BW"], "instance has unknown key 'threshold'"),
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "thresholds": None},
+         ["simulate", "--initial", "BW"], "thresholds must be a list, got None"),
     ])
     def test_instance_flags_and_files(self, capsys, tmp_path, data, argv, message):
         path = write(tmp_path / "inst.json", data)
@@ -710,11 +716,49 @@ class TestInputErrors:
         (formula(clauses=[[1, 4]]), "pred", "literal 4 out of range"),
         ({"variant": "3cnf", "n": 3}, "pred", "malformed formula: 'clauses'"),
         (formula(), "reachable-pred", "reachable_pred_reduction needs a monotone-2cnf formula"),
+        (formula(varaint="3cnf"), "pred", "formula has unknown key 'varaint'"),
+        (formula(thresholds=[1, 1, 1]), "pred", "formula has unknown key 'thresholds'"),
+        (formula(variant=["3cnf"]), "pred", "formula variant must be a string, got ['3cnf']"),
+        (formula(variant=3), "pred", "formula variant must be a string, got 3"),
+        # matched exactly: it was case-folded through str(...).lower()
+        (formula(variant="3CNF"), "pred", "unknown formula variant '3CNF'"),
     ])
     def test_formula_files(self, capsys, tmp_path, data, kind, message):
         path = write(tmp_path / "f.json", data)
         assert main(["reduce", "--formula", path, "--kind", kind]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_written_instances_load(self, capsys, tmp_path):
+        # every instance the package writes, with the keys it writes
+        # beside it, is read back; so is a formula carrying those keys
+        from threshold_lab.graph_core import instance_from_dict
+
+        c4 = write(tmp_path / "c4.json", C4)
+        outputs = []
+        for kind, data in (("fix", {"variant": "monotone-2dnf", "n": 2, "clauses": [[1, 2]]}),
+                           ("pred", formula()),
+                           ("reachable-pred", {"variant": "monotone-2cnf", "n": 2,
+                                               "clauses": [[1, 2]]})):
+            path = write(tmp_path / "f.json", data)
+            outputs.append(run(capsys, ["reduce", "--formula", path, "--kind", kind, "--verify"]))
+            out = outputs[-1][1]
+            formula_path = write(tmp_path / "fw.json", dict(
+                data, **{k: out[k] for k in out if k not in ("n", "edges", "thresholds")}))
+            assert run(capsys, ["reduce", "--formula", formula_path, "--kind", kind])[0] == 0
+        # the bipartite double cover of an odd cycle is connected
+        triangle = write(tmp_path / "k3.json",
+                         {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "thresholds": [1, 1, 2]})
+        outputs.append(run(capsys, ["expand", "--input", triangle, "--kind", "bipartite"]))
+        code, out = run(capsys, ["expand", "--input", c4, "--kind", "remove-node",
+                                 "--node", "0", "--pin", "B"])
+        outputs += [(code, c) for c in out["components"]]
+        assert {k for _, out in outputs for k in out} >= {
+            "node_map", "nodes", "labels", "target", "verification",
+            "claimed_predecessors", "measured_predecessors"}
+        for code, out in outputs:
+            assert code == 0
+            g, k = instance_from_dict(out)
+            assert (g.n, list(k)) == (out["n"], out["thresholds"])
 
 
 class TestFlags:
@@ -782,7 +826,8 @@ def test_benchmark_input_loader_runs(tmp_path):
     subcommand loads no engine it does not run. ``fractions`` loads only
     for a types file or a resilience job: not on the CLI import, nor for
     ``enumerate``, ``reduce`` of any kind, or ``simulate`` on a threshold
-    or weighted file."""
+    or weighted file. The loader and a bare ``formula_from_dict`` leave
+    the scan engine, ``enumeration``, unloaded."""
     import os
     import subprocess
     import sys
@@ -849,11 +894,17 @@ def test_benchmark_input_loader_runs(tmp_path):
         "recovered_nsat": 3, "recovered_sat": 1,
     }
 
+    # decoding compiles no scan engine; count_sat loads it when it counts
     loader = root / "perfbench" / "load_inputs.py"
     probe = (f"import runpy, sys; sys.argv = sys.argv[1:]; "
              f"runpy.run_path(sys.argv[0], run_name='__main__'); "
-             f"print([m for m in {lean!r} if m in sys.modules])")
+             f"print([m for m in {(*lean, enumeration)!r} if m in sys.modules])")
     assert python("-c", probe, str(loader), *files).strip() == "[]"
+    probe = ("import json, sys\n"
+             "from threshold_lab.reductions import count_sat, formula_from_dict\n"
+             "f = formula_from_dict(json.load(open(sys.argv[1])))\n"
+             f"print({enumeration!r} in sys.modules, count_sat(f), {enumeration!r} in sys.modules)\n")
+    assert python("-c", probe, files[3]).split() == ["False", "1", "True"]
 
 
 def test_tracer_wraps_every_cli_name(tmp_path):

@@ -285,6 +285,37 @@ class TestTypesToThresholds:
             types_to_thresholds(triangle, [0.5, 0, 0])
 
 
+    def test_against_the_fraction_formula(self, rng):
+        # k_i = floor(q_i * d_i) + 1 on random pairs; a pair with a
+        # negative denominator is read as its Fraction, and one outside
+        # [0, 1] or with a zero denominator is refused
+        for _ in range(300):
+            g = random_connected_graph(rng.randint(1, 9), rng)
+            pairs = []
+            for _ in range(g.n):
+                den = rng.choice((1, 2, 3, 5, 8, -2, -3, 0))
+                pairs.append([rng.randint(-2, abs(den) + 1) * (1 if den >= 0 else -1), den])
+            pairs = [rng.choice(pairs) if rng.random() < 0.3 else p for p in pairs]
+            try:
+                q = [Fraction(*p) for p in pairs]
+                ok = all(0 <= f <= 1 for f in q)
+            except ZeroDivisionError:
+                ok = False
+            if not ok:
+                with pytest.raises(BadParameterError):
+                    types_to_thresholds(g, pairs)
+                continue
+            assert types_to_thresholds(g, pairs) == tuple(
+                math.floor(f * d) + 1 for f, d in zip(q, g.degrees))
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        assert types_to_thresholds(star, [[-1, -2], [1, 1], [1, 1], [0, 1]]) == (2, 2, 2, 1)
+        assert types_to_thresholds(star, [[1, 1]] * 4) == (4, 2, 2, 2)
+        for pair, message in (([1, -2], "type value -1/2 outside [0, 1]"),
+                              ([1, 0], "must be a Fraction, an int, or an integer pair")):
+            with pytest.raises(BadParameterError, match=re.escape(message)):
+                types_to_thresholds(star, [[0, 1], pair, [0, 1], [0, 1]])
+
+
 class TestProfiles:
     def test_parse_format(self):
         assert parse_profile("BWB") == 0b101
@@ -354,9 +385,36 @@ class TestInstanceJson:
             instance_from_dict(d)
 
     def test_other_extra_keys_ignored(self, four_cycle):
-        # expand writes a node_map next to the instance
-        d = dict(instance_to_dict(four_cycle, (1, 2, 1, 2)), node_map=[0, 1, 2, 3], note="x")
+        # expand writes a node_map next to the instance, and reduce its
+        # labels and checks; a key the package does not write is refused
+        # by test_unknown_keys_rejected
+        d = dict(instance_to_dict(four_cycle, (1, 2, 1, 2)), node_map=[0, 1, 2, 3],
+                 labels=["a", "b", "c", "d"], target="BWBW", verification={})
         assert instance_from_dict(d) == (four_cycle, (1, 2, 1, 2))
+
+    @pytest.mark.parametrize("d, key", [
+        # the weighted file read no thresholds, and printed BB, exit 0
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "threshold": [5, 5]}, "threshold"),
+        ({"n": 2, "weighted_edges": [[0, 1, 1]], "self_loop": [[0, 5]]}, "self_loop"),
+        ({"n": 2, "edges": [[0, 1]], "thresholds": [1, 1], "note": "x"}, "note"),
+        ({"n": 2, "edges": [[0, 1]], "type": [[1, 2], [1, 2]], "thresholds": [1, 1]}, "type"),
+        ({"n": 2, "edges": [[0, 1]], "thresholds": [1, 1], "variant": "3cnf"}, "variant"),
+        ({"n": 2, "edges": [[0, 1]], "thresholds": [1, 1], "clauses": []}, "clauses"),
+    ])
+    def test_unknown_keys_rejected(self, d, key):
+        with pytest.raises(BadParameterError, match=re.escape(f"instance has unknown key {key!r}")):
+            instance_from_dict(d)
+
+    def test_null_weighted_thresholds_rejected(self):
+        # an explicit null read as all-zero thresholds (BB, exit 0); a
+        # missing key keeps that default
+        d = {"n": 2, "weighted_edges": [[0, 1, 1]], "thresholds": None}
+        with pytest.raises(BadParameterError, match="^thresholds must be a list, got None$"):
+            instance_from_dict(d)
+        with pytest.raises(BadParameterError, match="^thresholds must be a list, got None$"):
+            instance_from_dict({"n": 2, "edges": [[0, 1]], "thresholds": None})
+        del d["thresholds"]
+        assert instance_from_dict(d)[1] == (0, 0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -586,6 +644,61 @@ class TestLoaderEquivalence:
             got = _outcome(build_graph, np.int64(n), arr, loops)
             assert got == _outcome(oracle_build_graph, np.int64(n), arr, loops)
             assert got[0][0] == n and type(got[0][0]) is int
+
+    def test_irregular_rows(self):
+        # tuple and list rows of both widths, reversed and repeated edges,
+        # non-int values and out-of-range nodes, mostly one defect a call
+        rng = random.Random(25)
+        odd = (True, False, 1.0, 2.5, "1", None, -1)
+        outcomes = set()
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            rows = [list(r) for r in _random_rows(rng, n, weighted=False)]
+            for row in rows:
+                if rng.random() < 0.3:
+                    row.append(rng.choice((-2, 1, 3, 0)) if rng.random() < 0.95 else 1)
+            loops = [[i, rng.choice((-2, 1, 5))] for i in range(n) if rng.random() < 0.2]
+            if rows and rng.random() < 0.2:
+                rows.append(rng.choice(rows)[::-1])
+            for table, size in ((rows, n), (loops, n)):
+                if table and rng.random() < 0.15:
+                    rng.choice(table)[rng.randrange(2)] = rng.choice((size, size + 3, -1))
+                if table and rng.random() < 0.15:
+                    row = rng.choice(table)
+                    row[rng.randrange(len(row))] = rng.choice(odd)
+            edges = [tuple(r) if rng.random() < 0.5 else r for r in rows]
+            loops = [tuple(r) if rng.random() < 0.5 else r for r in loops]
+            connected = rng.random() < 0.9
+            expected = _outcome(oracle_build_graph, n, edges, loops, require_connected=connected)
+            assert _outcome(build_graph, n, edges, loops, require_connected=connected) == expected
+            outcomes.add(expected[1] if expected[0] is BadParameterError
+                         else "weighted" if expected[0][4] is not None else "unweighted")
+        # every kind of defect above was drawn, and graphs of both kinds
+        for pattern in (r"^duplicate edge", r"^edge \(.*references a node outside",
+                        r"^self-loop at node -?\d+ outside", r"go in the loops argument$",
+                        r"^edge endpoint must be an integer, got (True|False|1\.0|'1'|None)$",
+                        r"^edge weight must be an integer", r"^self-loop weight must be",
+                        r"^self-loop node must be", r"^edge \(.*\) has zero weight$",
+                        r"^graph is not connected", r"^weighted$", r"^unweighted$"):
+            assert any(re.search(pattern, o) for o in outcomes), pattern
+
+    def test_numpy_rows_and_values(self):
+        import numpy as np
+
+        rng = random.Random(26)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            rows = [r + [rng.choice((-3, 1, 2))] if rng.random() < 0.3 else r
+                    for r in _random_rows(rng, n, weighted=False)]
+            loops = [[i, 2] for i in range(n) if rng.random() < 0.3]
+            if rng.random() < 0.3:
+                loops.append([rng.choice((n, -1, 0)), 1])
+            dtype = rng.choice((np.int64, np.int32))
+            edges = [np.array(r, dtype=dtype) if rng.random() < 0.5 else [dtype(x) for x in r]
+                     for r in rows]
+            np_loops = np.array(loops, dtype=np.int64).reshape(-1, 2)
+            expected = _outcome(oracle_build_graph, dtype(n), edges, np_loops)
+            assert _outcome(build_graph, dtype(n), edges, np_loops) == expected
 
     def test_random_types_instances(self):
         rng = random.Random(24)

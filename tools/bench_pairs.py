@@ -28,7 +28,10 @@ the seed of every traced comparison in the project's notes, alternating
 which side runs first; the median of each per-layer metric over those
 runs is recorded, for the metrics that are non-zero on either side, so
 that one slow traced run does not read as a per-layer change. Any failed
-run stops the tool.
+run stops the tool. Before the pairs, ``machine_speed`` records how fast
+the machine was for each side: the median wall time of a fresh
+``python3 -c pass`` and ``python3 -S -c pass`` over SPEED_RUNS runs
+per side, alternating sides, each run in that side's checkout.
 """
 
 from __future__ import annotations
@@ -41,12 +44,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 7
 TRACE_RUNS = 3
+SPEED_RUNS = 15
+SPEED_PROBES = {"python_c_pass_s": ("-c", "pass"), "python_S_c_pass_s": ("-S", "-c", "pass")}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -113,6 +119,26 @@ def summarize(pairs: list[dict], better: dict[str, str],
     }
 
 
+def wall_time(argv: list[str], cwd: Path) -> float:
+    """Wall time of one process that must exit 0."""
+    t0 = time.perf_counter()
+    subprocess.run(argv, cwd=cwd, check=True, capture_output=True)
+    return time.perf_counter() - t0
+
+
+def machine_speed(dirs: dict, runs: int = SPEED_RUNS, timer=wall_time) -> dict:
+    """{side: {probe: median wall time}} over ``runs`` runs of each
+    SPEED_PROBES process per side, the sides alternating which runs
+    first."""
+    times = {side: {name: [] for name in SPEED_PROBES} for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for name, args in SPEED_PROBES.items():
+                times[side][name].append(timer([sys.executable, *args], dirs[side]))
+    return {side: {name: round(statistics.median(v), 4) for name, v in probes.items()}
+            for side, probes in times.items()}
+
+
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True).stdout
@@ -159,6 +185,7 @@ def main(argv=None) -> int:
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             extract(shas[side], dirs[side])
+        record["machine_speed"] = machine_speed(dirs)
         machine = None
         pairs = {w["name"]: [] for w in spec["workloads"]}
         for i, seed in enumerate(args.seeds):
@@ -196,7 +223,10 @@ def main(argv=None) -> int:
                 "of 0 skipped; unresolved marks a metric whose parent quartile spread "
                 "(q3 - q1) / median exceeds its bound, unless every change run beats every "
                 f"parent run; each per-layer metric under traced_seed{TRACE_SEED} is the median of "
-                f"{TRACE_RUNS} traced runs per side, alternating which side runs first"),
+                f"{TRACE_RUNS} traced runs per side, alternating which side runs first; "
+                f"machine_speed is the median wall time of {SPEED_RUNS} fresh "
+                "python3 -c pass and python3 -S -c pass processes per side, taken before "
+                "the pairs, alternating which side runs first"),
     )
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
