@@ -284,7 +284,6 @@ class TestTypesToThresholds:
         with pytest.raises(BadParameterError):
             types_to_thresholds(triangle, [0.5, 0, 0])
 
-
     def test_against_the_fraction_formula(self, rng):
         # k_i = floor(q_i * d_i) + 1 on random pairs; a pair with a
         # negative denominator is read as its Fraction, and one outside
@@ -656,13 +655,13 @@ class TestLoaderEquivalence:
             rows = [list(r) for r in _random_rows(rng, n, weighted=False)]
             for row in rows:
                 if rng.random() < 0.3:
-                    row.append(rng.choice((-2, 1, 3, 0)) if rng.random() < 0.95 else 1)
+                    row.append(rng.choice((-2, 1, 3, 0)))
             loops = [[i, rng.choice((-2, 1, 5))] for i in range(n) if rng.random() < 0.2]
             if rows and rng.random() < 0.2:
                 rows.append(rng.choice(rows)[::-1])
-            for table, size in ((rows, n), (loops, n)):
+            for table in (rows, loops):
                 if table and rng.random() < 0.15:
-                    rng.choice(table)[rng.randrange(2)] = rng.choice((size, size + 3, -1))
+                    rng.choice(table)[rng.randrange(2)] = rng.choice((n, n + 3, -1))
                 if table and rng.random() < 0.15:
                     row = rng.choice(table)
                     row[rng.randrange(len(row))] = rng.choice(odd)
