@@ -6,7 +6,9 @@ All output is canonical JSON (sorted keys, exact rationals as
 byte-identical results. Exit codes, one per class in ``errors``:
 
   0  success
-  2  invalid input (BadParameterError), or a file that cannot be read
+  2  invalid input (BadParameterError), a file that cannot be read, or
+     an expansion whose output would not load (the doubling of a
+     bipartite or loop-free instance is two copies of it)
   3  guard exceeded (GuardExceededError)
   4  invariant violation (InvariantViolationError): a failed verify
      suite, a failed energy certificate in simulate, the census period
@@ -22,7 +24,7 @@ imports the rest of what it runs:
   enumerate    enumeration
   expand       expansions
   reduce       reductions, with the enumeration it builds on
-  resilience   resilience; instances for --mode closed-form
+  resilience   resilience
   verify       verify, which loads every module
 
 No subcommand loads numpy, and ``fractions`` is loaded only to decode
@@ -31,7 +33,10 @@ resilience export (the package table ``threshold_lab._EXPORTS``) are
 bound in this module when one of them is first looked up here (PEP 562)
 or when its subcommand runs. Binding never replaces a name already set,
 so a wrapper set on this module beforehand is the function the
-subcommand calls.
+subcommand calls: ``reduce`` looks its builder and oracles up here when
+it runs. It checks the size of each 2^n scan before the build, writes
+the gadget's instance, labels and target in one place, and then runs
+the checks of its kind.
 """
 
 from __future__ import annotations
@@ -186,7 +191,16 @@ def _cmd_expand(args) -> int:
             }
         )
         return EXIT_OK
-    _emit(res.to_dict())
+    out = res.to_dict()
+    # the doubling of a bipartite or loop-free instance is two copies of
+    # it, which an instance file cannot hold: every written file must load
+    try:
+        instance_from_dict(out)
+    except BadParameterError as exc:
+        raise BadParameterError(
+            f"the {args.kind} expansion of this instance splits into two components ({exc})"
+        ) from exc
+    _emit(out)
     return EXIT_OK
 
 
@@ -199,34 +213,11 @@ def _cmd_reduce(args) -> int:
             # before the build
             check_scan_size(f.num_vars, args.guard_n)
         gadget = fix_reduction(f)
-        out = instance_to_dict(gadget.graph, gadget.thresholds)
-        out["labels"] = list(gadget.labels)
-        if args.verify:
-            fcount = count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
-            sat, nsat = recover_sat_count(fcount, f.num_vars)
-            oracle = count_sat(f, guard_n=args.guard_n)
-            out["verification"] = {
-                "fixed_points": fcount,
-                "recovered_sat": sat,
-                "recovered_nsat": nsat,
-                "oracle_sat": oracle,
-                "match": sat == oracle,
-            }
     elif args.kind == "pred":
         if args.verify and f.variant == THREE_CNF:
             # the scan below needs the whole gadget; refuse it before the build
             check_scan_size(4 * f.num_vars + len(f.clauses) + 1, args.guard_n)
         gadget = pred_reduction(f)
-        out = instance_to_dict(gadget.graph, gadget.thresholds)
-        out["labels"] = list(gadget.labels)
-        out["target"] = format_profile(gadget.target, gadget.graph.n)
-        if args.verify:
-            reach = is_reachable(
-                gadget.graph, gadget.thresholds, gadget.target, guard_n=args.guard_n
-            )
-            # brute-force satisfiability oracle
-            sat = count_sat(f, guard_n=args.guard_n) > 0
-            out["verification"] = {"reachable": reach, "satisfiable": sat, "match": reach == sat}
     else:  # reachable-pred; argparse choices admit no other kind
         if f.variant == MONOTONE_2CNF:
             # the model count, and with --verify the scan of the whole
@@ -235,13 +226,32 @@ def _cmd_reduce(args) -> int:
             if args.verify:
                 check_scan_size(f.num_vars + len(f.clauses) + 1, args.guard_n)
         gadget = reachable_pred_reduction(f)
-        out = instance_to_dict(gadget.graph, gadget.thresholds)
-        out["labels"] = list(gadget.labels)
-        out["target"] = format_profile(gadget.target, gadget.graph.n)
+    g, k, target = gadget.graph, gadget.thresholds, gadget.target
+    out = instance_to_dict(g, k)
+    out["labels"] = list(gadget.labels)
+    if target is not None:
+        out["target"] = format_profile(target, g.n)
+    if args.kind == "fix" and args.verify:
+        fcount = count_fixed_points_backtracking(g, k)
+        sat, nsat = recover_sat_count(fcount, f.num_vars)
+        oracle = count_sat(f, guard_n=args.guard_n)
+        out["verification"] = {
+            "fixed_points": fcount,
+            "recovered_sat": sat,
+            "recovered_nsat": nsat,
+            "oracle_sat": oracle,
+            "match": sat == oracle,
+        }
+    elif args.kind == "pred" and args.verify:
+        reach = is_reachable(g, k, target, guard_n=args.guard_n)
+        # brute-force satisfiability oracle
+        sat = count_sat(f, guard_n=args.guard_n) > 0
+        out["verification"] = {"reachable": reach, "satisfiable": sat, "match": reach == sat}
+    elif args.kind == "reachable-pred":
         claimed = out["claimed_predecessors"] = count_sat(f, guard_n=args.guard_n)
         if args.verify:
             measured = out["measured_predecessors"] = count_predecessors(
-                gadget.graph, gadget.thresholds, gadget.target, guard_n=args.guard_n
+                g, k, target, guard_n=args.guard_n
             )
             if measured != claimed:
                 out["discrepancy"] = CPRED_DISCREPANCY_NOTE
@@ -276,7 +286,7 @@ def _cmd_resilience(args) -> int:
             }
         )
     else:  # closed-form; argparse choices admit no other mode
-        from .instances import classify_family
+        from .resilience import classify_family
 
         family = classify_family(g)
         if family is None:

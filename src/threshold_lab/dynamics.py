@@ -357,7 +357,10 @@ def strong_assignments(g: Graph, k: Sequence[int], i: int) -> frozenset[str]:
 _OR = "or"
 _AND = "and"
 
-# (tau_p, tau_i, tau_s) -> two-step value of node i from (a_i, a_ss, a_pp)
+# (tau_p, tau_i, tau_s) -> two-step value of node i from (a_i, a_ss, a_pp),
+# where p and s are i's neighbors and pp and ss the nodes beyond them.
+# Swapping p with s and pp with ss maps every row to itself, so the
+# table needs no orientation of the cycle.
 _RING_TABLE = {
     (_OR, _OR, _OR): lambda ai, ass, app: ai | (ass | app),
     (_OR, _OR, _AND): lambda ai, ass, app: ai | app,
@@ -370,28 +373,10 @@ _RING_TABLE = {
 }
 
 
-def ring_orientation(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Successor/predecessor maps of a 2-regular connected graph.
-
-    Deterministic: node 0's successor is its smaller neighbor.
-    """
-    if any(d != 2 for d in g.degrees):
-        raise BadParameterError("ring orientation requires a 2-regular graph")
-    succ = [-1] * g.n
-    pred = [-1] * g.n
-    prev, cur = g.adjacency[0][1], 0
-    # on a 2-regular graph the walk returns to node 0 after the length
-    # of node 0's cycle
-    for length in range(1, g.n + 1):
-        nxt = g.adjacency[cur][0] if g.adjacency[cur][0] != prev else g.adjacency[cur][1]
-        succ[cur] = nxt
-        pred[nxt] = cur
-        prev, cur = cur, nxt
-        if cur == 0:
-            break
-    if length != g.n:
-        raise BadParameterError("2-regular graph is not a single cycle")
-    return tuple(succ), tuple(pred)
+def _beyond(g: Graph, prev: int, cur: int) -> int:
+    """The neighbor of cur other than prev, on a 2-regular graph."""
+    first, second = g.adjacency[cur]
+    return second if first == prev else first
 
 
 def ring_two_step(g: Graph, k: Sequence[int], a: int, i: int) -> int:
@@ -402,10 +387,20 @@ def ring_two_step(g: Graph, k: Sequence[int], a: int, i: int) -> int:
     if any(ki not in (1, 2) for ki in k):
         raise BadParameterError("ring table requires thresholds in {1, 2}")
     i = as_node(g, i)
-    succ, pred = ring_orientation(g)
-    tau = tuple(_OR if ki == 1 else _AND for ki in k)
-    key = (tau[pred[i]], tau[i], tau[succ[i]])
+    if any(d != 2 for d in g.degrees):
+        raise BadParameterError("ring orientation requires a 2-regular graph")
+    prev, cur = g.adjacency[0][1], 0
+    # on a 2-regular graph the walk returns to node 0 after the length
+    # of node 0's cycle
+    for length in range(1, g.n + 1):
+        prev, cur = cur, _beyond(g, prev, cur)
+        if cur == 0:
+            break
+    if length != g.n:
+        raise BadParameterError("2-regular graph is not a single cycle")
+    p, s = g.adjacency[i]
+    key = tuple(_OR if k[j] == 1 else _AND for j in (p, i, s))
     ai = (a >> i) & 1
-    ass = (a >> succ[succ[i]]) & 1
-    app = (a >> pred[pred[i]]) & 1
+    ass = (a >> _beyond(g, i, s)) & 1
+    app = (a >> _beyond(g, i, p)) & 1
     return _RING_TABLE[key](ai, ass, app)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import BadParameterError
-from .graph_core import Graph, build_graph, require_unweighted
+from .graph_core import Graph, build_graph
 
 
 def cycle_graph(n: int) -> Graph:
@@ -114,28 +114,6 @@ def all_threshold_vectors(g: Graph) -> Iterator[tuple[int, ...]]:
     from itertools import product
 
     return product(*(range(d + 2) for d in g.degrees))
-
-
-def classify_family(g: Graph) -> str | None:
-    """Name g's family among star/complete/cycle/path, if any.
-
-    Overlapping cases (an edge is both a star and complete, a triangle
-    both a cycle and complete) resolve in the order star, complete,
-    cycle, path; the closed-form resilience values agree on overlaps.
-    The families are unweighted, so a weighted graph is rejected.
-    """
-    require_unweighted(g)
-    n = g.n
-    degs = sorted(g.degrees)
-    if n >= 2 and degs == [1] * (n - 1) + [n - 1]:
-        return "star"
-    if degs == [n - 1] * n:
-        return "complete"
-    if n >= 3 and degs == [2] * n:
-        return "cycle"
-    if n == 1 or degs == [1, 1] + [2] * (n - 2):
-        return "path"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,28 @@ structure encodes satisfying assignments:
   pred_reduction           3-CNF -> reachability of a target profile
   reachable_pred_reduction monotone 2-CNF -> predecessor counting
 
-Node ids are assigned in a documented, byte-reproducible order. Each
-builder only builds, at any size, and returns one ``GadgetInstance``
-with a human-readable label per node; the oracles that check a gadget
-are run by its callers. Literals are DIMACS style: +-(variable index +
+Each builder hands out node ids as it labels the nodes (``_take``), so
+ids follow the documented, byte-reproducible label order. A builder
+only builds and returns one ``GadgetInstance`` with a human-readable
+label per node; the oracles that check a gadget are run by its callers.
+The fixed-point gadget grows with the formula's text, as a 2-DNF
+formula uses every variable; the reachability gadget grows with the
+declared variable count, so it is refused past ``_MAX_PRED_NODES``
+nodes (the CLI runs the predecessor gadget's model count, n <= 32,
+before its build). Literals are DIMACS style: +-(variable index +
 1), negation only in 3-CNF. ``count_sat`` counts on Python-int truth
 tables and never loads numpy.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
+    GuardExceededError,
     InvariantViolationError,
     check_scan_size,
 )
@@ -32,6 +39,10 @@ THREE_CNF = "3cnf"
 MONOTONE_2CNF = "monotone-2cnf"
 
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
+# nodes of a reachability gadget: its 4n + m + 1 nodes grow with a declared
+# n that no clause needs to use
+_MAX_PRED_NODES = 100_000
+_NAMED_UNSEEN = 10  # unused variables named in the 2-DNF error
 
 
 class _FormulaFields(NamedTuple):
@@ -75,9 +86,13 @@ class Formula(_FormulaFields):
                     raise BadParameterError(f"negative literal {lit} in monotone formula")
                 seen_vars.add(abs(lit) - 1)
         if variant == MONOTONE_2DNF and len(seen_vars) != num_vars:
-            missing = sorted(set(range(num_vars)) - seen_vars)
+            # name the first few: the declared count can dwarf the file
+            unseen = (v + 1 for v in range(num_vars) if v not in seen_vars)
+            named = list(islice(unseen, _NAMED_UNSEEN))
+            more = num_vars - len(seen_vars) - len(named)
             raise BadParameterError(
-                f"variables {[v + 1 for v in missing]} never appear in the 2-DNF formula"
+                f"variables {named}{f' and {more} more' if more else ''} never appear in the "
+                "2-DNF formula"
             )
         return super().__new__(cls, variant, num_vars, clauses)
 
@@ -138,6 +153,13 @@ def count_sat(f: Formula, *, guard_n: int = DEFAULT_GUARD_N) -> int:
     return count
 
 
+def _take(labels: list[str], names: Iterable[str]) -> range:
+    """The next node ids, one per name, labelled as they are handed out."""
+    first = len(labels)
+    labels.extend(names)
+    return range(first, len(labels))
+
+
 class GadgetInstance(NamedTuple):
     """What every builder returns: the instance, a label per node, and
     the target profile of the reachability and predecessor gadgets
@@ -169,11 +191,7 @@ def fix_reduction(f: Formula) -> GadgetInstance:
     labels: list[str] = []
 
     def triple(name: str, owner: str = "") -> range:
-        """The next three node ids, levels 1-3, labelled as they are
-        handed out."""
-        first = len(labels)
-        labels.extend(f"{name}{l}{owner}" for l in (1, 2, 3))
-        return range(first, first + 3)
+        return _take(labels, (f"{name}{l}{owner}" for l in (1, 2, 3)))
 
     s = [triple("s", f"_x{p + 1}") for p in range(f.num_vars)]
     yz = [(triple("y", f"_c{c}"), triple("z", f"_c{c}")) for c in range(1, len(f.clauses) + 1)]
@@ -226,37 +244,32 @@ def pred_reduction(f: Formula) -> GadgetInstance:
     u). Thresholds are 1 except 2 at each t_p; the target profile is B
     everywhere except W at each t_p. A predecessor must color exactly
     one of v_p / v'_p black, i.e. pick a truth value, and each s_c being
-    B forces its clause to hold.
+    B forces its clause to hold. A gadget past ``_MAX_PRED_NODES`` nodes
+    raises GuardExceededError before any node is built.
     """
     if f.variant != THREE_CNF:
         raise BadParameterError(f"pred_reduction needs a {THREE_CNF} formula")
-    n, m = f.num_vars, len(f.clauses)
-    v = lambda p: p
-    v_neg = lambda p: n + p
-    o = lambda p: 2 * n + p
-    t = lambda p: 3 * n + p
-    s = lambda c: 4 * n + c
-    u = 4 * n + m
-    size = 4 * n + m + 1
-    labels = (
-        [f"v_x{p + 1}" for p in range(n)]
-        + [f"v'_x{p + 1}" for p in range(n)]
-        + [f"o_x{p + 1}" for p in range(n)]
-        + [f"t_x{p + 1}" for p in range(n)]
-        + [f"s_c{c + 1}" for c in range(m)]
-        + ["u"]
-    )
+    n = f.num_vars
+    size = 4 * n + len(f.clauses) + 1
+    if size > _MAX_PRED_NODES:
+        raise GuardExceededError(f"pred gadget needs {size} nodes, guard is {_MAX_PRED_NODES}")
+    labels: list[str] = []
+    v = _take(labels, (f"v_x{p + 1}" for p in range(n)))
+    v_neg = _take(labels, (f"v'_x{p + 1}" for p in range(n)))
+    o = _take(labels, (f"o_x{p + 1}" for p in range(n)))
+    t = _take(labels, (f"t_x{p + 1}" for p in range(n)))
+    s = _take(labels, (f"s_c{c + 1}" for c in range(len(f.clauses))))
+    (u,) = _take(labels, ["u"])
     edges = []
     for p in range(n):
-        edges += [(o(p), v(p)), (o(p), v_neg(p)), (t(p), v(p)), (t(p), v_neg(p))]
-        edges += [(u, v(p)), (u, v_neg(p))]
+        edges += [(o[p], v[p]), (o[p], v_neg[p]), (t[p], v[p]), (t[p], v_neg[p])]
+        edges += [(u, v[p]), (u, v_neg[p])]
     for c, clause in enumerate(f.clauses):
         for lit in set(clause):
-            node = v(lit - 1) if lit > 0 else v_neg(-lit - 1)
-            edges.append((s(c), node))
+            edges.append((s[c], v[lit - 1] if lit > 0 else v_neg[-lit - 1]))
     g = build_graph(size, edges)
-    k = tuple(2 if 3 * n <= node < 4 * n else 1 for node in range(size))
-    target = ((1 << size) - 1) ^ (((1 << n) - 1) << 3 * n)
+    k = (1,) * t.start + (2,) * n + (1,) * (size - t.stop)
+    target = ((1 << size) - 1) ^ (((1 << n) - 1) << t.start)
     return GadgetInstance(g, k, tuple(labels), target=target)
 
 
@@ -284,17 +297,16 @@ def reachable_pred_reduction(f: Formula) -> GadgetInstance:
     """
     if f.variant != MONOTONE_2CNF:
         raise BadParameterError(f"reachable_pred_reduction needs a {MONOTONE_2CNF} formula")
-    n, m = f.num_vars, len(f.clauses)
-    size = n + m + 1
-    d = n + m
-    labels = (
-        [f"v_x{p + 1}" for p in range(n)] + [f"u_c{c + 1}" for c in range(m)] + ["d"]
-    )
+    labels: list[str] = []
+    v = _take(labels, (f"v_x{p + 1}" for p in range(f.num_vars)))
+    u = _take(labels, (f"u_c{c + 1}" for c in range(len(f.clauses))))
+    (d,) = _take(labels, ["d"])
     edges = []
     for c, clause in enumerate(f.clauses):
         for lit in set(clause):
-            edges.append((n + c, lit - 1))
-    for p in range(n):
+            edges.append((u[c], v[lit - 1]))
+    for p in v:
         edges.append((d, p))
+    size = len(labels)
     g = build_graph(size, edges)
     return GadgetInstance(g, (1,) * size, tuple(labels), target=(1 << size) - 1)

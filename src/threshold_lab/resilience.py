@@ -310,6 +310,28 @@ def greedy_upper_bound_q(g: Graph) -> tuple[Fraction, ...]:
 FAMILIES = ("star", "path", "cycle", "complete")
 
 
+def classify_family(g: Graph) -> str | None:
+    """Name g's family among star/complete/cycle/path, if any.
+
+    Overlapping cases (an edge is both a star and complete, a triangle
+    both a cycle and complete) resolve in the order star, complete,
+    cycle, path; the closed-form resilience values agree on overlaps.
+    The families are unweighted, so a weighted graph is rejected.
+    """
+    require_unweighted(g)
+    n = g.n
+    degs = sorted(g.degrees)
+    if n >= 2 and degs == [1] * (n - 1) + [n - 1]:
+        return "star"
+    if degs == [n - 1] * n:
+        return "complete"
+    if n >= 3 and degs == [2] * n:
+        return "cycle"
+    if n == 1 or degs == [1, 1] + [2] * (n - 2):
+        return "path"
+    return None
+
+
 def resilience_closed_form(family: str, n: int, K: int) -> Fraction:
     """Exact resilience of the star, path, cycle, and complete families.
 

@@ -87,14 +87,32 @@ def test_unresolved_when_the_parent_spread_exceeds_the_bound():
 
 
 def test_traced_metrics_take_the_median_of_the_runs():
+    # the median and quartiles of five runs, so that a layer's move can be
+    # read against the side's own spread
     runs = [{"dynamics.steps": 10.0, "resilience.us_per_evaluation": 8.2},
             {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 12.7},
-            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 8.4, "cli.errors": 1.0}]
-    assert bench_pairs.TRACE_RUNS == 3
-    assert bench_pairs.median_metrics(runs) == {
-        "cli.errors": 0.0,  # missing from two runs: 0 there
-        "dynamics.steps": 10.0,
-        "resilience.us_per_evaluation": 8.4,
+            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 8.4, "cli.errors": 1.0},
+            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 9.1234567},
+            {"dynamics.steps": 10.0, "resilience.us_per_evaluation": 7.9}]
+    assert bench_pairs.TRACE_RUNS == 5
+    assert bench_pairs.layer_quartiles(runs) == {
+        "cli.errors": {"median": 0.0, "q1": 0.0, "q3": 0.0},  # missing from four runs: 0 there
+        "dynamics.steps": {"median": 10.0, "q1": 10.0, "q3": 10.0},
+        "resilience.us_per_evaluation": {"median": 8.4, "q1": 8.2, "q3": 9.123457},
+    }
+
+
+def test_traced_summary_keeps_the_metrics_non_zero_on_either_side():
+    parent = [{"cli.self_s": 0.002, "dynamics.steps": 0.0, "enumeration.profiles": 0.0}] * 5
+    change = [{"cli.self_s": 0.003, "dynamics.steps": 0.0, "reductions.build_s": 0.001}] * 4
+    change.append({"cli.self_s": 0.004, "dynamics.steps": 0.0})
+    summary = bench_pairs.traced_summary({"parent": parent, "change": change})
+    zero = {"median": 0.0, "q1": 0.0, "q3": 0.0}
+    assert summary == {
+        "parent": {"cli.self_s": {"median": 0.002, "q1": 0.002, "q3": 0.002},
+                   "reductions.build_s": zero},
+        "change": {"cli.self_s": {"median": 0.003, "q1": 0.003, "q3": 0.003},
+                   "reductions.build_s": {"median": 0.001, "q1": 0.001, "q3": 0.001}},
     }
 
 

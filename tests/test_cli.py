@@ -318,14 +318,33 @@ class TestExpand:
 
     @pytest.mark.parametrize("kind", ["unit-weights", "drop-self-loops"])
     def test_unit_weighted_file_keeps_the_weighted_format(self, capsys, tmp_path, kind):
+        # a self-loop keeps the doubling of drop-self-loops connected; the
+        # unit-weight blowup needs a loop-free instance
+        loops = [[1, 1]] if kind == "drop-self-loops" else []
         path = write(
             tmp_path / "w1.json",
-            {"n": 3, "weighted_edges": [[0, 1, 1], [1, 2, 1]], "self_loops": [],
+            {"n": 3, "weighted_edges": [[0, 1, 1], [1, 2, 1]], "self_loops": loops,
              "thresholds": [1, 1, 1]},
         )
         code, out = run(capsys, ["expand", "--input", path, "--kind", kind])
         assert code == 0
         assert "weighted_edges" in out and "edges" not in out and out["self_loops"] == []
+
+    @pytest.mark.parametrize("kind, data, lost", [
+        ("bipartite", {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+                       "thresholds": [1, 1, 1, 1]}, 1),
+        ("drop-self-loops", {"n": 2, "weighted_edges": [[0, 1, 2]], "thresholds": [1, 1]}, 2),
+    ])
+    def test_split_expansion_is_refused(self, capsys, tmp_path, kind, data, lost):
+        # the doubling of a bipartite or loop-free instance is two copies
+        # of it; the loader would refuse such a file, so none is written
+        path = write(tmp_path / "inst.json", data)
+        assert main(["expand", "--input", path, "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the {kind} expansion of this instance splits into two components "
+            f"(graph is not connected: node {lost} unreachable from node 0)\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -433,6 +452,34 @@ class TestReduce:
         path = write(tmp_path / "wide2.json", {"variant": "monotone-2cnf", "n": 100000, "clauses": [[1]]})
         assert main(["reduce", "--formula", path, "--kind", "pred", "--verify"]) == 2
         assert "needs a 3cnf formula" in capsys.readouterr().err
+
+    def test_pred_node_cap_before_build(self, capsys, tmp_path):
+        # without --verify no scan guard applies: this 56-byte file built
+        # a 1,600,002-node gadget and printed 137 MB; the node cap refuses
+        # it before any node is built. Both modules that reduce binds are
+        # imported first, so the bound holds when this test runs alone.
+        import time
+        import tracemalloc
+
+        import threshold_lab.enumeration  # noqa: F401
+        import threshold_lab.reductions  # noqa: F401
+
+        path = write(tmp_path / "wide.json", {"variant": "3cnf", "n": 400000, "clauses": [[1, 2, 3]]})
+        assert (tmp_path / "wide.json").stat().st_size == 56
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["reduce", "--formula", path, "--kind", "pred"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: pred gadget needs 1600002 nodes, guard is 100000\n"
+        assert peak < 1 << 20
+        assert elapsed < 1.0
 
     def test_fix_verify_guard_before_counter(self, capsys, tmp_path, monkeypatch):
         # the cycle 2-DNF on 28 variables gives a 339-node gadget with
@@ -845,6 +892,9 @@ def test_benchmark_input_loader_runs(tmp_path):
     ]
     star = write(tmp_path / "star.json",
                  {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "thresholds": [1, 1, 1, 1]})
+    # the bipartite double cover of an odd cycle is connected, so it loads
+    triangle = write(tmp_path / "k3.json",
+                     {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "thresholds": [1, 1, 2]})
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
 
     def python(*args):
@@ -866,10 +916,10 @@ def test_benchmark_input_loader_runs(tmp_path):
     # (modules that must stay unloaded, argv)
     runs = [((*lean, *engines, *fractions), ["simulate", "--input", path, "--initial", "BW"])
             for path, fractions in zip(files[:3], (["fractions"], [], ["fractions"]))]
-    runs += [((*lean, enumeration, reductions),
+    runs += [((*lean, enumeration, reductions, "threshold_lab.instances"),
               ["resilience", "--input", star, "--K", "1", "--mode", mode])
              for mode in ("brute", "greedy", "closed-form")]
-    runs.append(((*lean, *engines), ["expand", "--input", star, "--kind", "bipartite"]))
+    runs.append(((*lean, *engines), ["expand", "--input", triangle, "--kind", "bipartite"]))
     runs.append(((*lean, reductions, resilience, "fractions"), ["enumerate", "--input", star]))
     runs += [((*lean, resilience, "fractions"), ["reduce", "--formula", path, "--kind", kind, "--verify"])
              for path, kind in ((files[4], "pred"), (files[5], "reachable-pred"))]
@@ -1003,6 +1053,44 @@ print(json.dumps(report))
     assert getattr(cli, "make_step", None) is None
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def test_cli_binds_an_engine_name_on_first_lookup(tmp_path):
+    """In a fresh interpreter, where no subcommand has bound it yet,
+    ``cli.count_sat`` goes through ``cli.__getattr__`` (PEP 562) and binds
+    the function from ``reductions``; a wrapper then set on ``cli`` is the
+    function ``reduce`` calls."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = """
+import contextlib, io, json, sys
+import threshold_lab.cli as cli
+before = ["count_sat" in vars(cli), "threshold_lab.reductions" in sys.modules]
+fn = cli.count_sat
+from threshold_lab import reductions
+bound = fn is reductions.count_sat and vars(cli)["count_sat"] is fn
+calls = []
+
+def wrapper(f, **kwargs):
+    calls.append(kwargs)
+    return fn(f, **kwargs)
+
+cli.count_sat = wrapper
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(sys.argv[1:])
+print(json.dumps([before, bound, code, calls, json.loads(out.getvalue())["claimed_predecessors"]]))
+"""
+    path = write(tmp_path / "c2.json", {"variant": "monotone-2cnf", "n": 2, "clauses": [[1, 2]]})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("THRESHOLD_LAB_GUARD_N", None)
+    proc = subprocess.run([sys.executable, "-c", probe, "reduce", "--formula", path,
+                           "--kind", "reachable-pred"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[False, False], True, 0, [{"guard_n": 24}], 3]
 
 
 def test_package_exports_resolve_lazily():

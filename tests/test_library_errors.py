@@ -6,7 +6,10 @@ import random
 import pytest
 
 from threshold_lab import (
+    THREE_CNF,
     BadParameterError,
+    Formula,
+    GuardExceededError,
     InvariantViolationError,
     build_graph,
     compose_lifts,
@@ -15,7 +18,9 @@ from threshold_lab import (
     integer_weights_to_unit,
     limit_cycle,
     one_step_symmetric_expansion,
+    pred_reduction,
     recover_sat_count,
+    resilience_bruteforce,
     resilience_closed_form,
     ring_two_step,
     signed_to_primary,
@@ -57,6 +62,12 @@ CASES = [
     (lambda: resilience_closed_form("cycle", 2, 1), BadParameterError, "cycle needs n >= 3"),
     (lambda: resilience_closed_form("complete", 1, 1), BadParameterError,
      "complete graph needs n >= 2"),
+    (lambda: resilience_closed_form("cycle", 5, 0), BadParameterError,
+     "budget K must be >= 1, got 0"),
+    (lambda: resilience_bruteforce(PATH3, 0), BadParameterError, "budget K must be >= 1, got 0"),
+    # 4 * 24,999 + 4 + 1 = 100,001 nodes, one past the cap
+    (lambda: pred_reduction(Formula(THREE_CNF, 24_999, ((1,),) * 4)), GuardExceededError,
+     "pred gadget needs 100001 nodes, guard is 100000"),
     # 2 fixed points cannot come from a 4-variable fix gadget
     (lambda: recover_sat_count(2, 4), InvariantViolationError,
      "F = 2 yields negative counts for n = 4"),

@@ -75,6 +75,17 @@ class TestFormula:
                            match=re.escape("variables [3] never appear in the 2-DNF formula")):
             Formula(MONOTONE_2DNF, 3, ((1, 2),))
 
+    def test_2dnf_names_ten_unused_variables(self):
+        # a declared count of 10^9 built the set of every variable and a
+        # message naming each unused one
+        with pytest.raises(BadParameterError) as exc:
+            Formula(MONOTONE_2DNF, 10**9, ((1, 3),))
+        assert str(exc.value) == ("variables [2, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 999999988 "
+                                  "more never appear in the 2-DNF formula")
+        with pytest.raises(BadParameterError, match=re.escape(
+                "variables [2, 4, 5, 6, 7, 8, 9, 10, 11, 12] never appear in the 2-DNF")):
+            Formula(MONOTONE_2DNF, 12, ((1, 3),))
+
     def test_3cnf_allows_negation(self):
         f = Formula(THREE_CNF, 2, ((1, -2),))
         assert f.clauses == ((1, -2),)

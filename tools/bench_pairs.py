@@ -25,13 +25,15 @@ change run beats every parent run: such a metric is too noisy to show
 either a gain or a loss of the bound's size.
 Each checkout also makes TRACE_RUNS traced runs per workload at seed 7,
 the seed of every traced comparison in the project's notes, alternating
-which side runs first; the median of each per-layer metric over those
-runs is recorded, for the metrics that are non-zero on either side, so
-that one slow traced run does not read as a per-layer change. Any failed
-run stops the tool. Before the pairs, ``machine_speed`` records how fast
-the machine was for each side: the median wall time of a fresh
-``python3 -c pass`` and ``python3 -S -c pass`` over SPEED_RUNS runs
-per side, alternating sides, each run in that side's checkout.
+which side runs first; the median and inclusive quartiles of each
+per-layer metric over those runs are recorded, for the metrics that are
+non-zero on either side, so that one slow traced run does not read as a
+per-layer change and a layer's move can be read against that side's own
+spread (q3 - q1). Any failed run stops the tool. Before the pairs,
+``machine_speed`` records how fast the machine was for each side: the
+median wall time of a fresh ``python3 -c pass`` and ``python3 -S -c
+pass`` over SPEED_RUNS runs per side, alternating sides, each run in
+that side's checkout.
 """
 
 from __future__ import annotations
@@ -50,25 +52,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 TRACE_SEED = 7
-TRACE_RUNS = 3
+TRACE_RUNS = 5
 SPEED_RUNS = 15
 SPEED_PROBES = {"python_c_pass_s": ("-c", "pass"), "python_S_c_pass_s": ("-S", "-c", "pass")}
 
 
-def quartiles(values: list[float]) -> dict:
-    """Median and inclusive quartiles, rounded to 4 decimals."""
+def quartiles(values: list[float], digits: int = 4) -> dict:
+    """Median and inclusive quartiles, rounded to ``digits`` decimals."""
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
         q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
-def median_metrics(runs: list[dict]) -> dict:
-    """Each metric's median over runs; a metric missing from a run
-    counts as 0 there."""
+def layer_quartiles(runs: list[dict]) -> dict:
+    """Each metric's median and inclusive quartiles over runs, rounded
+    to 6 decimals; a metric missing from a run counts as 0 there."""
     names = sorted({k for run in runs for k in run})
-    return {k: statistics.median(run.get(k, 0.0) for run in runs) for k in names}
+    return {k: quartiles([run.get(k, 0.0) for run in runs], 6) for k in names}
+
+
+def traced_summary(traced_runs: dict[str, list[dict]]) -> dict:
+    """{side: {metric: median and quartiles}} of each side's traced runs,
+    for the metrics that are non-zero on either side; a metric missing
+    from a side reads 0 there."""
+    traced = {side: layer_quartiles(traced_runs[side]) for side in SIDES}
+    zero = quartiles([0.0], 6)
+    keep = sorted({k for side in SIDES for k, q in traced[side].items() if q != zero})
+    return {side: {k: traced[side].get(k, zero) for k in keep} for side in SIDES}
 
 
 def spread(values: list[float]) -> float:
@@ -203,12 +215,7 @@ def main(argv=None) -> int:
             for i in range(TRACE_RUNS):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     traced_runs[side].append(bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0])
-            traced = {side: median_metrics(traced_runs[side]) for side in SIDES}
-            keep = sorted(k for k in traced["parent"]
-                          if traced["parent"][k] or traced["change"].get(k))
-            record[f"traced_seed{TRACE_SEED}"][workload] = {
-                side: {k: round(traced[side].get(k, 0.0), 6) for k in keep} for side in SIDES
-            }
+            record[f"traced_seed{TRACE_SEED}"][workload] = traced_summary(traced_runs)
     machine = {k: v for k, v in machine.items() if k not in ("git_sha", "src_sha256")}
     record.update(
         parent_sha=shas["parent"],
@@ -222,8 +229,9 @@ def main(argv=None) -> int:
                 "strictly better; ratio is change/parent per pair, pairs with a parent value "
                 "of 0 skipped; unresolved marks a metric whose parent quartile spread "
                 "(q3 - q1) / median exceeds its bound, unless every change run beats every "
-                f"parent run; each per-layer metric under traced_seed{TRACE_SEED} is the median of "
-                f"{TRACE_RUNS} traced runs per side, alternating which side runs first; "
+                f"parent run; each per-layer metric under traced_seed{TRACE_SEED} is the median "
+                f"and inclusive quartiles of {TRACE_RUNS} traced runs per side, alternating "
+                "which side runs first; "
                 f"machine_speed is the median wall time of {SPEED_RUNS} fresh "
                 "python3 -c pass and python3 -S -c pass processes per side, taken before "
                 "the pairs, alternating which side runs first"),
