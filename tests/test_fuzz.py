@@ -2,7 +2,7 @@
 CLI in-process.
 
 Each case takes a valid file, applies up to three mutations (rename a
-key by one edit, move a key in from another format, change a value's
+key by one edit, copy in a key of another file or format, change a value's
 type, nest a value deeply, claim a huge n) and runs ``simulate``,
 ``enumerate``, ``expand`` or ``reduce`` on it, without ``--verify``.
 Every run exits 0, 2, 3 or 4 without a traceback, and writes nothing to
