@@ -169,6 +169,8 @@ def _cmd_expand(args) -> int:
         symmetric_expansion,
     )
 
+    if args.kind != "remove-node" and (args.node is not None or args.pin is not None):
+        raise BadParameterError("--node and --pin apply only to --kind remove-node")
     g, k = instance_from_dict(read_json(args.input))
     if args.kind == "bipartite":
         res = bipartite_expansion(g, k)

@@ -11,10 +11,9 @@ thresholds k beside it: types become thresholds through
 neighbors played B) is weights -1 with thresholds 1 - k_i.
 
 ``make_step`` is the unit-weight bit-count kernel (node i plays B iff
-at least k_i neighbors played B), and ``step`` one call of it. The
-plain-Python references:
+at least k_i neighbors played B), ``step`` one call of it, and
+``step_restricted`` one on a node subset. The plain-Python references:
   step_types     node i plays B iff strictly more than q_i*d_i did
-  step_restricted  apply the rule only on a node subset, freeze the rest
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
 
@@ -82,21 +81,17 @@ def step_restricted(g: Graph, k: Sequence[int], a: int, p: Iterable[int]) -> int
     """Update only the nodes in p; every other node keeps its action."""
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
-    out = a
+    mask = 0
     for i in p:
-        i = as_node(g, i)
-        if (a & g.neighbor_masks[i]).bit_count() >= k[i]:
-            out |= 1 << i
-        else:
-            out &= ~(1 << i)
-    return out
+        mask |= 1 << as_node(g, i)
+    return (step(g, k, a) & mask) | (a & ~mask)
 
 
 def step_weighted(g: Graph, k: Sequence[int], a: int) -> int:
     """Weighted rule: out_i = B iff the weights w_ij of the B-playing
     neighbors j, plus the self-loop weight of i when i plays B, sum to at
     least k_i. Unit weights on an unweighted graph."""
-    k = _rule_thresholds(g, k)
+    k = as_thresholds(g, k)
     a = validate_profile(a, g.n)
     field = [0] * g.n
     for i, j, w in g.weighted_edges():
@@ -112,11 +107,6 @@ def step_weighted(g: Graph, k: Sequence[int], a: int) -> int:
         if field[i] >= k[i]:
             out |= 1 << i
     return out
-
-
-def _rule_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
-    # the weighted rule allows thresholds of any sign
-    return validate_thresholds(g, k) if g.weights is None else as_thresholds(g, k)
 
 
 def make_step(g: Graph, k: Sequence[int]) -> StepMap:
@@ -160,7 +150,7 @@ class Rule(NamedTuple):
     def from_graph(cls, g: Graph, k: Sequence[int]) -> Rule:
         """The rule of g under thresholds k: unit weights and no self-loops
         on an unweighted graph, the edge and self-loop weights otherwise."""
-        k = _rule_thresholds(g, k)
+        k = as_thresholds(g, k)
         readers: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i, j, w in g.weighted_edges():
             readers[i].append((j, w))

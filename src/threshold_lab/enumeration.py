@@ -426,12 +426,11 @@ def build_extremal_cycle_instance(n: int, kind: str) -> tuple[Graph, tuple[int, 
     if kind == "min":
         if n < 3 or n % 2 == 0:
             raise BadParameterError("kind='min' needs an odd n >= 3")
-        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-        return g, (1,) * n
-    if kind == "max":
+        k = (1,) * n
+    elif kind == "max":
         if n % 3 != 0 or n < 6:
             raise BadParameterError("kind='max' needs n divisible by 3, n >= 6")
-        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
         k = tuple(2 if i % 3 == 2 else 1 for i in range(n))
-        return g, k
-    raise BadParameterError(f"unknown kind {kind!r}; expected 'min' or 'max'")
+    else:
+        raise BadParameterError(f"unknown kind {kind!r}; expected 'min' or 'max'")
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)]), k

@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .dynamics import StepMap, make_step, step_weighted
+from .dynamics import StepMap, step_weighted
 from .errors import BadParameterError, GuardExceededError
 from .graph_core import (
     ACTION_B,
@@ -76,9 +76,10 @@ def compose_lifts(outer: ProfileLift, inner: ProfileLift) -> ProfileLift:
 class ExpansionResult(NamedTuple):
     """Produced instance, profile lift, and per-node provenance.
 
-    The instance is (graph, thresholds); a weighted graph is stepped by
-    the weighted rule. node_map has one dict per target node describing
-    where it came from (original, mirror, gadget role, or copy block).
+    The instance is (graph, thresholds), stepped by the weighted rule:
+    the threshold rule on an unweighted graph. node_map has one dict
+    per target node describing where it came from (original, mirror,
+    gadget role, or copy block).
     """
 
     graph: Graph
@@ -87,8 +88,6 @@ class ExpansionResult(NamedTuple):
     node_map: tuple[dict, ...]
 
     def target_step(self) -> StepMap:
-        if self.graph.weights is None:
-            return make_step(self.graph, self.thresholds)
         return lambda a: step_weighted(self.graph, self.thresholds, a)
 
     def to_dict(self) -> dict:

@@ -238,28 +238,24 @@ def require_unweighted(g: Graph) -> None:
 
 
 def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
-    """k as a tuple of g.n ints, of any sign."""
+    """k as a tuple of g.n ints: non-negative on an unweighted g, of any
+    sign on a weighted one. Values 0 and > d_i are allowed; they mark
+    non-valid nodes pinned to one action."""
     k = tuple(k)
     if not {int}.issuperset(map(type, k)):
         k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
         raise BadParameterError(f"threshold vector has length {len(k)}, expected {g.n}")
+    if g.weights is None and min(k, default=0) < 0:
+        i = next(i for i, ki in enumerate(k) if ki < 0)
+        raise BadParameterError(f"threshold k_{i} = {k[i]} is negative")
     return k
 
 
 def validate_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
-    """Return k as a tuple of ints for the unit-weight rule on g, checking
-    that g is unweighted, the length and non-negativity.
-
-    Values 0 and > d_i are allowed; they mark non-valid nodes pinned to
-    one action.
-    """
+    """k as thresholds of the unit-weight rule, which needs an unweighted g."""
     require_unweighted(g)
-    k = as_thresholds(g, k)
-    if min(k, default=0) < 0:
-        i = next(i for i, ki in enumerate(k) if ki < 0)
-        raise BadParameterError(f"threshold k_{i} = {k[i]} is negative")
-    return k
+    return as_thresholds(g, k)
 
 
 def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
@@ -411,8 +407,7 @@ def parse_profile(text: str, n: int | None = None) -> int:
 
 
 def format_profile(a: int, n: int) -> str:
-    if not 0 <= a < (1 << n):
-        raise BadParameterError(f"profile {a} does not fit in {n} bits")
+    a = validate_profile(a, n)
     # a sentinel bit above node n - 1 pins the digit count at n
     return bin(a | 1 << n)[:2:-1].translate(_TO_ACTIONS)
 
@@ -517,7 +512,7 @@ def instance_from_dict(d: dict):
         return g, as_thresholds(g, _list(k, "thresholds"))
     g = build_graph(n, _list(edges, "edges", 2))
     if "thresholds" in d:
-        return g, validate_thresholds(g, _list(d["thresholds"], "thresholds"))
+        return g, as_thresholds(g, _list(d["thresholds"], "thresholds"))
     if "types" in d:
         return g, types_to_thresholds(g, _list(d["types"], "types"))
     raise BadParameterError("instance has neither 'thresholds' nor 'types'")

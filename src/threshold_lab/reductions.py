@@ -12,12 +12,11 @@ ids follow the documented, byte-reproducible label order. A builder
 only builds and returns one ``GadgetInstance`` with a human-readable
 label per node; the oracles that check a gadget are run by its callers.
 The fixed-point gadget grows with the formula's text, as a 2-DNF
-formula uses every variable; the reachability gadget grows with the
-declared variable count, so it is refused past ``_MAX_PRED_NODES``
-nodes (the CLI runs the predecessor gadget's model count, n <= 32,
-before its build). Literals are DIMACS style: +-(variable index +
-1), negation only in 3-CNF. ``count_sat`` counts on Python-int truth
-tables and never loads numpy.
+formula uses every variable; the reachability and predecessor gadgets
+grow with the declared variable count, so each is refused past
+``_MAX_PRED_NODES`` nodes before any node is built. Literals are
+DIMACS style: +-(variable index + 1), negation only in 3-CNF.
+``count_sat`` counts on Python-int truth tables and never loads numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ THREE_CNF = "3cnf"
 MONOTONE_2CNF = "monotone-2cnf"
 
 _ARITY = {MONOTONE_2DNF: 2, THREE_CNF: 3, MONOTONE_2CNF: 2}
-# nodes of a reachability gadget: its 4n + m + 1 nodes grow with a declared
-# n that no clause needs to use
+# nodes of a reachability or predecessor gadget: their 4n + m + 1 and
+# n + m + 1 nodes grow with a declared n that no clause needs to use
 _MAX_PRED_NODES = 100_000
 _NAMED_UNSEEN = 10  # unused variables named in the 2-DNF error
 
@@ -293,10 +292,16 @@ def reachable_pred_reduction(f: Formula) -> GadgetInstance:
     intended to have exactly #sat predecessors (``count_sat``), but the
     count that ``enumeration.count_predecessors`` measures generally
     disagrees (e.g. 9 vs 3 on x1 OR x2); callers report both numbers
-    and never silently reconcile them.
+    and never silently reconcile them. A gadget past ``_MAX_PRED_NODES``
+    nodes raises GuardExceededError before any node is built.
     """
     if f.variant != MONOTONE_2CNF:
         raise BadParameterError(f"reachable_pred_reduction needs a {MONOTONE_2CNF} formula")
+    size = f.num_vars + len(f.clauses) + 1
+    if size > _MAX_PRED_NODES:
+        raise GuardExceededError(
+            f"reachable-pred gadget needs {size} nodes, guard is {_MAX_PRED_NODES}"
+        )
     labels: list[str] = []
     v = _take(labels, (f"v_x{p + 1}" for p in range(f.num_vars)))
     u = _take(labels, (f"u_c{c + 1}" for c in range(len(f.clauses))))
@@ -307,6 +312,5 @@ def reachable_pred_reduction(f: Formula) -> GadgetInstance:
             edges.append((u[c], v[lit - 1]))
     for p in v:
         edges.append((d, p))
-    size = len(labels)
     g = build_graph(size, edges)
     return GadgetInstance(g, (1,) * size, tuple(labels), target=(1 << size) - 1)

@@ -24,15 +24,21 @@ _MAX_SEEDS = 2_000_000  # seed profiles per recovery check
 _MAX_GRID = 1 << 24  # digit vectors on the quantized grid
 
 
+def _budget(K) -> int:
+    """K as a perturbation budget: an integer, at least 1."""
+    K = as_int(K, "budget K")
+    if K < 1:
+        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    return K
+
+
 def _seed_list(n: int, K: int) -> list[int]:
     """Every profile with at most K B-nodes, after the seed-count guard.
 
     Weight-ascending, then lexicographic by node set: deterministic, so
     "first failing seed" is well defined.
     """
-    K = min(K, n)
-    if K < 1:
-        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    K = min(_budget(K), n)
     seed_count = sum(comb(n, j) for j in range(K + 1))
     if seed_count > _MAX_SEEDS:
         raise GuardExceededError(f"{seed_count} seed profiles exceed guard {_MAX_SEEDS}")
@@ -52,7 +58,7 @@ def check_recovery(g: Graph, q: Sequence, K: int) -> tuple[bool, int | None]:
     first failing seed, if any, in weight-then-value order.
     """
     k = types_to_thresholds(g, q)
-    seeds = _seed_list(g.n, as_int(K, "budget K"))
+    seeds = _seed_list(g.n, K)
     ok, walk, _ = _check_recovery_counted(g, k, seeds)
     return ok, walk[0] if walk else None
 
@@ -188,9 +194,7 @@ def resilience_bruteforce(g: Graph, K: int) -> ResilienceResult:
     popped before m*.
     """
     require_unweighted(g)
-    K = as_int(K, "budget K")
-    if K < 1:
-        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    K = _budget(K)
     n, degrees = g.n, g.degrees
     grid_size = 1
     for d in degrees:
@@ -341,9 +345,7 @@ def resilience_closed_form(family: str, n: int, K: int) -> Fraction:
     tight (the formula coincides there). complete:
     (K(K-1)/2 + K(n-K))/(n-1) for every K, clamped at K = n.
     """
-    n, K = as_int(n, "node count"), as_int(K, "budget K")
-    if K < 1:
-        raise BadParameterError(f"budget K must be >= 1, got {K}")
+    n, K = as_int(n, "node count"), _budget(K)
     if family == "star":
         if n < 2:
             raise BadParameterError("star needs n >= 2")

@@ -417,6 +417,7 @@ class TestReduce:
         # imported first, so the bound measures the refused build alone.
         import tracemalloc
 
+        import threshold_lab.enumeration  # noqa: F401
         import threshold_lab.reductions  # noqa: F401
 
         path = write(tmp_path / "wide.json",
@@ -436,6 +437,7 @@ class TestReduce:
         # is refused before it is built; the modules are imported first
         import tracemalloc
 
+        import threshold_lab.enumeration  # noqa: F401
         import threshold_lab.reductions  # noqa: F401
 
         path = write(tmp_path / "wide.json", {"variant": "3cnf", "n": 100000, "clauses": [[1, 2, 3]]})
@@ -749,6 +751,13 @@ class TestInputErrors:
          ["simulate", "--initial", "BW"], "instance has unknown key 'threshold'"),
         ({"n": 2, "weighted_edges": [[0, 1, 1]], "thresholds": None},
          ["simulate", "--initial", "BW"], "thresholds must be a list, got None"),
+        # each of these exited 0 and dropped the options it did not read
+        (C4, ["expand", "--kind", "symmetric", "--node", "1", "--pin", "B"],
+         "--node and --pin apply only to --kind remove-node"),
+        (C4, ["expand", "--kind", "symmetric", "--node", "1"],
+         "--node and --pin apply only to --kind remove-node"),
+        (C4, ["expand", "--kind", "bipartite", "--pin", "W"],
+         "--node and --pin apply only to --kind remove-node"),
     ])
     def test_instance_flags_and_files(self, capsys, tmp_path, data, argv, message):
         path = write(tmp_path / "inst.json", data)

@@ -381,6 +381,23 @@ class TestBipartiteCycleIdentity:
                 continue
             checked += 1
 
+    @pytest.mark.parametrize("plant, message", [
+        # one class more than F(F-1)/2 + F = 3
+        (lambda c: c._replace(cycle_classes=c.cycle_classes + 1),
+         "cycle classes 4 != F(F-1)/2 + F = 3"),
+        # the one 2-cycle witness, BWBW with WBWB, dropped
+        (lambda c: c._replace(two_cycle_witnesses=c.two_cycle_witnesses[1:]),
+         "fixed-point splicing did not generate the 2-cycles"),
+    ])
+    def test_planted_census_is_caught(self, four_cycle, monkeypatch, plant, message):
+        import threshold_lab.enumeration as en
+
+        census = en.enumerate_limits
+        monkeypatch.setattr(en, "enumerate_limits", lambda *a, **kw: plant(census(*a, **kw)))
+        with pytest.raises(InvariantViolationError) as exc:
+            bipartite_cycle_identity(four_cycle, (1, 1, 1, 1))
+        assert str(exc.value) == message
+
 
 class TestExtremalInstances:
     def test_min_five(self):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from threshold_lab import (
+    MONOTONE_2CNF,
     THREE_CNF,
     BadParameterError,
     Formula,
@@ -19,6 +20,7 @@ from threshold_lab import (
     limit_cycle,
     one_step_symmetric_expansion,
     pred_reduction,
+    reachable_pred_reduction,
     recover_sat_count,
     resilience_bruteforce,
     resilience_closed_form,
@@ -39,6 +41,10 @@ PATH3 = build_graph(3, [(0, 1), (1, 2)])
 CASES = [
     (lambda: build_graph(0, []), BadParameterError, "node count must be positive, got 0"),
     (lambda: format_profile(8, 3), BadParameterError, "profile 8 does not fit in 3 bits"),
+    # format_profile takes its profile through validate_profile: 1.0 was a
+    # bare TypeError, and True was read as the profile 1
+    (lambda: format_profile(1.0, 2), BadParameterError, "profile must be an integer, got 1.0"),
+    (lambda: format_profile(True, 1), BadParameterError, "profile must be an integer, got True"),
     (lambda: limit_cycle(lambda a: a, 0, 0), BadParameterError, "guard must be >= 1, got 0"),
     (lambda: ring_two_step(cycle_graph(4), (1, 1, 3, 1), 0, 0), BadParameterError,
      "ring table requires thresholds in {1, 2}"),
@@ -49,6 +55,10 @@ CASES = [
      "node 0 is not an eligible pivot"),
     (lambda: signed_to_primary(LOOPED, (0, 0)), BadParameterError,
      "signed simulation requires a loop-free instance"),
+    # an unweighted graph's thresholds are non-negative, in every call
+    # that takes them; this was "node 0: threshold -1 outside [-d^-, d^+]"
+    (lambda: signed_to_primary(PATH3, (-1, 1, 1)), BadParameterError,
+     "threshold k_0 = -1 is negative"),
     (lambda: integer_weights_to_unit(LOOPED, (0, 0)), BadParameterError,
      "unit-weight blowup requires a loop-free instance"),
     (lambda: cycle_graph(2), BadParameterError, "cycle graph needs n >= 3"),
@@ -68,6 +78,9 @@ CASES = [
     # 4 * 24,999 + 4 + 1 = 100,001 nodes, one past the cap
     (lambda: pred_reduction(Formula(THREE_CNF, 24_999, ((1,),) * 4)), GuardExceededError,
      "pred gadget needs 100001 nodes, guard is 100000"),
+    # 99,999 + 1 + 1 = 100,001 nodes, one past the cap
+    (lambda: reachable_pred_reduction(Formula(MONOTONE_2CNF, 99_999, ((1,),))),
+     GuardExceededError, "reachable-pred gadget needs 100001 nodes, guard is 100000"),
     # 2 fixed points cannot come from a 4-variable fix gadget
     (lambda: recover_sat_count(2, 4), InvariantViolationError,
      "F = 2 yields negative counts for n = 4"),

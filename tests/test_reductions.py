@@ -372,6 +372,22 @@ class TestReachablePredReduction:
             measured = count_predecessors(gadget.graph, gadget.thresholds, gadget.target)
             assert measured == brute_sat_count(f) * coverage
 
+    def test_node_cap_before_build(self):
+        # 200,000 declared variables, one clause: the gadget's 200,002
+        # nodes are refused before any of them is built
+        import tracemalloc
+
+        f = Formula(MONOTONE_2CNF, 200_000, ((1,),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError) as exc:
+                reachable_pred_reduction(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "reachable-pred gadget needs 200002 nodes, guard is 100000"
+        assert peak < 1 << 20
+
 
 def random_monotone_2cnf(rng):
     n = rng.randint(1, 3)

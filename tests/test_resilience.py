@@ -297,6 +297,34 @@ class TestBruteForce:
         with pytest.raises(GuardExceededError, match="type grid"):
             resilience_bruteforce(complete_graph(9), 1)
 
+    def test_failing_greedy_allocation_is_caught(self, monkeypatch):
+        import threshold_lab.resilience as rs
+
+        # all-zero digits are threshold 1 everywhere: a single B end of
+        # the path spreads and never dies out
+        monkeypatch.setattr(rs, "_greedy_digits", lambda g: [0] * g.n)
+        with pytest.raises(InvariantViolationError) as exc:
+            resilience_bruteforce(path_graph(3), 1)
+        assert str(exc.value) == "the greedy allocation failed to recover"
+
+    def test_exhausted_heap_is_caught(self, monkeypatch):
+        import threshold_lab.resilience as rs
+
+        real = rs._check_recovery_counted
+        calls = []
+
+        def greedy_only(g, k, seeds):
+            # the first call checks the greedy allocation; every later
+            # candidate fails from the all-W seed, whose walk is [0, 0]
+            calls.append(k)
+            return real(g, k, seeds) if len(calls) == 1 else (False, [0, 0], 1)
+
+        monkeypatch.setattr(rs, "_check_recovery_counted", greedy_only)
+        with pytest.raises(InvariantViolationError) as exc:
+            resilience_bruteforce(path_graph(3), 1)
+        assert str(exc.value) == "no recovering type distribution found on the grid"
+        assert len(calls) > 1
+
     def test_no_smaller_grid_point_recovers(self, rng):
         # exhaustively confirm optimality of the reported mu on a small case
         g = path_graph(4)
