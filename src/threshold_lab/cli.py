@@ -160,30 +160,28 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+# expand --kind: the expansions function each kind runs, in the order
+# --help lists the kinds
+_EXPANSIONS = {
+    "bipartite": "bipartite_expansion",
+    "symmetric": "symmetric_expansion",
+    "unit-weights": "integer_weights_to_unit",
+    "drop-self-loops": "remove_self_loops",
+    "remove-node": "remove_constant_node",
+}
+
+
 def _cmd_expand(args) -> int:
-    from .expansions import (
-        bipartite_expansion,
-        integer_weights_to_unit,
-        remove_constant_node,
-        remove_self_loops,
-        symmetric_expansion,
-    )
+    from . import expansions
 
     if args.kind != "remove-node" and (args.node is not None or args.pin is not None):
         raise BadParameterError("--node and --pin apply only to --kind remove-node")
     g, k = instance_from_dict(read_json(args.input))
-    if args.kind == "bipartite":
-        res = bipartite_expansion(g, k)
-    elif args.kind == "symmetric":
-        res = symmetric_expansion(g, k)
-    elif args.kind == "unit-weights":
-        res = integer_weights_to_unit(g, k)
-    elif args.kind == "drop-self-loops":
-        res = remove_self_loops(g, k)
-    else:  # remove-node; argparse choices admit no other kind
+    transform = getattr(expansions, _EXPANSIONS[args.kind])
+    if args.kind == "remove-node":
         if args.node is None or args.pin is None:
             raise BadParameterError("--kind remove-node needs --node and --pin")
-        comps = remove_constant_node(g, k, args.node, args.pin)
+        comps = transform(g, k, args.node, args.pin)
         _emit(
             {
                 "components": [
@@ -193,7 +191,7 @@ def _cmd_expand(args) -> int:
             }
         )
         return EXIT_OK
-    out = res.to_dict()
+    out = transform(g, k).to_dict()
     # the doubling of a bipartite or loop-free instance is two copies of
     # it, which an instance file cannot hold: every written file must load
     try:
@@ -342,11 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="apply a structure-preserving transform")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["bipartite", "symmetric", "unit-weights", "drop-self-loops", "remove-node"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_EXPANSIONS))
     p.add_argument("--node", type=_int_arg, default=None, help="node to remove (remove-node)")
     p.add_argument("--pin", choices=["B", "W"], default=None,
                    help="action the removed node is pinned to (remove-node)")

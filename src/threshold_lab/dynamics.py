@@ -37,9 +37,11 @@ from .graph_core import (
     ACTION_W,
     Graph,
     as_int,
+    as_iter,
     as_node,
     as_thresholds,
     instance_from_dict,
+    reach,
     validate_profile,
     validate_thresholds,
     validate_types,
@@ -82,7 +84,7 @@ def step_restricted(g: Graph, k: Sequence[int], a: int, p: Iterable[int]) -> int
     k = validate_thresholds(g, k)
     a = validate_profile(a, g.n)
     mask = 0
-    for i in p:
+    for i in as_iter(p, "node set"):
         mask |= 1 << as_node(g, i)
     return (step(g, k, a) & mask) | (a & ~mask)
 
@@ -205,6 +207,9 @@ def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:
         raise BadParameterError(f"guard must be >= 1, got {guard}")
     if isinstance(step_map, Rule):
         return _rule_limit_cycle(step_map, a, guard)
+    a = as_int(a, "profile")
+    if a < 0:
+        raise BadParameterError(f"profile must be non-negative, got {a}")
     seen = {a: 0}
     seq = [a]
     cur = a
@@ -379,14 +384,8 @@ def ring_two_step(g: Graph, k: Sequence[int], a: int, i: int) -> int:
     i = as_node(g, i)
     if any(d != 2 for d in g.degrees):
         raise BadParameterError("ring orientation requires a 2-regular graph")
-    prev, cur = g.adjacency[0][1], 0
-    # on a 2-regular graph the walk returns to node 0 after the length
-    # of node 0's cycle
-    for length in range(1, g.n + 1):
-        prev, cur = cur, _beyond(g, prev, cur)
-        if cur == 0:
-            break
-    if length != g.n:
+    # a 2-regular graph is one cycle iff it is connected
+    if len(reach(g.adjacency, 0, bytearray(g.n))) != g.n:
         raise BadParameterError("2-regular graph is not a single cycle")
     p, s = g.adjacency[i]
     key = tuple(_OR if k[j] == 1 else _AND for j in (p, i, s))

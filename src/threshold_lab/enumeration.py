@@ -423,6 +423,7 @@ def build_extremal_cycle_instance(n: int, kind: str) -> tuple[Graph, tuple[int, 
     one threshold-1 neighbor; at least 2^(n/3) fixed points and
     2^(n/3) - 1 two-cycles.
     """
+    n = as_int(n, "node count")
     if kind == "min":
         if n < 3 or n % 2 == 0:
             raise BadParameterError("kind='min' needs an odd n >= 3")

@@ -25,6 +25,7 @@ from .graph_core import (
     as_thresholds,
     build_graph,
     instance_to_dict,
+    reach,
     validate_profile,
     validate_thresholds,
 )
@@ -174,9 +175,8 @@ def one_step_symmetric_expansion(
     eligible = _eligible_pivots(g, k)
     if not eligible:
         raise BadParameterError("instance is already a symmetric model")
-    if pivot is None:
-        pivot = eligible[0]
-    elif pivot not in eligible:
+    pivot = eligible[0] if pivot is None else as_node(g, pivot)
+    if pivot not in eligible:
         raise BadParameterError(f"node {pivot} is not an eligible pivot")
     return _attach_y_gadgets(g, k, [pivot])
 
@@ -414,19 +414,13 @@ def remove_constant_node(
     if type(c) not in (str, int) or c not in (ACTION_B, ACTION_W, 1, 0):
         raise BadParameterError(f"action {c!r} is not 'B', 'W', 1 or 0")
     drop = set(g.adjacency[i]) if c in (ACTION_B, 1) else set()  # thresholds one lower
-    seen = {i}
+    seen = bytearray(g.n)
+    seen[i] = 1
     components = []
     for start in range(g.n):
-        if start in seen:
+        if seen[start]:
             continue
-        seen.add(start)
-        comp = [start]
-        for u in comp:
-            for v in g.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        comp.sort()
+        comp = sorted(reach(g.adjacency, start, seen))
         index = {old: new for new, old in enumerate(comp)}
         edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
         sub_k = tuple(max(k[old] - 1, 0) if old in drop else k[old] for old in comp)

@@ -66,9 +66,6 @@ class Graph(_GraphFields):
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
     def weighted_edges(self) -> list[tuple[int, int, int]]:
         """(i, j, w) per edge; w is 1 throughout on an unweighted graph."""
         if self.weights is None:
@@ -118,7 +115,7 @@ def build_graph(
     if n < 1:
         raise BadParameterError(f"node count must be positive, got {n}")
     weight_of: dict[tuple[int, int], int] = {}
-    for row in edges:
+    for row in as_iter(edges, "edges"):
         fields = row if type(row) is list or type(row) is tuple else _as_list(row)
         if len(fields) == 2:
             i, j = fields
@@ -145,7 +142,7 @@ def build_graph(
             raise BadParameterError(f"duplicate edge ({e[0]},{e[1]})")
         weight_of[e] = w
     loop_of: dict[int, int] = {}
-    for row in loops:
+    for row in as_iter(loops, "loops"):
         fields = row if type(row) is list or type(row) is tuple else _as_list(row)
         if len(fields) != 2:
             raise BadParameterError(f"self-loop row {row!r} must have 2 entries")
@@ -191,20 +188,28 @@ def _as_list(row) -> list:
         return []
 
 
-def _check_connected(n: int, nbrs, seen) -> None:
-    """Raise BadParameterError naming the smallest node that node 0 does
-    not reach. ``nbrs[u]`` is node u's neighbor list and ``seen[u]`` is
-    0 for every u: lists and a bytearray, or defaultdicts, which keep work
+def reach(nbrs, start: int, seen) -> list[int]:
+    """The nodes that start reaches through nodes not marked in seen,
+    start first, in breadth-first order; marks each in seen.
+    ``nbrs[u]`` is node u's neighbor list and ``seen[u]`` is 0 for an
+    unmarked u: lists and a bytearray, or defaultdicts, which keep work
     and memory linear in the nodes reached and their edges."""
-    seen[0] = 1
-    queue = [0]
+    seen[start] = 1
+    queue = [start]
     for u in queue:
         for v in nbrs[u]:
             if not seen[v]:
                 seen[v] = 1
                 queue.append(v)
-    if len(queue) < n:
-        # the smallest unreached node is at most len(queue)
+    return queue
+
+
+def _check_connected(n: int, nbrs, seen) -> None:
+    """Raise BadParameterError naming the smallest node that node 0 does
+    not reach; ``nbrs`` and the all-0 ``seen`` are as ``reach`` takes them."""
+    reached = len(reach(nbrs, 0, seen))
+    if reached < n:
+        # the smallest unreached node is at most reached
         unreached = next(v for v in range(n) if not seen[v])
         raise BadParameterError(f"graph is not connected: node {unreached} unreachable from node 0")
 
@@ -231,6 +236,14 @@ def as_node(g: Graph, i) -> int:
     return i
 
 
+def as_iter(values, what: str):
+    """An iterator over values, which must be iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise BadParameterError(f"{what} must be iterable, got {values!r}") from None
+
+
 def require_unweighted(g: Graph) -> None:
     """Reject a weighted graph where only the unit-weight rule is defined."""
     if g.weights is not None:
@@ -241,7 +254,7 @@ def as_thresholds(g: Graph, k: Sequence[int]) -> tuple[int, ...]:
     """k as a tuple of g.n ints: non-negative on an unweighted g, of any
     sign on a weighted one. Values 0 and > d_i are allowed; they mark
     non-valid nodes pinned to one action."""
-    k = tuple(k)
+    k = tuple(as_iter(k, "threshold vector"))
     if not {int}.issuperset(map(type, k)):
         k = tuple(as_int(x, "threshold") for x in k)
     if len(k) != g.n:
@@ -271,7 +284,7 @@ def validate_types(g: Graph, q: Iterable) -> tuple[Fraction, ...]:
     require_unweighted(g)
     out = []
     made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct pair
-    for v in q:
+    for v in as_iter(q, "type vector"):
         if (isinstance(v, (list, tuple)) and len(v) == 2
                 and type(v[0]) is type(v[1]) is int and v[1]):
             key = (v[0], v[1])
@@ -373,18 +386,7 @@ def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
     non-valid node that always plays W.
     """
     q = validate_types(g, q)
-    # once per distinct (type, degree) pair: validate_types gives equal
-    # pairs one Fraction object, keyed here by identity because hashing a
-    # Fraction costs more than the formula
-    made: dict[tuple[int, int], int] = {}
-    k = []
-    for f, d in zip(q, g.degrees):
-        key = (id(f), d)
-        ki = made.get(key)
-        if ki is None:
-            ki = made[key] = f.numerator * d // f.denominator + 1
-        k.append(ki)
-    return tuple(k)
+    return tuple(f.numerator * d // f.denominator + 1 for f, d in zip(q, g.degrees))
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,20 @@ class Formula(_FormulaFields):
     conjunctions of disjunction clauses. Monotone variants carry no
     negations. For monotone 2-DNF every variable must appear somewhere
     (the counting reduction presumes it). Construction validates all
-    of this, and takes every number through ``as_int``.
+    of this and the shapes (a string variant, clauses a list or tuple of
+    lists or tuples), and takes every number through ``as_int``.
     """
 
     __slots__ = ()
 
     def __new__(cls, variant: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        if type(variant) is not str:
+            raise BadParameterError(f"formula variant must be a string, got {variant!r}")
+        if type(clauses) not in (list, tuple):
+            raise BadParameterError(f"clauses must be a list, got {clauses!r}")
+        for c in clauses:
+            if type(c) not in (list, tuple):
+                raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
         if variant not in _ARITY:
             raise BadParameterError(f"unknown formula variant {variant!r}")
         num_vars = as_int(num_vars, "variable count")
@@ -107,21 +115,14 @@ _FORMULA_KEYS = WRITTEN_KEYS | {"variant", "n", "clauses"}
 
 
 def formula_from_dict(d: dict) -> Formula:
-    """Decode a formula. This checks the JSON shape only (the keys, the
-    variant as a string, and clauses as a list of lists); ``Formula``
-    checks every number and the variant's name, which is not case-folded."""
+    """Decode a formula. This checks the keys only; ``Formula`` checks
+    the variant, which is not case-folded, the clause shapes and every
+    number."""
     try:
         variant, n, clauses = d["variant"], d["n"], d["clauses"]
     except (KeyError, TypeError) as exc:
         raise BadParameterError(f"malformed formula: {exc}") from exc
     check_keys(d, _FORMULA_KEYS, "formula")
-    if type(variant) is not str:
-        raise BadParameterError(f"formula variant must be a string, got {variant!r}")
-    if type(clauses) is not list:
-        raise BadParameterError(f"clauses must be a list, got {clauses!r}")
-    for c in clauses:
-        if type(c) is not list:
-            raise BadParameterError(f"each clause must be a list of integers, got {c!r}")
     return Formula(variant, n, clauses)
 
 

@@ -385,7 +385,7 @@ class TestIntegerWeightBlowup:
         res = integer_weights_to_unit(w, k)
         assert res.graph.n == 4
         # each copy of node 0 is adjacent to both copies of node 1
-        degs = [res.graph.degree(i) for i in range(4)]
+        degs = [res.graph.degrees[i] for i in range(4)]
         assert degs == [2, 2, 2, 2]
         ok, _ = commutation_check(weighted_step(w, k), res.target_step(), res.lift, range(4))
         assert ok

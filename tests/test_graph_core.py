@@ -404,6 +404,18 @@ class TestInstanceJson:
         with pytest.raises(BadParameterError, match=re.escape(f"instance has unknown key {key!r}")):
             instance_from_dict(d)
 
+    @pytest.mark.parametrize("d, message", [
+        # a 2-entry weighted row would load with weight 1, and a 3-entry
+        # unweighted row would make the instance weighted
+        ({"n": 2, "weighted_edges": [[0, 1]], "thresholds": [1, 1]},
+         "each entry of weighted_edges must be a list of 3 integers, got [0, 1]"),
+        ({"n": 2, "edges": [[0, 1, 5]], "thresholds": [1, 1]},
+         "each entry of edges must be a list of 2 integers, got [0, 1, 5]"),
+    ])
+    def test_row_width_per_format(self, d, message):
+        with pytest.raises(BadParameterError, match=f"^{re.escape(message)}$"):
+            instance_from_dict(d)
+
     def test_null_weighted_thresholds_rejected(self):
         # an explicit null read as all-zero thresholds (BB, exit 0); a
         # missing key keeps that default
