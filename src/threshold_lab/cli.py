@@ -11,8 +11,8 @@ byte-identical results. Exit codes, one per class in ``errors``:
      bipartite or loop-free instance is two copies of it)
   3  guard exceeded (GuardExceededError)
   4  invariant violation (InvariantViolationError): a failed verify
-     suite, a failed energy certificate in simulate, the census period
-     check in enumerate, a fixed-point count with no #sat preimage in
+     suite, a failed energy certificate in simulate, the census checks
+     in enumerate, a fixed-point count with no #sat preimage in
      reduce --kind fix --verify, or the greedy or exhausted-heap
      invariant of the resilience search
 

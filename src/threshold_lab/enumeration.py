@@ -16,10 +16,21 @@ Fixed points can also be counted without a scan, in pure Python: a
 depth-first search that propagates each node's threshold constraint
 after every assignment. It scales past the scan limit on gadget-shaped
 graphs.
+
+The census, ``enumerate_limits``, picks its engine per instance. With
+witnesses asked for, it scans (``scan_limits``). Without, it counts:
+F by the search on the instance, F + 2T by the search on its bipartite
+double cover, within one budget of search nodes, half the scan's price
+of 2^max(n - 16, 0) blocks x kernel operations, and it scans only
+when that budget runs out. The scan checks period <= 2 and the
+transient envelope on every start; a counted census checks them on 256
+fixed starts, through the compiled kernel and the scan's own period
+loop, plus two counting identities.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,12 +42,15 @@ from .errors import (
     InvariantViolationError,
     check_scan_size,
 )
-from .graph_core import Graph, as_int, build_graph, two_partition
+from .graph_core import Graph, as_int, build_graph, is_bipartite, two_partition
 from .graph_core import validate_profile, validate_thresholds
 
 # one 2^16-bit column is 8 KB, so a block stays small while each & or |
 # covers 65,536 profiles
 _BLOCK_BITS = 16
+
+# starts in the sampled period check of a counted census
+_SAMPLE_STARTS = 256
 
 
 class LimitCensus(NamedTuple):
@@ -140,6 +154,42 @@ def enumerate_limits(
     guard_n: int = DEFAULT_GUARD_N,
     witness_cap: int = 1024,
 ) -> LimitCensus:
+    """Count the fixed points F and the 2-cycles T of the step map.
+
+    The scan guard applies first, whatever the engine. With witnesses
+    asked for (``witness_cap`` > 0) the census is ``scan_limits``, the
+    scan of all 2^n profiles. Without, the census counts instead: F is
+    the fixed-point counter's count on (g, k), and D its count on the
+    bipartite double cover (nodes i and i + n, edges i-(j + n) and
+    j-(i + n) per edge ij, thresholds k twice), whose fixed points are
+    the pairs (a, b) with step(a) = b and step(b) = a, so D = F + 2T.
+    The two searches share one budget of search nodes (tried
+    assignments): half the scan's price, blocks x kernel operations / 2,
+    with 2^max(n - 16, 0) blocks and ``compile_kernel``'s operation
+    count. When the budget runs out, which an instance with many limit
+    cycles does (the counter finds them one by one), the census is the
+    scan after all. A counted census checks that D - F is even, that
+    T = F(F - 1)/2 on a bipartite graph, and that 256 fixed starts,
+    the all-W and all-B profiles among them, reach a cycle of length
+    <= 2 within the transient envelope; only the scan checks that on
+    every start. Any failed check raises InvariantViolationError.
+    """
+    k, cap, kernel = _census_input(g, k, guard_n, witness_cap)
+    if cap == 0:
+        ops = sum((2 * ki - 1) * (d - ki + 1) - ki for ki, d in zip(k, g.degrees) if 0 < ki <= d)
+        census = _count_limits(g, k, kernel, (1 << max(g.n - _BLOCK_BITS, 0)) * ops // 2)
+        if census is not None:
+            return census
+    return _scan(g, kernel, cap)
+
+
+def scan_limits(
+    g: Graph,
+    k: Sequence[int],
+    *,
+    guard_n: int = DEFAULT_GUARD_N,
+    witness_cap: int = 1024,
+) -> LimitCensus:
     """Scan all 2^n profiles and classify the limit structure.
 
     A profile a is a fixed point iff step(a) == a; an unordered pair
@@ -151,14 +201,26 @@ def enumerate_limits(
     The scan also verifies that every profile reaches a cycle of length
     <= 2 within min(2^n, dynamics.default_guard(g)) steps,
     re-establishing the length-2 bound and the transient envelope on
-    this instance rather than assuming them.
+    this instance rather than assuming them. ``enumerate_limits`` runs
+    this scan when it does not count; ``verify`` and the tests call it
+    directly as the all-start oracle.
     """
+    k, cap, kernel = _census_input(g, k, guard_n, witness_cap)
+    return _scan(g, kernel, cap)
+
+
+def _census_input(g: Graph, k: Sequence[int], guard_n: int, witness_cap: int):
+    """(thresholds, witness cap, compiled kernel), checked in that order,
+    with the scan size checked before the kernel is compiled."""
     k = validate_thresholds(g, k)
     cap = as_int(witness_cap, "witness_cap")
     if cap < 0:
         raise BadParameterError(f"witness_cap must be non-negative, got {cap}")
     check_scan_size(g.n, guard_n)
-    kernel = compile_kernel(zip(k, g.adjacency))
+    return k, cap, compile_kernel(zip(k, g.adjacency))
+
+
+def _scan(g: Graph, kernel, cap: int) -> LimitCensus:
     limit = min(1 << g.n, default_guard(g))
     fixed = ends = 0
     fw: list[int] = []
@@ -184,20 +246,7 @@ def enumerate_limits(
                     tw.append((base + a, b))
                     if len(tw) == cap:
                         break
-        # f^(t+2) == f^t on the whole block iff every profile reaches a cycle
-        # of length <= 2 within t steps. Transients are shorter than 2^n, so
-        # at limit 2^n only a longer cycle fails; a smaller limit also bounds
-        # the transient.
-        before, now, t = (x, f1), f2, 0
-        while before[0] != now:
-            if t == limit:
-                raise InvariantViolationError(
-                    f"a profile is not on a cycle of length <= 2 after {limit} steps: either "
-                    "a limit cycle longer than 2 exists, contradicting the length-2 cycle "
-                    "bound, or a transient exceeds the 10(14|E| + 6n) + 4 step envelope; "
-                    "both indicate an implementation bug"
-                )
-            before, now, t = (before[1], now), kernel(full, now), t + 1
+        _settle(kernel, full, x, f1, f2, limit)
     return LimitCensus(
         fixed_points=fixed,
         two_cycles=ends // 2,
@@ -205,6 +254,59 @@ def enumerate_limits(
         fixed_witnesses=tuple(fw) if cap else None,
         two_cycle_witnesses=tuple(tw) if cap else None,
     )
+
+
+def _settle(kernel, full: int, x: list[int], f1: list[int], f2: list[int], limit: int) -> None:
+    """Raise InvariantViolationError unless every profile of the columns
+    x reaches a cycle of length <= 2 within ``limit`` steps; f1 and f2
+    are f and f^2 of x."""
+    # f^(t+2) == f^t on every bit iff every profile reaches a cycle of
+    # length <= 2 within t steps. Transients are shorter than 2^n, so at
+    # limit 2^n only a longer cycle fails; a smaller limit also bounds
+    # the transient.
+    before, now, t = (x, f1), f2, 0
+    while before[0] != now:
+        if t == limit:
+            raise InvariantViolationError(
+                f"a profile is not on a cycle of length <= 2 after {limit} steps: either "
+                "a limit cycle longer than 2 exists, contradicting the length-2 cycle "
+                "bound, or a transient exceeds the 10(14|E| + 6n) + 4 step envelope; "
+                "both indicate an implementation bug"
+            )
+        before, now, t = (before[1], now), kernel(full, now), t + 1
+
+
+def _count_limits(g: Graph, k: tuple[int, ...], kernel, budget: int) -> LimitCensus | None:
+    """The counted census of ``enumerate_limits``, or None when its two
+    searches together would take more than ``budget`` search nodes."""
+    n = g.n
+    counted = _count_fixed_points(g, k, budget)
+    if counted is None:
+        return None
+    f, nodes = counted
+    cover = build_graph(
+        2 * n, [e for i, j in g.edges for e in ((i, j + n), (j, i + n))], require_connected=False
+    )
+    counted = _count_fixed_points(cover, k + k, budget - nodes)
+    if counted is None:
+        return None
+    d = counted[0]
+    if d < f or (d - f) % 2:
+        raise InvariantViolationError(
+            f"the double cover has {d} fixed points, not F + 2T for F = {f}"
+        )
+    t = (d - f) // 2
+    if t != f * (f - 1) // 2 and is_bipartite(g):
+        raise InvariantViolationError(
+            f"{t} 2-cycles on a bipartite graph, not F(F-1)/2 for F = {f}"
+        )
+    rng = random.Random(0)
+    full = (1 << _SAMPLE_STARTS) - 1
+    # bit 0 of every column is the all-W start and bit 1 the all-B start
+    x = [rng.getrandbits(_SAMPLE_STARTS) & ~1 | 2 for _ in range(n)]
+    f1 = kernel(full, x)
+    _settle(kernel, full, x, f1, kernel(full, f1), min(1 << n, default_guard(g)))
+    return LimitCensus(fixed_points=f, two_cycles=t, cycle_classes=f + t)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +340,18 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
     not bounded by the interpreter's recursion limit. Scales well past
     the 2^n scan on gadget-shaped graphs.
     """
-    k = validate_thresholds(g, k)
+    return _count_fixed_points(g, validate_thresholds(g, k), None)[0]
+
+
+def _count_fixed_points(
+    g: Graph, k: tuple[int, ...], budget: int | None
+) -> tuple[int, int] | None:
+    """The counter's search on checked thresholds: (count, search nodes),
+    where a search node is one value tried on a branch node, or None as
+    soon as it would take more than ``budget`` of them (no limit when
+    ``budget`` is None)."""
+    limit = float("inf") if budget is None else budget
+    nodes = 0
     n = g.n
     adjacency = g.adjacency
     degrees = g.degrees
@@ -309,7 +422,7 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
     assign(decided, [])  # never fails; see the docstring
     u = branch_node()
     if u == -1:
-        return 1
+        return 1, 0
     count = 0
     stack = [[u, 0, None]]  # frames: [node, next value, trail of the value tried last]
     while stack:
@@ -320,6 +433,9 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
         if b > 1:
             stack.pop()
             continue
+        nodes += 1
+        if nodes > limit:
+            return None
         trail = []
         frame[1], frame[2] = b + 1, trail
         if assign([(u, b)], trail):
@@ -328,7 +444,7 @@ def count_fixed_points_backtracking(g: Graph, k: Sequence[int]) -> int:
                 count += 1
             else:
                 stack.append([v, 0, None])
-    return count
+    return count, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,34 @@ def test_machine_speed_takes_the_median_per_side_alternating():
         "change": {"python_c_pass_s": 0.005, "python_S_c_pass_s": 0.006},
     }
     assert bench_pairs.SPEED_RUNS == 15
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gain_past_the_parent_spread():
+    # parent jobs_per_s: q1 9.5, median 10.0, q3 10.5 over ten pairs
+    parent = [9.0, 9.4, 9.5, 9.5, 9.9, 10.1, 10.5, 10.5, 10.6, 11.0]
+
+    def verdict(change, metric="jobs_per_s", direction="higher", base=parent):
+        pairs = [pair(i, "parent" if i % 2 == 0 else "change", {metric: p}, {metric: c})
+                 for i, (p, c) in enumerate(zip(base, change))]
+        return bench_pairs.claim(pairs, "census", metric, direction)
+
+    met = verdict([p * 1.5 for p in parent])
+    assert met == {"workload": "census", "metric": "jobs_per_s", "better": "higher", "pairs": 10,
+                   "change_wins": 10, "median_gain": 5.0, "parent_spread": 1.0,
+                   "verdict": "claim_met"}
+    # nine wins of ten still meet it; eight do not
+    nine = [p * 1.5 for p in parent[:9]] + [parent[9]]
+    assert (verdict(nine)["change_wins"], verdict(nine)["verdict"]) == (9, "claim_met")
+    eight = [p * 1.5 for p in parent[:8]] + parent[8:]
+    assert (verdict(eight)["change_wins"], verdict(eight)["verdict"]) == (8, "claim_not_met")
+    # every pair won, but by less than the parent's own q3 - q1
+    small = verdict([p + 0.5 for p in parent])
+    assert (small["change_wins"], small["median_gain"], small["verdict"]) == (10, 0.5, "claim_not_met")
+    # lower is better: a median time 5 % lower wins every pair, but by
+    # 0.005 s against a parent q3 - q1 of 0.01 s
+    times = [p / 100 for p in parent]
+    slower = verdict([t * 0.95 for t in times], "job_s_p50", "lower", times)
+    assert (slower["change_wins"], slower["median_gain"], slower["parent_spread"],
+            slower["verdict"]) == (10, 0.005, 0.01, "claim_not_met")
+    faster = verdict([t * 0.5 for t in times], "job_s_p50", "lower", times)
+    assert (faster["median_gain"], faster["verdict"]) == (0.05, "claim_met")

@@ -166,6 +166,21 @@ class TestEnumerate:
     def test_guard_exit(self, capsys, four_cycle_file):
         assert main(["enumerate", "--input", four_cycle_file, "--guard-n", "3"]) == 3
 
+    def test_past_the_default_guard_exits_3_before_counting(self, capsys, tmp_path, monkeypatch):
+        # the census counts without a scan, but the scan guard still comes
+        # first, so the exit codes stay those of the scan
+        import threshold_lab.enumeration as en
+
+        def unreachable(*args):
+            raise AssertionError("the census counted past the scan guard")
+
+        monkeypatch.delenv("THRESHOLD_LAB_GUARD_N", raising=False)
+        monkeypatch.setattr(en, "_count_fixed_points", unreachable)
+        path = write(tmp_path / "p25.json",
+                     {"n": 25, "edges": [[i, i + 1] for i in range(24)], "thresholds": [1] * 25})
+        assert main(["enumerate", "--input", path]) == 3
+        assert capsys.readouterr().err == "error: n = 25 exceeds the 2^n scan guard 24\n"
+
     def test_guard_env_override(self, capsys, four_cycle_file, monkeypatch):
         monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "3")
         assert main(["enumerate", "--input", four_cycle_file]) == 3

@@ -11,6 +11,7 @@ from threshold_lab import (
     count_fixed_points_backtracking,
     count_predecessors,
     enumerate_limits,
+    instance_from_dict,
     is_reachable,
     parse_profile,
     predecessors,
@@ -25,7 +26,9 @@ from threshold_lab.instances import (
     star_graph,
 )
 
-from conftest import as_int, slow_census
+from threshold_lab.enumeration import scan_limits
+
+from conftest import as_int, perfbench_workloads, slow_census
 
 
 def planted_kernel(succ):
@@ -259,6 +262,103 @@ class TestCompileKernel:
         self.assert_matches_step(g, tuple((ki + i) % 9 for i in range(8)))
 
 
+class TestCountedCensus:
+    """Without witnesses, enumerate_limits counts F on g and F + 2T on its
+    double cover with the fixed-point counter; scan_limits, the scan of
+    every start, is the oracle."""
+
+    @staticmethod
+    def counted(g, k):
+        # the counting path alone, with a budget no instance here exhausts
+        import threshold_lab.enumeration as en
+
+        census = en._count_limits(g, k, en.compile_kernel(zip(k, g.adjacency)), 1 << 40)
+        assert census is not None
+        return census
+
+    @staticmethod
+    def spy_on_scans(monkeypatch) -> list[int]:
+        import threshold_lab.enumeration as en
+
+        scans, blocks = [], en.column_blocks
+        monkeypatch.setattr(en, "column_blocks", lambda n: scans.append(n) or blocks(n))
+        return scans
+
+    def test_matches_the_scan_on_random_graphs(self, rng):
+        # k from 0 to d + 1, so pinned nodes seed both searches; the last
+        # 20 instances pin every node
+        pinned = 0
+        for trial in range(160):
+            g = random_connected_graph(rng.randint(1, 14), rng)
+            if trial < 140:
+                k = random_thresholds(g, rng)
+            else:
+                k = tuple(rng.choice((0, d + 1)) for d in g.degrees)
+            scan = scan_limits(g, k, witness_cap=0)
+            assert self.counted(g, k) == scan, (g.edges, k)
+            assert enumerate_limits(g, k, witness_cap=0) == scan
+            pinned += all(ki == 0 or ki > d for ki, d in zip(k, g.degrees))
+        assert pinned >= 20
+
+    def test_matches_the_scan_on_every_census_stratum(self, monkeypatch):
+        # the 90 census jobs of benchmark seeds 1-10; all but the extremal
+        # cycles are counted within the budget, so they never scan
+        workloads = perfbench_workloads()
+        scans = self.spy_on_scans(monkeypatch)
+        for seed in range(1, 11):
+            for job in workloads.build("census", seed):
+                g, k = instance_from_dict(job.data)
+                del scans[:]
+                census = enumerate_limits(g, k, witness_cap=0)
+                assert bool(scans) == (job.meta["family"] == "extremal"), (seed, job.jid)
+                assert census == scan_limits(g, k, witness_cap=0), (seed, job.jid)
+
+    def test_extremal_instance_falls_back_to_the_scan(self, monkeypatch):
+        # 128 fixed points and 8,128 2-cycles: the counter meets them one
+        # by one and runs past its budget of 32 blocks x 21 operations / 2
+        g, k = build_extremal_cycle_instance(21, "max")
+        scans = self.spy_on_scans(monkeypatch)
+        census = enumerate_limits(g, k, witness_cap=0)
+        assert scans == [21]
+        assert (census.fixed_points, census.two_cycles) == (128, 8128)
+        assert self.counted(g, k) == census
+
+    def test_three_cycle_in_the_sample_is_caught(self, monkeypatch):
+        # a kernel that rotates columns 0, 1 and 2 puts every sampled start
+        # whose first three bits differ on a 3-cycle; the counts come from
+        # the counter, so only the sampled period check can see it
+        import threshold_lab.enumeration as en
+
+        def no_scan(n):
+            raise AssertionError("the census scanned")
+
+        job = perfbench_workloads().build("census", 7)[0]
+        g, k = instance_from_dict(job.data)
+        assert self.counted(g, k) == enumerate_limits(g, k, witness_cap=0)
+        monkeypatch.setattr(en, "column_blocks", no_scan)
+        monkeypatch.setattr(en, "compile_kernel",
+                            lambda rows: lambda full, cols: [cols[1], cols[2], cols[0], *cols[3:]])
+        with pytest.raises(InvariantViolationError, match="longer than 2"):
+            enumerate_limits(g, k, witness_cap=0)
+
+    @pytest.mark.parametrize("extra, message", [(1, r"not F \+ 2T"), (2, r"not F\(F-1\)/2")])
+    def test_planted_cover_count_is_caught(self, four_cycle, monkeypatch, extra, message):
+        # the 4-cycle with k = 1 is bipartite, with F = 2, T = 1 and D = 4 on
+        # the cover: one more cover fixed point makes D - F odd, and two
+        # more make T = 2 != F(F - 1)/2
+        import threshold_lab.enumeration as en
+
+        count = en._count_fixed_points
+
+        def planted(g, k, budget):
+            found = count(g, k, budget)
+            return found if g.n == 4 else (found[0] + extra, found[1])
+
+        monkeypatch.setattr(en, "_count_fixed_points", planted)
+        with pytest.raises(InvariantViolationError, match=message):
+            self.counted(four_cycle, (1, 1, 1, 1))
+
+
 class TestTransitionTable:
     def test_table_matches_step(self, four_cycle):
         table = transition_table(four_cycle, (1, 2, 1, 2))
@@ -275,14 +375,14 @@ class TestBacktrackingCounter:
         for _ in range(150):
             g = random_connected_graph(rng.randint(2, 9), rng)
             k = random_thresholds(g, rng)
-            census = enumerate_limits(g, k, witness_cap=0)
+            census = scan_limits(g, k, witness_cap=0)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_agrees_with_scan_at_scale(self, rng):
         # one full-width cross-check: 2^20 profiles against backtracking
         g = random_connected_graph(20, rng, extra_edge_prob=0.1)
         k = random_thresholds(g, rng)
-        census = enumerate_limits(g, k, witness_cap=0)
+        census = scan_limits(g, k, witness_cap=0)
         assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_scales_past_the_scan(self):
@@ -309,7 +409,7 @@ class TestBacktrackingCounter:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
             g = build_graph(n, edges, require_connected=False)
             k = random_thresholds(g, rng)
-            census = enumerate_limits(g, k, witness_cap=0)
+            census = scan_limits(g, k, witness_cap=0)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points, (edges, k)
             pinned_b += 0 in k
             pinned_w += any(ki > d for ki, d in zip(k, g.degrees))

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --pr N --parent HEAD~1 --change HEAD \
         --seeds 931 932 933 934 935 936 937 938 939 940 \
-        --what "one line on what the change does"
+        --what "one line on what the change does" [--claim census/jobs_per_s]
 
 Both commits are extracted with ``git archive`` into a temporary
 directory. For every seed, and within it every workload of
@@ -29,7 +29,10 @@ which side runs first; the median and inclusive quartiles of each
 per-layer metric over those runs are recorded, for the metrics that are
 non-zero on either side, so that one slow traced run does not read as a
 per-layer change and a layer's move can be read against that side's own
-spread (q3 - q1). Any failed run stops the tool. Before the pairs,
+spread (q3 - q1). With ``--claim WORKLOAD/METRIC``, ``claim`` records
+whether the change's gain in that metric is met: it must win at least
+nine tenths of the pairs, and its median must beat the parent's by more
+than the parent's q3 - q1. Any failed run stops the tool. Before the pairs,
 ``machine_speed`` records how fast the machine was for each side: the
 median wall time of a fresh ``python3 -c pass`` and ``python3 -S -c
 pass`` over SPEED_RUNS runs per side, alternating sides, each run in
@@ -57,12 +60,17 @@ SPEED_RUNS = 15
 SPEED_PROBES = {"python_c_pass_s": ("-c", "pass"), "python_S_c_pass_s": ("-S", "-c", "pass")}
 
 
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3), inclusive; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
 def quartiles(values: list[float], digits: int = 4) -> dict:
     """Median and inclusive quartiles, rounded to ``digits`` decimals."""
-    if len(values) == 1:
-        q1 = med = q3 = values[0]
-    else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = _quartiles(values)
     return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
@@ -86,9 +94,7 @@ def traced_summary(traced_runs: dict[str, list[dict]]) -> dict:
 def spread(values: list[float]) -> float:
     """(q3 - q1) / median with inclusive quartiles; infinite when the
     median is 0 and the quartiles differ."""
-    if len(values) == 1:
-        return 0.0
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, med, q3 = _quartiles(values)
     if med == 0:
         return 0.0 if q3 == q1 else float("inf")
     return (q3 - q1) / med
@@ -128,6 +134,31 @@ def summarize(pairs: list[dict], better: dict[str, str],
         "runs_per_side": len(pairs),
         "seeds": [p["seed"] for p in pairs],
         "runs": pairs,
+    }
+
+
+def claim(pairs: list[dict], workload: str, metric: str, direction: str) -> dict:
+    """The verdict on a claimed gain in one metric of one workload.
+
+    The claim is met when the change is strictly better in at least
+    nine tenths of the pairs and its median is better than the parent's
+    by more than the parent's own quartile distance, q3 - q1; a claim
+    that fails either test is not met.
+    """
+    sign = 1 if direction == "higher" else -1
+    wins = sum(1 for p in pairs if sign * (p["change"][metric] - p["parent"][metric]) > 0)
+    parent_q1, parent_median, parent_q3 = _quartiles([p["parent"][metric] for p in pairs])
+    gain = sign * (statistics.median(p["change"][metric] for p in pairs) - parent_median)
+    met = 10 * wins >= 9 * len(pairs) and gain > parent_q3 - parent_q1
+    return {
+        "workload": workload,
+        "metric": metric,
+        "better": direction,
+        "pairs": len(pairs),
+        "change_wins": wins,
+        "median_gain": round(gain, 6),
+        "parent_spread": round(parent_q3 - parent_q1, 6),
+        "verdict": "claim_met" if met else "claim_not_met",
     }
 
 
@@ -184,6 +215,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--seeds", nargs="+", type=int, required=True)
     ap.add_argument("--what", required=True, help="one line on what the change does")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="record the verdict on a claimed gain in this end-to-end metric")
     args = ap.parse_args(argv)
 
     shas = {side: _git("rev-parse", f"{ref}^{{commit}}").decode().strip()
@@ -192,6 +225,11 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    if args.claim is not None:
+        claimed_workload, _, claimed_metric = args.claim.partition("/")
+        if (claimed_workload not in {w["name"] for w in spec["workloads"]}
+                or claimed_metric not in better):
+            ap.error(f"--claim {args.claim}: not a workload/end-to-end metric of BENCHMARK.json")
     record = {"what": args.what, "workloads": {}, f"traced_seed{TRACE_SEED}": {}}
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {side: Path(tmp) / side for side in SIDES}
@@ -216,6 +254,10 @@ def main(argv=None) -> int:
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     traced_runs[side].append(bench(dirs[side], workload, TRACE_SEED, seconds, 1)[0])
             record[f"traced_seed{TRACE_SEED}"][workload] = traced_summary(traced_runs)
+    if args.claim is not None:
+        record["claim"] = claim(pairs[claimed_workload], claimed_workload, claimed_metric,
+                                better[claimed_metric])
+        print(f"claim {args.claim}: {record['claim']['verdict']}", file=sys.stderr)
     machine = {k: v for k, v in machine.items() if k not in ("git_sha", "src_sha256")}
     record.update(
         parent_sha=shas["parent"],
