@@ -66,21 +66,16 @@ def inverted_step(g, k):
     return lambda a: step(g, k, a) ^ full
 
 
-def perfbench_workloads():
-    """perfbench/workloads.py as a module: the benchmark's seeded input
-    generators, which import no library code."""
+def load_tool(name: str):
+    """tools/<name>.py as a module: the tools are scripts, not a package."""
     import importlib.util
-    import sys
     from pathlib import Path
 
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # dataclasses looks its module up there
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def as_int(profile_tuple) -> int:

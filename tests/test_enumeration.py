@@ -28,7 +28,7 @@ from threshold_lab.instances import (
 
 from threshold_lab.enumeration import scan_limits
 
-from conftest import as_int, perfbench_workloads, slow_census
+from conftest import as_int, load_tool, slow_census
 
 
 def planted_kernel(succ):
@@ -303,7 +303,7 @@ class TestCountedCensus:
     def test_matches_the_scan_on_every_census_stratum(self, monkeypatch):
         # the 90 census jobs of benchmark seeds 1-10; all but the extremal
         # cycles are counted within the budget, so they never scan
-        workloads = perfbench_workloads()
+        workloads = load_tool("golden_outputs").workloads()
         scans = self.spy_on_scans(monkeypatch)
         for seed in range(1, 11):
             for job in workloads.build("census", seed):
@@ -332,7 +332,7 @@ class TestCountedCensus:
         def no_scan(n):
             raise AssertionError("the census scanned")
 
-        job = perfbench_workloads().build("census", 7)[0]
+        job = load_tool("golden_outputs").workloads().build("census", 7)[0]
         g, k = instance_from_dict(job.data)
         assert self.counted(g, k) == enumerate_limits(g, k, witness_cap=0)
         monkeypatch.setattr(en, "column_blocks", no_scan)

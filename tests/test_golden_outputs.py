@@ -1,18 +1,16 @@
-"""Every benchmark job of seeds 7 and 11, and ``verify --seed 0``, keeps
-its exit code and its stdout byte for byte.
+"""Every benchmark job of seeds 7 and 11, ``simulate`` on each of their
+census instances, and ``verify --seed 0`` keep their exit codes and
+their stdout byte for byte.
 
 ``tests/golden_outputs.json`` holds the pins; ``tools/golden_outputs.py``
 computes them and, run as a script, rewrites the file.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
-_ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("golden_outputs", _ROOT / "tools" / "golden_outputs.py")
-golden = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(golden)
+from conftest import load_tool
+
+golden = load_tool("golden_outputs")
 
 
 def test_outputs_match_the_pins(tmp_path, monkeypatch):

@@ -3,12 +3,12 @@
     PYTHONPATH=src python3 tools/golden_outputs.py
 
 regenerates the inputs of every workload for seeds 7 and 11 with
-``perfbench/workloads.py``, runs each job in-process through
-``threshold_lab.cli.main``, then ``simulate`` on every census instance
-from the alternating start BWBW..., which reaches a 2-cycle on several
-of them where every ``trajectories`` job ends on a fixed point, then
-``verify --seed 0``, and rewrites
-``tests/golden_outputs.json``: per job, keyed
+``perfbench/workloads.py`` and runs, in-process through
+``threshold_lab.cli.main``: each job; ``simulate`` on each census
+instance from the alternating start BWBW... (every ``trajectories`` job
+ends on a fixed point, and several of these runs reach a 2-cycle, so
+the order of a printed cycle is pinned too); and ``verify --seed 0``.
+It rewrites ``tests/golden_outputs.json`` with, per run, keyed
 ``<workload>/<seed>/<job id>``, the exit code and the sha256 of stdout.
 A ``resilience`` job's ``evaluations`` count is hashed on its own, and
 its stdout is hashed with that value blanked, so a change that only
@@ -38,7 +38,8 @@ VERIFY_SEED = 0
 _EVALUATIONS = re.compile(rb'"evaluations": (\d+)')
 
 
-def _workloads():
+def workloads():
+    """perfbench/workloads.py, the benchmark's input generators, as a module."""
     name = "perfbench_workloads"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
@@ -74,11 +75,11 @@ def outputs(work: Path) -> dict:
     scan guard is the default one: THRESHOLD_LAB_GUARD_N must be unset."""
     if "THRESHOLD_LAB_GUARD_N" in os.environ:
         raise RuntimeError("unset THRESHOLD_LAB_GUARD_N: the pins are taken at the default guard")
-    workloads = _workloads()
+    generators = workloads()
     table = {}
-    for workload in workloads.WORKLOADS:
+    for workload in generators.WORKLOADS:
         for seed in SEEDS:
-            for job in workloads.build(workload, seed):
+            for job in generators.build(workload, seed):
                 key = f"{workload}/{seed}/{job.jid}"
                 path = work / f"{key.replace('/', '-')}.json"
                 path.write_text(job.text())
