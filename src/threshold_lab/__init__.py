@@ -83,6 +83,7 @@ _EXPORTS = {
         "count_fixed_points_backtracking",
         "count_predecessors",
         "enumerate_limits",
+        "fixed_points",
         "is_reachable",
         "predecessors",
     ),

@@ -133,7 +133,12 @@ def _cmd_simulate(args) -> int:
         raise BadParameterError(f"--max-states must be >= 1, got {args.max_states}")
     g, k = instance_from_dict(read_json(args.input))
     rule = Rule.from_graph(g, k)
-    a = parse_profile(args.initial, g.n)
+    text = args.initial
+    if text.startswith("@"):
+        # one argument holds at most 131,072 bytes (MAX_ARG_STRLEN)
+        with open(text[1:], encoding="utf-8") as fh:
+            text = fh.read().removesuffix("\n")
+    a = parse_profile(text, g.n)
     report = limit_cycle(rule, a, args.max_states or default_guard(g))
     _emit(
         {
@@ -149,7 +154,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     _bind("enumeration")
     g, k = instance_from_dict(read_json(args.input))
-    census = enumerate_limits(g, k, guard_n=args.guard_n, witness_cap=0)
+    census = enumerate_limits(g, k, guard_n=args.guard_n)
     _emit(
         {
             "fixed_points": census.fixed_points,
@@ -328,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="iterate an instance to its limit cycle")
     p.add_argument("--input", required=True, help="instance JSON path")
-    p.add_argument("--initial", required=True, help="initial profile as a B/W string")
+    p.add_argument("--initial", required=True,
+                   help="initial profile as a B/W string, or @PATH to read it from a file")
     p.add_argument("--max-states", type=_int_arg, default=None,
                    help="trajectory guard override")
     p.set_defaults(fn=_cmd_simulate)

@@ -17,24 +17,24 @@ depth-first search that propagates each node's threshold constraint
 after every assignment. It scales past the scan limit on gadget-shaped
 graphs.
 
-The census, ``enumerate_limits``, picks its engine per instance. With
-witnesses asked for, it scans (``scan_limits``). Without, it counts:
-F by the search on the instance, F + 2T by the search on its bipartite
-double cover, within one budget of search nodes, half the scan's price
-of 2^max(n - 16, 0) blocks x kernel operations, and it scans only
-when that budget runs out. The scan checks period <= 2 and the
-transient envelope on every start; a counted census checks them on 256
-fixed starts, through the compiled kernel and the scan's own period
-loop, plus two counting identities.
+The census, ``enumerate_limits``, returns counts only: F by the search
+on the instance, F + 2T by the search on its bipartite double cover,
+within one budget of search nodes (half the scan's price of
+2^max(n - 16, 0) blocks x kernel operations), and the scan
+``scan_limits`` only when that budget runs out. The scan checks period
+<= 2 and the transient envelope on every start; a counted census checks
+them on 256 fixed starts, through the compiled kernel and the scan's own
+period loop, plus two counting identities. ``fixed_points`` lists the
+fixed points with one scan.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dynamics import default_guard
+from .dynamics import _bitcount_step, default_guard
 
 from .errors import (
     DEFAULT_GUARD_N,
@@ -42,7 +42,7 @@ from .errors import (
     InvariantViolationError,
     check_scan_size,
 )
-from .graph_core import Graph, as_int, build_graph, is_bipartite, two_partition
+from .graph_core import Graph, as_int, build_graph, cross_edges, is_bipartite, two_partition
 from .graph_core import validate_profile, validate_thresholds
 
 # one 2^16-bit column is 8 KB, so a block stays small while each & or |
@@ -54,19 +54,15 @@ _SAMPLE_STARTS = 256
 
 
 class LimitCensus(NamedTuple):
-    """Counts of fixed points and 2-cycles, with optional witnesses.
+    """Counts of fixed points and 2-cycles.
 
     cycle_classes == fixed_points + two_cycles, and two_cycles is half
-    the number of profiles on 2-cycles. Witness lists are sorted by
-    profile value (pairs by their smaller element) and truncated at the
-    cap; they are None when the cap is 0.
+    the number of profiles on 2-cycles.
     """
 
     fixed_points: int
     two_cycles: int
     cycle_classes: int
-    fixed_witnesses: tuple[int, ...] | None = None
-    two_cycle_witnesses: tuple[tuple[int, int], ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +144,12 @@ def _set_bits(mask: int, base: int) -> Iterator[int]:
 
 
 def enumerate_limits(
-    g: Graph,
-    k: Sequence[int],
-    *,
-    guard_n: int = DEFAULT_GUARD_N,
-    witness_cap: int = 1024,
+    g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N
 ) -> LimitCensus:
     """Count the fixed points F and the 2-cycles T of the step map.
 
-    The scan guard applies first, whatever the engine. With witnesses
-    asked for (``witness_cap`` > 0) the census is ``scan_limits``, the
-    scan of all 2^n profiles. Without, the census counts instead: F is
-    the fixed-point counter's count on (g, k), and D its count on the
+    The scan guard applies first, whatever the engine. F is the
+    fixed-point counter's count on (g, k), and D its count on the
     bipartite double cover (nodes i and i + n, edges i-(j + n) and
     j-(i + n) per edge ij, thresholds k twice), whose fixed points are
     the pairs (a, b) with step(a) = b and step(b) = a, so D = F + 2T.
@@ -167,28 +157,22 @@ def enumerate_limits(
     assignments): half the scan's price, blocks x kernel operations / 2,
     with 2^max(n - 16, 0) blocks and ``compile_kernel``'s operation
     count. When the budget runs out, which an instance with many limit
-    cycles does (the counter finds them one by one), the census is the
-    scan after all. A counted census checks that D - F is even, that
-    T = F(F - 1)/2 on a bipartite graph, and that 256 fixed starts,
-    the all-W and all-B profiles among them, reach a cycle of length
-    <= 2 within the transient envelope; only the scan checks that on
-    every start. Any failed check raises InvariantViolationError.
+    cycles does (the counter finds them one by one), the census is
+    ``scan_limits`` after all. A counted census checks that D - F is
+    even, that T = F(F - 1)/2 on a bipartite graph, and that 256 fixed
+    starts, the all-W and all-B profiles among them, reach a cycle of
+    length <= 2 within the transient envelope; only the scan checks
+    that on every start. Any failed check raises
+    InvariantViolationError.
     """
-    k, cap, kernel = _census_input(g, k, guard_n, witness_cap)
-    if cap == 0:
-        ops = sum((2 * ki - 1) * (d - ki + 1) - ki for ki, d in zip(k, g.degrees) if 0 < ki <= d)
-        census = _count_limits(g, k, kernel, (1 << max(g.n - _BLOCK_BITS, 0)) * ops // 2)
-        if census is not None:
-            return census
-    return _scan(g, kernel, cap)
+    k, kernel = _scan_input(g, k, guard_n)
+    ops = sum((2 * ki - 1) * (d - ki + 1) - ki for ki, d in zip(k, g.degrees) if 0 < ki <= d)
+    census = _count_limits(g, k, kernel, (1 << max(g.n - _BLOCK_BITS, 0)) * ops // 2)
+    return _scan(g, kernel) if census is None else census
 
 
 def scan_limits(
-    g: Graph,
-    k: Sequence[int],
-    *,
-    guard_n: int = DEFAULT_GUARD_N,
-    witness_cap: int = 1024,
+    g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N
 ) -> LimitCensus:
     """Scan all 2^n profiles and classify the limit structure.
 
@@ -196,64 +180,39 @@ def scan_limits(
     {a, b} is a 2-cycle iff step(a) == b != a and step(b) == a. Per
     block, the masks come from f = step and f^2 applied to the columns.
     The 2-cycle ends E = {a : f(f(a)) = a != f(a)} satisfy f(E) = E,
-    and f pairs them off, so there are |E| / 2 2-cycles; a witness pair
-    is an end a < f(a), with f(a) read from the block's columns of f.
-    The scan also verifies that every profile reaches a cycle of length
-    <= 2 within min(2^n, dynamics.default_guard(g)) steps,
-    re-establishing the length-2 bound and the transient envelope on
-    this instance rather than assuming them. ``enumerate_limits`` runs
-    this scan when it does not count; ``verify`` and the tests call it
-    directly as the all-start oracle.
+    and f pairs them off, so there are |E| / 2 2-cycles. The scan also
+    verifies that every profile reaches a cycle of length <= 2 within
+    min(2^n, dynamics.default_guard(g)) steps, re-establishing the
+    length-2 bound and the transient envelope on this instance rather
+    than assuming them. ``enumerate_limits`` runs this scan when its
+    budget runs out; ``verify`` and the tests call it directly as the
+    all-start oracle.
     """
-    k, cap, kernel = _census_input(g, k, guard_n, witness_cap)
-    return _scan(g, kernel, cap)
+    return _scan(g, _scan_input(g, k, guard_n)[1])
 
 
-def _census_input(g: Graph, k: Sequence[int], guard_n: int, witness_cap: int):
-    """(thresholds, witness cap, compiled kernel), checked in that order,
-    with the scan size checked before the kernel is compiled."""
+def _scan_input(g: Graph, k: Sequence[int], guard_n: int):
+    """(thresholds, compiled kernel), with the thresholds checked first
+    and the scan size checked before the kernel is compiled."""
     k = validate_thresholds(g, k)
-    cap = as_int(witness_cap, "witness_cap")
-    if cap < 0:
-        raise BadParameterError(f"witness_cap must be non-negative, got {cap}")
     check_scan_size(g.n, guard_n)
-    return k, cap, compile_kernel(zip(k, g.adjacency))
+    return k, compile_kernel(zip(k, g.adjacency))
 
 
-def _scan(g: Graph, kernel, cap: int) -> LimitCensus:
+def _scan(g: Graph, kernel) -> LimitCensus:
     limit = min(1 << g.n, default_guard(g))
     fixed = ends = 0
-    fw: list[int] = []
-    tw: list[tuple[int, int]] = []
-    for base, full, x in column_blocks(g.n):
+    for _, full, x in column_blocks(g.n):
         f1 = kernel(full, x)
         f2 = kernel(full, f1)
         moved = returned = 0  # returned: bits where f^2(a) != a
         for xi, yi, zi in zip(x, f1, f2):
             moved |= xi ^ yi
             returned |= xi ^ zi
-        fixed_mask = full ^ moved
-        end_mask = moved & ~returned
-        fixed += fixed_mask.bit_count()
-        ends += end_mask.bit_count()
-        if len(fw) < cap and fixed_mask:
-            fw += islice(_set_bits(fixed_mask, base), cap - len(fw))
-        if len(tw) < cap and end_mask:
-            rows = [bin(c)[:1:-1] for c in f1]
-            for a in _set_bits(end_mask, 0):
-                b = sum(1 << i for i, row in enumerate(rows) if a < len(row) and row[a] == "1")
-                if base + a < b:
-                    tw.append((base + a, b))
-                    if len(tw) == cap:
-                        break
+        fixed += (full ^ moved).bit_count()
+        ends += (moved & ~returned).bit_count()
         _settle(kernel, full, x, f1, f2, limit)
-    return LimitCensus(
-        fixed_points=fixed,
-        two_cycles=ends // 2,
-        cycle_classes=fixed + ends // 2,
-        fixed_witnesses=tuple(fw) if cap else None,
-        two_cycle_witnesses=tuple(tw) if cap else None,
-    )
+    return LimitCensus(fixed, ends // 2, fixed + ends // 2)
 
 
 def _settle(kernel, full: int, x: list[int], f1: list[int], f2: list[int], limit: int) -> None:
@@ -284,9 +243,7 @@ def _count_limits(g: Graph, k: tuple[int, ...], kernel, budget: int) -> LimitCen
     if counted is None:
         return None
     f, nodes = counted
-    cover = build_graph(
-        2 * n, [e for i, j in g.edges for e in ((i, j + n), (j, i + n))], require_connected=False
-    )
+    cover = build_graph(2 * n, cross_edges(g), require_connected=False)
     counted = _count_fixed_points(cover, k + k, budget - nodes)
     if counted is None:
         return None
@@ -306,7 +263,7 @@ def _count_limits(g: Graph, k: tuple[int, ...], kernel, budget: int) -> LimitCen
     x = [rng.getrandbits(_SAMPLE_STARTS) & ~1 | 2 for _ in range(n)]
     f1 = kernel(full, x)
     _settle(kernel, full, x, f1, kernel(full, f1), min(1 << n, default_guard(g)))
-    return LimitCensus(fixed_points=f, two_cycles=t, cycle_classes=f + t)
+    return LimitCensus(f, t, f + t)
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +405,22 @@ def _count_fixed_points(
 
 
 # ---------------------------------------------------------------------------
-# Predecessors and reachability
+# Predecessors, fixed points and reachability
 
 
-def _matches(g: Graph, k: Sequence[int], a: int, guard_n: int) -> Iterator[tuple[int, int]]:
-    """Yield (base, mask) per block; bit x of mask is [step(base + x) == a].
-    The inputs and the scan size are checked before the first block."""
-    k = validate_thresholds(g, k)
-    a = validate_profile(a, g.n)
-    check_scan_size(g.n, guard_n)
-    kernel = compile_kernel(zip(k, g.adjacency))
+def _matches(
+    g: Graph, k: Sequence[int], a: int | None, guard_n: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (base, mask) per block; bit x of mask is [step(base + x) == a],
+    or [step(base + x) == base + x] when a is None. The inputs and the
+    scan size are checked before the first block."""
+    a = None if a is None else validate_profile(a, g.n)
+    _, kernel = _scan_input(g, k, guard_n)
     for base, full, cols in column_blocks(g.n):
+        target = cols if a is None else [full if a >> i & 1 else 0 for i in range(g.n)]
         diff = 0
-        for i, c in enumerate(kernel(full, cols)):
-            diff |= c ^ full if a >> i & 1 else c
+        for c, t in zip(kernel(full, cols), target):
+            diff |= c ^ t
         yield base, full ^ diff
 
 
@@ -469,10 +428,15 @@ def predecessors(
     g: Graph, k: Sequence[int], a: int, *, guard_n: int = DEFAULT_GUARD_N
 ) -> tuple[int, ...]:
     """All profiles b with step(b) == a, by scanning the 2^n space."""
-    found: list[int] = []
-    for base, mask in _matches(g, k, a, guard_n):
-        found += _set_bits(mask, base)
-    return tuple(found)
+    return tuple(b for base, mask in _matches(g, k, a, guard_n) for b in _set_bits(mask, base))
+
+
+def fixed_points(
+    g: Graph, k: Sequence[int], *, guard_n: int = DEFAULT_GUARD_N
+) -> tuple[int, ...]:
+    """All profiles a with step(a) == a, ascending, by scanning the 2^n
+    space."""
+    return tuple(a for base, mask in _matches(g, k, None, guard_n) for a in _set_bits(mask, base))
 
 
 def count_predecessors(
@@ -496,17 +460,18 @@ def is_reachable(
 
 def bipartite_cycle_identity(g: Graph, k: Sequence[int]) -> LimitCensus:
     """Check cycle_classes == F(F-1)/2 + F on a bipartite instance and
-    return the census checked, with every witness.
+    return the scan's census.
 
-    F and the class count are computed independently by the census; the
-    constructive pairing (splice two distinct fixed points along the
-    2-partition) is then replayed to confirm it generates every 2-cycle.
-    Raises InvariantViolationError on mismatch, which would indicate an
+    F and T come from the all-start scan. Each pair of distinct fixed
+    points is then spliced along the 2-partition; the two splices,
+    stepped by the bit-count step map, must map onto each other, and the
+    distinct splices must number T, so they are all the 2-cycles. Raises
+    InvariantViolationError on mismatch, which would indicate an
     implementation bug rather than bad input.
     """
     k = validate_thresholds(g, k)
     part = two_partition(g)  # rejects non-bipartite inputs with a witness
-    census = enumerate_limits(g, k, witness_cap=1 << g.n)
+    census = scan_limits(g, k)
     f = census.fixed_points
     predicted = f * (f - 1) // 2 + f
     if census.cycle_classes != predicted:
@@ -514,15 +479,20 @@ def bipartite_cycle_identity(g: Graph, k: Sequence[int]) -> LimitCensus:
             f"cycle classes {census.cycle_classes} != F(F-1)/2 + F = {predicted}"
         )
     odd_mask = sum(1 << i for i in part.p_odd)
-    even_mask = sum(1 << i for i in part.p_even)
-    fixed = census.fixed_witnesses
+    step = _bitcount_step(g, k)
     spliced = set()
-    for x, a1 in enumerate(fixed):
-        for a2 in fixed[x + 1 :]:
-            lo_hi = sorted(((a2 & odd_mask) | (a1 & even_mask), (a1 & odd_mask) | (a2 & even_mask)))
-            spliced.add(tuple(lo_hi))
-    if spliced != set(census.two_cycle_witnesses):
-        raise InvariantViolationError("fixed-point splicing did not generate the 2-cycles")
+    for a1, a2 in combinations(fixed_points(g, k), 2):
+        b1 = (a2 & odd_mask) | (a1 & ~odd_mask)
+        b2 = b1 ^ a1 ^ a2
+        if step(b1) != b2 or step(b2) != b1:
+            raise InvariantViolationError(
+                f"the splice of fixed points {a1} and {a2} is not a 2-cycle"
+            )
+        spliced.add(min(b1, b2))
+    if len(spliced) != census.two_cycles:
+        raise InvariantViolationError(
+            f"fixed-point splicing gave {len(spliced)} 2-cycles, not T = {census.two_cycles}"
+        )
     return census
 
 

@@ -24,6 +24,7 @@ from .graph_core import (
     as_node,
     as_thresholds,
     build_graph,
+    cross_edges,
     instance_to_dict,
     reach,
     validate_profile,
@@ -131,12 +132,6 @@ def _doubled(
     return ExpansionResult(g2, thresholds, ProfileLift(n, 2 * n, ops), node_map)
 
 
-def _cross_edges(g: Graph) -> list[tuple[int, int]]:
-    """Edge {i, j} of g as the two cross edges {i, n+j} and {j, n+i}."""
-    n = g.n
-    return [e for i, j in g.edges for e in ((i, n + j), (j, n + i))]
-
-
 def bipartite_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """Double (g, k) into a bipartite instance on 2n nodes.
 
@@ -147,7 +142,7 @@ def bipartite_expansion(g: Graph, k: Sequence[int]) -> ExpansionResult:
     into two components.
     """
     k = validate_thresholds(g, k)
-    return _doubled(g.n, _cross_edges(g), k + k, 0)
+    return _doubled(g.n, cross_edges(g), k + k, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,7 @@ def inverted_to_primary(g: Graph, k: Sequence[int]) -> ExpansionResult:
     """
     k = validate_thresholds(g, k)
     k2 = tuple(max(0, d - ki + 1) for d, ki in zip(g.degrees, k)) + k
-    return _doubled(g.n, _cross_edges(g), k2, 1)
+    return _doubled(g.n, cross_edges(g), k2, 1)
 
 
 # ---------------------------------------------------------------------------

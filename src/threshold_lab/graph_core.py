@@ -376,6 +376,14 @@ def is_bipartite(g: Graph) -> bool:
         return False
 
 
+def cross_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of the bipartite double cover of g, on originals
+    0..n-1 and mirrors n..2n-1: edge {i, j} of g as the two cross edges
+    {i, n+j} and {j, n+i}."""
+    n = g.n
+    return [e for i, j in g.edges for e in ((i, n + j), (j, n + i))]
+
+
 def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
     """Convert fractional types to the equivalent integer thresholds.
 

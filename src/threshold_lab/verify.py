@@ -91,10 +91,10 @@ def _check_cycle_length_bound(rng) -> str:
     for n in (1, 2, 3, 4):
         for g in instances.connected_graphs(n):
             for k in instances.all_threshold_vectors(g):
-                enumeration.scan_limits(g, k, witness_cap=0)
+                enumeration.scan_limits(g, k)
                 total += 1
     for g, k in _random_instances(rng, 25, 7):
-        enumeration.scan_limits(g, k, witness_cap=0)
+        enumeration.scan_limits(g, k)
         total += 1
     return f"{total} instances, every limit cycle has length <= 2"
 
@@ -254,8 +254,8 @@ def _check_combined_expansion_isomorphism(rng) -> str:
 
 def _check_census_backtracking_agreement(rng) -> str:
     for g, k in _random_instances(rng, 30, 9):
-        scan = enumeration.scan_limits(g, k, witness_cap=0)
-        census = enumeration.enumerate_limits(g, k, witness_cap=0)
+        scan = enumeration.scan_limits(g, k)
+        census = enumeration.enumerate_limits(g, k)
         _require(census == scan, "the census %s disagrees with the scan %s on %s k=%s",
                  census, scan, g.edges, k)
         _require(enumeration.count_fixed_points_backtracking(g, k) == scan.fixed_points,
@@ -271,10 +271,10 @@ def _check_bipartite_cycle_identity(rng) -> str:
 
 def _check_extremal_instances(rng) -> str:
     g, k = enumeration.build_extremal_cycle_instance(5, "min")
-    census = enumeration.enumerate_limits(g, k, witness_cap=0)
+    census = enumeration.enumerate_limits(g, k)
     _require(census.fixed_points == 2 and census.two_cycles == 0, "min instance census %s", census)
     g, k = enumeration.build_extremal_cycle_instance(6, "max")
-    census = enumeration.enumerate_limits(g, k, witness_cap=0)
+    census = enumeration.enumerate_limits(g, k)
     _require(census.fixed_points >= 4 and census.two_cycles >= 3, "max instance census %s", census)
     return "min/max counting instances behave as constructed"
 

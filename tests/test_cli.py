@@ -156,6 +156,34 @@ class TestSimulate:
         monkeypatch.setenv("THRESHOLD_LAB_GUARD_N", "abc")
         assert main(["simulate", "--input", triangle_file, "--initial", "BWW"]) == 0
 
+    def test_initial_profile_from_a_file(self, capsys, tmp_path, four_cycle_file):
+        # @PATH reads the same B/W text, with one trailing newline allowed
+        assert main(["simulate", "--input", four_cycle_file, "--initial", "BWWW"]) == 0
+        expected = capsys.readouterr().out
+        for name, text in (("bare", "BWWW"), ("newline", "BWWW\n")):
+            (tmp_path / name).write_text(text)
+            initial = f"@{tmp_path / name}"
+            assert main(["simulate", "--input", four_cycle_file, "--initial", initial]) == 0
+            assert capsys.readouterr().out == expected
+        # a second newline is profile text, and a missing file is an input error
+        (tmp_path / "two").write_text("BWWW\n\n")
+        for path in (tmp_path / "two", tmp_path / "missing"):
+            assert main(["simulate", "--input", four_cycle_file, "--initial", f"@{path}"]) == 2
+            assert capsys.readouterr().out == ""
+
+    def test_start_past_the_argument_limit(self, capsys, tmp_path):
+        # 131,073 nodes need a 131,073-byte profile, past the 131,072 bytes
+        # one command-line argument holds; from B then all W on a path with
+        # k = 1, the alternating front reaches the far end after n - 2 steps
+        n = 131_073
+        path = write(tmp_path / "path.json",
+                     {"n": n, "edges": [[i, i + 1] for i in range(n - 1)], "thresholds": [1] * n})
+        start = tmp_path / "start"
+        start.write_text("B" + "W" * (n - 1) + "\n")
+        code, out = run(capsys, ["simulate", "--input", path, "--initial", f"@{start}"])
+        assert code == 0
+        assert (out["transient"], out["cycle_length"]) == (n - 2, 2)
+
 
 class TestEnumerate:
     def test_four_cycle_counts(self, capsys, four_cycle_file):

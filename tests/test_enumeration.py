@@ -6,11 +6,13 @@ from threshold_lab import (
     InvariantViolationError,
     NotBipartiteError,
     bipartite_cycle_identity,
+    bipartite_expansion,
     build_extremal_cycle_instance,
     build_graph,
     count_fixed_points_backtracking,
     count_predecessors,
     enumerate_limits,
+    fixed_points,
     instance_from_dict,
     is_reachable,
     parse_profile,
@@ -52,6 +54,15 @@ def planted_kernel(succ):
     return compile_kernel
 
 
+def two_cycles_by_composition(g, k):
+    """The 2-cycles as the fixed points (a, b), a < b, of the bipartite
+    double cover, whose originals hold a and mirrors b."""
+    cover = bipartite_expansion(g, k)
+    low = (1 << g.n) - 1
+    pairs = ((c & low, c >> g.n) for c in fixed_points(cover.graph, cover.thresholds))
+    return {(a, b) for a, b in pairs if a < b}
+
+
 def transition_table(g, k):
     """The scan oracle: next[a] = step(a) for all 2^n profiles, as a
     uint32 array assembled from the successor columns of every block."""
@@ -77,14 +88,15 @@ class TestEnumerateLimits:
         census = enumerate_limits(g, (1,) * 5)
         assert census.fixed_points == 2
         assert census.two_cycles == 0
-        assert set(census.fixed_witnesses) == {0, 0b11111}
+        assert fixed_points(g, (1,) * 5) == (0, 0b11111)
 
     def test_four_cycle_census(self, four_cycle):
         census = enumerate_limits(four_cycle, (1, 1, 1, 1))
         assert census.fixed_points == 2
         assert census.two_cycles == 1
         assert census.cycle_classes == 3
-        assert census.two_cycle_witnesses == ((parse_profile("BWBW"), parse_profile("WBWB")),)
+        pair = (parse_profile("BWBW"), parse_profile("WBWB"))
+        assert two_cycles_by_composition(four_cycle, (1, 1, 1, 1)) == {pair}
 
     def test_six_cycle_max_pattern(self):
         g = cycle_graph(6)
@@ -100,45 +112,42 @@ class TestEnumerateLimits:
             assert census.fixed_points == len(fixed)
             assert census.two_cycles == len(two_cycles)
             assert max_cycle <= 2
-            assert set(census.fixed_witnesses) == {as_int(p) for p in fixed}
-            assert {
-                frozenset(pair) for pair in census.two_cycle_witnesses
-            } == {frozenset(as_int(p) for p in pair) for pair in two_cycles}
+            assert set(fixed_points(g, k)) == {as_int(p) for p in fixed}
 
-    def test_two_cycle_witnesses_swap_exactly(self, rng):
-        for _ in range(15):
-            g = random_connected_graph(rng.randint(3, 7), rng)
+    def test_two_cycles_by_composition(self, rng):
+        # the fixed points (a, b), a < b, of bipartite_expansion(g, k) are
+        # the 2-cycles; k from 0 to d + 1, on connected and split graphs
+        with_pairs = 0
+        for trial in range(120):
+            n = rng.randint(1, 8)
+            if trial % 2:
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+                g = build_graph(n, edges, require_connected=False)
+            else:
+                g = random_connected_graph(n, rng)
             k = random_thresholds(g, rng)
-            census = enumerate_limits(g, k)
-            for a, b in census.two_cycle_witnesses:
-                assert a != b
-                assert step(g, k, a) == b and step(g, k, b) == a
-
-    def test_witness_cap(self, four_cycle):
-        census = enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=1)
-        assert len(census.fixed_witnesses) == 1
-        census = enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=0)
-        assert census.fixed_witnesses is census.two_cycle_witnesses is None
-        # never coerced: a bool, a float or a negative cap is an input error
-        for cap in (-1, True, 2.5):
-            with pytest.raises(BadParameterError, match="witness_cap"):
-                enumerate_limits(four_cycle, (0, 0, 0, 0), witness_cap=cap)
+            _, two_cycles, _, _ = slow_census(g.adjacency, k)
+            expected = {tuple(sorted(as_int(p) for p in pair)) for pair in two_cycles}
+            assert two_cycles_by_composition(g, k) == expected, (g.edges, k)
+            with_pairs += bool(expected)
+        assert with_pairs >= 15
 
     def test_sharding_is_invisible(self, rng, monkeypatch):
         import threshold_lab.enumeration as en
 
         g = random_connected_graph(8, rng)
         k = random_thresholds(g, rng)
-        base = enumerate_limits(g, k)
+        base = scan_limits(g, k), fixed_points(g, k)
         monkeypatch.setattr(en, "_BLOCK_BITS", 2)
-        sharded = enumerate_limits(g, k)
+        sharded = scan_limits(g, k), fixed_points(g, k)
         assert sharded == base
 
     @pytest.mark.parametrize("block_bits", [None, 2])
     def test_matches_brute_force_step(self, rng, monkeypatch, block_bits):
-        # counts, capped witnesses, the table and predecessor scans against
-        # dynamics.step on every profile, in one block and across many;
-        # the extremal cycle spreads many fixed points over the blocks
+        # the scan's counts, the fixed points, the table and predecessor
+        # scans against dynamics.step on every profile, in one block and
+        # across many; the extremal cycle spreads many fixed points over
+        # the blocks
         import threshold_lab.enumeration as en
 
         if block_bits is not None:
@@ -151,12 +160,9 @@ class TestEnumerateLimits:
             succ = [step(g, k, a) for a in range(1 << g.n)]
             fixed = [a for a, b in enumerate(succ) if a == b]
             pairs = [(a, b) for a, b in enumerate(succ) if a < b and succ[b] == a]
-            for cap in (1024, 3, 7):
-                census = enumerate_limits(g, k, witness_cap=cap)
-                assert census.fixed_points == len(fixed)
-                assert census.two_cycles == len(pairs)
-                assert census.fixed_witnesses == tuple(fixed[:cap])
-                assert census.two_cycle_witnesses == tuple(pairs[:cap])
+            census = scan_limits(g, k)
+            assert census == (len(fixed), len(pairs), len(fixed) + len(pairs))
+            assert fixed_points(g, k) == tuple(fixed)
             assert transition_table(g, k).tolist() == succ
             for target in (succ[0], rng.randrange(1 << g.n)):
                 preds = tuple(a for a, b in enumerate(succ) if b == target)
@@ -171,7 +177,7 @@ class TestEnumerateLimits:
         monkeypatch.setattr(en, "compile_kernel", planted_kernel(
             lambda a: plant.get(a, step(four_cycle, (1, 1, 1, 1), a))))
         with pytest.raises(InvariantViolationError, match="longer than 2"):
-            enumerate_limits(four_cycle, (1, 1, 1, 1))
+            scan_limits(four_cycle, (1, 1, 1, 1))
 
     def test_period_check_outlasts_longest_transient(self, four_cycle, monkeypatch):
         # a -> a - 1 down to the fixed point 0: a transient of 2^n - 1 = 15
@@ -180,9 +186,9 @@ class TestEnumerateLimits:
         import threshold_lab.enumeration as en
 
         monkeypatch.setattr(en, "compile_kernel", planted_kernel(lambda a: max(a - 1, 0)))
-        census = enumerate_limits(four_cycle, (1, 1, 1, 1))
+        census = scan_limits(four_cycle, (1, 1, 1, 1))
         assert (census.fixed_points, census.two_cycles) == (1, 0)
-        assert census.fixed_witnesses == (0,)
+        assert fixed_points(four_cycle, (1, 1, 1, 1)) == (0,)
 
     def test_transient_past_the_envelope_is_caught(self, four_cycle, monkeypatch):
         # the same chain under a 10-step envelope: its 15-step transient
@@ -192,7 +198,7 @@ class TestEnumerateLimits:
         monkeypatch.setattr(en, "compile_kernel", planted_kernel(lambda a: max(a - 1, 0)))
         monkeypatch.setattr(en, "default_guard", lambda g: 10)
         with pytest.raises(InvariantViolationError, match="transient exceeds"):
-            enumerate_limits(four_cycle, (1, 1, 1, 1))
+            scan_limits(four_cycle, (1, 1, 1, 1))
 
     def test_guard(self, rng):
         g = random_connected_graph(6, rng)
@@ -214,6 +220,8 @@ class TestEnumerateLimits:
         k = (1,) * 33
         for scan in (
             lambda: enumerate_limits(g, k, guard_n=40),
+            lambda: scan_limits(g, k, guard_n=40),
+            lambda: fixed_points(g, k, guard_n=40),
             lambda: predecessors(g, k, 0, guard_n=40),
             lambda: is_reachable(g, k, 0, guard_n=40),
         ):
@@ -254,6 +262,33 @@ class TestCompileKernel:
             self.assert_matches_step(g, k)
         assert min(shapes.values()) > 0
 
+    def test_budget_prices_the_written_operations(self, rng, monkeypatch):
+        # enumerate_limits' budget is blocks x sum((2k_i - 1)(d_i - k_i + 1)
+        # - k_i) / 2; at two blocks it is the sum itself, which must equal
+        # the & and | in the kernel source, on rows with k = 0, k > d and
+        # isolated nodes
+        import threshold_lab.enumeration as en
+
+        sources, budgets = [], []
+        monkeypatch.setattr(en, "compile", lambda src, *a: sources.append(src) or compile(src, *a),
+                            raising=False)
+        monkeypatch.setattr(en, "_count_limits",
+                            lambda g, k, kernel, budget: budgets.append(budget) or (0, 0, 0))
+        shapes = {"k=0": 0, "k>d": 0, "isolated": 0}
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            g = build_graph(n, edges, require_connected=False)
+            k = random_thresholds(g, rng)
+            monkeypatch.setattr(en, "_BLOCK_BITS", n - 1)
+            del sources[:], budgets[:]
+            enumerate_limits(g, k)
+            assert budgets == [sources[0].count("&") + sources[0].count("|")], (edges, k)
+            shapes["k=0"] += 0 in k
+            shapes["k>d"] += any(ki > d for ki, d in zip(k, g.degrees))
+            shapes["isolated"] += 0 in g.degrees
+        assert min(shapes.values()) > 20
+
     @pytest.mark.parametrize("ki", range(9))
     def test_complete_graph_every_threshold(self, ki):
         # K_8 has degree 7: k = 0 is pinned B, k = 8 pinned W
@@ -263,9 +298,9 @@ class TestCompileKernel:
 
 
 class TestCountedCensus:
-    """Without witnesses, enumerate_limits counts F on g and F + 2T on its
-    double cover with the fixed-point counter; scan_limits, the scan of
-    every start, is the oracle."""
+    """enumerate_limits counts F on g and F + 2T on its double cover with
+    the fixed-point counter; scan_limits, the scan of every start, is the
+    oracle."""
 
     @staticmethod
     def counted(g, k):
@@ -294,9 +329,9 @@ class TestCountedCensus:
                 k = random_thresholds(g, rng)
             else:
                 k = tuple(rng.choice((0, d + 1)) for d in g.degrees)
-            scan = scan_limits(g, k, witness_cap=0)
+            scan = scan_limits(g, k)
             assert self.counted(g, k) == scan, (g.edges, k)
-            assert enumerate_limits(g, k, witness_cap=0) == scan
+            assert enumerate_limits(g, k) == scan
             pinned += all(ki == 0 or ki > d for ki, d in zip(k, g.degrees))
         assert pinned >= 20
 
@@ -309,16 +344,16 @@ class TestCountedCensus:
             for job in workloads.build("census", seed):
                 g, k = instance_from_dict(job.data)
                 del scans[:]
-                census = enumerate_limits(g, k, witness_cap=0)
+                census = enumerate_limits(g, k)
                 assert bool(scans) == (job.meta["family"] == "extremal"), (seed, job.jid)
-                assert census == scan_limits(g, k, witness_cap=0), (seed, job.jid)
+                assert census == scan_limits(g, k), (seed, job.jid)
 
     def test_extremal_instance_falls_back_to_the_scan(self, monkeypatch):
         # 128 fixed points and 8,128 2-cycles: the counter meets them one
         # by one and runs past its budget of 32 blocks x 21 operations / 2
         g, k = build_extremal_cycle_instance(21, "max")
         scans = self.spy_on_scans(monkeypatch)
-        census = enumerate_limits(g, k, witness_cap=0)
+        census = enumerate_limits(g, k)
         assert scans == [21]
         assert (census.fixed_points, census.two_cycles) == (128, 8128)
         assert self.counted(g, k) == census
@@ -334,12 +369,12 @@ class TestCountedCensus:
 
         job = load_tool("golden_outputs").workloads().build("census", 7)[0]
         g, k = instance_from_dict(job.data)
-        assert self.counted(g, k) == enumerate_limits(g, k, witness_cap=0)
+        assert self.counted(g, k) == enumerate_limits(g, k)
         monkeypatch.setattr(en, "column_blocks", no_scan)
         monkeypatch.setattr(en, "compile_kernel",
                             lambda rows: lambda full, cols: [cols[1], cols[2], cols[0], *cols[3:]])
         with pytest.raises(InvariantViolationError, match="longer than 2"):
-            enumerate_limits(g, k, witness_cap=0)
+            enumerate_limits(g, k)
 
     @pytest.mark.parametrize("extra, message", [(1, r"not F \+ 2T"), (2, r"not F\(F-1\)/2")])
     def test_planted_cover_count_is_caught(self, four_cycle, monkeypatch, extra, message):
@@ -375,14 +410,14 @@ class TestBacktrackingCounter:
         for _ in range(150):
             g = random_connected_graph(rng.randint(2, 9), rng)
             k = random_thresholds(g, rng)
-            census = scan_limits(g, k, witness_cap=0)
+            census = scan_limits(g, k)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_agrees_with_scan_at_scale(self, rng):
         # one full-width cross-check: 2^20 profiles against backtracking
         g = random_connected_graph(20, rng, extra_edge_prob=0.1)
         k = random_thresholds(g, rng)
-        census = scan_limits(g, k, witness_cap=0)
+        census = scan_limits(g, k)
         assert count_fixed_points_backtracking(g, k) == census.fixed_points
 
     def test_scales_past_the_scan(self):
@@ -409,7 +444,7 @@ class TestBacktrackingCounter:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
             g = build_graph(n, edges, require_connected=False)
             k = random_thresholds(g, rng)
-            census = scan_limits(g, k, witness_cap=0)
+            census = scan_limits(g, k)
             assert count_fixed_points_backtracking(g, k) == census.fixed_points, (edges, k)
             pinned_b += 0 in k
             pinned_w += any(ki > d for ki, d in zip(k, g.degrees))
@@ -469,7 +504,6 @@ class TestBipartiteCycleIdentity:
         census = bipartite_cycle_identity(g, (1, 1, 1, 1))
         assert census.fixed_points == 4
         assert census.cycle_classes == 4 * 3 // 2 + 4 == 10
-        assert len(census.two_cycle_witnesses) == census.two_cycles
 
     def test_holds_on_random_bipartite(self, rng):
         checked = 0
@@ -485,18 +519,27 @@ class TestBipartiteCycleIdentity:
         # one class more than F(F-1)/2 + F = 3
         (lambda c: c._replace(cycle_classes=c.cycle_classes + 1),
          "cycle classes 4 != F(F-1)/2 + F = 3"),
-        # the one 2-cycle witness, BWBW with WBWB, dropped
-        (lambda c: c._replace(two_cycle_witnesses=c.two_cycle_witnesses[1:]),
-         "fixed-point splicing did not generate the 2-cycles"),
+        # one 2-cycle more than the one splice, BWBW with WBWB
+        (lambda c: c._replace(two_cycles=c.two_cycles + 1),
+         "fixed-point splicing gave 1 2-cycles, not T = 2"),
     ])
     def test_planted_census_is_caught(self, four_cycle, monkeypatch, plant, message):
         import threshold_lab.enumeration as en
 
-        census = en.enumerate_limits
-        monkeypatch.setattr(en, "enumerate_limits", lambda *a, **kw: plant(census(*a, **kw)))
+        census = en.scan_limits
+        monkeypatch.setattr(en, "scan_limits", lambda *a, **kw: plant(census(*a, **kw)))
         with pytest.raises(InvariantViolationError) as exc:
             bipartite_cycle_identity(four_cycle, (1, 1, 1, 1))
         assert str(exc.value) == message
+
+    def test_planted_fixed_point_is_caught(self, four_cycle, monkeypatch):
+        # BWWW is not fixed under k = 1: spliced with WWWW it gives WWWW and
+        # BWWW, and WWWW steps to itself, not to BWWW
+        import threshold_lab.enumeration as en
+
+        monkeypatch.setattr(en, "fixed_points", lambda g, k: (0, 0b0001, 0b1111))
+        with pytest.raises(InvariantViolationError, match="splice of fixed points 0 and 1 is not"):
+            bipartite_cycle_identity(four_cycle, (1, 1, 1, 1))
 
 
 class TestExtremalInstances:

@@ -14,8 +14,8 @@ from threshold_lab import (
     count_fixed_points_backtracking,
     count_predecessors,
     count_sat,
-    enumerate_limits,
     fix_reduction,
+    fixed_points,
     formula_from_dict,
     is_bipartite,
     is_reachable,
@@ -252,7 +252,7 @@ class TestFixReduction:
         # every fixed point colors each s-triple and its y/z occurrences alike
         f = Formula(MONOTONE_2DNF, 2, ((1, 2),))
         gadget = fix_reduction(f)
-        census = enumerate_limits(gadget.graph, gadget.thresholds, witness_cap=1 << 18)
+        fixed = fixed_points(gadget.graph, gadget.thresholds)
         by_var = {}
         for i, lab in enumerate(gadget.labels):
             if lab.startswith("s"):
@@ -264,7 +264,7 @@ class TestFixReduction:
                 lits = f.clauses[c] if len(f.clauses[c]) == 2 else f.clauses[c] * 2
                 var = lits[0] if lab.startswith("y") else lits[1]
                 occ[f"x{var}"].append(i)
-        for a in census.fixed_witnesses:
+        for a in fixed:
             for var, nodes in by_var.items():
                 bits = {(a >> i) & 1 for i in nodes + occ[var]}
                 assert len(bits) == 1
