@@ -154,14 +154,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     _bind("enumeration")
     g, k = instance_from_dict(read_json(args.input))
-    census = enumerate_limits(g, k, guard_n=args.guard_n)
-    _emit(
-        {
-            "fixed_points": census.fixed_points,
-            "two_cycles": census.two_cycles,
-            "cycle_classes": census.cycle_classes,
-        }
-    )
+    _emit(enumerate_limits(g, k, guard_n=args.guard_n)._asdict())
     return EXIT_OK
 
 
@@ -308,7 +301,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     for name, ok, detail in results:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail and not ok:
+        if detail:
             line += f"  ({detail})"
         print(line)
         failures += 0 if ok else 1

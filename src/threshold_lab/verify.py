@@ -1,13 +1,15 @@
 """Machine-checked invariant suites behind `threshold-lab verify`.
 
 Each suite re-verifies one family of structural claims on exhaustive
-small instances plus seeded random ones, and reports a single pass/fail
-line. These run at desk scale in well under a minute; the full-strength
-versions live in the acceptance test suite.
+small instances plus seeded random ones, at desk scale in well under a
+minute; the full-strength versions live in the acceptance test suite.
 
 A suite is a function named ``_check_*`` or ``_probe_*`` that takes a
 seeded ``random.Random``; ``run_all`` finds the suites by name and runs
-them in definition order. No 2^n scan here passes the default guard.
+them in definition order. A check raises InvariantViolationError, from
+``_require`` or from the library call it makes, or returns None. A probe
+asserts nothing and returns the finding that `verify` prints. No 2^n
+scan here passes the default guard.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ def _random_instances(rng, count, max_n):
         yield g, instances.random_thresholds(g, rng)
 
 
-def _check_type_threshold_equivalence(rng) -> str:
-    cases = 0
+def _check_type_threshold_equivalence(rng) -> None:
     for _ in range(40):
         g = instances.random_connected_graph(rng.randint(2, 5), rng)
         q = instances.random_types(g, rng)
@@ -68,12 +69,9 @@ def _check_type_threshold_equivalence(rng) -> str:
         for a in range(1 << g.n):
             _require(dynamics.step_types(g, q, a) == dynamics.step(g, k, a),
                      "type/threshold rules disagree on %s q=%s a=%s", g.edges, q, a)
-            cases += 1
-    return f"{cases} profile updates compared"
 
 
-def _check_two_step_table(rng) -> str:
-    cases = 0
+def _check_two_step_table(rng) -> None:
     for n in (4, 5, 6):
         g = instances.cycle_graph(n)
         for k in product((1, 2), repeat=n):
@@ -82,37 +80,30 @@ def _check_two_step_table(rng) -> str:
                 for i in range(n):
                     _require(dynamics.ring_two_step(g, k, a, i) == (b >> i) & 1,
                              "table row mismatch at n=%s k=%s a=%s i=%s", n, k, a, i)
-                    cases += 1
-    return f"{cases} table entries checked"
 
 
-def _check_cycle_length_bound(rng) -> str:
-    total = 0
+def _check_cycle_length_bound(rng) -> None:
+    """scan_limits raises on a limit cycle longer than 2."""
     for n in (1, 2, 3, 4):
         for g in instances.connected_graphs(n):
             for k in instances.all_threshold_vectors(g):
                 enumeration.scan_limits(g, k)
-                total += 1
     for g, k in _random_instances(rng, 25, 7):
         enumeration.scan_limits(g, k)
-        total += 1
-    return f"{total} instances, every limit cycle has length <= 2"
 
 
-def _check_inverted_and_weighted_cycles(rng) -> str:
+def _check_inverted_and_weighted_cycles(rng) -> None:
     """The Rule engine, with its energy certificate, returns the dict
     loop's report from every start profile; every cycle has length <= 2."""
-    runs = 0
     for g, k in _random_instances(rng, 20, 6):
         # the inverted rule as weights -1 and thresholds 1 - k
         negated = build_graph(g.n, [(i, j, -1) for i, j in g.edges])
         rule = dynamics.Rule.from_graph(negated, [1 - x for x in k])
-        runs += _compare_engines(_inverted_step(g, k), rule, g, "inverted")
+        _compare_engines(_inverted_step(g, k), rule, g, "inverted")
     for _ in range(20):
         g, k = instances.random_weighted_instance(rng.randint(2, 6), rng)
         rule = dynamics.Rule.from_graph(g, k)
-        runs += _compare_engines(partial(dynamics.step_weighted, g, k), rule, g, "weighted")
-    return f"{runs} inverted and weighted trajectories agree, every limit cycle has length <= 2"
+        _compare_engines(partial(dynamics.step_weighted, g, k), rule, g, "weighted")
 
 
 def _inverted_step(g, k):
@@ -123,14 +114,13 @@ def _inverted_step(g, k):
     return lambda a: base(a) ^ full
 
 
-def _compare_engines(step, rule, g, what) -> int:
+def _compare_engines(step, rule, g, what) -> None:
     guard = dynamics.default_guard(g)
     for a in range(1 << g.n):
         report = dynamics.limit_cycle(step, a, guard)
         _require(len(report.cycle) <= 2, "%s cycle of length %s", what, len(report.cycle))
         _require(dynamics.limit_cycle(rule, a, guard) == report,
                  "%s Rule engine disagrees with the reference from profile %s", what, a)
-    return 1 << g.n
 
 
 def _bipartite_sample(rng, count, max_n):
@@ -142,8 +132,7 @@ def _bipartite_sample(rng, count, max_n):
     return out
 
 
-def _check_decoupling_identities(rng) -> str:
-    cases = 0
+def _check_decoupling_identities(rng) -> None:
     for g, k in _bipartite_sample(rng, 25, 7):
         part = two_partition(g)
         odd_mask = sum(1 << i for i in part.p_odd)
@@ -156,8 +145,6 @@ def _check_decoupling_identities(rng) -> str:
             _require(oe & odd_mask == s1 & odd_mask and oe & even_mask == s2 & even_mask
                      and eo & odd_mask == s2 & odd_mask and eo & even_mask == s1 & even_mask,
                      "decoupling fails on %s k=%s a=%s", g.edges, k, a)
-            cases += 1
-    return f"{cases} decoupling identities verified"
 
 
 def _symmetric_bipartite_sample(rng, count):
@@ -170,8 +157,7 @@ def _symmetric_bipartite_sample(rng, count):
     return out
 
 
-def _check_conflict_potential(rng) -> str:
-    cases = 0
+def _check_conflict_potential(rng) -> None:
     for g, k in _symmetric_bipartite_sample(rng, 6):
         _require(expansions.is_symmetric_model(g, k), "symmetric expansion is not symmetric")
         part = two_partition(g)
@@ -182,12 +168,9 @@ def _check_conflict_potential(rng) -> str:
                 changed = after != b
                 decreased = dynamics.conflict_links(g, after) < dynamics.conflict_links(g, b)
                 _require(changed == decreased, "one-side update without a conflict-link drop")
-                cases += 1
-    return f"{cases} sequential moves match the potential"
 
 
-def _check_fixed_point_coincidence(rng) -> str:
-    cases = 0
+def _check_fixed_point_coincidence(rng) -> None:
     for g, k in _bipartite_sample(rng, 15, 7):
         part = two_partition(g)
         for a in range(1 << g.n):
@@ -197,12 +180,9 @@ def _check_fixed_point_coincidence(rng) -> str:
             )
             _require(fixed_parallel == (comp == a),
                      "fixed points differ on %s k=%s a=%s", g.edges, k, a)
-            cases += 1
-    return f"{cases} fixed-point equivalences checked"
 
 
-def _check_expansion_commutation(rng) -> str:
-    trials = 0
+def _check_expansion_commutation(rng) -> None:
     for g, k in _random_instances(rng, 12, 5):
         profiles = range(1 << g.n)
         src = dynamics.make_step(g, k)
@@ -213,12 +193,10 @@ def _check_expansion_commutation(rng) -> str:
         ):
             ok, bad = expansions.commutation_check(source, res.target_step(), res.lift, profiles)
             _require(ok, "commutation failed at profile %s", bad)
-            trials += 1
         if not expansions.is_symmetric_model(g, k):
             res = expansions.one_step_symmetric_expansion(g, k)
             ok, bad = expansions.commutation_check(src, res.target_step(), res.lift, profiles)
             _require(ok, "one-step commutation failed at profile %s", bad)
-            trials += 1
     for _ in range(8):
         for make, max_n, transform, what in (
             (instances.random_signed_instance, 5, expansions.signed_to_primary, "signed"),
@@ -231,12 +209,9 @@ def _check_expansion_commutation(rng) -> str:
                 partial(dynamics.step_weighted, g, k), res.target_step(), res.lift, range(1 << g.n)
             )
             _require(ok, "%s commutation failed at profile %s", what, bad)
-        trials += 3
-    return f"{trials} expansion squares commute"
 
 
-def _check_combined_expansion_isomorphism(rng) -> str:
-    checked = 0
+def _check_combined_expansion_isomorphism(rng) -> None:
     for _ in range(6):
         g = instances.random_connected_graph(rng.randint(3, 5), rng, extra_edge_prob=0.5)
         k = instances.random_thresholds(g, rng)
@@ -248,11 +223,9 @@ def _check_combined_expansion_isomorphism(rng) -> str:
         b = expansions.bipartite_expansion(sym.graph, sym.thresholds)
         _require(expansions.instances_isomorphic(a.graph, a.thresholds, b.graph, b.thresholds),
                  "bipartite-then-symmetric differs from symmetric-then-bipartite")
-        checked += 1
-    return f"{checked} composition pairs isomorphic"
 
 
-def _check_census_backtracking_agreement(rng) -> str:
+def _check_census_backtracking_agreement(rng) -> None:
     for g, k in _random_instances(rng, 30, 9):
         scan = enumeration.scan_limits(g, k)
         census = enumeration.enumerate_limits(g, k)
@@ -260,26 +233,25 @@ def _check_census_backtracking_agreement(rng) -> str:
                  census, scan, g.edges, k)
         _require(enumeration.count_fixed_points_backtracking(g, k) == scan.fixed_points,
                  "backtracking disagrees with the scan on %s k=%s", g.edges, k)
-    return "30 instances agree"
 
 
-def _check_bipartite_cycle_identity(rng) -> str:
+def _check_bipartite_cycle_identity(rng) -> None:
+    """bipartite_cycle_identity raises unless the T = F(F-1)/2 2-cycles are
+    the splices of fixed points."""
     for g, k in _bipartite_sample(rng, 20, 8):
         enumeration.bipartite_cycle_identity(g, k)
-    return "F(F-1)/2 + F matched on 20 bipartite instances"
 
 
-def _check_extremal_instances(rng) -> str:
+def _check_extremal_instances(rng) -> None:
     g, k = enumeration.build_extremal_cycle_instance(5, "min")
     census = enumeration.enumerate_limits(g, k)
     _require(census.fixed_points == 2 and census.two_cycles == 0, "min instance census %s", census)
     g, k = enumeration.build_extremal_cycle_instance(6, "max")
     census = enumeration.enumerate_limits(g, k)
     _require(census.fixed_points >= 4 and census.two_cycles >= 3, "max instance census %s", census)
-    return "min/max counting instances behave as constructed"
 
 
-def _check_fix_gadget(rng) -> str:
+def _check_fix_gadget(rng) -> None:
     f = reductions.Formula(reductions.MONOTONE_2DNF, 2, ((1, 2),))
     gadget = reductions.fix_reduction(f)
     count = enumeration.count_fixed_points_backtracking(gadget.graph, gadget.thresholds)
@@ -293,7 +265,6 @@ def _check_fix_gadget(rng) -> str:
         sat, _nsat = reductions.recover_sat_count(count, f.num_vars)
         _require(sat == reductions.count_sat(f),
                  "fix gadget of %s recovers #sat = %s", f.clauses, sat)
-    return "fixed-point counts invert to #sat"
 
 
 def _random_2dnf(rng) -> reductions.Formula:
@@ -308,7 +279,7 @@ def _random_2dnf(rng) -> reductions.Formula:
             return reductions.Formula(reductions.MONOTONE_2DNF, n, clauses)
 
 
-def _check_pred_gadget(rng) -> str:
+def _check_pred_gadget(rng) -> None:
     for _ in range(15):
         n = rng.randint(1, 3)
         m = rng.randint(1, 2)
@@ -324,20 +295,18 @@ def _check_pred_gadget(rng) -> str:
         reachable = enumeration.is_reachable(gadget.graph, gadget.thresholds, gadget.target)
         _require(reachable == (reductions.count_sat(f) > 0),
                  "PRED mismatch on %s", f.clauses)
-    return "reachability matches satisfiability on 15 formulas"
 
 
-def _check_reachable_pred_gadget(rng) -> str:
+def _check_reachable_pred_gadget(rng) -> None:
     f = reductions.Formula(reductions.MONOTONE_2CNF, 2, ((1, 2),))
     gadget = reductions.reachable_pred_reduction(f)
     claimed = reductions.count_sat(f)
     measured = enumeration.count_predecessors(gadget.graph, gadget.thresholds, gadget.target)
     _require(claimed == 3 and measured == 9,
              "expected the documented 9-vs-3 discrepancy, got %s vs %s", measured, claimed)
-    return "documented 9-vs-3 discrepancy reproduced"
 
 
-def _check_convergence_time_bounds(rng) -> str:
+def _check_convergence_time_bounds(rng) -> None:
     for n in (4, 6):
         g = instances.cycle_graph(n)
         for _ in range(60):
@@ -358,10 +327,9 @@ def _check_convergence_time_bounds(rng) -> str:
             a = rng.randrange(1 << g.n)
             transient = dynamics.convergence_time(g, k, a)
             _require(transient <= bound, "transient %s > %s", transient, bound)
-    return "linear and quadratic convergence-time bounds hold"
 
 
-def _check_resilience_closed_forms(rng) -> str:
+def _check_resilience_closed_forms(rng) -> None:
     pairs = []
     for n in (3, 4, 5):
         pairs.append((instances.star_graph(n), "star", range(1, n + 1)))
@@ -376,15 +344,13 @@ def _check_resilience_closed_forms(rng) -> str:
             mu = resilience.resilience_bruteforce(g, K).mu
             _require(mu == resilience.resilience_closed_form(family, g.n, K),
                      "%s n=%s K=%s: brute force %s", family, g.n, K, mu)
-    return "closed forms match brute force"
 
 
-def _check_resilience_monotone(rng) -> str:
+def _check_resilience_monotone(rng) -> None:
     """The step is monotone in the profile and antitone in k: a within
     a' and k >= k' keep f_k^t(a) within f_k'^t(a') at every t. So every
     digit vector in a failure box the search learns fails from the
     box's seed."""
-    steps = 0
     for g, k in _random_instances(rng, 40, 7):
         k_low = [rng.randint(0, x) for x in k]
         for _ in range(20):
@@ -393,7 +359,6 @@ def _check_resilience_monotone(rng) -> str:
             for _ in range(g.n):
                 a, a_high = dynamics.step(g, k, a), dynamics.step(g, k_low, a_high)
                 _require(a & ~a_high == 0, "step not monotone on %s k=%s k'=%s", g.edges, k, k_low)
-                steps += 1
     boxes = 0
     while boxes < 20:
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
@@ -408,10 +373,9 @@ def _check_resilience_monotone(rng) -> str:
             _require(dynamics.limit_cycle(step, seed, 1 << g.n).cycle != (0,),
                      "digits %s in the box %s of seed %s recover on %s", m, box, seed, g.edges)
         boxes += 1
-    return f"{steps} paired steps stay nested; {boxes} failure boxes fail throughout"
 
 
-def _check_greedy_recovery(rng) -> str:
+def _check_greedy_recovery(rng) -> None:
     for _ in range(15):
         g = instances.random_connected_graph(rng.randint(2, 6), rng)
         q = resilience.greedy_upper_bound_q(g)
@@ -423,7 +387,6 @@ def _check_greedy_recovery(rng) -> str:
         _require(l1 == edge_sum, "greedy allocation costs %s, not %s", l1, edge_sum)
         ok, seed = resilience.check_recovery(g, q, g.n)
         _require(ok, "greedy allocation failed to recover from seed %s", seed)
-    return "greedy allocation recovers within n/2 on 15 graphs"
 
 
 def _probe_bipartite_linear_time(rng) -> str:

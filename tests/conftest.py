@@ -3,7 +3,9 @@
 The oracles here re-implement the update rule and limit classification
 from scratch on adjacency lists, without touching the library's step
 functions or the vectorized scan, so census/backtracking/scan results
-are checked against genuinely independent code.
+are checked against genuinely independent code. ``cycle_census`` and
+``tree_census`` count fixed points and 2-cycles exactly, far past the
+scan, on the two families they cover.
 """
 
 from __future__ import annotations
@@ -55,6 +57,68 @@ def slow_census(adjacency, thresholds):
             seen[cur] = len(seq)
             seq.append(cur)
     return fixed, two_cycles, max_transient, max_cycle
+
+
+def _cycle_fixed_points(k):
+    """Fixed points of the cycle v_0 v_1 ... v_{n-1} v_0 (n >= 3) with
+    thresholds k, by a transfer matrix over (a_{i-1}, a_i): the move
+    from (x, y) to (y, z) at v_i is allowed iff y = [x + z >= k_i]. The
+    count is the trace of the product, one start state at a time."""
+    n = len(k)
+    total = 0
+    for start in ((0, 0), (0, 1), (1, 0), (1, 1)):  # (a_{n-1}, a_0)
+        ways = {start: 1}
+        for i in range(n):
+            moved = {}
+            for (x, y), w in ways.items():
+                for z in (0, 1):
+                    if y == (x + z >= k[i]):
+                        moved[y, z] = moved.get((y, z), 0) + w
+            ways = moved
+        total += ways.get(start, 0)
+    return total
+
+
+def cycle_census(k):
+    """(F, T) on the cycle v_0 v_1 ... v_{n-1} v_0 with thresholds k.
+    The double cover of an odd n-cycle is the 2n-cycle with thresholds
+    k + k, and that of an even one is two n-cycles, so its D = F + 2T
+    fixed points are counted by the same transfer matrix."""
+    f = _cycle_fixed_points(k)
+    d = _cycle_fixed_points(k + k) if len(k) % 2 else f * f
+    return f, (d - f) // 2
+
+
+def tree_census(n, edges, k):
+    """(F, T) on the tree with nodes 0..n-1, the given edges and
+    thresholds k, by a DP over (a_v, a_parent) from the leaves up to
+    node 0. For each a_v, a polynomial in z counts the children's
+    subtrees by their number c of B children (the coefficient of z^c);
+    v's rule keeps the c with [c + a_parent >= k_v] = a_v. Trees are
+    bipartite, so the double cover is two copies and D = F^2."""
+    adjacency = [[] for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    parent, order = [None] * n, [0]
+    for v in order:
+        for u in adjacency[v]:
+            if u != parent[v] and u != 0:
+                parent[u] = v
+                order.append(u)
+    ways = [None] * n  # ways[v][a_v][a_parent]
+    for v in reversed(order):
+        ways[v] = [[0, 0], [0, 0]]
+        for a in (0, 1):
+            poly = [1]
+            for u in adjacency[v]:
+                if u != parent[v]:
+                    w, b = ways[u][0][a], ways[u][1][a]
+                    poly = [x * w + y * b for x, y in zip(poly + [0], [0] + poly)]
+            for p in (0, 1):
+                ways[v][a][p] = sum(x for c, x in enumerate(poly) if (c + p >= k[v]) == a)
+    f = ways[0][0][0] + ways[0][1][0]
+    return f, (f * f - f) // 2
 
 
 def inverted_step(g, k):

@@ -30,7 +30,7 @@ from threshold_lab.instances import (
 
 from threshold_lab.enumeration import scan_limits
 
-from conftest import as_int, load_tool, slow_census
+from conftest import as_int, cycle_census, load_tool, slow_census, tree_census
 
 
 def planted_kernel(succ):
@@ -392,6 +392,60 @@ class TestCountedCensus:
         monkeypatch.setattr(en, "_count_fixed_points", planted)
         with pytest.raises(InvariantViolationError, match=message):
             self.counted(four_cycle, (1, 1, 1, 1))
+
+
+def random_cycle(rng, n, ks):
+    """A cycle on a random labelling of n nodes, its thresholds drawn from
+    ks, and those thresholds in cycle order."""
+    order = rng.sample(range(n), n)
+    k = [rng.choice(ks) for _ in range(n)]
+    g = build_graph(n, [(order[i], order[i - 1]) for i in range(n)])
+    return g, tuple(k), [k[v] for v in order]
+
+
+def random_tree(rng, n, low):
+    """A random tree on n nodes, its edges, and thresholds from low to
+    d + 1 (low = 0) or from 1 to d (low = 1)."""
+    label = rng.sample(range(n), n)
+    edges = [(label[rng.randrange(i)], label[i]) for i in range(1, n)]
+    g = build_graph(n, edges)
+    k = tuple(rng.randint(low, d + 1 - low) for d in g.degrees)
+    return g, edges, k
+
+
+class TestScaleOracles:
+    """The transfer matrix on cycles and the DP on trees of conftest count
+    F and T exactly at any size; both share no code with the library."""
+
+    def test_oracles_match_the_scan(self, rng):
+        for _ in range(300):
+            g, k, ring = random_cycle(rng, rng.randint(3, 12), range(4))
+            census = scan_limits(g, k)
+            assert cycle_census(ring) == (census.fixed_points, census.two_cycles), ring
+        for _ in range(300):
+            g, edges, k = random_tree(rng, rng.randint(2, 12), 0)
+            census = scan_limits(g, k)
+            assert tree_census(g.n, edges, k) == (census.fixed_points, census.two_cycles), k
+
+    def test_oracles_match_the_counted_census(self, rng):
+        # the counting path below the guard, with a budget it never meets
+        counted = TestCountedCensus.counted
+        for n in range(9, 19):
+            for kind in ("min", "max"):
+                if (kind == "min" and n % 2) or (kind == "max" and n % 3 == 0):
+                    g, k = build_extremal_cycle_instance(n, kind)
+                    assert cycle_census(k) == counted(g, k)[:2], (n, kind)
+        # thresholds 1 and 2 only leave no node pinned: F reaches 262 and
+        # T 34,191 at n = 29, so those cycles stop at n = 20
+        cycles = [(n, range(4)) for n in range(13, 31)] + [(n, (1, 2)) for n in range(13, 21)]
+        for n, ks in cycles:
+            g, k, ring = random_cycle(rng, n, ks)
+            assert cycle_census(ring) == counted(g, k)[:2], ring
+        trees = [(n, 0) for n in range(13, 25)] + [(n, 1) for n in range(10, 17)]
+        for n, low in trees:
+            for _ in range(2):
+                g, edges, k = random_tree(rng, n, low)
+                assert tree_census(n, edges, k) == counted(g, k)[:2], (edges, k)
 
 
 class TestTransitionTable:

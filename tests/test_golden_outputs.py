@@ -41,3 +41,17 @@ def test_evaluations_are_pinned_apart(monkeypatch):
     assert a["evaluations"] == c["evaluations"] != b["evaluations"]
     assert "evaluations" not in d and d["stdout"] != a["stdout"]
     assert a["exit"] == 0
+
+
+def test_repin_lists_the_keys_it_moves(tmp_path, monkeypatch, capsys):
+    # run as a script, the tool names every key it adds, drops or changes
+    pin = tmp_path / "pins.json"
+    pin.write_text(json.dumps({"a": {"exit": 0}, "b": {"exit": 0}, "c": {"exit": 0}}))
+    monkeypatch.setattr(golden, "PIN", pin)
+    monkeypatch.setattr(golden, "outputs", lambda work: {
+        "b": {"exit": 0}, "c": {"exit": 4}, "d": {"exit": 0}})
+    assert golden.main() == 0
+    listed = capsys.readouterr().err.splitlines()
+    assert listed[:-1] == ["dropped a", "changed c", "added d"]
+    assert listed[-1] == f"pinned 3 runs in {pin}"
+    assert json.loads(pin.read_text()) == {"b": {"exit": 0}, "c": {"exit": 4}, "d": {"exit": 0}}

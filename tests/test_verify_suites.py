@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from threshold_lab import verify
+import pytest
+
+from threshold_lab import dynamics, verify
+from threshold_lab.cli import main
 
 
 def test_all_invariant_suites_pass():
@@ -38,6 +41,37 @@ def test_suites_are_found_by_name_in_order(monkeypatch):
     assert [r[0] for r in results] == SUITES
     assert all(ok for _, ok, _ in results)
     assert [r[2] for r in results] == seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_checks_return_none_and_the_probe_its_finding(capsys, monkeypatch, seed):
+    # a _check_* suite raises or returns None, so its line is PASS or FAIL
+    # only; the probe returns its finding, and verify prints it
+    returned = {}
+    for name in dir(verify):
+        if name.startswith(("_check_", "_probe_")):
+            suite = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda rng, name=name, suite=suite:
+                                returned.setdefault(name, suite(rng)))
+    assert main(["verify", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    probe = returned.pop("_probe_bipartite_linear_time")
+    assert len(returned) == 19 and set(returned.values()) == {None}
+    assert probe.startswith("worst transient/n = ")
+    assert lines[:19] == [f"PASS  {name}" for name in SUITES[:19]]
+    assert lines[19] == f"PASS  probe-bipartite-linear-time  ({probe})"
+
+
+def test_planted_probe_violation_is_reported_not_failed(capsys, monkeypatch):
+    # the probe asserts nothing: a transient past n is a finding on its line
+    for name in dir(verify):
+        if name.startswith(("_check_", "_probe_")) and name != "_probe_bipartite_linear_time":
+            monkeypatch.setattr(verify, name, lambda rng: None)
+    monkeypatch.setattr(dynamics, "convergence_time", lambda g, k, a: g.n + 1)
+    assert main(["verify", "--seed", "0"]) == 0
+    line = capsys.readouterr().out.splitlines()[19]
+    assert line.startswith("PASS  probe-bipartite-linear-time  (worst transient/n = ")
+    assert line.endswith("; 1200 exceeded n (conjecture counterexamples, please report))")
 
 
 def test_suites_are_seed_stable():

@@ -14,8 +14,9 @@ A ``resilience`` job's ``evaluations`` count is hashed on its own, and
 its stdout is hashed with that value blanked, so a change that only
 moves the search's work re-pins that one field and leaves ``mu`` and
 ``witness_q`` pinned. ``tests/test_golden_outputs.py`` recomputes the
-same table and compares it with the file. Re-pin only when an output
-changes on purpose, and name the jobs that changed and why.
+same table and compares it with the file. The script lists on stderr
+every key it adds, drops or changes. Re-pin only when an output changes
+on purpose, and name the jobs that changed and why.
 """
 
 from __future__ import annotations
@@ -94,10 +95,19 @@ def outputs(work: Path) -> dict:
 
 
 def main() -> int:
+    """Rewrite PIN, and list on stderr every key it adds, drops or changes."""
     with tempfile.TemporaryDirectory() as tmp:
         table = outputs(Path(tmp))
+    old = json.loads(PIN.read_text()) if PIN.exists() else {}
+    for key in sorted(old.keys() | table.keys()):
+        if key not in old:
+            print(f"added {key}", file=sys.stderr)
+        elif key not in table:
+            print(f"dropped {key}", file=sys.stderr)
+        elif old[key] != table[key]:
+            print(f"changed {key}", file=sys.stderr)
     PIN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"pinned {len(table)} runs in {PIN.relative_to(ROOT)}", file=sys.stderr)
+    print(f"pinned {len(table)} runs in {PIN}", file=sys.stderr)
     return 0
 
 
