@@ -29,12 +29,15 @@ _EXPORTS = {
         "Graph",
         "TwoPartition",
         "build_graph",
+        "convergence_time_bound",
+        "default_guard",
         "format_profile",
         "instance_from_dict",
         "instance_to_dict",
         "is_bipartite",
         "is_valid_node",
         "load_instance",
+        "make_step",
         "parse_profile",
         "two_partition",
         "types_to_thresholds",
@@ -47,10 +50,7 @@ _EXPORTS = {
         "Rule",
         "conflict_links",
         "convergence_time",
-        "convergence_time_bound",
-        "default_guard",
         "limit_cycle",
-        "make_step",
         "ring_two_step",
         "step",
         "step_restricted",

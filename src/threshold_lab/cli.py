@@ -6,6 +6,7 @@ All output is canonical JSON (sorted keys, exact rationals as
 byte-identical results. Exit codes, one per class in ``errors``:
 
   0  success
+  1  stdout closed by its reader (``threshold_lab.__main__.main``)
   2  invalid input (BadParameterError), a file that cannot be read, or
      an expansion whose output would not load (the doubling of a
      bipartite or loop-free instance is two copies of it)
@@ -16,27 +17,32 @@ byte-identical results. Exit codes, one per class in ``errors``:
      reduce --kind fix --verify, or the greedy or exhausted-heap
      invariant of the resilience search
 
-Start-up loads only what every subcommand shares: ``errors``,
-``graph_core`` and ``dynamics``, with argparse and json. Each subcommand
-imports the rest of what it runs:
+Start-up loads only what every subcommand shares: ``errors`` and
+``graph_core``, with argparse and json. Each subcommand imports the rest
+of what it runs:
 
-  simulate     nothing more
+  simulate     dynamics
   enumerate    enumeration
-  expand       expansions
+  expand       expansions, with the dynamics it builds on
   reduce       reductions, with the enumeration it builds on
   resilience   resilience
   verify       verify, which loads every module
 
 No subcommand loads numpy, and ``fractions`` is loaded only to decode
-a types file and by resilience. The names that enumeration, reductions and
-resilience export (the package table ``threshold_lab._EXPORTS``) are
-bound in this module when one of them is first looked up here (PEP 562)
-or when its subcommand runs. Binding never replaces a name already set,
-so a wrapper set on this module beforehand is the function the
-subcommand calls: ``reduce`` looks its builder and oracles up here when
-it runs. It checks the size of each 2^n scan before the build, writes
-the gadget's instance, labels and target in one place, and then runs
-the checks of its kind.
+a types file and by resilience. The names that dynamics, enumeration,
+reductions and resilience export (the package table
+``threshold_lab._EXPORTS``) are bound in this module when one of them
+is first looked up here (PEP 562) or when its subcommand runs. Binding
+never replaces a name already set, so a wrapper set on this module
+beforehand is the function the subcommand calls: ``reduce`` looks its
+builder and oracles up here when it runs. It checks the size of each
+2^n scan before the build, writes the gadget's instance, labels and
+target in one place, and then runs the checks of its kind.
+
+``main`` serves in-process callers. A ``BrokenPipeError`` from writing
+to a closed stdout passes through it, since the input was fine; the
+process entry point, ``threshold_lab.__main__.main``, turns it into
+exit 1.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ import re
 import sys
 
 from . import _EXPORTS, _OWNER
-from .dynamics import Rule, default_guard, limit_cycle
 from .errors import (
     DEFAULT_GUARD_N,
     MAX_SCAN_N,
@@ -60,6 +65,7 @@ from .errors import (
     check_scan_size,
 )
 from .graph_core import (
+    default_guard,
     format_profile,
     instance_from_dict,
     instance_to_dict,
@@ -79,7 +85,7 @@ def _bind(*modules: str) -> None:
 
 def __getattr__(name: str):
     module = _OWNER.get(name)
-    if module in ("enumeration", "reductions", "resilience"):
+    if module in ("dynamics", "enumeration", "reductions", "resilience"):
         _bind(module)
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -129,6 +135,7 @@ def _frac(f) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
+    _bind("dynamics")
     if args.max_states is not None and args.max_states < 1:
         raise BadParameterError(f"--max-states must be >= 1, got {args.max_states}")
     g, k = instance_from_dict(read_json(args.input))
@@ -381,6 +388,8 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        raise  # stdout was closed: not an input error
     except (ThresholdLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,9 +10,13 @@ thresholds k beside it: types become thresholds through
 ``types_to_thresholds``, and the inverted rule (B iff at most k_i - 1
 neighbors played B) is weights -1 with thresholds 1 - k_i.
 
-``make_step`` is the unit-weight bit-count kernel (node i plays B iff
-at least k_i neighbors played B), ``step`` one call of it, and
-``step_restricted`` one on a node subset. The plain-Python references:
+``step`` is one call of the unit-weight bit-count kernel (node i plays
+B iff at least k_i neighbors played B), and ``step_restricted`` one on
+a node subset. The kernel, ``make_step``, lives in ``graph_core`` with
+the transient envelope ``convergence_time_bound`` and the guard
+``default_guard``, so that the census and the resilience search run
+without importing this module; all three resolve here too. The
+plain-Python references:
   step_types     node i plays B iff strictly more than q_i*d_i did
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
@@ -25,7 +29,7 @@ with the Lyapunov energy.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadParameterError,
@@ -36,18 +40,20 @@ from .graph_core import (
     ACTION_B,
     ACTION_W,
     Graph,
+    StepMap,
     as_int,
     as_iter,
     as_node,
     as_thresholds,
+    convergence_time_bound,
+    default_guard,
     instance_from_dict,
+    make_step,
     reach,
     validate_profile,
     validate_thresholds,
     validate_types,
 )
-
-StepMap = Callable[[int], int]
 
 
 # perfbench/load_inputs.py imports the loader under this name for weighted
@@ -111,25 +117,6 @@ def step_weighted(g: Graph, k: Sequence[int], a: int) -> int:
     return out
 
 
-def make_step(g: Graph, k: Sequence[int]) -> StepMap:
-    return _bitcount_step(g, validate_thresholds(g, k))
-
-
-def _bitcount_step(g: Graph, k: Sequence[int]) -> StepMap:
-    """make_step without validation, for thresholds the caller built as
-    non-negative ints of length g.n on an unweighted g."""
-    masks, n = g.neighbor_masks, g.n
-
-    def fn(a: int) -> int:
-        out = 0
-        for i in range(n):
-            if (a & masks[i]).bit_count() >= k[i]:
-                out |= 1 << i
-        return out
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # The weighted threshold rule as reader lists
 
@@ -178,16 +165,6 @@ class LimitReport(NamedTuple):
     transient: int
     cycle: tuple[int, ...]
     trajectory_length: int
-
-
-def convergence_time_bound(g: Graph) -> int:
-    """Upper envelope 14|E| + 6n on the convergence time, from chaining
-    the expansion edge counts (|E''| <= 2|E'| <= 2[|E| + 3(2|E| + n)])."""
-    return 14 * g.num_edges + 6 * g.n
-
-
-def default_guard(g: Graph) -> int:
-    return 10 * convergence_time_bound(g) + 4
 
 
 def limit_cycle(step_map: StepMap | Rule, a: int, guard: int) -> LimitReport:

@@ -19,7 +19,8 @@ graphs.
 
 The census, ``enumerate_limits``, returns counts only: F by the search
 on the instance, F + 2T by the search on its bipartite double cover,
-within one budget of search nodes (half the scan's price of
+each the product of the searches on its connected components, within
+one budget of search nodes (half the scan's price of
 2^max(n - 16, 0) blocks x kernel operations), and the scan
 ``scan_limits`` only when that budget runs out. The scan checks period
 <= 2 and the transient envelope on every start; a counted census checks
@@ -34,15 +35,14 @@ import random
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .dynamics import _bitcount_step, default_guard
-
 from .errors import (
     DEFAULT_GUARD_N,
     BadParameterError,
     InvariantViolationError,
     check_scan_size,
 )
-from .graph_core import Graph, as_int, build_graph, cross_edges, is_bipartite, two_partition
+from .graph_core import Graph, _bitcount_step, as_int, build_graph, cross_edges, default_guard
+from .graph_core import induced_subgraph, is_bipartite, reach, two_partition
 from .graph_core import validate_profile, validate_thresholds
 
 # one 2^16-bit column is 8 KB, so a block stays small while each & or |
@@ -182,7 +182,7 @@ def scan_limits(
     The 2-cycle ends E = {a : f(f(a)) = a != f(a)} satisfy f(E) = E,
     and f pairs them off, so there are |E| / 2 2-cycles. The scan also
     verifies that every profile reaches a cycle of length <= 2 within
-    min(2^n, dynamics.default_guard(g)) steps, re-establishing the
+    min(2^n, graph_core.default_guard(g)) steps, re-establishing the
     length-2 bound and the transient envelope on this instance rather
     than assuming them. ``enumerate_limits`` runs this scan when its
     budget runs out; ``verify`` and the tests call it directly as the
@@ -236,15 +236,15 @@ def _settle(kernel, full: int, x: list[int], f1: list[int], f2: list[int], limit
 
 
 def _count_limits(g: Graph, k: tuple[int, ...], kernel, budget: int) -> LimitCensus | None:
-    """The counted census of ``enumerate_limits``, or None when its two
+    """The counted census of ``enumerate_limits``, or None when its
     searches together would take more than ``budget`` search nodes."""
     n = g.n
-    counted = _count_fixed_points(g, k, budget)
+    counted = _count_by_components(g, k, budget)
     if counted is None:
         return None
     f, nodes = counted
     cover = build_graph(2 * n, cross_edges(g), require_connected=False)
-    counted = _count_fixed_points(cover, k + k, budget - nodes)
+    counted = _count_by_components(cover, k + k, budget - nodes)
     if counted is None:
         return None
     d = counted[0]
@@ -264,6 +264,32 @@ def _count_limits(g: Graph, k: tuple[int, ...], kernel, budget: int) -> LimitCen
     f1 = kernel(full, x)
     _settle(kernel, full, x, f1, kernel(full, f1), min(1 << n, default_guard(g)))
     return LimitCensus(f, t, f + t)
+
+
+def _count_by_components(
+    g: Graph, k: tuple[int, ...], budget: int
+) -> tuple[int, int] | None:
+    """``_count_fixed_points`` as the product of its counts on the
+    connected components of (g, k), which share the budget. A profile is
+    a fixed point iff its restriction to every component is one, so the
+    counts multiply, and the search meets each component's fixed points
+    once instead of their product: the cover of a bipartite graph is two
+    copies of it, with F^2 fixed points. A connected g is searched as
+    it is."""
+    seen = bytearray(g.n)
+    parts = [reach(g.adjacency, v, seen) for v in range(g.n) if not seen[v]]
+    if len(parts) == 1:
+        return _count_fixed_points(g, k, budget)
+    count, nodes = 1, 0
+    for part in parts:
+        part.sort()
+        counted = _count_fixed_points(induced_subgraph(g, part), tuple(k[v] for v in part),
+                                      budget - nodes)
+        if counted is None:
+            return None
+        count *= counted[0]
+        nodes += counted[1]
+    return count, nodes
 
 
 # ---------------------------------------------------------------------------

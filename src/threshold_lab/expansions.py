@@ -25,6 +25,7 @@ from .graph_core import (
     as_thresholds,
     build_graph,
     cross_edges,
+    induced_subgraph,
     instance_to_dict,
     reach,
     validate_profile,
@@ -416,10 +417,8 @@ def remove_constant_node(
         if seen[start]:
             continue
         comp = sorted(reach(g.adjacency, start, seen))
-        index = {old: new for new, old in enumerate(comp)}
-        edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
         sub_k = tuple(max(k[old] - 1, 0) if old in drop else k[old] for old in comp)
-        components.append(ComponentInstance(build_graph(len(comp), edges), sub_k, tuple(comp)))
+        components.append(ComponentInstance(induced_subgraph(g, comp), sub_k, tuple(comp)))
     return tuple(components)
 
 

@@ -9,6 +9,13 @@ Every instance is a graph with integer thresholds k. Types (fractions
 of neighbors) are exact ``fractions.Fraction`` values in [0, 1], never
 floats, and become thresholds once, through ``types_to_thresholds``:
 threshold boundaries depend on deciding ``q_i * d_i`` equalities exactly.
+
+The unit-weight step (node i plays B iff at least k_i neighbors played
+B) lives here as ``make_step``, with its unchecked form
+``_bitcount_step``, and so does the transient envelope
+``convergence_time_bound`` and the trajectory guard ``default_guard``
+built on it: the census, the resilience search and ``simulate`` all use
+them, and only ``simulate`` needs the trajectory engine of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ import json
 import operator
 from collections import defaultdict, deque
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BadParameterError, NotBipartiteError
 
 ACTION_B = "B"
 ACTION_W = "W"
+
+StepMap = Callable[[int], int]
 
 
 class _GraphFields(NamedTuple):
@@ -202,6 +211,15 @@ def reach(nbrs, start: int, seen) -> list[int]:
                 seen[v] = 1
                 queue.append(v)
     return queue
+
+
+def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
+    """The subgraph of the unweighted g on ``nodes``, which must be
+    connected in it; node j of the subgraph is nodes[j]."""
+    index = {old: new for new, old in enumerate(nodes)}
+    adjacency = g.adjacency
+    return build_graph(len(nodes), [(index[u], index[v]) for u in nodes
+                                    for v in adjacency[u] if u < v and v in index])
 
 
 def _check_connected(n: int, nbrs, seen) -> None:
@@ -395,6 +413,40 @@ def types_to_thresholds(g: Graph, q: Sequence) -> tuple[int, ...]:
     """
     q = validate_types(g, q)
     return tuple(f.numerator * d // f.denominator + 1 for f, d in zip(q, g.degrees))
+
+
+# ---------------------------------------------------------------------------
+# The unit-weight step and the transient envelope
+
+
+def make_step(g: Graph, k: Sequence[int]) -> StepMap:
+    """The unit-weight step map: out_i = B iff >= k_i neighbors of i play B."""
+    return _bitcount_step(g, validate_thresholds(g, k))
+
+
+def _bitcount_step(g: Graph, k: Sequence[int]) -> StepMap:
+    """make_step without validation, for thresholds the caller built as
+    non-negative ints of length g.n on an unweighted g."""
+    masks, n = g.neighbor_masks, g.n
+
+    def fn(a: int) -> int:
+        out = 0
+        for i in range(n):
+            if (a & masks[i]).bit_count() >= k[i]:
+                out |= 1 << i
+        return out
+
+    return fn
+
+
+def convergence_time_bound(g: Graph) -> int:
+    """Upper envelope 14|E| + 6n on the convergence time, from chaining
+    the expansion edge counts (|E''| <= 2|E'| <= 2[|E| + 3(2|E| + n)])."""
+    return 14 * g.num_edges + 6 * g.n
+
+
+def default_guard(g: Graph) -> int:
+    return 10 * convergence_time_bound(g) + 4
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
-from .dynamics import _bitcount_step
 from .errors import BadParameterError, GuardExceededError, InvariantViolationError
-from .graph_core import Graph, as_int, require_unweighted, types_to_thresholds
+from .graph_core import Graph, _bitcount_step, as_int, require_unweighted, types_to_thresholds
 
 _MAX_SEEDS = 2_000_000  # seed profiles per recovery check
 _MAX_GRID = 1 << 24  # digit vectors on the quantized grid

@@ -914,6 +914,118 @@ class TestDeterminism:
         assert "Traceback" not in err
 
 
+class TestEntryPoint:
+    """``python -m threshold_lab`` and the ``threshold-lab`` script run
+    ``threshold_lab.__main__.main``: ``cli.main``, then ``gc.freeze()``,
+    with a closed stdout turned into a quiet exit 1."""
+
+    @staticmethod
+    def entry(argv, env=None, **kwargs):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ if env is None else env, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "threshold_lab", *argv], env=env,
+                              timeout=120, **kwargs)
+
+    @pytest.mark.parametrize("job", ["enumerate", "missing-file", "guard", "help", "unknown"])
+    def test_same_outcome_as_in_process_main(self, capsys, tmp_path, monkeypatch,
+                                             four_cycle_file, job):
+        # a 26-node path is past the default scan guard of 24 nodes
+        path = write(tmp_path / "p26.json", {"n": 26, "edges": [[i, i + 1] for i in range(25)],
+                                             "thresholds": [1] * 26})
+        argv, code = {
+            "enumerate": (["enumerate", "--input", four_cycle_file], 0),
+            "missing-file": (["enumerate", "--input", str(tmp_path / "none.json")], 2),
+            "guard": (["enumerate", "--input", path], 3),
+            "help": (["--help"], 0),
+            "unknown": (["no-such-command"], 2),
+        }[job]
+        # argparse wraps help at the terminal width, which COLUMNS sets
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("THRESHOLD_LAB_GUARD_N", raising=False)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        proc = self.entry(argv, capture_output=True)
+        assert got == code
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+            code, captured.out.encode(), captured.err)
+        assert proc.stdout if job in ("enumerate", "help") else proc.stderr
+
+    def test_the_entry_freezes_and_cli_main_does_not(self, four_cycle_file):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = ("import contextlib, gc, io, sys\n"
+                 "from threshold_lab import cli\n"
+                 "from threshold_lab.__main__ import main\n"
+                 "sys.argv[1:] = ['enumerate', '--input', sys.argv[1]]\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    codes = [cli.main(), gc.get_freeze_count(), main()]\n"
+                 "print(*codes, gc.get_freeze_count() > 0)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe, four_cycle_file], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "0", "0", "True"], proc.stderr
+
+    def test_the_script_runs_the_entry(self):
+        import importlib
+        import re
+        from pathlib import Path
+
+        text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        target = re.search(r'^threshold-lab = "(.*)"$', text, re.M).group(1)
+        assert target == "threshold_lab.__main__:main"
+        module, _, name = target.partition(":")
+        # importing the module runs nothing; the script calls the function
+        assert callable(getattr(importlib.import_module(module), name))
+
+    @pytest.mark.parametrize("size, unbuffered", [
+        ("small", False), ("small", True), ("large", False), ("large", True), ("help", False)])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, triangle_file, size, unbuffered):
+        # a 300-node path's symmetric expansion prints more than a pipe
+        # holds, so it fails inside cli.main; the triangle's census fails
+        # only when the entry point flushes, or at once when unbuffered;
+        # --help leaves cli.main by SystemExit before the flush (argparse
+        # itself drops the error of an unbuffered write, so that case is
+        # argparse's)
+        import os
+        import subprocess
+
+        path = write(tmp_path / "p300.json", {"n": 300, "edges": [[i, i + 1] for i in range(299)],
+                                              "thresholds": [1] * 300})
+        argv = {"small": ["enumerate", "--input", triangle_file],
+                "large": ["expand", "--kind", "symmetric", "--input", path],
+                "help": ["--help"]}[size]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, written = os.pipe()
+        os.close(read)
+        try:
+            proc = self.entry(argv, env, stdout=written, stderr=subprocess.PIPE)
+        finally:
+            os.close(written)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_closed_stdout_passes_through_cli_main(self, triangle_file, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            main(["enumerate", "--input", triangle_file])
+
+
 def test_benchmark_input_loader_runs(tmp_path):
     """perfbench/load_inputs.py imports library names by name; a rename
     must fail here, not only in the benchmark. Start-up stays lean: the
@@ -921,8 +1033,11 @@ def test_benchmark_input_loader_runs(tmp_path):
     bipartite expansion, the 2^n scans of ``enumerate`` and of ``reduce
     --verify`` of every kind, and the loader never load numpy, nor
     ``dataclasses`` and the ``inspect`` chain it imports; the CLI import
-    loads no leaf module and none of the three engines, and each
-    subcommand loads no engine it does not run. ``fractions`` loads only
+    loads no leaf module and none of the four engines, and each
+    subcommand loads no engine it does not run. The trajectory engine,
+    ``dynamics``, loads for ``simulate`` and, through ``expansions``,
+    for ``expand``: not on the CLI import, nor for ``enumerate``,
+    ``reduce`` of any kind or ``resilience`` in any mode. ``fractions`` loads only
     for a types file or a resilience job: not on the CLI import, nor for
     ``enumerate``, ``reduce`` of any kind, or ``simulate`` on a threshold
     or weighted file. The loader and a bare ``formula_from_dict`` leave
@@ -956,37 +1071,44 @@ def test_benchmark_input_loader_runs(tmp_path):
         return proc.stdout
 
     lean = ("numpy", "dataclasses", "inspect")
-    enumeration, reductions, resilience = (
-        f"threshold_lab.{m}" for m in ("enumeration", "reductions", "resilience"))
-    engines = (enumeration, reductions, resilience)
+    dynamics, enumeration, reductions, resilience = (
+        f"threshold_lab.{m}" for m in ("dynamics", "enumeration", "reductions", "resilience"))
+    engines = (dynamics, enumeration, reductions, resilience)
     heavy = (*lean, *engines, "fractions", "networkx", "threshold_lab.verify", "threshold_lab.expansions",
              "threshold_lab.instances")
     loaded = python("-c", f"import sys, threshold_lab.cli; "
                           f"print([m for m in {heavy!r} if m in sys.modules])")
     assert loaded.strip() == "[]"
 
-    # (modules that must stay unloaded, argv)
-    runs = [((*lean, *engines, *fractions), ["simulate", "--input", path, "--initial", "BW"])
+    # (modules that must stay unloaded, whether dynamics loads, argv)
+    engines_but_dynamics = (enumeration, reductions, resilience)
+    runs = [((*lean, *engines_but_dynamics, *fractions), True,
+             ["simulate", "--input", path, "--initial", "BW"])
             for path, fractions in zip(files[:3], (["fractions"], [], ["fractions"]))]
-    runs += [((*lean, enumeration, reductions, "threshold_lab.instances"),
+    runs += [((*lean, dynamics, enumeration, reductions, "threshold_lab.instances"), False,
               ["resilience", "--input", star, "--K", "1", "--mode", mode])
              for mode in ("brute", "greedy", "closed-form")]
-    runs.append(((*lean, *engines), ["expand", "--input", triangle, "--kind", "bipartite"]))
-    runs.append(((*lean, reductions, resilience, "fractions"), ["enumerate", "--input", star]))
-    runs += [((*lean, resilience, "fractions"), ["reduce", "--formula", path, "--kind", kind, "--verify"])
+    runs.append(((*lean, *engines_but_dynamics), True,
+                 ["expand", "--input", triangle, "--kind", "bipartite"]))
+    runs.append(((*lean, dynamics, reductions, resilience, "fractions"), False,
+                 ["enumerate", "--input", star]))
+    runs += [((*lean, dynamics, resilience, "fractions"), False,
+              ["reduce", "--formula", path, "--kind", kind, "--verify"])
              for path, kind in ((files[4], "pred"), (files[5], "reachable-pred"))]
     probe = ("import contextlib, io, sys\n"
              "from threshold_lab.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(sys.argv[2:])\n"
-             "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules])\n")
-    for unused, argv in runs:
-        assert python("-c", probe, ",".join(unused), *argv).strip() == "0 []", argv
+             "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules],\n"
+             "      'threshold_lab.dynamics' in sys.modules)\n")
+    for unused, loads_dynamics, argv in runs:
+        out = python("-c", probe, ",".join(unused), *argv).strip()
+        assert out == f"0 [] {loads_dynamics}", argv
     # the fixed-point count and the model count of a fix job are pure Python
     probe = ("import json, sys\n"
              "from threshold_lab.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             f"print(json.dumps([code, [m for m in {(*lean, resilience, 'fractions')!r} "
+             f"print(json.dumps([code, [m for m in {(*lean, dynamics, resilience, 'fractions')!r} "
              f"if m in sys.modules]]))\n")
     out = python("-c", probe, "reduce", "--formula", files[3], "--kind", "fix", "--verify")
     *result, flags = out.splitlines()
@@ -1234,7 +1356,7 @@ def test_each_subcommand_name_resolves_after_its_bind():
         missing = [name for name in sorted(global_loads(code))
                    if name not in vars(cli) and not hasattr(builtins, name)]
         assert missing == [], command
-    assert bound == {"enumeration", "reductions", "resilience"}
+    assert bound == {"dynamics", "enumeration", "reductions", "resilience"}
 
 
 def test_readme_synopsis_matches_the_parser():

@@ -14,6 +14,7 @@ from threshold_lab import (
     enumerate_limits,
     fixed_points,
     instance_from_dict,
+    is_bipartite,
     is_reachable,
     parse_profile,
     predecessors,
@@ -29,6 +30,7 @@ from threshold_lab.instances import (
 )
 
 from threshold_lab.enumeration import scan_limits
+from threshold_lab.graph_core import reach
 
 from conftest import as_int, cycle_census, load_tool, slow_census, tree_census
 
@@ -348,6 +350,50 @@ class TestCountedCensus:
                 assert bool(scans) == (job.meta["family"] == "extremal"), (seed, job.jid)
                 assert census == scan_limits(g, k), (seed, job.jid)
 
+    def test_matches_the_scan_across_components(self, rng):
+        # the count is a product over components, on g and on its cover:
+        # disconnected graphs, forests and other bipartite graphs, whose
+        # covers split in two, and k from 0 to d + 1
+        shapes = {"disconnected": 0, "bipartite": 0, "odd cycle": 0}
+        for trial in range(240):
+            n = rng.randint(1, 14)
+            side = [rng.randrange(2) for _ in range(n)]
+            p = rng.choice((0.15, 0.3, 0.5))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < p and (trial % 3 or side[i] != side[j])]
+            g = build_graph(n, edges, require_connected=False)
+            k = random_thresholds(g, rng)
+            scan = scan_limits(g, k)
+            assert self.counted(g, k) == scan, (g.edges, k)
+            assert enumerate_limits(g, k) == scan
+            bipartite = is_bipartite(g)
+            shapes["disconnected"] += len(reach(g.adjacency, 0, bytearray(n))) < n
+            shapes["bipartite"] += bipartite and n > 1
+            shapes["odd cycle"] += not bipartite
+        assert min(shapes.values()) >= 40, shapes
+
+    def test_random_tree_counts_by_components(self):
+        # its cover is two copies of the tree, with D = F^2 = 1,806,336
+        # fixed points, which a search of the whole cover meets one by one
+        import random
+        import time
+
+        import threshold_lab.enumeration as en
+
+        rng = random.Random(2)
+        edges = [(rng.randrange(v), v) for v in range(1, 40)]
+        g = build_graph(40, edges)
+        k = tuple(rng.randint(1, d) for d in g.degrees)
+        kernel = en.compile_kernel(zip(k, g.adjacency))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            census = en._count_limits(g, k, kernel, 1 << 40)
+            times.append(time.perf_counter() - start)
+        assert (census.fixed_points, census.two_cycles) == (1344, 902496)
+        assert tree_census(40, edges, k) == (1344, 902496)
+        assert min(times) < 0.1, times
+
     def test_extremal_instance_falls_back_to_the_scan(self, monkeypatch):
         # 128 fixed points and 8,128 2-cycles: the counter meets them one
         # by one and runs past its budget of 32 blocks x 21 operations / 2
@@ -380,16 +426,17 @@ class TestCountedCensus:
     def test_planted_cover_count_is_caught(self, four_cycle, monkeypatch, extra, message):
         # the 4-cycle with k = 1 is bipartite, with F = 2, T = 1 and D = 4 on
         # the cover: one more cover fixed point makes D - F odd, and two
-        # more make T = 2 != F(F - 1)/2
+        # more make T = 2 != F(F - 1)/2. The fault is planted on the count
+        # of the 8-node cover as a whole, which splits into two 4-cycles.
         import threshold_lab.enumeration as en
 
-        count = en._count_fixed_points
+        count = en._count_by_components
 
         def planted(g, k, budget):
             found = count(g, k, budget)
             return found if g.n == 4 else (found[0] + extra, found[1])
 
-        monkeypatch.setattr(en, "_count_fixed_points", planted)
+        monkeypatch.setattr(en, "_count_by_components", planted)
         with pytest.raises(InvariantViolationError, match=message):
             self.counted(four_cycle, (1, 1, 1, 1))
 
