@@ -1037,10 +1037,10 @@ def test_benchmark_input_loader_runs(tmp_path):
     subcommand loads no engine it does not run. The trajectory engine,
     ``dynamics``, loads for ``simulate`` and, through ``expansions``,
     for ``expand``: not on the CLI import, nor for ``enumerate``,
-    ``reduce`` of any kind or ``resilience`` in any mode. ``fractions`` loads only
-    for a types file or a resilience job: not on the CLI import, nor for
-    ``enumerate``, ``reduce`` of any kind, or ``simulate`` on a threshold
-    or weighted file. The loader and a bare ``formula_from_dict`` leave
+    ``reduce`` of any kind or ``resilience`` in any mode. ``fractions``
+    loads only for a types file or a resilience job: not on the CLI
+    import, nor for ``enumerate``, ``reduce`` of any kind, or
+    ``simulate`` on a threshold or weighted file. The loader and a bare ``formula_from_dict`` leave
     the scan engine, ``enumeration``, unloaded."""
     import os
     import subprocess
