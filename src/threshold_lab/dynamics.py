@@ -15,8 +15,7 @@ B iff at least k_i neighbors played B), and ``step_restricted`` one on
 a node subset. The kernel, ``make_step``, lives in ``graph_core`` with
 the transient envelope ``convergence_time_bound`` and the guard
 ``default_guard``, so that the census and the resilience search run
-without importing this module; all three resolve here too. The
-plain-Python references:
+without importing this module. The plain-Python references:
   step_types     node i plays B iff strictly more than q_i*d_i did
   step_weighted  signed-weight sums with optional self-loops, integer
                  thresholds that may be negative
@@ -45,7 +44,6 @@ from .graph_core import (
     as_iter,
     as_node,
     as_thresholds,
-    convergence_time_bound,
     default_guard,
     instance_from_dict,
     make_step,

@@ -274,14 +274,10 @@ def _count_by_components(
     a fixed point iff its restriction to every component is one, so the
     counts multiply, and the search meets each component's fixed points
     once instead of their product: the cover of a bipartite graph is two
-    copies of it, with F^2 fixed points. A connected g is searched as
-    it is."""
+    copies of it, with F^2 fixed points."""
     seen = bytearray(g.n)
-    parts = [reach(g.adjacency, v, seen) for v in range(g.n) if not seen[v]]
-    if len(parts) == 1:
-        return _count_fixed_points(g, k, budget)
     count, nodes = 1, 0
-    for part in parts:
+    for part in [reach(g.adjacency, v, seen) for v in range(g.n) if not seen[v]]:
         part.sort()
         counted = _count_fixed_points(induced_subgraph(g, part), tuple(k[v] for v in part),
                                       budget - nodes)

@@ -23,7 +23,10 @@ from . import dynamics, enumeration, expansions, instances, reductions, resilien
 from .errors import InvariantViolationError, ThresholdLabError
 from .graph_core import (
     build_graph,
+    convergence_time_bound,
+    default_guard,
     is_bipartite,
+    make_step,
     two_partition,
     types_to_thresholds,
 )
@@ -109,13 +112,13 @@ def _check_inverted_and_weighted_cycles(rng) -> None:
 def _inverted_step(g, k):
     """The inverted rule, B iff at most k_i - 1 neighbors play B, as the
     complement of the threshold step."""
-    base = dynamics.make_step(g, k)
+    base = make_step(g, k)
     full = (1 << g.n) - 1
     return lambda a: base(a) ^ full
 
 
 def _compare_engines(step, rule, g, what) -> None:
-    guard = dynamics.default_guard(g)
+    guard = default_guard(g)
     for a in range(1 << g.n):
         report = dynamics.limit_cycle(step, a, guard)
         _require(len(report.cycle) <= 2, "%s cycle of length %s", what, len(report.cycle))
@@ -185,7 +188,7 @@ def _check_fixed_point_coincidence(rng) -> None:
 def _check_expansion_commutation(rng) -> None:
     for g, k in _random_instances(rng, 12, 5):
         profiles = range(1 << g.n)
-        src = dynamics.make_step(g, k)
+        src = make_step(g, k)
         for res, source in (
             (expansions.bipartite_expansion(g, k), src),
             (expansions.symmetric_expansion(g, k), src),
@@ -322,7 +325,7 @@ def _check_convergence_time_bounds(rng) -> None:
                 transient = dynamics.convergence_time(g, k, a)
                 _require(transient <= n, "tree transient %s > %s", transient, n)
     for g, k in _random_instances(rng, 25, 7):
-        bound = dynamics.convergence_time_bound(g)
+        bound = convergence_time_bound(g)
         for _ in range(30):
             a = rng.randrange(1 << g.n)
             transient = dynamics.convergence_time(g, k, a)
@@ -369,7 +372,7 @@ def _check_resilience_monotone(rng) -> None:
             continue
         box = resilience._failure_box(g, walk)
         for m in product(*(range(ub + 1) for ub in box)):
-            step = dynamics.make_step(g, [x + 1 for x in m])
+            step = make_step(g, [x + 1 for x in m])
             _require(dynamics.limit_cycle(step, seed, 1 << g.n).cycle != (0,),
                      "digits %s in the box %s of seed %s recover on %s", m, box, seed, g.edges)
         boxes += 1

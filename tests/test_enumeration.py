@@ -374,9 +374,9 @@ class TestCountedCensus:
 
     def test_random_tree_counts_by_components(self):
         # its cover is two copies of the tree, with D = F^2 = 1,806,336
-        # fixed points, which a search of the whole cover meets one by one
+        # fixed points, which a search of the whole cover meets one by one;
+        # searched per copy, the two counts take 8,058 search nodes
         import random
-        import time
 
         import threshold_lab.enumeration as en
 
@@ -385,14 +385,10 @@ class TestCountedCensus:
         g = build_graph(40, edges)
         k = tuple(rng.randint(1, d) for d in g.degrees)
         kernel = en.compile_kernel(zip(k, g.adjacency))
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            census = en._count_limits(g, k, kernel, 1 << 40)
-            times.append(time.perf_counter() - start)
+        census = en._count_limits(g, k, kernel, 10_000)
+        assert census is not None
         assert (census.fixed_points, census.two_cycles) == (1344, 902496)
         assert tree_census(40, edges, k) == (1344, 902496)
-        assert min(times) < 0.1, times
 
     def test_extremal_instance_falls_back_to_the_scan(self, monkeypatch):
         # 128 fixed points and 8,128 2-cycles: the counter meets them one
